@@ -4,8 +4,9 @@ The +-1 Thue-Morse evaluator accelerates by iterated dyadic splitting:
 each split is an exact identity whose boundary is an exact rational and
 whose log-terms gain one order of decay, so L splits turn O(1/n) tails
 into O(1/n^{L+1}) ones.  The summation itself runs in fixed-point integer
-arithmetic driven by exact power sums of the split offsets, with exact
-rational evaluation for the few smallest indices.
+arithmetic driven by exact power sums of the split offsets; the few
+smallest indices are evaluated exactly and folded into the exact split
+boundary, so each evaluation takes a single logarithm of a rational.
 
 Plain products telescope into Gamma values.  The 0/1-exponent kinds use
 2 s_n = 1 - (-1)^{s_n} and combine the plain and +-1 results.
@@ -22,14 +23,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import mpmath
 import numpy as np
 
 from .errors import ConsistencyError, EvaluationError, InputError
 from .factored_rational import (FactoredRational, classify, dyadic_split,
-                                pole_check, positivity_check,
+                                log_term, pole_check, positivity_check,
                                 rs_split_rational)
 from .numerics import (DEFAULT_PRECISION, constant, gamma, log_fraction,
                        mpf_from_fraction, working_dps)
@@ -117,107 +118,50 @@ def _floor_error(precision: int) -> mpmath.mpf:
 # +-1 Thue-Morse products
 # ---------------------------------------------------------------------------
 
-def _int_offsets(r: FactoredRational) -> Tuple[int, List[Tuple[int, int]]]:
-    """Offsets as integers over a common denominator: a_i = u_i / D."""
-    d = 1
-    for f in r.factors:
-        d = d * f.offset.denominator // math.gcd(d, f.offset.denominator)
-    return d, [(int(f.offset * d), f.multiplicity) for f in r.factors]
-
-
-def _exact_log_terms(r: FactoredRational, lo: int, hi: int,
-                     precision: int) -> List[mpmath.mpf]:
-    """[log R(n) for n in lo..hi-1] exactly (one log per exact rational)."""
-    d, offs = _int_offsets(r)
-    out = []
-    wp = working_dps(precision)
-    with mpmath.workdps(wp):
-        for n in range(lo, hi):
-            num = 1
-            den = 1
-            base_n = d * n
-            for u, m in offs:
-                b = base_n + u
-                if b == 0:
-                    raise EvaluationError(f"factor vanishes at n = {n}")
-                if m > 0:
-                    num *= b ** m
-                else:
-                    den *= b ** (-m)
-            # net degree 0 makes the D powers cancel exactly
-            if num * den < 0:
-                raise EvaluationError(f"R({n}) is negative; real log undefined")
-            out.append(mpmath.log(mpmath.mpf(num)) - mpmath.log(mpmath.mpf(den)))
-    return out
-
-
-def _power_sums(r: FactoredRational, j_max: int) -> List[Fraction]:
-    """Exact power sums p_j = sum_i m_i a_i^j for j = 0..j_max."""
-    d, offs = _int_offsets(r)
-    sums = [0] * (j_max + 1)
-    for u, m in offs:
-        p = 1
-        for j in range(1, j_max + 1):
-            p *= u
-            sums[j] += m * p
-    out = [Fraction(0)] * (j_max + 1)
-    dd = 1
-    for j in range(1, j_max + 1):
-        dd *= d
-        out[j] = Fraction(sums[j], dd)
-    return out
-
-
 def _tm_log_sum(r: FactoredRational, start: int, terms: int,
-                precision: int) -> Tuple[mpmath.mpf, mpmath.mpf]:
-    """(sum_{n=start}^{terms} (-1)^{t_n} log R(n), |last summand|).
+                precision: int) -> Tuple[Fraction, mpmath.mpf, mpmath.mpf]:
+    """Split sum_{n=start}^{terms} (-1)^{t_n} log R(n) into head and tail.
 
-    Hybrid scheme: exact rational values for small n, then a fixed-point
-    integer Horner evaluation of log R(n) = sum_j (-1)^{j+1} p_j/(j n^j)
-    built from exact power sums of the offsets.
+    Returns (head, tail, |last summand|).  The head, n < n0, is the exact
+    rational prod R(n)^{(-1)^{t_n}}, left for the caller to fold into its
+    own exact factor so that one logarithm covers both.  The tail is a
+    fixed-point integer Horner evaluation of
+    log R(n) = sum_j (-1)^{j+1} p_j/(j n^j) built from exact power sums.
     """
-    wp = working_dps(precision)
-    if r.is_one:
-        with mpmath.workdps(wp):
-            return mpmath.mpf(0), mpmath.mpf(0)
     max_abs = float(r.max_abs_offset())
     n0 = max(8, int(math.ceil(2 * max_abs)) + 1, start + 1)
     bits = int(math.ceil((precision + 12) * math.log2(10)))
 
-    total = mpmath.mpf(0)
-    last_mag = mpmath.mpf(0)
-
+    head = Fraction(1)
     exact_hi = min(n0, terms + 1)
-    exact_terms = _exact_log_terms(r, start, exact_hi, precision)
-    with mpmath.workdps(wp):
-        for n, lt in zip(range(start, exact_hi), exact_terms):
-            sign = -1 if (n.bit_count() & 1) else 1
-            total += sign * lt
-            last_mag = abs(lt)
+    for n in range(start, exact_hi):
+        value = r.value_at(n)
+        if value <= 0:
+            raise EvaluationError(f"R({n}) = {value} is not positive; real log undefined")
+        head = head / value if (n.bit_count() & 1) else head * value
 
-    if terms >= n0:
-        mass = sum(abs(f.multiplicity) for f in r.factors)
-        # series term j at n >= n0 is bounded by mass*(max_abs/n0)^j / j
-        ratio = max(max_abs, 1e-9) / n0
-        j_max = int(math.ceil((bits + math.log2(mass + 1) + 4)
-                              / -math.log2(ratio))) + 2
-        psums = _power_sums(r, j_max)
-        scale = 1 << bits
-        q = [0] * (j_max + 1)
-        for j in range(1, j_max + 1):
-            c = psums[j] * scale * (1 if j % 2 == 1 else -1)
-            q[j] = round(Fraction(c, j))
-        acc = 0
+    if terms < n0:
+        return head, mpmath.mpf(0), abs(log_term(r, exact_hi - 1, precision))
+
+    mass = sum(abs(f.multiplicity) for f in r.factors)
+    # series term j at n >= n0 is bounded by mass*(max_abs/n0)^j / j
+    ratio = max(max_abs, 1e-9) / n0
+    j_max = int(math.ceil((bits + math.log2(mass + 1) + 4)
+                          / -math.log2(ratio))) + 2
+    psums = r.power_sums(j_max)
+    scale = 1 << bits
+    q = [0] * (j_max + 1)
+    for j in range(1, j_max + 1):
+        c = psums[j] * scale * (1 if j % 2 == 1 else -1)
+        q[j] = round(Fraction(c, j))
+    acc = 0
+    for n in range(n0, terms + 1):
         h = 0
-        for n in range(n0, terms + 1):
-            h = 0
-            for j in range(j_max, 0, -1):
-                h = (h + q[j]) // n
-            acc += -h if (n.bit_count() & 1) else h
-        with mpmath.workdps(wp):
-            total += mpmath.mpf(acc) / scale
-            last_mag = abs(mpmath.mpf(h)) / scale
-    return total, last_mag
+        for j in range(j_max, 0, -1):
+            h = (h + q[j]) // n
+        acc += -h if (n.bit_count() & 1) else h
+    with mpmath.workdps(working_dps(precision)):
+        return head, mpmath.mpf(acc) / scale, abs(mpmath.mpf(h)) / scale
 
 
 def eval_pm_thue(spec: ProductSpec, opts: EvalOptions = EvalOptions()) -> EvalResult:
@@ -238,11 +182,12 @@ def eval_pm_thue(spec: ProductSpec, opts: EvalOptions = EvalOptions()) -> EvalRe
         boundary *= b
         start = 1
 
-    s, last = _tm_log_sum(r, start, terms, precision)
+    head, tail, last = _tm_log_sum(r, start, terms, precision)
+    boundary *= head
+    if boundary <= 0:
+        raise EvaluationError(f"boundary product {boundary} is not positive")
     with mpmath.workdps(wp):
-        if boundary <= 0:
-            raise EvaluationError(f"boundary product {boundary} is not positive")
-        log_value = s + log_fraction(boundary, precision)
+        log_value = tail + log_fraction(boundary, precision)
         value = mpmath.exp(log_value)
         err_log = last * terms / max(levels, 1) + _floor_error(precision)
         return EvalResult(value, value * err_log + _floor_error(precision),
@@ -263,9 +208,6 @@ def eval_plain(spec: ProductSpec, opts: EvalOptions = EvalOptions()) -> EvalResu
         raise InputError(f"eval_plain expects kind plain, got {spec.kind.value}")
     spec.validate()
     r = spec.rational
-    cls = classify(r)
-    if not cls.fully:
-        raise InputError(f"plain products need full convergence: {cls.detail}")
     precision = opts.precision
     mult_mass = 0
     with mpmath.workdps(working_dps(precision)):
@@ -305,20 +247,11 @@ def _sqrt_ratio(plain: EvalResult, pm: EvalResult, opts: EvalOptions) -> EvalRes
 # Rudin-Shapiro products
 # ---------------------------------------------------------------------------
 
-_EPS_V_CACHE: Dict[int, np.ndarray] = {}
-
-
 def _eps_v_array(count: int) -> np.ndarray:
     """(-1)^{v_n} for n = 0..count-1 as an int8 numpy array."""
-    arr = _EPS_V_CACHE.get(count)
-    if arr is None:
-        n = np.arange(count, dtype=np.uint64)
-        pairs = np.bitwise_count(n & (n >> np.uint64(1)))
-        arr = (1 - 2 * (pairs.astype(np.int64) & 1)).astype(np.int8)
-        if count <= 2 ** 21:
-            _EPS_V_CACHE.clear()
-            _EPS_V_CACHE[count] = arr
-    return arr
+    n = np.arange(count, dtype=np.uint64)
+    pairs = np.bitwise_count(n & (n >> np.uint64(1)))
+    return (1 - 2 * (pairs.astype(np.int64) & 1)).astype(np.int8)
 
 
 def _rs_level_log_terms(r: FactoredRational, points: List[int]) -> List[float]:
@@ -385,7 +318,7 @@ def eval_pm_rs(spec: ProductSpec, opts: EvalOptions = EvalOptions()) -> EvalResu
         ratio = max(float(r.max_abs_offset()), 1e-9) / n0
         j_max = max(4, int(math.ceil((46 + math.log2(mass + 1))
                                      / -math.log2(ratio))) + 2)
-        psums = _power_sums(r, j_max)
+        psums = r.power_sums(j_max)
         q = [0.0] * (j_max + 1)
         for j in range(1, j_max + 1):
             q[j] = float(psums[j] / j) * (1 if j % 2 == 1 else -1)
@@ -398,7 +331,7 @@ def eval_pm_rs(spec: ProductSpec, opts: EvalOptions = EvalOptions()) -> EvalResu
         pieces.append(math.fsum(signed.tolist()))
 
     log_sum = math.fsum(pieces)
-    psums3 = _power_sums(r, 3)
+    psums3 = r.power_sums(3)
     p1 = abs(float(psums3[1]))
     p2 = abs(float(psums3[2]))
     p3 = abs(float(psums3[3]))
@@ -505,10 +438,12 @@ def flajolet_martin(opts: EvalOptions = EvalOptions()) -> FlajoletMartin:
     phi both as 2^{-1/2} e^gamma (2/3) R and as 2^{-1/2} e^gamma / g(0).
     """
     precision = opts.precision
+    # raises CapabilityError beyond the stored digits, before any work
+    euler_gamma = constant("euler_gamma", precision)
     g0 = g_value(Fraction(0), opts)
     ratio = eval_pm_thue(ProductSpec(FM_RATIO_RATIONAL, ExponentKind.PM_THUE, 1), opts)
     with mpmath.workdps(working_dps(precision)):
-        e_gamma = mpmath.exp(constant("euler_gamma", min(precision, 100)))
+        e_gamma = mpmath.exp(euler_gamma)
         inv_sqrt2 = 1 / mpmath.sqrt(mpmath.mpf(2))
         phi = inv_sqrt2 * e_gamma * mpmath.mpf(2) / 3 * ratio.value
         phi_alt = inv_sqrt2 * e_gamma / g0.value

