@@ -26,8 +26,7 @@ from .evaluator import (EvalOptions, EvalResult, ProductSpec, eval_product,
                         remainder_sign_probe)
 from .factored_rational import FactoredRational
 from .numerics import DEFAULT_PRECISION
-from .sequences import (ExponentKind, block_parity, exponent, rudin_shapiro,
-                        thue_morse)
+from .sequences import ExponentKind, block_parity, exponent
 
 ENV_PRECISION = "DIGITPROD_DIGITS"
 
@@ -120,20 +119,13 @@ def _eval_result_payload(result: EvalResult, digits: int) -> dict:
 
 def cmd_seq(args) -> int:
     kind = args.kind
-    values = []
-    if kind == "t":
-        values = [thue_morse(n) for n in range(args.count)]
-    elif kind == "v":
-        values = [rudin_shapiro(n) for n in range(args.count)]
-    elif kind in ("pm-t", "pm-v"):
-        ek = ExponentKind.from_code(kind)
-        values = [exponent(ek, n) for n in range(args.count)]
-    elif kind == "block":
+    if kind == "block":
         if args.word is None:
             raise InputError("seq block needs --word (and --base)")
         values = [block_parity(args.word, args.base, n) for n in range(args.count)]
     else:
-        raise InputError(f"unknown sequence kind {kind!r}")
+        ek = ExponentKind.from_code(kind)
+        values = [exponent(ek, n) for n in range(args.count)]
     _emit(args, {"kind": kind, "values": values}, " ".join(str(v) for v in values))
     return 0
 

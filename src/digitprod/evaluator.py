@@ -1,12 +1,13 @@
 """Numerical engines for the five exponent kinds and the analytic probes.
 
-The +-1 Thue-Morse evaluator accelerates by iterated dyadic splitting:
-each split is an exact identity whose boundary is an exact rational and
-whose log-terms gain one order of decay, so L splits turn O(1/n) tails
-into O(1/n^{L+1}) ones.  The summation itself runs in fixed-point integer
-arithmetic driven by exact power sums of the split offsets; the few
-smallest indices are evaluated exactly and folded into the exact split
-boundary, so each evaluation takes a single logarithm of a rational.
+The +-1 Thue-Morse evaluator accelerates by dyadic splitting: each split
+is an exact identity whose boundary is an exact rational and whose
+log-terms gain one order of decay, so L splits, built at once as one
+regrouping, turn O(1/n) tails into O(1/n^{L+1}) ones.  The summation
+itself runs in fixed-point integer arithmetic driven by exact power sums
+of the split offsets; the few smallest indices are evaluated exactly and
+folded into the exact split boundary, so each evaluation takes a single
+logarithm of a rational.
 
 Plain products telescope into Gamma values.  The 0/1-exponent kinds use
 2 s_n = 1 - (-1)^{s_n} and combine the plain and +-1 results.
@@ -29,8 +30,8 @@ import mpmath
 import numpy as np
 
 from .errors import ConsistencyError, EvaluationError, InputError
-from .factored_rational import (FactoredRational, classify, dyadic_split,
-                                log_term, pole_check, positivity_check,
+from .factored_rational import (FactoredRational, classify, log_term,
+                                pole_check, positivity_check,
                                 rs_split_rational)
 from .numerics import (DEFAULT_PRECISION, constant, gamma, log_fraction,
                        mpf_from_fraction, working_dps)
@@ -40,6 +41,10 @@ DEFAULT_TM_TERMS = 4096
 DEFAULT_RS_TERMS = 10 ** 6
 DEFAULT_SPLIT_LEVELS = 8
 DEFAULT_RS_SPLIT_LEVELS = 10
+# Split work grows geometrically with the levels; these caps keep one
+# request within about a minute.
+MAX_SPLIT_LEVELS = 16
+MAX_RS_SPLIT_LEVELS = 12
 
 
 @dataclass(frozen=True)
@@ -86,12 +91,12 @@ class EvalOptions:
     def __post_init__(self):
         if self.precision < 1:
             raise InputError("precision must be at least 1 digit")
-        if self.split_levels < 0:
-            raise InputError("split levels must be >= 0")
+        if not 0 <= self.split_levels <= MAX_SPLIT_LEVELS:
+            raise InputError(f"split levels must be in 0..{MAX_SPLIT_LEVELS}")
         if self.terms is not None and self.terms < 16:
             raise InputError("terms must be >= 16")
-        if self.rs_split_levels is not None and self.rs_split_levels < 0:
-            raise InputError("rs split levels must be >= 0")
+        if not 0 <= (self.rs_split_levels or 0) <= MAX_RS_SPLIT_LEVELS:
+            raise InputError(f"rs split levels must be in 0..{MAX_RS_SPLIT_LEVELS}")
 
     def tm_terms(self) -> int:
         return self.terms if self.terms is not None else DEFAULT_TM_TERMS
@@ -165,7 +170,7 @@ def _tm_log_sum(r: FactoredRational, start: int, terms: int,
 
 
 def eval_pm_thue(spec: ProductSpec, opts: EvalOptions = EvalOptions()) -> EvalResult:
-    """Evaluate prod R(n)^{(-1)^{t_n}} by L-fold dyadic splitting."""
+    """Evaluate prod R(n)^{(-1)^{t_n}} by an L-fold dyadic split."""
     if spec.kind is not ExponentKind.PM_THUE:
         raise InputError(f"eval_pm_thue expects kind pm-t, got {spec.kind.value}")
     spec.validate()
@@ -174,16 +179,14 @@ def eval_pm_thue(spec: ProductSpec, opts: EvalOptions = EvalOptions()) -> EvalRe
     precision = opts.precision
     wp = working_dps(precision)
 
-    r = spec.rational
-    start = spec.start
-    boundary = Fraction(1)
-    for _ in range(levels):
-        r, b = dyadic_split(r, start)
-        boundary *= b
-        start = 1
-
-    head, tail, last = _tm_log_sum(r, start, terms, precision)
-    boundary *= head
+    # R_L(n) = prod_{i<2^L} R(2^L n + i)^{(-1)^{t_i}}, all L splits at once;
+    # start 1 adds the boundary prod_{1<=i<2^L} R(i)^{(-1)^{t_i}}
+    maps = [(1 << levels, i, -1 if i.bit_count() & 1 else 1)
+            for i in range(1 << levels)]
+    boundary, tail, last = _tm_log_sum(spec.rational.regroup(maps), spec.start,
+                                       terms, precision)
+    if spec.start == 1:
+        boundary *= spec.rational.regroup(maps[1:]).value_at(0)
     if boundary <= 0:
         raise EvaluationError(f"boundary product {boundary} is not positive")
     with mpmath.workdps(wp):

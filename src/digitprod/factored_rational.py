@@ -6,11 +6,13 @@ and the scale s is a positive rational.  Values are immutable after
 construction and the factor list is kept sorted by offset, so equal
 rationals compare and hash equal.
 
-Everything here is exact.  ``value_at`` is the one exact evaluator of
-R(n) and ``power_sums`` the one source of the power sums p_j that drive
-the Thue-Morse tail series; both work in integers over the common
-denominator of the offsets.  The only numerical operation, ``log_term``,
-is ``numerics.log_fraction`` of the exact value.
+Everything here is exact.  ``regroup`` is the one substitution rule
+(n -> c*n + d, behind composition, powers and every split), ``value_at``
+the one exact evaluator of R(n) and ``power_sums`` the one source of the
+power sums p_j that drive the Thue-Morse tail series; the last two work
+in integers over the common denominator of the offsets.  The only
+numerical operation, ``log_term``, is ``numerics.log_fraction`` of the
+exact value.
 """
 
 from __future__ import annotations
@@ -61,26 +63,15 @@ class FactoredRational:
     @staticmethod
     def from_raw_factors(raw: Iterable[Tuple[RationalLike, RationalLike, int]],
                          scale: RationalLike = 1) -> "FactoredRational":
-        """Normalize a list of (c, d, m) meaning (c*n + d)^m.
+        """scale * prod (c*n + d)^m: the rational n regrouped by ``raw``.
 
-        Each leading coefficient c must be positive and each multiplicity
-        nonzero.  The monic form contributes c^m to the scale and offset
-        d/c; duplicate offsets merge by summing multiplicities.
+        Each leading coefficient c must be positive and each m nonzero.
         """
-        s = Fraction(scale)
-        offsets: dict = {}
-        for c, d, m in raw:
-            c = Fraction(c)
-            d = Fraction(d)
-            m = int(m)
-            if c <= 0:
-                raise InputError(f"leading coefficient must be positive, got {c}")
-            if m == 0:
-                raise InputError("factor multiplicity must be nonzero")
-            s *= c ** m
-            a = d / c
-            offsets[a] = offsets.get(a, 0) + m
-        return FactoredRational.from_offsets(offsets, s)
+        raw = list(raw)
+        if any(m == 0 for _, _, m in raw):
+            raise InputError("factor multiplicity must be nonzero")
+        r = FactoredRational.from_offsets({0: 1}).regroup(raw)
+        return FactoredRational.from_offsets(r.offset_dict(), r.scale * scale)
 
     @staticmethod
     def one() -> "FactoredRational":
@@ -172,18 +163,30 @@ class FactoredRational:
     def __pow__(self, k: int) -> "FactoredRational":
         if not isinstance(k, int):
             return NotImplemented
-        offsets = {a: m * k for a, m in self.offset_dict().items()}
-        return FactoredRational.from_offsets(offsets, self.scale ** k)
+        return self.regroup([(1, 0, k)])
 
     def compose_linear(self, c: int, d: int) -> "FactoredRational":
         """The rational n -> R(c*n + d) in canonical form (c > 0)."""
-        if c <= 0:
-            raise InputError(f"composition coefficient must be positive, got {c}")
-        offsets = {}
-        for f in self.factors:
-            a = (d + f.offset) / c
-            offsets[a] = offsets.get(a, 0) + f.multiplicity
-        scale = self.scale * Fraction(c) ** self.degree_sum()
+        return self.regroup([(c, d, 1)])
+
+    def regroup(self, maps: Iterable[Tuple[RationalLike, RationalLike, int]]
+                ) -> "FactoredRational":
+        """The rational n -> prod R(c*n + d)^w over (c, d, w) in ``maps``.
+
+        The one substitution rule: each offset a moves to (a + d)/c with
+        multiplicity m*w, the scale gains (s c^degree)^w, and the result
+        is put in canonical form once.
+        """
+        degree = self.degree_sum()
+        scale = Fraction(1)
+        offsets: dict = {}
+        for c, d, w in maps:
+            if c <= 0:
+                raise InputError(f"coefficient of n must be positive, got {c}")
+            scale *= (self.scale * Fraction(c) ** degree) ** w
+            for f in self.factors:
+                a = (f.offset + d) / c
+                offsets[a] = offsets.get(a, 0) + f.multiplicity * w
         return FactoredRational.from_offsets(offsets, scale)
 
     # -- rendering -------------------------------------------------------
@@ -498,7 +501,7 @@ def dyadic_split(r: FactoredRational, start: int) -> Tuple[FactoredRational, Fra
     cls = classify(r)
     if not cls.at_least_pm:
         raise InputError(f"dyadic split requires a convergent product: {cls.detail}")
-    split = r.compose_linear(2, 0) / r.compose_linear(2, 1)
+    split = r.regroup([(2, 0, 1), (2, 1, -1)])
     r1 = r.value_at(1)
     if r1 == 0:
         raise EvaluationError("R(1) = 0; boundary term undefined")
@@ -515,8 +518,7 @@ def dyadic_split(r: FactoredRational, start: int) -> Tuple[FactoredRational, Fra
 
 def rs_split_rational(r: FactoredRational) -> FactoredRational:
     """The rational n -> R(2n) R(4n+1)^2 / R(2n+1) (see rs_split)."""
-    split = (r.compose_linear(2, 0) * r.compose_linear(4, 1) ** 2
-             / r.compose_linear(2, 1))
+    split = r.regroup([(2, 0, 1), (4, 1, 2), (2, 1, -1)])
     if pole_check(split, 1) is not None:
         raise EvaluationError("split rational has a factor vanishing at n >= 1")
     return split

@@ -105,7 +105,6 @@ def gamma(x: Fraction, precision: int = DEFAULT_PRECISION) -> mpmath.mpf:
         return mpmath.exp(s - log_fraction(rising, precision + 5))
 
 
-@lru_cache(maxsize=256)
 def constant(name: str, precision: int = DEFAULT_PRECISION) -> mpmath.mpf:
     """Named constant at the requested precision.
 

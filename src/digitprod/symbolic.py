@@ -318,6 +318,8 @@ def family(family_id: str, a, b=None) -> Identity:
          excluding a in {0, -1, -2, ...} and {-1/2, -3/2, ...}.
     All products run over n >= 1 with the +-1 Thue-Morse exponent.
     """
+    if a is None:
+        raise InputError(f"family ({family_id}) needs a")
     a = Fraction(a)
     _not_negative_integer("a", a)
     if family_id == "i":

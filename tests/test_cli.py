@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from digitprod.cli import main
 
 
@@ -177,6 +179,22 @@ def test_scan_command(capsys):
 def test_reduce_family(capsys):
     code, out, _ = run(capsys, "reduce", "--family", "i", "--a", "1", "--b", "2")
     assert code == 0 and out == "3/2"
+
+
+@pytest.mark.parametrize("family_id", ["i", "ii", "iii", "iv"])
+def test_reduce_family_without_a_exits_three(capsys, family_id):
+    code, out, err = run(capsys, "reduce", "--family", family_id)
+    assert code == 3 and out == "" and "needs a" in err
+
+
+@pytest.mark.parametrize("flag,level", [("--split-levels", "17"),
+                                        ("--split-levels", "40"),
+                                        ("--rs-split-levels", "13")])
+def test_split_levels_above_cap_exit_three(capsys, flag, level):
+    # rejected by EvalOptions before any split is built
+    code, out, err = run(capsys, "eval", "(2n+1)/(2n+2)", flag, level,
+                         "--terms", "16")
+    assert code == 3 and out == "" and "split levels" in err
 
 
 def test_reduce_expression(capsys):

@@ -12,6 +12,7 @@ from digitprod import (CapabilityError, EvalOptions, EvaluationError,
                        eval_product, eval_zero_one_rs, eval_zero_one_thue,
                        f_value, flajolet_martin, g_value, monotonicity_scan,
                        remainder_sign_probe)
+from digitprod.evaluator import MAX_RS_SPLIT_LEVELS, MAX_SPLIT_LEVELS
 from digitprod.factored_rational import dyadic_split
 
 WR_SPEC = ProductSpec(FactoredRational.parse("(2n+1)/(2n+2)"),
@@ -318,6 +319,14 @@ def test_options_validation():
         EvalOptions(terms=8)
     with pytest.raises(InputError):
         EvalOptions(split_levels=-1)
+    with pytest.raises(InputError):
+        EvalOptions(split_levels=MAX_SPLIT_LEVELS + 1)
+    with pytest.raises(InputError):
+        EvalOptions(rs_split_levels=-1)
+    with pytest.raises(InputError):
+        EvalOptions(rs_split_levels=MAX_RS_SPLIT_LEVELS + 1)
+    # the caps themselves are accepted (construction only: no work is done)
+    EvalOptions(split_levels=MAX_SPLIT_LEVELS, rs_split_levels=MAX_RS_SPLIT_LEVELS)
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,7 @@ import math
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from digitprod import (ConvergenceTag, EvaluationError, FactoredRational,
                        InputError, ParseError, classify, dyadic_split,
@@ -309,6 +309,15 @@ def test_rs_split_rejects_divergent():
         rs_split(FactoredRational.parse("(n+1)(n+2)/(n+3)"))
 
 
+def test_rs_split_rational_equals_operator_chain(rng):
+    from conftest import random_pm_convergent
+    for _ in range(10):
+        r = random_pm_convergent(rng)
+        chain = (r.compose_linear(2, 0) * r.compose_linear(4, 1) ** 2
+                 / r.compose_linear(2, 1))
+        assert rs_split_rational(r) == chain
+
+
 # ---------------------------------------------------------------------------
 # Algebra helpers
 # ---------------------------------------------------------------------------
@@ -364,3 +373,45 @@ def test_value_at_and_power_sums_match_fraction_oracle(case, j_max):
     for a, m in offsets.items():
         expected *= (n + a) ** m if n + a else 0
     assert r.value_at(n) == expected
+
+
+# ---------------------------------------------------------------------------
+# Regrouping
+# ---------------------------------------------------------------------------
+
+_MAPS = st.lists(st.tuples(st.integers(1, 4), st.integers(0, 3),
+                           st.integers(-2, 2)), max_size=4)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_rational_and_point(), _MAPS)
+def test_regroup_matches_value_at_oracle(case, maps):
+    r, offsets, scale, n = case
+    assume(scale != 1 and r.degree_sum() != 0)
+    assume(all(c * n + d + a != 0 for c, d, _ in maps for a in offsets))
+    expected = F(1)
+    for c, d, w in maps:
+        expected *= r.value_at(c * n + d) ** w
+    assert r.regroup(maps).value_at(n) == expected
+
+
+@pytest.mark.parametrize("start", [0, 1])
+@pytest.mark.parametrize("levels", range(6))
+def test_l_fold_regroup_is_iterated_dyadic_split(rng, start, levels):
+    # R_L(n) = prod_{i<2^L} R(2^L n + i)^{(-1)^{t_i}} is L dyadic splits
+    # in one; the evaluator's boundary is R_L(0) for start 0 and
+    # prod_{1<=i<2^L} R(i)^{(-1)^{t_i}} for start 1
+    from conftest import random_pm_convergent
+    for _ in range(3):
+        r = random_pm_convergent(rng)
+        maps = [(2 ** levels, i, 1 - 2 * thue_morse(i)) for i in range(2 ** levels)]
+        split, boundary, s = r, F(1), start
+        for _ in range(levels):
+            split, b = dyadic_split(split, s)
+            boundary *= b
+            s = 1
+        assert r.regroup(maps) == split
+        if start == 1:
+            assert r.regroup(maps[1:]).value_at(0) == boundary
+        elif levels:
+            assert split.value_at(0) == boundary

@@ -160,6 +160,12 @@ def test_family_iv_exclusions():
         family("bogus", 1, 2)
 
 
+@pytest.mark.parametrize("family_id", ["i", "ii", "iii", "iv"])
+def test_family_requires_a(family_id):
+    with pytest.raises(InputError, match="needs a"):
+        family(family_id, None)
+
+
 def test_family_degenerate_equal_parameters():
     ident = family("i", F(3, 2), F(3, 2))
     assert ident.spec.rational.is_one
