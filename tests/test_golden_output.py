@@ -1,0 +1,50 @@
+"""Byte-for-byte CLI output against stored golden files.
+
+Each case runs ``cli.main(argv)`` with ``--format json`` and compares
+stdout with ``tests/golden/<name>.json``.  A change that moves any printed
+digit fails here.  After an intended output change, rewrite the files
+with ``PYTHONPATH=src python tests/test_golden_output.py``.
+"""
+
+import contextlib
+import io
+import pathlib
+
+import pytest
+
+from digitprod.cli import ENV_PRECISION, main
+
+GOLDEN = pathlib.Path(__file__).parent / "golden"
+
+WR = "(2n+1)/(2n+2)"
+CASES = {
+    "eval-wr-60": ["eval", WR, "--digits", "60"],
+    "eval-wr-200": ["eval", WR, "--digits", "200"],
+    "eval-wr-500": ["eval", WR, "--digits", "500"],
+    "eval-t5a-60": ["eval", "(4n+1)(4n+4)/((4n+2)(4n+3))", "--kind", "t",
+                    "--digits", "60"],
+    "g-3-4": ["g", "--x", "3/4"],
+    "constants-fm-phi-100": ["constants", "fm-phi", "--digits", "100"],
+    "eval-wr-unsplit-64": ["eval", WR, "--split-levels", "0", "--terms", "64"],
+}
+
+
+def run_json(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv + ["--format", "json"])
+    return code, out.getvalue()
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_golden_stdout(name, monkeypatch):
+    monkeypatch.delenv(ENV_PRECISION, raising=False)
+    code, out = run_json(CASES[name])
+    assert code == 0
+    assert out == (GOLDEN / f"{name}.json").read_text()
+
+
+if __name__ == "__main__":
+    for case, argv in CASES.items():
+        _, text = run_json(argv)
+        (GOLDEN / f"{case}.json").write_text(text)
