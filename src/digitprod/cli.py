@@ -21,11 +21,11 @@ import mpmath
 
 from . import symbolic
 from .errors import DigitprodError, InputError, ParseError
-from .evaluator import (EvalOptions, EvalResult, ProductSpec, eval_product,
-                        flajolet_martin, g_value, monotonicity_scan,
-                        remainder_sign_probe)
+from .evaluator import (DEFAULT_SPLIT_LEVELS, EvalOptions, EvalResult,
+                        ProductSpec, eval_product, flajolet_martin, g_value,
+                        monotonicity_scan, remainder_sign_probe)
 from .factored_rational import FactoredRational
-from .numerics import DEFAULT_PRECISION
+from .numerics import DEFAULT_PRECISION, workdps
 from .sequences import ExponentKind, block_parity, exponent
 
 ENV_PRECISION = "DIGITPROD_DIGITS"
@@ -62,7 +62,7 @@ def _positive_int(text: str) -> int:
 
 
 def _nstr(x, digits: int) -> str:
-    with mpmath.workdps(digits + 5):
+    with workdps(digits + 5):
         return mpmath.nstr(x, digits, strip_zeros=False)
 
 
@@ -299,7 +299,7 @@ def cmd_reduce(args) -> int:
 def _add_common(parser: argparse.ArgumentParser, default_precision: int) -> None:
     parser.add_argument("--digits", type=_positive_int, default=default_precision,
                         help="working precision in decimal digits")
-    parser.add_argument("--split-levels", type=int, default=8,
+    parser.add_argument("--split-levels", type=int, default=DEFAULT_SPLIT_LEVELS,
                         help="dyadic split levels for +-1 Thue-Morse products")
     parser.add_argument("--terms", type=_positive_int, default=None,
                         help="summation terms (default 4096 Thue-Morse, 10^6 Rudin-Shapiro)")

@@ -4,10 +4,12 @@ The +-1 Thue-Morse evaluator accelerates by dyadic splitting: each split
 is an exact identity whose boundary is an exact rational and whose
 log-terms gain one order of decay, so L splits, built at once as one
 regrouping, turn O(1/n) tails into O(1/n^{L+1}) ones.  The summation
-itself runs in fixed-point integer arithmetic driven by exact power sums
-of the split offsets; the few smallest indices are evaluated exactly and
-folded into the exact split boundary, so each evaluation takes a single
-logarithm of a rational.
+itself runs in fixed-point integer arithmetic: exact power sums of the
+split offsets weight a table of Thue-Morse sums of (n0/n)^j that does not
+depend on the rational, so it is built once per precision and shared by
+every evaluation (a bounded memo of a pure function, like ``gamma``).
+The few smallest indices are evaluated exactly and folded into the exact
+split boundary, so each evaluation takes a single logarithm of a rational.
 
 Plain products telescope into Gamma values.  The 0/1-exponent kinds use
 2 s_n = 1 - (-1)^{s_n} and combine the plain and +-1 results.
@@ -24,6 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import List, Optional, Tuple
 
 import mpmath
@@ -34,7 +37,7 @@ from .factored_rational import (FactoredRational, classify, log_term,
                                 pole_check, positivity_check,
                                 rs_split_rational)
 from .numerics import (DEFAULT_PRECISION, constant, gamma, log_fraction,
-                       mpf_from_fraction, working_dps)
+                       mpf_from_fraction, workdps, working_dps)
 from .sequences import ExponentKind
 
 DEFAULT_TM_TERMS = 4096
@@ -123,15 +126,47 @@ def _floor_error(precision: int) -> mpmath.mpf:
 # +-1 Thue-Morse products
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=8)
+def _tm_tail_table(n0: int, terms: int, bits: int, j_max: int) -> Tuple[int, ...]:
+    """(T_1, ..., T_{j_max}), T_j = sum_{n0<=n<=terms} (-1)^{t_n} y_{n,j}.
+
+    y_{n,0} = 2^bits and y_{n,j} = floor(y_{n,j-1} n0 / n), so y_{n,j} is
+    2^bits (n0/n)^j rounded down by less than j units; a row stops once it
+    reaches 0.  The table does not depend on the rational, so every
+    Thue-Morse evaluation at one precision shares it.
+    """
+    plus = [0] * j_max
+    minus = [0] * j_max
+    one = 1 << bits
+    for n in range(n0, terms + 1):
+        row = minus if n.bit_count() & 1 else plus
+        y = one
+        for j in range(j_max):
+            y = y * n0 // n
+            if not y:
+                break
+            row[j] += y
+    return tuple(a - b for a, b in zip(plus, minus))
+
+
 def _tm_log_sum(r: FactoredRational, start: int, terms: int,
                 precision: int) -> Tuple[Fraction, mpmath.mpf, mpmath.mpf]:
     """Split sum_{n=start}^{terms} (-1)^{t_n} log R(n) into head and tail.
 
     Returns (head, tail, |last summand|).  The head, n < n0, is the exact
     rational prod R(n)^{(-1)^{t_n}}, left for the caller to fold into its
-    own exact factor so that one logarithm covers both.  The tail is a
-    fixed-point integer Horner evaluation of
-    log R(n) = sum_j (-1)^{j+1} p_j/(j n^j) built from exact power sums.
+    own exact factor so that one logarithm covers both.  The tail expands
+    log R(n) = sum_j c_j n^-j, c_j = (-1)^{j+1} p_j / j, from exact power
+    sums and swaps the order of summation:
+
+        sum_n (-1)^{t_n} log R(n) = sum_j c_j n0^-j T_j / 2^B,
+
+    with T_j from ``_tm_tail_table``, so a call costs j_max coefficient
+    roundings and products.  B = bits + g guard bits; each T_j is off by
+    less than j * terms units and |c_j| n0^-j j <= mass (max_abs/n0)^j, so
+    with the coefficient roundings the tail is off by at most
+    (mass + j_max) * terms * 2^-B <= 2^-bits.  The last summand comes from
+    one Horner pass at n = terms.
     """
     max_abs = float(r.max_abs_offset())
     n0 = max(8, int(math.ceil(2 * max_abs)) + 1, start + 1)
@@ -153,20 +188,20 @@ def _tm_log_sum(r: FactoredRational, start: int, terms: int,
     ratio = max(max_abs, 1e-9) / n0
     j_max = int(math.ceil((bits + math.log2(mass + 1) + 4)
                           / -math.log2(ratio))) + 2
+    # guard bits in steps of 32, so that similar rationals share one table
+    guard = -(-((mass + j_max) * terms).bit_length() // 32) * 32
+    table_bits = bits + guard
+    table = _tm_tail_table(n0, terms, table_bits, j_max)
     psums = r.power_sums(j_max)
-    scale = 1 << bits
-    q = [0] * (j_max + 1)
-    for j in range(1, j_max + 1):
-        c = psums[j] * scale * (1 if j % 2 == 1 else -1)
-        q[j] = round(Fraction(c, j))
     acc = 0
-    for n in range(n0, terms + 1):
-        h = 0
-        for j in range(j_max, 0, -1):
-            h = (h + q[j]) // n
-        acc += -h if (n.bit_count() & 1) else h
-    with mpmath.workdps(working_dps(precision)):
-        return head, mpmath.mpf(acc) / scale, abs(mpmath.mpf(h)) / scale
+    h = 0
+    for j in range(j_max, 0, -1):
+        c = psums[j] if j % 2 == 1 else -psums[j]
+        acc += round(c * (1 << table_bits) / (j * n0 ** j)) * table[j - 1]
+        h = (h + round(c * (1 << bits) / j)) // terms
+    with workdps(working_dps(precision)):
+        return (head, mpmath.mpf(acc >> table_bits) / (1 << table_bits),
+                abs(mpmath.mpf(h)) / (1 << bits))
 
 
 def eval_pm_thue(spec: ProductSpec, opts: EvalOptions = EvalOptions()) -> EvalResult:
@@ -189,7 +224,7 @@ def eval_pm_thue(spec: ProductSpec, opts: EvalOptions = EvalOptions()) -> EvalRe
         boundary *= spec.rational.regroup(maps[1:]).value_at(0)
     if boundary <= 0:
         raise EvaluationError(f"boundary product {boundary} is not positive")
-    with mpmath.workdps(wp):
+    with workdps(wp):
         log_value = tail + log_fraction(boundary, precision)
         value = mpmath.exp(log_value)
         err_log = last * terms / max(levels, 1) + _floor_error(precision)
@@ -213,7 +248,7 @@ def eval_plain(spec: ProductSpec, opts: EvalOptions = EvalOptions()) -> EvalResu
     r = spec.rational
     precision = opts.precision
     mult_mass = 0
-    with mpmath.workdps(working_dps(precision)):
+    with workdps(working_dps(precision)):
         value = mpmath.mpf(1)
         for f in r.factors:
             arg = f.offset + spec.start
@@ -238,7 +273,7 @@ def eval_zero_one_thue(spec: ProductSpec, opts: EvalOptions = EvalOptions()) -> 
 
 
 def _sqrt_ratio(plain: EvalResult, pm: EvalResult, opts: EvalOptions) -> EvalResult:
-    with mpmath.workdps(working_dps(opts.precision)):
+    with workdps(working_dps(opts.precision)):
         value = mpmath.sqrt(plain.value / pm.value)
         rel = (plain.error_estimate / plain.value
                + pm.error_estimate / pm.value) / 2
@@ -300,14 +335,15 @@ def eval_pm_rs(spec: ProductSpec, opts: EvalOptions = EvalOptions()) -> EvalResu
         r = rs_split_rational(r)
 
     if r.is_one:
-        with mpmath.workdps(wp):
+        with workdps(wp):
             value = mpmath.exp(log_fraction(exact_boundary, precision)) \
                 if exact_boundary != 1 else mpmath.mpf(1)
             return EvalResult(value, value * _floor_error(precision)
                               + _floor_error(precision), 0, levels)
 
     eps = _eps_v_array(terms + 1)
-    n0 = max(8, int(math.ceil(2 * float(r.max_abs_offset()))) + 1)
+    max_abs = float(r.max_abs_offset())
+    n0 = max(8, int(math.ceil(2 * max_abs)) + 1)
     pieces: List[float] = list(boundary_logs)
 
     small_lo = 1 if levels > 0 else max(spec.start, 1)
@@ -318,7 +354,7 @@ def eval_pm_rs(spec: ProductSpec, opts: EvalOptions = EvalOptions()) -> EvalResu
 
     if terms >= n0:
         mass = sum(abs(f.multiplicity) for f in r.factors)
-        ratio = max(float(r.max_abs_offset()), 1e-9) / n0
+        ratio = max(max_abs, 1e-9) / n0
         j_max = max(4, int(math.ceil((46 + math.log2(mass + 1))
                                      / -math.log2(ratio))) + 2)
         psums = r.power_sums(j_max)
@@ -332,18 +368,17 @@ def eval_pm_rs(spec: ProductSpec, opts: EvalOptions = EvalOptions()) -> EvalResu
             acc = (acc + q[j]) * x
         signed = acc * eps[n0:terms + 1]
         pieces.append(math.fsum(signed.tolist()))
+    else:
+        psums = r.power_sums(3)
 
     log_sum = math.fsum(pieces)
-    psums3 = r.power_sums(3)
-    p1 = abs(float(psums3[1]))
-    p2 = abs(float(psums3[2]))
-    p3 = abs(float(psums3[3]))
+    p1, p2, p3 = (abs(float(p)) for p in psums[1:4])
     sqrt_n = math.sqrt(terms)
     local_var = p1 / terms ** 2 + 2 * (p2 + p3) / terms ** 3
     abel_tail = 3 * (2 * p1 / sqrt_n + (p2 + p3) * terms ** -1.5)
     err_log = 3 * sqrt_n * local_var + abel_tail + 1e-12 * (1 + abs(log_sum))
 
-    with mpmath.workdps(wp):
+    with workdps(wp):
         total = mpmath.mpf(log_sum)
         if exact_boundary != 1:
             total += log_fraction(exact_boundary, precision)
@@ -395,7 +430,7 @@ def f_value(a: Fraction, b: Fraction, opts: EvalOptions = EvalOptions()) -> Eval
     _check_f_parameter("a", a)
     _check_f_parameter("b", b)
     if a == b:
-        with mpmath.workdps(working_dps(opts.precision)):
+        with workdps(working_dps(opts.precision)):
             return EvalResult(mpmath.mpf(1), _floor_error(opts.precision),
                               0, opts.split_levels)
     rational = FactoredRational.from_offsets({a: 1, b: -1})
@@ -411,7 +446,7 @@ def g_value(x: Fraction, opts: EvalOptions = EvalOptions()) -> EvalResult:
     if x < 0:
         raise InputError(f"g is evaluated on x >= 0 (real-log domain), got {x}")
     f = f_value(x / 2, (x + 1) / 2, opts)
-    with mpmath.workdps(working_dps(opts.precision)):
+    with workdps(working_dps(opts.precision)):
         denom = mpf_from_fraction(x + 1, opts.precision)
         return EvalResult(f.value / denom, f.error_estimate / denom,
                           f.terms_used, f.split_levels)
@@ -445,7 +480,7 @@ def flajolet_martin(opts: EvalOptions = EvalOptions()) -> FlajoletMartin:
     euler_gamma = constant("euler_gamma", precision)
     g0 = g_value(Fraction(0), opts)
     ratio = eval_pm_thue(ProductSpec(FM_RATIO_RATIONAL, ExponentKind.PM_THUE, 1), opts)
-    with mpmath.workdps(working_dps(precision)):
+    with workdps(working_dps(precision)):
         e_gamma = mpmath.exp(euler_gamma)
         inv_sqrt2 = 1 / mpmath.sqrt(mpmath.mpf(2))
         phi = inv_sqrt2 * e_gamma * mpmath.mpf(2) / 3 * ratio.value
@@ -548,7 +583,9 @@ def monotonicity_scan(x_lo: Fraction, x_hi: Fraction, steps: int,
         res = f_value(x / 2, (x + 1) / 2, opts)
         points.append(ScanPoint(x, res.value, res.error_estimate))
     violations = []
-    for left, right in zip(points, points[1:]):
-        if not (left.value - right.value > left.error_estimate + right.error_estimate):
-            violations.append((left.x, right.x))
+    with workdps(working_dps(opts.precision)):
+        for left, right in zip(points, points[1:]):
+            if not (left.value - right.value
+                    > left.error_estimate + right.error_estimate):
+                violations.append((left.x, right.x))
     return ScanReport(points, violations)

@@ -118,9 +118,10 @@ class FactoredRational:
         return self.power_sums(j)[j]
 
     def max_abs_offset(self) -> Fraction:
+        """max_i |a_i|, 0 without factors; the offsets are sorted."""
         if not self.factors:
             return Fraction(0)
-        return max(abs(f.offset) for f in self.factors)
+        return max(-self.factors[0].offset, self.factors[-1].offset)
 
     def value_at(self, n: RationalLike) -> Fraction:
         """Exact value R(n) at a rational n; raises EvaluationError at a pole.

@@ -15,10 +15,12 @@ the constant basis stays {pi, Gamma(1/4), e^gamma, rationals}.
 
 from __future__ import annotations
 
+import threading
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Dict, Optional, Tuple, Union
+from typing import Dict, Iterator, Optional, Tuple, Union
 
 import mpmath
 
@@ -37,6 +39,22 @@ EULER_GAMMA_100 = (
 EULER_GAMMA_DIGITS = 100
 
 
+_PRECISION_LOCK = threading.RLock()
+
+
+@contextmanager
+def workdps(dps: int) -> Iterator[None]:
+    """``mpmath.workdps`` for one thread at a time.
+
+    mpmath keeps its precision in one process-wide context; if two threads'
+    regions interleave, the first to leave restores its saved precision
+    under the other, which then computes at the wrong precision and leaves
+    it set on exit.
+    """
+    with _PRECISION_LOCK, mpmath.workdps(dps):
+        yield
+
+
 def working_dps(precision: int) -> int:
     if precision < 1:
         raise InputError(f"precision must be >= 1 digit, got {precision}")
@@ -45,7 +63,7 @@ def working_dps(precision: int) -> int:
 
 def mpf_from_fraction(q: Union[Fraction, int], precision: int) -> mpmath.mpf:
     q = Fraction(q)
-    with mpmath.workdps(working_dps(precision)):
+    with workdps(working_dps(precision)):
         return mpmath.mpf(q.numerator) / mpmath.mpf(q.denominator)
 
 
@@ -54,7 +72,7 @@ def log_fraction(q: Union[Fraction, int], precision: int) -> mpmath.mpf:
     q = Fraction(q)
     if q <= 0:
         raise EvaluationError(f"log of nonpositive rational {q}")
-    with mpmath.workdps(working_dps(precision)):
+    with workdps(working_dps(precision)):
         return mpmath.log(mpmath.mpf(q.numerator)) - mpmath.log(mpmath.mpf(q.denominator))
 
 
@@ -78,7 +96,7 @@ def gamma(x: Fraction, precision: int = DEFAULT_PRECISION) -> mpmath.mpf:
         raise InputError(f"gamma requires a positive argument, got {x}")
     wp = working_dps(precision) + 5
     shift = max(0, int(-(-12 * precision // 10)) + 2 - int(x))
-    with mpmath.workdps(wp):
+    with workdps(wp):
         z = mpf_from_fraction(x, wp) + shift
         # ln Gamma(z) = (z - 1/2) ln z - z + ln(2 pi)/2 + sum B_2j / (2j (2j-1) z^(2j-1))
         s = (z - mpmath.mpf(1) / 2) * mpmath.log(z) - z + mpmath.log(2 * mpmath.pi) / 2
@@ -113,7 +131,7 @@ def constant(name: str, precision: int = DEFAULT_PRECISION) -> mpmath.mpf:
     literal (requests beyond 100 digits raise CapabilityError).
     """
     if name == "pi":
-        with mpmath.workdps(working_dps(precision)):
+        with workdps(working_dps(precision)):
             return +mpmath.pi
     if name == "gamma_quarter":
         return gamma(Fraction(1, 4), precision)
@@ -122,7 +140,7 @@ def constant(name: str, precision: int = DEFAULT_PRECISION) -> mpmath.mpf:
             raise CapabilityError(
                 f"euler_gamma is stored to {EULER_GAMMA_DIGITS} digits; "
                 f"requested {precision}")
-        with mpmath.workdps(working_dps(precision)):
+        with workdps(working_dps(precision)):
             return mpmath.mpf(EULER_GAMMA_100)
     raise InputError(f"unknown constant {name!r}; "
                      "expected pi, gamma_quarter or euler_gamma")
@@ -136,7 +154,7 @@ class ClosedForm:
     """Expression tree over rationals, pi, Gamma(1/4), e^gamma."""
 
     def eval(self, precision: int = DEFAULT_PRECISION) -> mpmath.mpf:
-        with mpmath.workdps(working_dps(precision)):
+        with workdps(working_dps(precision)):
             return self._eval(precision)
 
     def _eval(self, precision: int) -> mpmath.mpf:

@@ -28,7 +28,7 @@ from .factored_rational import FactoredRational, classify
 from .numerics import (ClosedForm, Rat, Sub, cf_mul, cf_pow, cf_rat,
                        CF_PI, CF_GAMMA_QUARTER, eval_closed_form,
                        power_product_exponents, power_product_form,
-                       working_dps, _factorize)
+                       workdps, working_dps, _factorize)
 from .sequences import ExponentKind
 
 DEFAULT_REDUCE_DEPTH = 6
@@ -489,7 +489,7 @@ def verify(identity: Identity, opts: EvalOptions = EvalOptions(),
     constant exactly.
     """
     result = eval_product(identity.spec, opts)
-    with mpmath.workdps(working_dps(opts.precision)):
+    with workdps(working_dps(opts.precision)):
         expected = eval_closed_form(identity.closed_form, opts.precision)
         abs_error = abs(result.value - expected)
         combined = result.error_estimate + abs(expected) * mpmath.mpf(10) ** (

@@ -1,8 +1,10 @@
 import math
+import random
 from fractions import Fraction as F
 
 import mpmath
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import naive_signed_product, random_fully_convergent, random_pm_convergent
 
@@ -12,8 +14,10 @@ from digitprod import (CapabilityError, EvalOptions, EvaluationError,
                        eval_product, eval_zero_one_rs, eval_zero_one_thue,
                        f_value, flajolet_martin, g_value, monotonicity_scan,
                        remainder_sign_probe)
-from digitprod.evaluator import MAX_RS_SPLIT_LEVELS, MAX_SPLIT_LEVELS
-from digitprod.factored_rational import dyadic_split
+from digitprod.evaluator import (MAX_RS_SPLIT_LEVELS, MAX_SPLIT_LEVELS,
+                                 _tm_log_sum, _tm_tail_table)
+from digitprod.factored_rational import dyadic_split, log_term
+from digitprod.numerics import working_dps
 
 WR_SPEC = ProductSpec(FactoredRational.parse("(2n+1)/(2n+2)"),
                       ExponentKind.PM_THUE, 0)
@@ -81,6 +85,27 @@ def test_evaluation_is_pure_under_concurrency():
     assert len(values) == 1
 
 
+def test_precision_regions_do_not_interleave():
+    # mpmath's precision is process-wide: if two threads' precision regions
+    # interleave, one computes at the other's precision and leaves it set
+    import sys
+    from concurrent.futures import ThreadPoolExecutor
+    opts = [EvalOptions(precision=p, split_levels=4, terms=256) for p in (20, 80)]
+    expected = [eval_pm_thue(WR_SPEC, o).value for o in opts]
+    prec = mpmath.mp.prec
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            futures = [pool.submit(eval_pm_thue, WR_SPEC, opts[i % 2])
+                       for i in range(16)]
+            values = [f.result(timeout=60).value for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert all(v == expected[i % 2] for i, v in enumerate(values))
+    assert mpmath.mp.prec == prec
+
+
 def test_pm_thue_takes_one_exact_log(monkeypatch):
     # the exact head terms fold into the split boundary: one log in all
     from digitprod import evaluator
@@ -94,6 +119,114 @@ def test_pm_thue_takes_one_exact_log(monkeypatch):
     monkeypatch.setattr(evaluator, "log_fraction", counting)
     eval_pm_thue(WR_SPEC, LIGHT)
     assert len(logged) == 1
+
+
+def tail_parameters(r, start, precision):
+    """n0, bits and j_max as ``_tm_log_sum`` picks them."""
+    max_abs = float(r.max_abs_offset())
+    n0 = max(8, int(math.ceil(2 * max_abs)) + 1, start + 1)
+    bits = int(math.ceil((precision + 12) * math.log2(10)))
+    mass = sum(abs(f.multiplicity) for f in r.factors)
+    j_max = int(math.ceil((bits + math.log2(mass + 1) + 4)
+                          / -math.log2(max(max_abs, 1e-9) / n0))) + 2
+    return n0, bits, j_max
+
+
+def horner_log_sum(r, start, terms, precision):
+    """Reference for ``_tm_log_sum``: one fixed-point Horner pass per n."""
+    n0, bits, j_max = tail_parameters(r, start, precision)
+    head = F(1)
+    exact_hi = min(n0, terms + 1)
+    for n in range(start, exact_hi):
+        value = r.value_at(n)
+        head = head / value if (n.bit_count() & 1) else head * value
+    if terms < n0:
+        return head, mpmath.mpf(0), abs(log_term(r, exact_hi - 1, precision))
+    psums = r.power_sums(j_max)
+    scale = 1 << bits
+    q = [0] * (j_max + 1)
+    for j in range(1, j_max + 1):
+        q[j] = round(F(psums[j] * scale * (1 if j % 2 == 1 else -1), j))
+    acc = 0
+    for n in range(n0, terms + 1):
+        h = 0
+        for j in range(j_max, 0, -1):
+            h = (h + q[j]) // n
+        acc += -h if (n.bit_count() & 1) else h
+    with mpmath.workdps(working_dps(precision)):
+        return head, mpmath.mpf(acc) / scale, abs(mpmath.mpf(h)) / scale
+
+
+def series_tail(r, n0, terms, j_max, dps):
+    """sum_{n0<=n<=terms} (-1)^{t_n} sum_{j<=j_max} c_j n^-j in mpmath."""
+    psums = r.power_sums(j_max)
+    with mpmath.workdps(dps):
+        coeffs = [mpmath.mpf(p.numerator) / p.denominator / j * (-1) ** (j + 1)
+                  for j, p in enumerate(psums) if j]
+        total = mpmath.mpf(0)
+        for n in range(n0, terms + 1):
+            x = mpmath.mpf(1) / n
+            term = x * mpmath.polyval(coeffs[::-1], x)
+            total += -term if n.bit_count() & 1 else term
+        return total
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2 ** 32), st.sampled_from([0, 1]), st.integers(0, 8),
+       st.one_of(st.integers(-3, 0), st.integers(1, 300)),
+       st.integers(15, 300))
+def test_tm_log_sum_matches_horner_reference(seed, start, levels, past_n0,
+                                             precision):
+    # both sum the same truncated series: the table to within 2^-bits, the
+    # Horner pass to within about 1.25 units of 2^-bits per n; each side
+    # rounds once more into an mpf
+    r = random_pm_convergent(random.Random(seed))
+    r = r.regroup([(1 << levels, i, -1 if i.bit_count() & 1 else 1)
+                   for i in range(1 << levels)])
+    n0, bits, j_max = tail_parameters(r, start, precision)
+    terms = n0 + past_n0
+    head, tail, last = _tm_log_sum(r, start, terms, precision)
+    ref_head, ref_tail, ref_last = horner_log_sum(r, start, terms, precision)
+    assert head == ref_head and last == ref_last
+    with mpmath.workdps(working_dps(precision)):
+        rounding = mpmath.eps * (abs(tail) + abs(ref_tail))
+    exact = series_tail(r, n0, terms, j_max, precision + 40)
+    with mpmath.workdps(precision + 40):
+        unit = mpmath.mpf(2) ** -bits
+        assert abs(tail - exact) <= unit + rounding
+        assert abs(tail - ref_tail) <= 2 * terms * unit + rounding
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 12), st.integers(0, 40), st.integers(0, 24),
+       st.integers(1, 12))
+def test_tm_tail_table_matches_iterated_floors(n0, count, bits, j_max):
+    terms = n0 + count - 1
+    table = _tm_tail_table(n0, terms, bits, j_max)
+    assert isinstance(table, tuple) and len(table) == j_max
+    for j in range(1, j_max + 1):
+        floors = 0
+        exact = F(0)
+        for n in range(n0, terms + 1):
+            sign = -1 if n.bit_count() & 1 else 1
+            y = 1 << bits
+            for _ in range(j):
+                y = y * n0 // n
+            floors += sign * y
+            exact += sign * F((1 << bits) * n0 ** j, n ** j)
+        assert table[j - 1] == floors
+        assert abs(exact - floors) <= j * count
+
+
+def test_tm_tail_table_shared_by_two_rationals():
+    opts = EvalOptions(precision=60)
+    quarter = ProductSpec(FactoredRational.parse("(4n+1)/(4n+3)"),
+                          ExponentKind.PM_THUE, 0)
+    _tm_tail_table.cache_clear()
+    eval_pm_thue(WR_SPEC, opts)
+    eval_pm_thue(quarter, opts)
+    info = _tm_tail_table.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
 
 
 def test_pm_thue_error_estimate_decreases_with_levels():

@@ -415,3 +415,10 @@ def test_l_fold_regroup_is_iterated_dyadic_split(rng, start, levels):
             assert r.regroup(maps[1:]).value_at(0) == boundary
         elif levels:
             assert split.value_at(0) == boundary
+
+
+@given(st.dictionaries(st.fractions(min_value=-6, max_value=6, max_denominator=8),
+                       st.integers(-3, 3).filter(bool), max_size=6))
+def test_max_abs_offset_is_max_over_factors(offsets):
+    r = FactoredRational.from_offsets(offsets)
+    assert r.max_abs_offset() == max((abs(a) for a in offsets), default=0)
