@@ -26,6 +26,13 @@ CASES = {
     "g-3-4": ["g", "--x", "3/4"],
     "constants-fm-phi-100": ["constants", "fm-phi", "--digits", "100"],
     "eval-wr-unsplit-64": ["eval", WR, "--split-levels", "0", "--terms", "64"],
+    # the 6-level Rudin-Shapiro split chain
+    "eval-gs-rs6": ["eval", "(2n+1)^2/((4n+1)(n+1))", "--kind", "pm-v",
+                    "--start", "1", "--rs-split-levels", "6",
+                    "--terms", "100000"],
+    # the 8-level split cancels 512 factors down to 172
+    "eval-n1-n2": ["eval", "(n+1)/(n+2)"],
+    "reduce-family-ii": ["reduce", "--family", "ii", "--a", "7/3"],
 }
 
 
