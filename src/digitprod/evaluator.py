@@ -174,8 +174,7 @@ def _tm_log_sum(r: FactoredRational, start: int, terms: int,
 
     head = Fraction(1)
     exact_hi = min(n0, terms + 1)
-    for n in range(start, exact_hi):
-        value = r.value_at(n)
+    for n, value in zip(range(start, exact_hi), r.values_at(range(start, exact_hi))):
         if value <= 0:
             raise EvaluationError(f"R({n}) = {value} is not positive; real log undefined")
         head = head / value if (n.bit_count() & 1) else head * value
@@ -204,6 +203,21 @@ def _tm_log_sum(r: FactoredRational, start: int, terms: int,
                 abs(mpmath.mpf(h)) / (1 << bits))
 
 
+def _tm_start1_boundary(r: FactoredRational, levels: int) -> Fraction:
+    """prod_{1<=i<2^L} R(i)^{(-1)^{t_i}}, the start-1 boundary of the L-fold split.
+
+    Numerators and denominators are multiplied as integers; one Fraction
+    is built at the end.
+    """
+    num = den = 1
+    for i, value in enumerate(r.values_at(range(1, 1 << levels)), 1):
+        if i.bit_count() & 1:
+            num, den = num * value.denominator, den * value.numerator
+        else:
+            num, den = num * value.numerator, den * value.denominator
+    return Fraction(num, den)
+
+
 def eval_pm_thue(spec: ProductSpec, opts: EvalOptions = EvalOptions()) -> EvalResult:
     """Evaluate prod R(n)^{(-1)^{t_n}} by an L-fold dyadic split."""
     if spec.kind is not ExponentKind.PM_THUE:
@@ -221,7 +235,7 @@ def eval_pm_thue(spec: ProductSpec, opts: EvalOptions = EvalOptions()) -> EvalRe
     boundary, tail, last = _tm_log_sum(spec.rational.regroup(maps), spec.start,
                                        terms, precision)
     if spec.start == 1:
-        boundary *= spec.rational.regroup(maps[1:]).value_at(0)
+        boundary *= _tm_start1_boundary(spec.rational, levels)
     if boundary <= 0:
         raise EvaluationError(f"boundary product {boundary} is not positive")
     with workdps(wp):

@@ -7,12 +7,14 @@ construction and the factor list is kept sorted by offset, so equal
 rationals compare and hash equal.
 
 Everything here is exact.  ``regroup`` is the one substitution rule
-(n -> c*n + d, behind composition, powers and every split), ``value_at``
-the one exact evaluator of R(n) and ``power_sums`` the one source of the
-power sums p_j that drive the Thue-Morse tail series; the last two work
-in integers over the common denominator of the offsets.  The only
-numerical operation, ``log_term``, is ``numerics.log_fraction`` of the
-exact value.
+(n -> c*n + d, behind composition, powers and every split),
+``values_at`` the one exact evaluator of R(n) (``value_at`` is its
+one-point case) and ``power_sums`` the one source of the power sums p_j
+that drive the Thue-Morse tail series.  All three work in integers over
+the common denominator of the offsets; ``regroup`` merges the mapped
+offsets as integer numerators over one common denominator and builds a
+single Fraction per offset of its result.  The only numerical operation,
+``log_term``, is ``numerics.log_fraction`` of the exact value.
 """
 
 from __future__ import annotations
@@ -123,32 +125,42 @@ class FactoredRational:
             return Fraction(0)
         return max(-self.factors[0].offset, self.factors[-1].offset)
 
-    def value_at(self, n: RationalLike) -> Fraction:
-        """Exact value R(n) at a rational n; raises EvaluationError at a pole.
+    def values_at(self, points: Iterable[RationalLike]) -> List[Fraction]:
+        """Exact values [R(n) for n in points]; raises EvaluationError at a pole.
 
         With n = p/q and a_i = u_i/D, each factor is (pD + u_i q) / (qD),
-        so the value is one integer quotient scaled by s and (qD)^(-degree).
+        so each value is one integer quotient scaled by s and (qD)^(-degree).
+        The offsets are put over D once for all points.
         """
-        n = Fraction(n)
         d, offs = self._int_offsets()
-        p, q = n.numerator * d, n.denominator
-        num, den = self.scale.numerator, self.scale.denominator
-        for u, m in offs:
-            base = p + u * q
-            if base == 0:
-                if m < 0:
-                    raise EvaluationError(f"pole of R at n = {n}")
-                return Fraction(0)
-            if m > 0:
-                num *= base ** m
-            else:
-                den *= base ** -m
         degree = self.degree_sum()
-        if degree > 0:
-            den *= (q * d) ** degree
-        else:
-            num *= (q * d) ** -degree
-        return Fraction(num, den)
+        values = []
+        for n in points:
+            n = Fraction(n)
+            p, q = n.numerator * d, n.denominator
+            num, den = self.scale.numerator, self.scale.denominator
+            for u, m in offs:
+                base = p + u * q
+                if base == 0:
+                    if m < 0:
+                        raise EvaluationError(f"pole of R at n = {n}")
+                    num = 0
+                    break
+                if m > 0:
+                    num *= base ** m
+                else:
+                    den *= base ** -m
+            else:
+                if degree > 0:
+                    den *= (q * d) ** degree
+                else:
+                    num *= (q * d) ** -degree
+            values.append(Fraction(num, den))
+        return values
+
+    def value_at(self, n: RationalLike) -> Fraction:
+        """Exact value R(n) at a rational n (see ``values_at``)."""
+        return self.values_at([n])[0]
 
     # -- algebra -------------------------------------------------------
 
@@ -175,20 +187,37 @@ class FactoredRational:
         """The rational n -> prod R(c*n + d)^w over (c, d, w) in ``maps``.
 
         The one substitution rule: each offset a moves to (a + d)/c with
-        multiplicity m*w, the scale gains (s c^degree)^w, and the result
-        is put in canonical form once.
+        multiplicity m*w and the scale gains (s c^degree)^w.  It runs in
+        integers: with a = u/D, every image (u/D + d)/c is an integer
+        numerator over one common denominator E, the multiplicities are
+        merged on those integers, and one Fraction is built per offset
+        that survives.
         """
+        maps = list(maps)
         degree = self.degree_sum()
-        scale = Fraction(1)
-        offsets: dict = {}
+        den, offs = self._int_offsets()
+        common = 1
+        weights: dict = {}
         for c, d, w in maps:
             if c <= 0:
                 raise InputError(f"coefficient of n must be positive, got {c}")
+            weights[c] = weights.get(c, 0) + w
+            step = den * d.denominator * c.numerator
+            common = common * step // math.gcd(common, step)
+        # (u/D + d)/c = (u*dq + dp*D) * cq / (D*dq*cp) with d = dp/dq, c = cp/cq
+        counts: dict = {}
+        for c, d, w in maps:
+            k = common // (den * d.denominator * c.numerator) * c.denominator
+            slope, shift = d.denominator * k, d.numerator * den * k
+            for u, m in offs:
+                key = u * slope + shift
+                counts[key] = counts.get(key, 0) + m * w
+        scale = Fraction(1)
+        for c, w in weights.items():
             scale *= (self.scale * Fraction(c) ** degree) ** w
-            for f in self.factors:
-                a = (f.offset + d) / c
-                offsets[a] = offsets.get(a, 0) + f.multiplicity * w
-        return FactoredRational.from_offsets(offsets, scale)
+        return FactoredRational(scale, tuple(
+            AffineFactor(Fraction(key, common), counts[key])
+            for key in sorted(counts) if counts[key]))
 
     # -- rendering -------------------------------------------------------
 
@@ -470,9 +499,9 @@ def positivity_check(r: FactoredRational, start: int) -> None:
     bound = start
     for f in r.factors:
         bound = max(bound, int(math.ceil(-f.offset)) + 1)
-    for n in range(start, bound + 1):
-        if r.value_at(n) <= 0:
-            raise EvaluationError(f"R({n}) = {r.value_at(n)} is not positive; "
+    for n, value in zip(range(start, bound + 1), r.values_at(range(start, bound + 1))):
+        if value <= 0:
+            raise EvaluationError(f"R({n}) = {value} is not positive; "
                                   f"real logarithms require R(n) > 0 for n >= {start}")
 
 

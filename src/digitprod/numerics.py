@@ -15,6 +15,7 @@ the constant basis stays {pi, Gamma(1/4), e^gamma, rationals}.
 
 from __future__ import annotations
 
+import math
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -117,9 +118,9 @@ def gamma(x: Fraction, precision: int = DEFAULT_PRECISION) -> mpmath.mpf:
             previous = abs(term)
             zpow *= z2
             j += 1
-        rising = Fraction(1)
-        for i in range(shift):
-            rising *= x + i
+        # x (x+1) ... (x+shift-1) = prod (p + i q) / q^shift for x = p/q
+        p, q = x.numerator, x.denominator
+        rising = Fraction(math.prod(p + i * q for i in range(shift)), q ** shift)
         return mpmath.exp(s - log_fraction(rising, precision + 5))
 
 

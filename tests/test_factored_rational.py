@@ -7,6 +7,7 @@ from hypothesis import assume, given, settings, strategies as st
 from digitprod import (ConvergenceTag, EvaluationError, FactoredRational,
                        InputError, ParseError, classify, dyadic_split,
                        log_term, pole_check, rs_split, thue_morse)
+from digitprod.evaluator import _tm_start1_boundary
 from digitprod.factored_rational import positivity_check, rs_split_rational
 
 WR = FactoredRational.parse("(2n+1)/(2n+2)")
@@ -375,9 +376,88 @@ def test_value_at_and_power_sums_match_fraction_oracle(case, j_max):
     assert r.value_at(n) == expected
 
 
+@settings(max_examples=200, deadline=None)
+@given(_rational_and_point(), st.lists(st.fractions(min_value=-4, max_value=4,
+                                                    max_denominator=6), max_size=6),
+       st.booleans())
+def test_values_at_matches_value_at(case, points, with_roots):
+    # one pass over all points equals one value_at per point, zeros of R
+    # included; a pole anywhere in the list raises
+    r, offsets, _, _ = case
+    if with_roots:
+        points = points + [-a for a in offsets]
+    poles = [n for n in points if any(n + a == 0 and m < 0 for a, m in offsets.items())]
+    if poles:
+        with pytest.raises(EvaluationError):
+            r.values_at(points)
+        return
+    assert r.values_at(points) == [r.value_at(n) for n in points]
+    assert r.values_at(iter(points)) == r.values_at(points)
+
+
 # ---------------------------------------------------------------------------
 # Regrouping
 # ---------------------------------------------------------------------------
+
+def regroup_reference(r, maps):
+    """prod R(c*n + d)^w built offset by offset in Fraction arithmetic."""
+    degree = r.degree_sum()
+    scale = F(1)
+    offsets = {}
+    for c, d, w in maps:
+        if c <= 0:
+            raise InputError(f"coefficient of n must be positive, got {c}")
+        scale *= (r.scale * F(c) ** degree) ** w
+        for f in r.factors:
+            a = (f.offset + d) / c
+            offsets[a] = offsets.get(a, 0) + f.multiplicity * w
+    return FactoredRational.from_offsets(offsets, scale)
+
+
+@st.composite
+def _maps(draw):
+    """(c, d, w) lists: c an int or an integral Fraction, d a Fraction with
+    denominator up to 6, w in -3..3; maybe a repeated map whose weights
+    cancel."""
+    c = st.integers(1, 6) | st.integers(1, 6).map(F)
+    d = st.fractions(min_value=-3, max_value=3, max_denominator=6)
+    maps = draw(st.lists(st.tuples(c, d, st.integers(-3, 3)), max_size=5))
+    if maps and draw(st.booleans()):
+        c0, d0, w0 = draw(st.sampled_from(maps))
+        maps += [(c0, d0, w0 + 1), (c0, d0, -2 * w0 - 1)]
+    return draw(st.permutations(maps))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_rational_and_point(), _maps())
+def test_regroup_matches_fraction_reference(case, maps):
+    r = case[0]
+    got, expected = r.regroup(maps), regroup_reference(r, maps)
+    assert got.scale == expected.scale
+    assert got.factors == expected.factors
+    assert got == expected and hash(got) == hash(expected)
+
+
+def test_regroup_reference_cases():
+    # scale != 1, net degree != 0, non-integer d, repeated c: the common
+    # denominator and the scale's c^degree both matter here
+    r = FactoredRational.from_offsets({F(1, 2): 2, F(1, 3): -1}, F(3, 2))
+    maps = [(2, F(1, 3), 1), (3, F(-1, 2), -2), (F(2), 0, 2), (5, F(5, 6), 0)]
+    assert r.regroup(maps) == regroup_reference(r, maps)
+    assert r.regroup(maps).scale == F(3, 2) * F(2) ** 3 * F(3) ** -2
+    one = FactoredRational.one()
+    assert one.regroup(maps) == one.regroup([]) == one
+    assert FactoredRational.from_offsets({}, F(2, 3)).regroup(maps).factors == ()
+    assert FactoredRational.from_offsets({}, F(2, 3)).regroup(maps).scale == F(2, 3) ** 1
+
+
+@pytest.mark.parametrize("c", [0, -1, F(-2), F(0)])
+def test_regroup_rejects_nonpositive_coefficient(c):
+    with pytest.raises(InputError, match="coefficient of n must be positive"):
+        WR.regroup([(1, 0, 1), (c, 1, 1)])
+    with pytest.raises(InputError, match="coefficient of n must be positive"):
+        FactoredRational.one().regroup([(c, 0, 0)])
+
 
 _MAPS = st.lists(st.tuples(st.integers(1, 4), st.integers(0, 3),
                            st.integers(-2, 2)), max_size=4)
@@ -400,7 +480,7 @@ def test_regroup_matches_value_at_oracle(case, maps):
 def test_l_fold_regroup_is_iterated_dyadic_split(rng, start, levels):
     # R_L(n) = prod_{i<2^L} R(2^L n + i)^{(-1)^{t_i}} is L dyadic splits
     # in one; the evaluator's boundary is R_L(0) for start 0 and
-    # prod_{1<=i<2^L} R(i)^{(-1)^{t_i}} for start 1
+    # prod_{1<=i<2^L} R(i)^{(-1)^{t_i}} (``_tm_start1_boundary``) for start 1
     from conftest import random_pm_convergent
     for _ in range(3):
         r = random_pm_convergent(rng)
@@ -413,6 +493,7 @@ def test_l_fold_regroup_is_iterated_dyadic_split(rng, start, levels):
         assert r.regroup(maps) == split
         if start == 1:
             assert r.regroup(maps[1:]).value_at(0) == boundary
+            assert _tm_start1_boundary(r, levels) == boundary
         elif levels:
             assert split.value_at(0) == boundary
 
