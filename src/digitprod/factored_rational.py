@@ -202,8 +202,7 @@ class FactoredRational:
             if c <= 0:
                 raise InputError(f"coefficient of n must be positive, got {c}")
             weights[c] = weights.get(c, 0) + w
-            step = den * d.denominator * c.numerator
-            common = common * step // math.gcd(common, step)
+            common = math.lcm(common, den * d.denominator * c.numerator)
         # (u/D + d)/c = (u*dq + dp*D) * cq / (D*dq*cp) with d = dp/dq, c = cp/cq
         counts: dict = {}
         for c, d, w in maps:
