@@ -33,6 +33,10 @@ CASES = {
     # the 8-level split cancels 512 factors down to 172
     "eval-n1-n2": ["eval", "(n+1)/(n+2)"],
     "reduce-family-ii": ["reduce", "--family", "ii", "--a", "7/3"],
+    # reduced at depth 3 with a 4-term certificate
+    "reduce-c3l": ["reduce", "(8n+1)(8n+7)/((8n+3)(8n+5))", "--start", "0"],
+    # searches the full depth-6 universe and finds no combination
+    "reduce-probe-irreducible": ["reduce", "(n+1/5)/(n+2/5)"],
 }
 
 
