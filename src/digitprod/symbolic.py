@@ -12,10 +12,15 @@ exact rational combination of relation vectors.  The solver does exact
 sparse Gaussian elimination over the rationals on a universe of candidate
 relation points and returns the combination as a certificate; constants
 come out as products of positive rationals with rational exponents.
+Inside ``reduce`` a point x is the integer x * one, where one is the lcm
+of the expression's denominators times 2^(depth+1): the search halves a
+point at most depth + 1 times, so every halving is exact, and the keys
+hash and compare as plain integers in the same order as the rationals.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
@@ -28,10 +33,15 @@ from .factored_rational import FactoredRational, classify
 from .numerics import (ClosedForm, Rat, Sub, cf_mul, cf_pow, cf_rat,
                        CF_PI, CF_GAMMA_QUARTER, eval_closed_form,
                        power_product_exponents, power_product_form,
-                       workdps, working_dps, _factorize)
+                       workdps, working_dps)
 from .sequences import ExponentKind
 
 DEFAULT_REDUCE_DEPTH = 6
+# Work grows about fourfold per depth level; the cap keeps one irreducible
+# search within about a minute.
+MAX_REDUCE_DEPTH = 9
+UNIVERSE_CAP = 20000  # relation points searched per depth
+_ONE = Fraction(1)
 
 
 # ---------------------------------------------------------------------------
@@ -148,18 +158,19 @@ class ReduceResult:
         return self.status == "reduced"
 
 
-def _universe(points, depth: int, cap: int = 20000) -> List[Fraction]:
-    """Points reachable by x -> 2x, 2x-1, x/2, (x+1)/2, up to ``depth``."""
+def _universe(points: List[int], depth: int, one: int) -> List[int]:
+    """Points reachable by x -> 2x, 2x-1, x/2, (x+1)/2, up to ``depth``,
+    each kept as the integer x * one."""
     seen = set(points)
     frontier = list(points)
     for _ in range(depth):
         nxt = []
-        for p in frontier:
-            for q in (2 * p, 2 * p - 1, p / 2, (p + 1) / 2):
+        for k in frontier:
+            for q in (2 * k, 2 * k - one, k // 2, (k + one) // 2):
                 if q not in seen:
                     seen.add(q)
                     nxt.append(q)
-            if len(seen) > cap:
+            if len(seen) > UNIVERSE_CAP:
                 return sorted(seen)
         if not nxt:
             break
@@ -167,41 +178,30 @@ def _universe(points, depth: int, cap: int = 20000) -> List[Fraction]:
     return sorted(seen)
 
 
-def _solve_relations(universe: List[Fraction],
-                     target: Dict[Fraction, Fraction]) -> Optional[Dict[Fraction, Fraction]]:
+def _solve_relations(universe: List[int], target: Dict[int, Fraction],
+                     one: int) -> Optional[Dict[int, Fraction]]:
     """Exact sparse elimination for sum_x lambda_x r_x = target.
 
-    Relation points must satisfy x > -1 so that log(1+x) is real.
-    Returns the lambda coefficients or None when the target is not in
-    the span of the available relations.
+    Points are integers over ``one``; relation points need x > -1 so that
+    log(1+x) is real.  Returns the lambda coefficients or None when the
+    target is not in the span of the available relations.
     """
-    relations: Dict[Fraction, Dict[Fraction, Fraction]] = {}
+    # row p: the coefficient of G(p) in each r_x, a Fraction so pivots divide exactly
+    rows: Dict[int, Dict[int, Fraction]] = {p: {} for p in target}
     for x in universe:
-        if x <= -1:
-            continue
-        vec: Dict[Fraction, Fraction] = {}
-        for point, coef in ((x / 2, Fraction(1)), ((x + 1) / 2, Fraction(-1)),
-                            (x, Fraction(-1))):
-            vec[point] = vec.get(point, Fraction(0)) + coef
-        relations[x] = _clean(vec)
+        if x > -one:
+            for p, coef in ((x // 2, _ONE), ((x + one) // 2, -_ONE), (x, -_ONE)):
+                row = rows.setdefault(p, {})
+                row[x] = row.get(x, 0) + coef
+    rows = {p: _clean(row) for p, row in rows.items()}
+    rhs = {p: target.get(p, Fraction(0)) for p in rows}
 
-    rows: Dict[Fraction, Dict[Fraction, Fraction]] = {}
-    rhs: Dict[Fraction, Fraction] = {}
-    for x, vec in relations.items():
-        for p, coef in vec.items():
-            rows.setdefault(p, {})[x] = coef
-    for p, coef in target.items():
-        rhs[p] = coef
-        rows.setdefault(p, {})
-    for p in rows:
-        rhs.setdefault(p, Fraction(0))
-
-    var_rows: Dict[Fraction, set] = {}
+    var_rows: Dict[int, set] = {}
     for p, row in rows.items():
         for x in row:
             var_rows.setdefault(x, set()).add(p)
 
-    pivots: List[Tuple[Fraction, Fraction]] = []  # (point, variable)
+    pivots: List[Tuple[int, int]] = []  # (point, variable)
     active = set(rows)
     while True:
         best = None
@@ -241,7 +241,7 @@ def _solve_relations(universe: List[Fraction],
         active.discard(p)
         var_rows.get(x, set()).discard(p)
 
-    solution: Dict[Fraction, Fraction] = {}
+    solution: Dict[int, Fraction] = {}
     for p, x in reversed(pivots):
         value = rhs[p]
         for k, v in rows[p].items():
@@ -258,36 +258,35 @@ def reduce(expr: GExpression, depth: int = DEFAULT_REDUCE_DEPTH) -> ReduceResult
     the expression's points by the four maps) and solves exactly for a
     combination of relation vectors matching the G-part.  On success the
     constant exp(sum lambda_x log(1+x) + log-const part) is returned as a
-    canonical product of primes with rational exponents.
+    canonical product of primes with rational exponents.  ``depth`` must
+    lie in 0..MAX_REDUCE_DEPTH.
     """
-    target = expr.terms_dict()
-    points = list(target) or [Fraction(1)]
-    solution = None
-    used_depth = depth
-    for d in range(0, depth + 1):
-        solution = _solve_relations(_universe(points, d), target)
+    if not 0 <= depth <= MAX_REDUCE_DEPTH:
+        raise InputError(f"reduce depth must be in 0..{MAX_REDUCE_DEPTH}, got {depth}")
+    terms = expr.terms_dict()
+    one = math.lcm(*(x.denominator for x in terms)) << (depth + 1)
+    target = {x.numerator * (one // x.denominator): c for x, c in terms.items()}
+    points = list(target) or [one]
+    for used_depth in range(depth + 1):
+        solution = _solve_relations(_universe(points, used_depth, one), target, one)
         if solution is not None:
-            used_depth = d
             break
-    if solution is None:
+    else:
         return ReduceResult("irreducible", depth, residual=expr)
 
+    certificate = {Fraction(x, one): lam for x, lam in solution.items()}
+    logs = [(1 + x, lam) for x, lam in certificate.items()] + list(expr.log_const)
     exponents: Dict[int, Fraction] = {}
-
-    def _accumulate(q: Fraction, coefficient: Fraction) -> None:
-        for prime, e in _factorize(q.numerator).items():
+    for q, coefficient in logs:
+        q_exponents = power_product_exponents(Rat(q))
+        if q_exponents is None:
+            raise InputError(f"log-constant {q} is not positive")
+        for prime, e in q_exponents.items():
             exponents[prime] = exponents.get(prime, Fraction(0)) + e * coefficient
-        for prime, e in _factorize(q.denominator).items():
-            exponents[prime] = exponents.get(prime, Fraction(0)) - e * coefficient
-
-    for x, lam in solution.items():
-        _accumulate(1 + x, lam)
-    for q, coef in expr.log_const:
-        _accumulate(q, coef)
     exponents = {p: e for p, e in exponents.items() if e}
     return ReduceResult("reduced", used_depth,
                         closed_form=power_product_form(exponents),
-                        exponents=exponents, certificate=solution)
+                        exponents=exponents, certificate=certificate)
 
 
 # ---------------------------------------------------------------------------

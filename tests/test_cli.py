@@ -3,6 +3,7 @@ import json
 import pytest
 
 from digitprod.cli import main
+from digitprod.symbolic import MAX_REDUCE_DEPTH
 
 
 def run(capsys, *argv):
@@ -195,6 +196,12 @@ def test_split_levels_above_cap_exit_three(capsys, flag, level):
     code, out, err = run(capsys, "eval", "(2n+1)/(2n+2)", flag, level,
                          "--terms", "16")
     assert code == 3 and out == "" and "split levels" in err
+
+
+def test_reduce_depth_above_cap_exits_three(capsys):
+    code, out, err = run(capsys, "reduce", "(n+1/5)/(n+2/5)", "--depth",
+                         str(MAX_REDUCE_DEPTH + 1))
+    assert code == 3 and out == "" and "depth" in err
 
 
 def test_reduce_expression(capsys):

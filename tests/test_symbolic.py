@@ -1,14 +1,18 @@
+import math
 import random
 from fractions import Fraction as F
 
 import mpmath
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from digitprod import (EvalOptions, ExponentKind, FactoredRational, InputError,
                        ProductSpec, catalog, catalog_entry, expr_from_spec,
                        family, reduce, verify, verify_all)
 from digitprod.numerics import Rat, power_product_exponents
-from digitprod.symbolic import GExpression
+from digitprod import symbolic
+from digitprod.symbolic import (MAX_REDUCE_DEPTH, UNIVERSE_CAP, GExpression,
+                                _universe)
 
 LIGHT = EvalOptions(precision=30, split_levels=6, terms=1024)
 
@@ -106,6 +110,22 @@ def test_reduce_relation_invariance():
     assert out1.exponents == out2.exponents
 
 
+@pytest.mark.parametrize("depth", [-1, MAX_REDUCE_DEPTH + 1, 40])
+def test_reduce_rejects_depth_outside_range(depth, monkeypatch):
+    # rejected before any universe is built
+    def no_work(*args):
+        raise AssertionError("reduce started work")
+    monkeypatch.setattr(symbolic, "_universe", no_work)
+    with pytest.raises(InputError, match="depth"):
+        reduce(g_expr((1, 2)), depth)
+
+
+def test_reduce_rejects_nonpositive_log_constant():
+    for q in (F(-2), F(0)):
+        with pytest.raises(InputError, match="not positive"):
+            reduce(GExpression.build({F(1): F(2)}, {q: F(1)}))
+
+
 def test_reduce_irreducible_is_a_result():
     out = reduce(g_expr((0, 1), (F(1, 2), -1)))  # g(0): no known closed form
     assert not out.reduced
@@ -131,6 +151,183 @@ def test_reduce_soundness_against_evaluator(rng):
         with mpmath.workdps(40):
             constant = out.closed_form.eval(30)
             assert abs(res.value - constant) < res.error_estimate
+
+
+# ---------------------------------------------------------------------------
+# Reduction against the Fraction-keyed reference solver
+# ---------------------------------------------------------------------------
+
+def universe_reference(points, depth, cap=UNIVERSE_CAP):
+    """Points reachable by x -> 2x, 2x-1, x/2, (x+1)/2, keyed by Fraction."""
+    seen = set(points)
+    frontier = list(points)
+    for _ in range(depth):
+        nxt = []
+        for p in frontier:
+            for q in (2 * p, 2 * p - 1, p / 2, (p + 1) / 2):
+                if q not in seen:
+                    seen.add(q)
+                    nxt.append(q)
+            if len(seen) > cap:
+                return sorted(seen)
+        if not nxt:
+            break
+        frontier = nxt
+    return sorted(seen)
+
+
+def solve_reference(universe, target):
+    """sum_x lambda_x r_x = target by sparse elimination over Fraction keys,
+    with the pivot rule of ``symbolic._solve_relations``."""
+    relations = {}
+    for x in universe:
+        if x <= -1:
+            continue
+        vec = {}
+        for point, coef in ((x / 2, F(1)), ((x + 1) / 2, F(-1)), (x, F(-1))):
+            vec[point] = vec.get(point, F(0)) + coef
+        relations[x] = {k: v for k, v in vec.items() if v}
+    rows, rhs = {}, {}
+    for x, vec in relations.items():
+        for p, coef in vec.items():
+            rows.setdefault(p, {})[x] = coef
+    for p, coef in target.items():
+        rhs[p] = coef
+        rows.setdefault(p, {})
+    for p in rows:
+        rhs.setdefault(p, F(0))
+    var_rows = {}
+    for p, row in rows.items():
+        for x in row:
+            var_rows.setdefault(x, set()).add(p)
+    pivots = []
+    active = set(rows)
+    while True:
+        best = None
+        for p in active:
+            if rows[p]:
+                key = (len(rows[p]), p)
+                if best is None or key < best[0]:
+                    best = (key, p)
+            elif rhs[p]:
+                return None
+        if best is None:
+            break
+        p = best[1]
+        x = min(rows[p])
+        c = rows[p][x]
+        if c != 1:
+            rows[p] = {k: v / c for k, v in rows[p].items()}
+            rhs[p] /= c
+        for p2 in list(var_rows.get(x, ())):
+            if p2 == p:
+                continue
+            factor = rows[p2].get(x)
+            if factor is None:
+                continue
+            for k, v in rows[p].items():
+                newv = rows[p2].get(k, F(0)) - factor * v
+                if newv:
+                    rows[p2][k] = newv
+                    var_rows.setdefault(k, set()).add(p2)
+                else:
+                    rows[p2].pop(k, None)
+                    var_rows.get(k, set()).discard(p2)
+            rhs[p2] -= factor * rhs[p]
+        pivots.append((p, x))
+        active.discard(p)
+        var_rows.get(x, set()).discard(p)
+    solution = {}
+    for p, x in reversed(pivots):
+        value = rhs[p]
+        for k, v in rows[p].items():
+            if k != x:
+                value -= v * solution.get(k, F(0))
+        solution[x] = value
+    return {x: v for x, v in solution.items() if v}
+
+
+def prime_exponents_reference(q):
+    """{p: e} with q = prod p^e, by trial division."""
+    out = {}
+    for n, sign in ((q.numerator, 1), (q.denominator, -1)):
+        d = 2
+        while n > 1:
+            while n % d == 0:
+                out[d] = out.get(d, 0) + sign
+                n //= d
+            d += 1
+    return out
+
+
+def reduce_reference(expr, depth):
+    """(status, depth, certificate, exponents) of the reference solver."""
+    target = expr.terms_dict()
+    points = list(target) or [F(1)]
+    for d in range(depth + 1):
+        solution = solve_reference(universe_reference(points, d), target)
+        if solution is not None:
+            break
+    else:
+        return "irreducible", depth, {}, None
+    exponents = {}
+    for q, coef in [(1 + x, lam) for x, lam in solution.items()] + list(expr.log_const):
+        for p, e in prime_exponents_reference(q).items():
+            exponents[p] = exponents.get(p, F(0)) + e * coef
+    return "reduced", d, solution, {p: e for p, e in exponents.items() if e}
+
+
+def assert_matches_reference(expr, depth):
+    out = reduce(expr, depth)
+    expected = reduce_reference(expr, depth)
+    assert (out.status, out.depth, out.certificate, out.exponents) == expected
+    assert list(out.certificate) == list(expected[2])  # same pivot order
+
+
+@st.composite
+def _targets(draw):
+    """G-parts with points in [-3, 4] (some <= -1), denominators up to 6,
+    repeated points whose coefficients add up (and may cancel), a
+    log-constant part, and relation vectors r_x mixed in: with x > -1 they
+    make some targets reduce, with x <= -1 they must not help."""
+    points = st.fractions(min_value=-3, max_value=4, max_denominator=6)
+    coefs = st.fractions(min_value=-2, max_value=2, max_denominator=3)
+    pairs = draw(st.lists(st.tuples(points, coefs), max_size=4))
+    if pairs and draw(st.booleans()):
+        pairs.append((pairs[0][0], draw(coefs)))
+    for x in draw(st.lists(points, max_size=3)):
+        lam = draw(coefs)
+        pairs += [(x / 2, lam), ((x + 1) / 2, -lam), (x, -lam)]
+    terms = {}
+    for x, c in pairs:
+        terms[x] = terms.get(x, F(0)) + c
+    log_const = draw(st.dictionaries(
+        st.fractions(min_value=F(1, 8), max_value=8, max_denominator=8),
+        coefs, max_size=2))
+    return GExpression.build(terms, log_const)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_targets(), st.integers(0, 4))
+def test_reduce_matches_fraction_reference(expr, depth):
+    assert_matches_reference(expr, depth)
+    points = list(expr.terms_dict()) or [F(1)]
+    one = math.lcm(*(x.denominator for x in points)) << (depth + 1)
+    universe = _universe([int(x * one) for x in points], depth, one)
+    assert [F(k, one) for k in universe] == universe_reference(points, depth)
+
+
+@pytest.mark.parametrize("expr,depth", [
+    (g_expr((1, 2)), 0),
+    (g_expr((0, 1), (F(1, 2), -1)), 4),  # irreducible
+    (g_expr((-1, 1), (F(-5, 2), 1), (F(1, 3), -1)), 3),  # points <= -1
+    (expr_from_spec(catalog_entry("C3l").spec), 4),  # reduces at depth 3
+    (expr_from_spec(family("iv", F(5, 6)).spec), 2),
+    (expr_from_spec(ProductSpec(FactoredRational.parse("(n+1/5)/(n+2/5)"),
+                                ExponentKind.PM_THUE, 1)), 4),
+])
+def test_reduce_reference_cases(expr, depth):
+    assert_matches_reference(expr, depth)
 
 
 # ---------------------------------------------------------------------------
