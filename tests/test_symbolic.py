@@ -157,7 +157,7 @@ def test_reduce_soundness_against_evaluator(rng):
 # Reduction against the Fraction-keyed reference solver
 # ---------------------------------------------------------------------------
 
-def universe_reference(points, depth, cap=UNIVERSE_CAP):
+def universe_reference(points, depth):
     """Points reachable by x -> 2x, 2x-1, x/2, (x+1)/2, keyed by Fraction."""
     seen = set(points)
     frontier = list(points)
@@ -168,7 +168,7 @@ def universe_reference(points, depth, cap=UNIVERSE_CAP):
                 if q not in seen:
                     seen.add(q)
                     nxt.append(q)
-            if len(seen) > cap:
+            if len(seen) > UNIVERSE_CAP:
                 return sorted(seen)
         if not nxt:
             break
