@@ -2,13 +2,16 @@
 
 Each case runs ``cli.main(argv)`` with ``--format json`` and compares
 stdout with ``tests/golden/<name>.json``.  A change that moves any printed
-digit fails here.  After an intended output change, rewrite the files
-with ``PYTHONPATH=src python tests/test_golden_output.py``.
+digit fails here.  After an intended output change, rewrite the files of
+the named cases, and only those, with
+``PYTHONPATH=src python tests/test_golden_output.py NAME [NAME ...]``.
 """
 
 import contextlib
 import io
+import os
 import pathlib
+import sys
 
 import pytest
 
@@ -26,6 +29,9 @@ CASES = {
     "g-3-4": ["g", "--x", "3/4"],
     "constants-fm-phi-100": ["constants", "fm-phi", "--digits", "100"],
     "eval-wr-unsplit-64": ["eval", WR, "--split-levels", "0", "--terms", "64"],
+    # all 18 entries: the default 10-level Rudin-Shapiro chain of GS,
+    # T6a/T6b and the symbolic column
+    "verify-all": ["verify", "--all"],
     # the 6-level Rudin-Shapiro split chain
     "eval-gs-rs6": ["eval", "(2n+1)^2/((4n+1)(n+1))", "--kind", "pm-v",
                     "--start", "1", "--rs-split-levels", "6",
@@ -56,6 +62,11 @@ def test_golden_stdout(name, monkeypatch):
 
 
 if __name__ == "__main__":
-    for case, argv in CASES.items():
-        _, text = run_json(argv)
+    names = sys.argv[1:]
+    if not names or not set(names) <= set(CASES):
+        sys.exit(f"usage: {sys.argv[0]} NAME [NAME ...], each NAME one of: "
+                 f"{' '.join(sorted(CASES))}")
+    os.environ.pop(ENV_PRECISION, None)
+    for case in names:
+        _, text = run_json(CASES[case])
         (GOLDEN / f"{case}.json").write_text(text)
