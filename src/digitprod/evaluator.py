@@ -48,6 +48,9 @@ DEFAULT_RS_SPLIT_LEVELS = 10
 # request within about a minute.
 MAX_SPLIT_LEVELS = 16
 MAX_RS_SPLIT_LEVELS = 12
+# The sign probe holds a few float64 arrays of 2^k * (n_tail + 1) points,
+# about 0.3 GB at this cap; it admits k <= 2 at the default tail 2^20.
+MAX_PROBE_GRID = 1 << 23
 
 
 @dataclass(frozen=True)
@@ -182,7 +185,7 @@ def _tm_log_sum(r: FactoredRational, start: int, terms: int,
     if terms < n0:
         return head, mpmath.mpf(0), abs(log_term(r, exact_hi - 1, precision))
 
-    mass = sum(abs(f.multiplicity) for f in r.factors)
+    mass = sum(abs(m) for _, m in r.numerators)
     # series term j at n >= n0 is bounded by mass*(max_abs/n0)^j / j
     ratio = max(max_abs, 1e-9) / n0
     j_max = int(math.ceil((bits + math.log2(mass + 1) + 4)
@@ -313,11 +316,9 @@ def _rs_level_log_terms(r: FactoredRational, points: List[int]) -> List[float]:
     term list is fed to math.fsum; the remaining error is the per-term
     log1p rounding, bounded by eps * sum_i |m_i * log1p(a_i/n)|.
     """
-    offs = [(float(f.offset), f.multiplicity) for f in r.factors]
-    out = []
-    for n in points:
-        out.append(math.fsum(m * math.log1p(a / n) for a, m in offs))
-    return out
+    # int / int is correctly rounded, like float(Fraction(u, D))
+    offs = [(u / r.denominator, m) for u, m in r.numerators]
+    return [math.fsum(m * math.log1p(a / n) for a, m in offs) for n in points]
 
 
 def eval_pm_rs(spec: ProductSpec, opts: EvalOptions = EvalOptions()) -> EvalResult:
@@ -367,7 +368,7 @@ def eval_pm_rs(spec: ProductSpec, opts: EvalOptions = EvalOptions()) -> EvalResu
                   for n, t in zip(range(small_lo, small_hi), small_terms))
 
     if terms >= n0:
-        mass = sum(abs(f.multiplicity) for f in r.factors)
+        mass = sum(abs(m) for _, m in r.numerators)
         ratio = max(max_abs, 1e-9) / n0
         j_max = max(4, int(math.ceil((46 + math.log2(mass + 1))
                                      / -math.log2(ratio))) + 2)
@@ -538,6 +539,8 @@ def remainder_sign_probe(a: Fraction, b: Fraction, k: int, n_max: int,
                          f"got a = {a}, b = {b}")
     if k < 0 or n_max < 1 or n_tail < n_max:
         raise InputError("need k >= 0 and 1 <= n_max <= n_tail")
+    if n_tail + 1 > MAX_PROBE_GRID >> k:
+        raise InputError(f"need 2^k * (n_tail + 1) <= {MAX_PROBE_GRID} grid points")
 
     width = 1 << k
     top = width * (n_tail + 1)

@@ -2,19 +2,20 @@
 
 Offsets a_i are exact rationals, multiplicities m_i nonzero integers
 (positive factors belong to the numerator, negative to the denominator),
-and the scale s is a positive rational.  Values are immutable after
-construction and the factor list is kept sorted by offset, so equal
-rationals compare and hash equal.
+and the scale s is a positive rational.  A value stores its offsets as
+integer numerators over one common denominator, a_i = u_i / D, with D the
+least common denominator of the reduced offsets and the u_i strictly
+increasing.  That form is canonical, so equal rationals compare and hash
+equal, and it is immutable after construction.
 
-Everything here is exact.  ``regroup`` is the one substitution rule
-(n -> c*n + d, behind composition, powers and every split),
-``values_at`` the one exact evaluator of R(n) (``value_at`` is its
-one-point case) and ``power_sums`` the one source of the power sums p_j
-that drive the Thue-Morse tail series.  All three work in integers over
-the common denominator of the offsets; ``regroup`` merges the mapped
-offsets as integer numerators over one common denominator and builds a
-single Fraction per offset of its result.  The only numerical operation,
-``log_term``, is ``numerics.log_fraction`` of the exact value.
+Everything here is exact and works on the integers u_i: ``regroup`` is
+the one substitution rule (n -> c*n + d, behind composition, powers and
+every split), ``values_at`` the one exact evaluator of R(n)
+(``value_at`` is its one-point case) and ``power_sums`` the one source
+of the power sums p_j that drive the Thue-Morse tail series.  The
+``factors`` view of ``AffineFactor``s is built on demand, for rendering
+and for callers that want each offset as a Fraction.  The only numerical
+operation, ``log_term``, is ``numerics.log_fraction`` of the exact value.
 """
 
 from __future__ import annotations
@@ -42,25 +43,27 @@ class AffineFactor:
 
 @dataclass(frozen=True)
 class FactoredRational:
-    """Canonical product s * prod (n + a_i)^{m_i} with distinct sorted offsets."""
+    """Canonical product s * prod (n + u_i/D)^{m_i}: ``denominator`` D is the
+    least common denominator of the reduced offsets (1 without factors) and
+    ``numerators`` the pairs (u_i, m_i), u_i strictly increasing, m_i nonzero."""
 
     scale: Fraction
-    factors: Tuple[AffineFactor, ...]
+    denominator: int
+    numerators: Tuple[Tuple[int, int], ...]
+
+    def __post_init__(self):
+        if self.scale <= 0:
+            raise InputError(f"scale must be positive, got {self.scale}")
 
     # -- construction -------------------------------------------------
 
     @staticmethod
     def from_offsets(offsets: dict, scale: RationalLike = 1) -> "FactoredRational":
         """Build from {offset: multiplicity}; zero multiplicities are dropped."""
-        s = Fraction(scale)
-        if s <= 0:
-            raise InputError(f"scale must be positive, got {s}")
-        items = []
-        for a, m in offsets.items():
-            if m:
-                items.append(AffineFactor(Fraction(a), int(m)))
-        items.sort(key=lambda f: f.offset)
-        return FactoredRational(s, tuple(items))
+        items = [(Fraction(a), int(m)) for a, m in offsets.items() if m]
+        d = math.lcm(*(a.denominator for a, _ in items))
+        return FactoredRational(Fraction(scale), d, tuple(sorted(
+            (a.numerator * (d // a.denominator), m) for a, m in items)))
 
     @staticmethod
     def from_raw_factors(raw: Iterable[Tuple[RationalLike, RationalLike, int]],
@@ -72,12 +75,12 @@ class FactoredRational:
         raw = list(raw)
         if any(m == 0 for _, _, m in raw):
             raise InputError("factor multiplicity must be nonzero")
-        r = FactoredRational.from_offsets({0: 1}).regroup(raw)
-        return FactoredRational.from_offsets(r.offset_dict(), r.scale * scale)
+        r = FactoredRational(Fraction(1), 1, ((0, 1),)).regroup(raw)
+        return FactoredRational(r.scale * Fraction(scale), r.denominator, r.numerators)
 
     @staticmethod
     def one() -> "FactoredRational":
-        return FactoredRational(Fraction(1), ())
+        return FactoredRational(Fraction(1), 1, ())
 
     @staticmethod
     def parse(text: str) -> "FactoredRational":
@@ -86,60 +89,55 @@ class FactoredRational:
     # -- basic queries -------------------------------------------------
 
     @property
+    def factors(self) -> Tuple[AffineFactor, ...]:
+        """The factors (n + u_i/D)^{m_i} by increasing offset, built on each access."""
+        return tuple(AffineFactor(Fraction(u, self.denominator), m)
+                     for u, m in self.numerators)
+
+    @property
     def is_one(self) -> bool:
-        return not self.factors and self.scale == 1
+        return not self.numerators and self.scale == 1
 
     def offset_dict(self) -> dict:
-        return {f.offset: f.multiplicity for f in self.factors}
+        return {Fraction(u, self.denominator): m for u, m in self.numerators}
 
     def degree_sum(self) -> int:
         """Net degree (numerator degree minus denominator degree)."""
-        return sum(f.multiplicity for f in self.factors)
-
-    def _int_offsets(self) -> Tuple[int, List[Tuple[int, int]]]:
-        """Offsets over their common denominator: a_i = u_i / D."""
-        d = 1
-        for f in self.factors:
-            d = d * f.offset.denominator // math.gcd(d, f.offset.denominator)
-        return d, [(f.offset.numerator * (d // f.offset.denominator), f.multiplicity)
-                   for f in self.factors]
+        return sum(m for _, m in self.numerators)
 
     def power_sums(self, j_max: int) -> List[Fraction]:
         """Exact power sums [p_0, ..., p_{j_max}], p_j = sum_i m_i * a_i^j."""
-        d, offs = self._int_offsets()
         sums = [0] * (j_max + 1)
-        for u, m in offs:
+        for u, m in self.numerators:
             p = m
             for j in range(j_max + 1):
                 sums[j] += p
                 p *= u
-        return [Fraction(s, d ** j) for j, s in enumerate(sums)]
+        return [Fraction(s, self.denominator ** j) for j, s in enumerate(sums)]
 
     def power_sum(self, j: int) -> Fraction:
         """Exact power sum p_j = sum_i m_i * a_i^j."""
         return self.power_sums(j)[j]
 
     def max_abs_offset(self) -> Fraction:
-        """max_i |a_i|, 0 without factors; the offsets are sorted."""
-        if not self.factors:
-            return Fraction(0)
-        return max(-self.factors[0].offset, self.factors[-1].offset)
+        """max_i |a_i|, 0 without factors; the numerators are sorted."""
+        nums = self.numerators
+        return Fraction(max(-nums[0][0], nums[-1][0]) if nums else 0, self.denominator)
 
     def values_at(self, points: Iterable[RationalLike]) -> List[Fraction]:
         """Exact values [R(n) for n in points]; raises EvaluationError at a pole.
 
         With n = p/q and a_i = u_i/D, each factor is (pD + u_i q) / (qD),
         so each value is one integer quotient scaled by s and (qD)^(-degree).
-        The offsets are put over D once for all points.
         """
-        d, offs = self._int_offsets()
+        d = self.denominator
         degree = self.degree_sum()
         values = []
         for n in points:
             n = Fraction(n)
             p, q = n.numerator * d, n.denominator
             num, den = self.scale.numerator, self.scale.denominator
-            for u, m in offs:
+            for u, m in self.numerators:
                 base = p + u * q
                 if base == 0:
                     if m < 0:
@@ -190,12 +188,12 @@ class FactoredRational:
         multiplicity m*w and the scale gains (s c^degree)^w.  It runs in
         integers: with a = u/D, every image (u/D + d)/c is an integer
         numerator over one common denominator E, the multiplicities are
-        merged on those integers, and one Fraction is built per offset
-        that survives.
+        merged on those integers, and one gcd brings the surviving
+        numerators and E to the canonical denominator.
         """
         maps = list(maps)
         degree = self.degree_sum()
-        den, offs = self._int_offsets()
+        den = self.denominator
         common = 1
         weights: dict = {}
         for c, d, w in maps:
@@ -208,15 +206,16 @@ class FactoredRational:
         for c, d, w in maps:
             k = common // (den * d.denominator * c.numerator) * c.denominator
             slope, shift = d.denominator * k, d.numerator * den * k
-            for u, m in offs:
+            for u, m in self.numerators:
                 key = u * slope + shift
                 counts[key] = counts.get(key, 0) + m * w
         scale = Fraction(1)
         for c, w in weights.items():
             scale *= (self.scale * Fraction(c) ** degree) ** w
-        return FactoredRational(scale, tuple(
-            AffineFactor(Fraction(key, common), counts[key])
-            for key in sorted(counts) if counts[key]))
+        keys = sorted(key for key, m in counts.items() if m)
+        g = math.gcd(common, *keys)
+        return FactoredRational(scale, common // g,
+                                tuple((key // g, counts[key]) for key in keys))
 
     # -- rendering -------------------------------------------------------
 
@@ -479,10 +478,8 @@ def classify(r: FactoredRational) -> ConvergenceClass:
 
 def pole_check(r: FactoredRational, start: int) -> Optional[int]:
     """Smallest integer n >= start at which some factor n + a_i vanishes."""
-    hits = []
-    for f in r.factors:
-        if f.offset.denominator == 1 and -f.offset >= start:
-            hits.append(int(-f.offset))
+    d = r.denominator
+    hits = [-u // d for u, _ in r.numerators if u % d == 0 and -u // d >= start]
     return min(hits) if hits else None
 
 
@@ -492,12 +489,10 @@ def positivity_check(r: FactoredRational, start: int) -> None:
     Only finitely many n can fail: past n > max(-a_i) every factor is
     positive, so exact checks up to that bound decide the whole range.
     """
-    if pole_check(r, start) is not None:
-        raise EvaluationError(
-            f"factor vanishes at n = {pole_check(r, start)} (n >= {start})")
-    bound = start
-    for f in r.factors:
-        bound = max(bound, int(math.ceil(-f.offset)) + 1)
+    pole = pole_check(r, start)
+    if pole is not None:
+        raise EvaluationError(f"factor vanishes at n = {pole} (n >= {start})")
+    bound = max([start] + [-(u // r.denominator) + 1 for u, _ in r.numerators])
     for n, value in zip(range(start, bound + 1), r.values_at(range(start, bound + 1))):
         if value <= 0:
             raise EvaluationError(f"R({n}) = {value} is not positive; "

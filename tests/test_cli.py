@@ -170,6 +170,14 @@ def test_probe_command(capsys):
     assert "all match: True" in out
 
 
+def test_probe_grid_above_cap_exits_three(capsys, monkeypatch):
+    def no_arange(*args, **kwargs):
+        raise AssertionError("the probe allocated its grid")
+    monkeypatch.setattr("numpy.arange", no_arange)
+    code, out, err = run(capsys, "probe", "--a", "2", "--b", "1", "--k", "60")
+    assert code == 3 and out == "" and "grid points" in err
+
+
 def test_scan_command(capsys):
     code, out, _ = run(capsys, "scan", "--lo", "0", "--hi", "2", "--steps", "5",
                        "--digits", "25", "--split-levels", "6", "--terms", "512")

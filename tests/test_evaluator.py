@@ -14,8 +14,8 @@ from digitprod import (CapabilityError, EvalOptions, EvaluationError,
                        eval_product, eval_zero_one_rs, eval_zero_one_thue,
                        f_value, flajolet_martin, g_value, monotonicity_scan,
                        remainder_sign_probe)
-from digitprod.evaluator import (MAX_RS_SPLIT_LEVELS, MAX_SPLIT_LEVELS,
-                                 _tm_log_sum, _tm_tail_table)
+from digitprod.evaluator import (MAX_PROBE_GRID, MAX_RS_SPLIT_LEVELS,
+                                 MAX_SPLIT_LEVELS, _tm_log_sum, _tm_tail_table)
 from digitprod.factored_rational import dyadic_split, log_term
 from digitprod.numerics import working_dps
 
@@ -430,6 +430,21 @@ def test_rs_error_estimate_honest_for_direct_slow_case():
     assert float(res.error_estimate) > float(actual) > 1e-5
 
 
+def test_hot_paths_never_build_the_factors_view(monkeypatch):
+    # the evaluators read the stored integer numerators; the Fraction view
+    # ``factors`` serves rendering, the plain kind and the symbolic engine
+    gs = ProductSpec(FactoredRational.parse("(2n+1)^2/((n+1)(4n+1))"),
+                     ExponentKind.PM_RS, 1)
+
+    def forbidden(self):
+        raise AssertionError("built the factors view")
+    monkeypatch.setattr(FactoredRational, "factors", property(forbidden))
+    eval_pm_rs(gs, EvalOptions(terms=10 ** 4))
+    for start in (0, 1):
+        eval_pm_thue(ProductSpec(WR_SPEC.rational, ExponentKind.PM_THUE, start))
+    f_value(F(1, 3), F(5, 7))
+
+
 # ---------------------------------------------------------------------------
 # Dispatch and options
 # ---------------------------------------------------------------------------
@@ -538,6 +553,17 @@ def test_probe_rejects_bad_class():
         remainder_sign_probe(F(1), F(2), 0, 8)   # needs a > b
     with pytest.raises(InputError):
         remainder_sign_probe(F(2), F(0), 0, 8)   # needs b > 0
+
+
+def no_arange(*args, **kwargs):
+    raise AssertionError("the probe allocated its grid")
+
+
+@pytest.mark.parametrize("k, tail", [(60, 2 ** 20), (3, 2 ** 20), (0, MAX_PROBE_GRID)])
+def test_probe_rejects_grid_above_cap_before_allocating(monkeypatch, k, tail):
+    monkeypatch.setattr("numpy.arange", no_arange)
+    with pytest.raises(InputError, match="grid points"):
+        remainder_sign_probe(F(2), F(1), k, 64, tail)
 
 
 def test_scan_decreasing_short_grid():

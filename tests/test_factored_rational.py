@@ -498,6 +498,34 @@ def test_l_fold_regroup_is_iterated_dyadic_split(rng, start, levels):
             assert split.value_at(0) == boundary
 
 
+def assert_canonical(r):
+    """D is the lcm of the reduced offset denominators, the numerators are
+    strictly increasing with nonzero multiplicities, and rebuilding from the
+    offsets gives an equal value with an equal hash."""
+    d, nums = r.denominator, r.numerators
+    assert d == math.lcm(*(F(u, d).denominator for u, _ in nums))
+    assert all(u < v for (u, _), (v, _) in zip(nums, nums[1:]))
+    assert all(m != 0 for _, m in nums)
+    again = FactoredRational.from_offsets(r.offset_dict(), r.scale)
+    assert again == r and hash(again) == hash(r)
+
+
+_RAW = st.lists(st.tuples(st.integers(1, 6),
+                          st.fractions(min_value=-3, max_value=3, max_denominator=6),
+                          st.integers(-3, 3).filter(bool)), max_size=5)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_rational_and_point(), _rational_and_point(), _maps(), _RAW,
+       st.integers(-3, 3))
+def test_every_constructor_gives_the_canonical_form(case, other, maps, raw, k):
+    r, s = case[0], other[0]
+    for value in (r, r.regroup(maps), r * s, r / s, r ** k,
+                  FactoredRational.from_raw_factors(raw),
+                  FactoredRational.parse(r.render())):
+        assert_canonical(value)
+
+
 @given(st.dictionaries(st.fractions(min_value=-6, max_value=6, max_denominator=8),
                        st.integers(-3, 3).filter(bool), max_size=6))
 def test_max_abs_offset_is_max_over_factors(offsets):
