@@ -43,6 +43,9 @@ CASES = {
     "reduce-c3l": ["reduce", "(8n+1)(8n+7)/((8n+3)(8n+5))", "--start", "0"],
     # searches the full depth-6 universe and finds no combination
     "reduce-probe-irreducible": ["reduce", "(n+1/5)/(n+2/5)"],
+    # a 4-point target searched through the full depth-7 universe
+    "reduce-probe-4pt-d7": ["reduce", "(n+1/5)(n+3/7)/((n+2/5)(n+4/7))",
+                            "--depth", "7"],
 }
 
 
