@@ -20,6 +20,7 @@ hash and compare as plain integers in the same order as the rationals.
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -27,7 +28,7 @@ from typing import Dict, List, Optional, Tuple
 
 import mpmath
 
-from .errors import InputError
+from .errors import CapabilityError, InputError
 from .evaluator import EvalOptions, ProductSpec, eval_product
 from .factored_rational import FactoredRational, classify
 from .numerics import (ClosedForm, Rat, Sub, cf_mul, cf_pow, cf_rat,
@@ -37,8 +38,9 @@ from .numerics import (ClosedForm, Rat, Sub, cf_mul, cf_pow, cf_rat,
 from .sequences import ExponentKind
 
 DEFAULT_REDUCE_DEPTH = 6
-# Work grows about fourfold per depth level; the cap keeps one irreducible
-# search within about a minute.
+# Universes roughly double per depth level.  At depth 9, irreducible 2-, 4-
+# and 6-point targets take 0.2, 0.5 and 0.8 s (2 vCPU), and an 8-point one
+# already exceeds UNIVERSE_CAP.
 MAX_REDUCE_DEPTH = 9
 UNIVERSE_CAP = 20000  # relation points searched per depth
 _ONE = Fraction(1)
@@ -160,7 +162,8 @@ class ReduceResult:
 
 def _universe(points: List[int], depth: int, one: int) -> List[int]:
     """Points reachable by x -> 2x, 2x-1, x/2, (x+1)/2, up to ``depth``,
-    each kept as the integer x * one."""
+    each kept as the integer x * one.  Raises CapabilityError when there
+    are more than UNIVERSE_CAP of them."""
     seen = set(points)
     frontier = list(points)
     for _ in range(depth):
@@ -171,7 +174,8 @@ def _universe(points: List[int], depth: int, one: int) -> List[int]:
                     seen.add(q)
                     nxt.append(q)
             if len(seen) > UNIVERSE_CAP:
-                return sorted(seen)
+                raise CapabilityError(f"the depth-{depth} relation universe "
+                                      f"exceeds {UNIVERSE_CAP} points")
         if not nxt:
             break
         frontier = nxt
@@ -185,6 +189,12 @@ def _solve_relations(universe: List[int], target: Dict[int, Fraction],
     Points are integers over ``one``; relation points need x > -1 so that
     log(1+x) is real.  Returns the lambda coefficients or None when the
     target is not in the span of the available relations.
+
+    Each pivot is the active row with the least (length, point), taken
+    from a lazy min-heap: every row is pushed once, and again whenever
+    elimination changes its length; a popped entry whose length is stale,
+    or whose row is no longer active, is skipped.  An empty row never
+    changes again, so it is checked once, when popped.
     """
     # row p: the coefficient of G(p) in each r_x, a Fraction so pivots divide exactly
     rows: Dict[int, Dict[int, Fraction]] = {p: {} for p in target}
@@ -203,18 +213,17 @@ def _solve_relations(universe: List[int], target: Dict[int, Fraction],
 
     pivots: List[Tuple[int, int]] = []  # (point, variable)
     active = set(rows)
-    while True:
-        best = None
-        for p in active:
-            if rows[p]:
-                key = (len(rows[p]), p)
-                if best is None or key < best[0]:
-                    best = (key, p)
-            elif rhs[p]:
+    heap = [(len(row), p) for p, row in rows.items()]
+    heapq.heapify(heap)
+    while heap:
+        length, p = heapq.heappop(heap)
+        if p not in active or length != len(rows[p]):
+            continue  # stale entry
+        if not length:
+            if rhs[p]:
                 return None  # inconsistent equation 0 = nonzero
-        if best is None:
-            break
-        p = best[1]
+            active.discard(p)
+            continue
         x = min(rows[p])
         c = rows[p][x]
         # normalize pivot row
@@ -228,6 +237,7 @@ def _solve_relations(universe: List[int], target: Dict[int, Fraction],
             factor = rows[p2].get(x)
             if factor is None:
                 continue
+            before = len(rows[p2])
             for k, v in rows[p].items():
                 newv = rows[p2].get(k, Fraction(0)) - factor * v
                 if newv:
@@ -237,6 +247,8 @@ def _solve_relations(universe: List[int], target: Dict[int, Fraction],
                     rows[p2].pop(k, None)
                     var_rows.get(k, set()).discard(p2)
             rhs[p2] -= factor * rhs[p]
+            if p2 in active and len(rows[p2]) != before:
+                heapq.heappush(heap, (len(rows[p2]), p2))
         pivots.append((p, x))
         active.discard(p)
         var_rows.get(x, set()).discard(p)
@@ -259,7 +271,8 @@ def reduce(expr: GExpression, depth: int = DEFAULT_REDUCE_DEPTH) -> ReduceResult
     combination of relation vectors matching the G-part.  On success the
     constant exp(sum lambda_x log(1+x) + log-const part) is returned as a
     canonical product of primes with rational exponents.  ``depth`` must
-    lie in 0..MAX_REDUCE_DEPTH.
+    lie in 0..MAX_REDUCE_DEPTH; a universe of more than UNIVERSE_CAP points,
+    reached before a combination is found, raises CapabilityError.
     """
     if not 0 <= depth <= MAX_REDUCE_DEPTH:
         raise InputError(f"reduce depth must be in 0..{MAX_REDUCE_DEPTH}, got {depth}")

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from digitprod import symbolic
 from digitprod.cli import main
 from digitprod.symbolic import MAX_REDUCE_DEPTH
 
@@ -210,6 +211,13 @@ def test_reduce_depth_above_cap_exits_three(capsys):
     code, out, err = run(capsys, "reduce", "(n+1/5)/(n+2/5)", "--depth",
                          str(MAX_REDUCE_DEPTH + 1))
     assert code == 3 and out == "" and "depth" in err
+
+
+def test_reduce_universe_above_cap_exits_three(capsys, monkeypatch):
+    monkeypatch.setattr(symbolic, "UNIVERSE_CAP", 100)
+    code, out, err = run(capsys, "reduce", "(n+1/5)/(n+2/5)")
+    assert code == 3 and out == ""
+    assert "depth-4" in err and "100 points" in err
 
 
 def test_reduce_expression(capsys):

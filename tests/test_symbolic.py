@@ -6,9 +6,10 @@ import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from digitprod import (EvalOptions, ExponentKind, FactoredRational, InputError,
-                       ProductSpec, catalog, catalog_entry, expr_from_spec,
-                       family, reduce, verify, verify_all)
+from digitprod import (CapabilityError, EvalOptions, ExponentKind,
+                       FactoredRational, InputError, ProductSpec, catalog,
+                       catalog_entry, expr_from_spec, family, reduce, verify,
+                       verify_all)
 from digitprod.numerics import Rat, power_product_exponents
 from digitprod import symbolic
 from digitprod.symbolic import (MAX_REDUCE_DEPTH, UNIVERSE_CAP, GExpression,
@@ -126,6 +127,22 @@ def test_reduce_rejects_nonpositive_log_constant():
             reduce(GExpression.build({F(1): F(2)}, {q: F(1)}))
 
 
+def test_reduce_universe_above_cap_raises(monkeypatch):
+    # the probe's universe has 128 points at depth 4, so the search stops
+    # there instead of reporting a depth it did not search
+    monkeypatch.setattr(symbolic, "UNIVERSE_CAP", 100)
+    with pytest.raises(CapabilityError, match="depth-4 .* 100 points"):
+        reduce(g_expr((F(1, 5), 1), (F(2, 5), -1)), 6)
+
+
+def test_reduce_below_cap_keeps_lower_depth_result(monkeypatch):
+    # WR's depth-1 universe has 6 points and its depth-2 universe 15
+    monkeypatch.setattr(symbolic, "UNIVERSE_CAP", 6)
+    out = reduce(expr_from_spec(catalog_entry("WR").spec))
+    assert out.reduced and out.depth == 1
+    assert out.exponents == {2: F(-1, 2)}
+
+
 def test_reduce_irreducible_is_a_result():
     out = reduce(g_expr((0, 1), (F(1, 2), -1)))  # g(0): no known closed form
     assert not out.reduced
@@ -169,7 +186,7 @@ def universe_reference(points, depth):
                     seen.add(q)
                     nxt.append(q)
             if len(seen) > UNIVERSE_CAP:
-                return sorted(seen)
+                raise CapabilityError(f"more than {UNIVERSE_CAP} points")
         if not nxt:
             break
         frontier = nxt
@@ -325,6 +342,14 @@ def test_reduce_matches_fraction_reference(expr, depth):
     (expr_from_spec(family("iv", F(5, 6)).spec), 2),
     (expr_from_spec(ProductSpec(FactoredRational.parse("(n+1/5)/(n+2/5)"),
                                 ExponentKind.PM_THUE, 1)), 4),
+    # the benchmark's depth-6 irreducible probes
+    (g_expr((F(1, 5), 1), (F(2, 5), -1)), 6),
+    (g_expr((F(1, 5), 1), (F(4, 5), -1)), 6),
+    (g_expr((F(2, 5), 1), (F(3, 5), -1)), 6),
+    (expr_from_spec(catalog_entry("C3k").spec), 6),
+    (expr_from_spec(ProductSpec(
+        FactoredRational.parse("(n+1/5)(n+3/7)/((n+2/5)(n+4/7))"),
+        ExponentKind.PM_THUE, 1)), 5),
 ])
 def test_reduce_reference_cases(expr, depth):
     assert_matches_reference(expr, depth)
