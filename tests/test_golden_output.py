@@ -36,6 +36,10 @@ CASES = {
     "eval-gs-rs6": ["eval", "(2n+1)^2/((4n+1)(n+1))", "--kind", "pm-v",
                     "--start", "1", "--rs-split-levels", "6",
                     "--terms", "100000"],
+    # terms < n0 after one split: no tail sum, only the exact head and the
+    # first three power sums for the error estimate
+    "eval-rs-short-sum": ["eval", "(n+20)/(n+21)", "--kind", "pm-v",
+                          "--rs-split-levels", "1", "--terms", "16"],
     # the 8-level split cancels 512 factors down to 172
     "eval-n1-n2": ["eval", "(n+1)/(n+2)"],
     "reduce-family-ii": ["reduce", "--family", "ii", "--a", "7/3"],
