@@ -21,9 +21,11 @@ import mpmath
 
 from . import symbolic
 from .errors import DigitprodError, InputError, ParseError
-from .evaluator import (DEFAULT_SPLIT_LEVELS, EvalOptions, EvalResult,
-                        ProductSpec, eval_product, flajolet_martin, g_value,
-                        monotonicity_scan, remainder_sign_probe)
+from .evaluator import (DEFAULT_RS_TERMS, DEFAULT_SPLIT_LEVELS,
+                        DEFAULT_TM_TERMS, MAX_RS_TERMS, MAX_TM_TERMS,
+                        EvalOptions, EvalResult, ProductSpec, eval_product,
+                        flajolet_martin, g_value, monotonicity_scan,
+                        remainder_sign_probe)
 from .factored_rational import FactoredRational
 from .numerics import DEFAULT_PRECISION, workdps
 from .sequences import ExponentKind, block_parity, exponent
@@ -32,6 +34,10 @@ ENV_PRECISION = "DIGITPROD_DIGITS"
 
 EXIT_USAGE = 2
 EXIT_MATH = 3
+
+
+class _OutputError(Exception):
+    """The --output file could not be written (exit 2)."""
 
 
 def _default_precision() -> int:
@@ -83,8 +89,11 @@ def _emit(args, payload: dict, text: str) -> None:
         out = text
     output = getattr(args, "output", None)
     if output:
-        with open(output, "w") as handle:
-            handle.write(out + "\n")
+        try:
+            with open(output, "w") as handle:
+                handle.write(out + "\n")
+        except OSError as exc:
+            raise _OutputError(f"cannot write {output}: {exc.strerror}") from None
     else:
         print(out)
 
@@ -302,7 +311,9 @@ def _add_common(parser: argparse.ArgumentParser, default_precision: int) -> None
     parser.add_argument("--split-levels", type=int, default=DEFAULT_SPLIT_LEVELS,
                         help="dyadic split levels for +-1 Thue-Morse products")
     parser.add_argument("--terms", type=_positive_int, default=None,
-                        help="summation terms (default 4096 Thue-Morse, 10^6 Rudin-Shapiro)")
+                        help=f"summation terms (default {DEFAULT_TM_TERMS} Thue-Morse, "
+                             f"{DEFAULT_RS_TERMS} Rudin-Shapiro; at most "
+                             f"{MAX_TM_TERMS} and {MAX_RS_TERMS})")
     parser.add_argument("--rs-split-levels", type=int, default=None,
                         help="Rudin-Shapiro split levels (default: automatic)")
     parser.add_argument("--format", choices=("text", "json", "csv"),
@@ -400,6 +411,9 @@ def main(argv: Optional[list] = None) -> int:
         return args.func(args)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except _OutputError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except DigitprodError as exc:
         print(f"error: {exc}", file=sys.stderr)

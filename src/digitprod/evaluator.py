@@ -35,13 +35,20 @@ import numpy as np
 from .errors import ConsistencyError, EvaluationError, InputError
 from .factored_rational import (FactoredRational, classify, log_term,
                                 pole_check, positivity_check,
-                                rs_split_rational)
+                                rs_split_power_sums, rs_split_rational)
 from .numerics import (DEFAULT_PRECISION, constant, gamma, log_fraction,
                        mpf_from_fraction, workdps, working_dps)
 from .sequences import ExponentKind
 
 DEFAULT_TM_TERMS = 4096
 DEFAULT_RS_TERMS = 10 ** 6
+# The Thue-Morse tail table loops over every term in Python: WR at 2^20
+# terms took 3.9 s at 60 digits and 59 s at 500 digits (one run, 2 vCPU).
+MAX_TM_TERMS = 1 << 20
+# The Rudin-Shapiro tail holds about 70 bytes per term in numpy arrays and
+# the list fed to math.fsum: GS at 4*10^6 terms raised peak RSS from 44 to
+# 322 MB, so this cap keeps one request near 0.3 GB.
+MAX_RS_TERMS = 1 << 22
 DEFAULT_SPLIT_LEVELS = 8
 DEFAULT_RS_SPLIT_LEVELS = 10
 # Split work grows geometrically with the levels; these caps keep one
@@ -85,8 +92,9 @@ class EvalOptions:
     """Work parameters: decimal precision, split levels, term counts.
 
     ``terms`` defaults to 4096 for Thue-Morse kinds and 10^6 for
-    Rudin-Shapiro kinds.  ``rs_split_levels`` of None picks 0 for fully
-    convergent rationals and 10 otherwise.
+    Rudin-Shapiro kinds; ``tm_terms`` and ``rs_terms`` reject counts above
+    ``MAX_TM_TERMS`` and ``MAX_RS_TERMS``.  ``rs_split_levels`` of None
+    picks 0 for fully convergent rationals and 10 otherwise.
     """
 
     precision: int = DEFAULT_PRECISION
@@ -105,10 +113,17 @@ class EvalOptions:
             raise InputError(f"rs split levels must be in 0..{MAX_RS_SPLIT_LEVELS}")
 
     def tm_terms(self) -> int:
-        return self.terms if self.terms is not None else DEFAULT_TM_TERMS
+        return self._terms(DEFAULT_TM_TERMS, MAX_TM_TERMS, "Thue-Morse")
 
     def rs_terms(self) -> int:
-        return self.terms if self.terms is not None else DEFAULT_RS_TERMS
+        return self._terms(DEFAULT_RS_TERMS, MAX_RS_TERMS, "Rudin-Shapiro")
+
+    def _terms(self, default: int, cap: int, kind: str) -> int:
+        if self.terms is None:
+            return default
+        if self.terms > cap:
+            raise InputError(f"terms must be <= {cap} for {kind} products")
+        return self.terms
 
 
 @dataclass(frozen=True)
@@ -225,9 +240,9 @@ def eval_pm_thue(spec: ProductSpec, opts: EvalOptions = EvalOptions()) -> EvalRe
     """Evaluate prod R(n)^{(-1)^{t_n}} by an L-fold dyadic split."""
     if spec.kind is not ExponentKind.PM_THUE:
         raise InputError(f"eval_pm_thue expects kind pm-t, got {spec.kind.value}")
+    terms = opts.tm_terms()
     spec.validate()
     levels = opts.split_levels
-    terms = opts.tm_terms()
     precision = opts.precision
     wp = working_dps(precision)
 
@@ -284,8 +299,9 @@ def eval_zero_one_thue(spec: ProductSpec, opts: EvalOptions = EvalOptions()) -> 
     if spec.kind is not ExponentKind.ZERO_ONE_THUE:
         raise InputError(f"eval_zero_one_thue expects kind t, got {spec.kind.value}")
     spec.validate()
-    plain = eval_plain(ProductSpec(spec.rational, ExponentKind.PLAIN, spec.start), opts)
+    # the +-1 product first: it rejects a terms count before any Gamma work
     pm = eval_pm_thue(ProductSpec(spec.rational, ExponentKind.PM_THUE, spec.start), opts)
+    plain = eval_plain(ProductSpec(spec.rational, ExponentKind.PLAIN, spec.start), opts)
     return _sqrt_ratio(plain, pm, opts)
 
 
@@ -327,10 +343,10 @@ def eval_pm_rs(spec: ProductSpec, opts: EvalOptions = EvalOptions()) -> EvalResu
     slow O(1/n) log-term component."""
     if spec.kind is not ExponentKind.PM_RS:
         raise InputError(f"eval_pm_rs expects kind pm-v, got {spec.kind.value}")
+    terms = opts.rs_terms()
     spec.validate()
     precision = opts.precision
     wp = working_dps(precision)
-    terms = opts.rs_terms()
 
     r = spec.rational
     levels = opts.rs_split_levels
@@ -372,7 +388,7 @@ def eval_pm_rs(spec: ProductSpec, opts: EvalOptions = EvalOptions()) -> EvalResu
         ratio = max(max_abs, 1e-9) / n0
         j_max = max(4, int(math.ceil((46 + math.log2(mass + 1))
                                      / -math.log2(ratio))) + 2)
-        psums = r.power_sums(j_max)
+        psums = rs_split_power_sums(spec.rational, levels, j_max)
         q = [0.0] * (j_max + 1)
         for j in range(1, j_max + 1):
             q[j] = float(psums[j] / j) * (1 if j % 2 == 1 else -1)
@@ -380,11 +396,12 @@ def eval_pm_rs(spec: ProductSpec, opts: EvalOptions = EvalOptions()) -> EvalResu
         x = 1.0 / n
         acc = np.zeros_like(x)
         for j in range(j_max, 0, -1):
-            acc = (acc + q[j]) * x
+            acc += q[j]
+            acc *= x
         signed = acc * eps[n0:terms + 1]
         pieces.append(math.fsum(signed.tolist()))
     else:
-        psums = r.power_sums(3)
+        psums = rs_split_power_sums(spec.rational, levels, 3)
 
     log_sum = math.fsum(pieces)
     p1, p2, p3 = (abs(float(p)) for p in psums[1:4])
@@ -407,8 +424,8 @@ def eval_zero_one_rs(spec: ProductSpec, opts: EvalOptions = EvalOptions()) -> Ev
     if spec.kind is not ExponentKind.ZERO_ONE_RS:
         raise InputError(f"eval_zero_one_rs expects kind v, got {spec.kind.value}")
     spec.validate()
-    plain = eval_plain(ProductSpec(spec.rational, ExponentKind.PLAIN, spec.start), opts)
     pm = eval_pm_rs(ProductSpec(spec.rational, ExponentKind.PM_RS, spec.start), opts)
+    plain = eval_plain(ProductSpec(spec.rational, ExponentKind.PLAIN, spec.start), opts)
     return _sqrt_ratio(plain, pm, opts)
 
 

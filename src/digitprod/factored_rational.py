@@ -548,6 +548,28 @@ def rs_split_rational(r: FactoredRational) -> FactoredRational:
     return split
 
 
+def rs_split_power_sums(r: FactoredRational, levels: int, j_max: int) -> List[Fraction]:
+    """Power sums [p_0, ..., p_{j_max}] of ``rs_split_rational`` applied
+    ``levels`` times to r, carried from r's own power sums.
+
+    One level sends an offset a of multiplicity m to a/2 (m), (1+a)/4 (2m)
+    and (1+a)/2 (-m), so p'_j = 2^-j p_j + (2^(1-2j) - 2^-j) sum_l C(j,l) p_l.
+    In integers, with p_j = N_j / E^j, that is N'_j = 2^j N_j + (2 - 2^j) B_j
+    over E' = 4E, where B_j = sum_l C(j,l) E^(j-l) N_l.  The cost is
+    O(levels * j_max^2) operations on small integers, however many factors
+    the split rational has.
+    """
+    e = r.denominator
+    sums = [int(p * e ** j) for j, p in enumerate(r.power_sums(j_max))]
+    for _ in range(levels):
+        powers = [e ** k for k in range(j_max + 1)]
+        sums = [(1 << j) * sums[j] + (2 - (1 << j)) * sum(
+                    math.comb(j, l) * powers[j - l] * sums[l] for l in range(j + 1))
+                for j in range(j_max + 1)]
+        e *= 4
+    return [Fraction(s, e ** j) for j, s in enumerate(sums)]
+
+
 def rs_split(r: FactoredRational) -> Tuple[FactoredRational, Fraction]:
     """Split a +-1 Rudin-Shapiro product using the recursion of v_n.
 

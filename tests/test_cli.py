@@ -2,8 +2,9 @@ import json
 
 import pytest
 
-from digitprod import symbolic
+from digitprod import evaluator, symbolic
 from digitprod.cli import main
+from digitprod.evaluator import MAX_RS_TERMS, MAX_TM_TERMS
 from digitprod.symbolic import MAX_REDUCE_DEPTH
 
 
@@ -207,6 +208,23 @@ def test_split_levels_above_cap_exit_three(capsys, flag, level):
     assert code == 3 and out == "" and "split levels" in err
 
 
+@pytest.mark.parametrize("kind,expression,terms", [
+    ("pm-t", "(2n+1)/(2n+2)", MAX_TM_TERMS + 1),
+    ("t", "(4n+1)(4n+4)/((4n+2)(4n+3))", MAX_TM_TERMS + 1),
+    ("pm-v", "(2n+1)^2/((n+1)(4n+1))", MAX_RS_TERMS + 1),
+    ("v", "4(2n+1)^3(2n+3)^3(n+2)/((4n+3)^4(n+1)^2(n+3))", MAX_RS_TERMS + 1)])
+def test_terms_above_cap_exit_three(capsys, monkeypatch, kind, expression, terms):
+    # rejected before a split, a tail table or a term array is built
+    def no_work(*args, **kwargs):
+        raise AssertionError("started the summation")
+    for name in ("_tm_log_sum", "_tm_tail_table", "_eps_v_array",
+                 "rs_split_rational", "eval_plain"):
+        monkeypatch.setattr(evaluator, name, no_work)
+    code, out, err = run(capsys, "eval", expression, "--kind", kind,
+                         "--start", "1", "--terms", str(terms))
+    assert code == 3 and out == "" and f"terms must be <= {terms - 1}" in err
+
+
 def test_reduce_depth_above_cap_exits_three(capsys):
     code, out, err = run(capsys, "reduce", "(n+1/5)/(n+2/5)", "--depth",
                          str(MAX_REDUCE_DEPTH + 1))
@@ -239,6 +257,14 @@ def test_output_file(tmp_path, capsys):
                        "--format", "json", "--output", str(target))
     assert code == 0 and out == ""
     assert json.loads(target.read_text())["values"] == [0, 1, 1, 0]
+
+
+def test_unwritable_output_exits_two(tmp_path, capsys):
+    target = tmp_path / "missing-dir" / "result.json"
+    code, out, err = run(capsys, "seq", "t", "--count", "4",
+                         "--format", "json", "--output", str(target))
+    assert code == 2 and out == "" and not target.exists()
+    assert err.startswith("error: cannot write") and len(err.splitlines()) == 1
 
 
 def test_csv_format(capsys):

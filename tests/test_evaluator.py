@@ -14,8 +14,10 @@ from digitprod import (CapabilityError, EvalOptions, EvaluationError,
                        eval_product, eval_zero_one_rs, eval_zero_one_thue,
                        f_value, flajolet_martin, g_value, monotonicity_scan,
                        remainder_sign_probe)
+from digitprod import evaluator
 from digitprod.evaluator import (MAX_PROBE_GRID, MAX_RS_SPLIT_LEVELS,
-                                 MAX_SPLIT_LEVELS, _tm_log_sum, _tm_tail_table)
+                                 MAX_RS_TERMS, MAX_SPLIT_LEVELS, MAX_TM_TERMS,
+                                 _tm_log_sum, _tm_tail_table)
 from digitprod.factored_rational import dyadic_split, log_term
 from digitprod.numerics import working_dps
 
@@ -445,6 +447,28 @@ def test_hot_paths_never_build_the_factors_view(monkeypatch):
     f_value(F(1, 3), F(5, 7))
 
 
+@pytest.mark.parametrize("text,levels,terms", [
+    ("(2n+1)^2/((n+1)(4n+1))", 10, 10 ** 4),  # GS, tail-sum branch
+    ("(n+20)/(n+21)", 1, 16)])                  # terms < n0: short-sum branch
+def test_rs_power_sums_never_loop_over_split_factors(monkeypatch, text, levels, terms):
+    # the power sums come through the chain from the base rational
+    split, direct = evaluator.rs_split_rational, FactoredRational.power_sums
+    splits = []
+
+    def recording_split(r):
+        splits.append(split(r))
+        return splits[-1]
+    monkeypatch.setattr(evaluator, "rs_split_rational", recording_split)
+
+    def guarded(self, j_max):
+        assert not any(self is s for s in splits), "power sums of a split rational"
+        return direct(self, j_max)
+    monkeypatch.setattr(FactoredRational, "power_sums", guarded)
+    spec = ProductSpec(FactoredRational.parse(text), ExponentKind.PM_RS, 1)
+    eval_pm_rs(spec, EvalOptions(terms=terms, rs_split_levels=levels))
+    assert len(splits) == levels
+
+
 # ---------------------------------------------------------------------------
 # Dispatch and options
 # ---------------------------------------------------------------------------
@@ -473,8 +497,14 @@ def test_options_validation():
         EvalOptions(rs_split_levels=-1)
     with pytest.raises(InputError):
         EvalOptions(rs_split_levels=MAX_RS_SPLIT_LEVELS + 1)
+    with pytest.raises(InputError):
+        EvalOptions(terms=MAX_TM_TERMS + 1).tm_terms()
+    with pytest.raises(InputError):
+        EvalOptions(terms=MAX_RS_TERMS + 1).rs_terms()
     # the caps themselves are accepted (construction only: no work is done)
     EvalOptions(split_levels=MAX_SPLIT_LEVELS, rs_split_levels=MAX_RS_SPLIT_LEVELS)
+    assert EvalOptions(terms=MAX_TM_TERMS).tm_terms() == MAX_TM_TERMS
+    assert EvalOptions(terms=MAX_RS_TERMS).rs_terms() == MAX_RS_TERMS
 
 
 # ---------------------------------------------------------------------------

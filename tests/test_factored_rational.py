@@ -8,7 +8,8 @@ from digitprod import (ConvergenceTag, EvaluationError, FactoredRational,
                        InputError, ParseError, classify, dyadic_split,
                        log_term, pole_check, rs_split, thue_morse)
 from digitprod.evaluator import _tm_start1_boundary
-from digitprod.factored_rational import positivity_check, rs_split_rational
+from digitprod.factored_rational import (positivity_check, rs_split_power_sums,
+                                         rs_split_rational)
 
 WR = FactoredRational.parse("(2n+1)/(2n+2)")
 
@@ -374,6 +375,21 @@ def test_value_at_and_power_sums_match_fraction_oracle(case, j_max):
     for a, m in offsets.items():
         expected *= (n + a) ** m if n + a else 0
     assert r.value_at(n) == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(_rational_and_point(), st.integers(0, 4), st.integers(0, 30))
+def test_rs_split_power_sums_match_the_split_chain(case, levels, j_max):
+    # offsets of either sign with denominators up to 6, any net degree and
+    # scale; a chain whose split rational has a pole at n >= 1 is skipped
+    r = case[0]
+    split = r
+    try:
+        for _ in range(levels):
+            split = rs_split_rational(split)
+    except EvaluationError:
+        assume(False)
+    assert rs_split_power_sums(r, levels, j_max) == split.power_sums(j_max)
 
 
 @settings(max_examples=200, deadline=None)
