@@ -19,6 +19,10 @@ float64 terms); when the rational is not fully convergent the O(1/n)
 log-term component makes direct tails decay like 1/sqrt(N), so the
 evaluator first applies the exact index-regrouping split (``rs_split``)
 a configurable number of times, halving that slow component per level.
+The tail's power sums are carried through the split chain from the base
+rational's own (``rs_split_power_sums``), never summed over the factors of
+the last split rational; the chain itself still gives the head terms and
+the offset bounds.
 """
 
 from __future__ import annotations

@@ -12,7 +12,8 @@ Everything here is exact and works on the integers u_i: ``regroup`` is
 the one substitution rule (n -> c*n + d, behind composition, powers and
 every split), ``values_at`` the one exact evaluator of R(n)
 (``value_at`` is its one-point case) and ``power_sums`` the one source
-of the power sums p_j that drive the Thue-Morse tail series.  The
+of the power sums p_j that drive the tail series; ``rs_split_power_sums``
+carries them through the Rudin-Shapiro split chain.  The
 ``factors`` view of ``AffineFactor``s is built on demand, for rendering
 and for callers that want each offset as a Fraction.  The only numerical
 operation, ``log_term``, is ``numerics.log_fraction`` of the exact value.
@@ -556,7 +557,7 @@ def rs_split_power_sums(r: FactoredRational, levels: int, j_max: int) -> List[Fr
     and (1+a)/2 (-m), so p'_j = 2^-j p_j + (2^(1-2j) - 2^-j) sum_l C(j,l) p_l.
     In integers, with p_j = N_j / E^j, that is N'_j = 2^j N_j + (2 - 2^j) B_j
     over E' = 4E, where B_j = sum_l C(j,l) E^(j-l) N_l.  The cost is
-    O(levels * j_max^2) operations on small integers, however many factors
+    O(levels * j_max^2) integer operations, however many factors
     the split rational has.
     """
     e = r.denominator
