@@ -14,6 +14,7 @@ import io
 import json
 import os
 import sys
+from decimal import Decimal
 from fractions import Fraction
 from typing import Optional
 
@@ -113,10 +114,21 @@ def _to_csv(payload: dict) -> str:
     return buffer.getvalue().rstrip("\n")
 
 
+def _printed(value, estimate, digits: int) -> tuple:
+    """The value to ``digits`` significant digits, and its error estimate
+    plus half a unit in the last printed digit, so that the printed
+    estimate covers the printed value."""
+    text = _nstr(value, digits)
+    last = Decimal(text).adjusted() - digits + 1
+    with workdps(digits + 5):
+        return text, _nstr(estimate + mpmath.mpf(10) ** last / 2, 3)
+
+
 def _eval_result_payload(result: EvalResult, digits: int) -> dict:
+    value, estimate = _printed(result.value, result.error_estimate, digits)
     return {
-        "value": _nstr(result.value, digits),
-        "error_estimate": _nstr(result.error_estimate, 3),
+        "value": value,
+        "error_estimate": estimate,
         "terms_used": result.terms_used,
         "split_levels": result.split_levels,
     }
@@ -258,9 +270,10 @@ def cmd_probe(args) -> int:
 
 def cmd_scan(args) -> int:
     report = monotonicity_scan(args.lo, args.hi, args.steps, _options(args))
-    rows = [{"x": str(p.x), "value": _nstr(p.value, min(args.digits, 30)),
-             "error_estimate": _nstr(p.error_estimate, 3)}
-            for p in report.points]
+    rows = []
+    for p in report.points:
+        value, estimate = _printed(p.value, p.error_estimate, min(args.digits, 30))
+        rows.append({"x": str(p.x), "value": value, "error_estimate": estimate})
     text = "\n".join(f"x={r['x']:>8}  h(x) = {r['value']}" for r in rows)
     if report.strictly_decreasing:
         text += "\nstrictly decreasing across the grid"
@@ -308,11 +321,15 @@ def cmd_reduce(args) -> int:
 def _add_common(parser: argparse.ArgumentParser, default_precision: int) -> None:
     parser.add_argument("--digits", type=_positive_int, default=default_precision,
                         help="working precision in decimal digits")
-    parser.add_argument("--split-levels", type=int, default=DEFAULT_SPLIT_LEVELS,
-                        help="dyadic split levels for +-1 Thue-Morse products")
+    parser.add_argument("--split-levels", type=int, default=None,
+                        help="dyadic split levels for +-1 Thue-Morse products; "
+                             "setting this or --terms selects the split oracle "
+                             f"(default {DEFAULT_SPLIT_LEVELS} there) in place "
+                             "of the scaled tail engine")
     parser.add_argument("--terms", type=_positive_int, default=None,
-                        help=f"summation terms (default {DEFAULT_TM_TERMS} Thue-Morse, "
-                             f"{DEFAULT_RS_TERMS} Rudin-Shapiro; at most "
+                        help=f"summation terms (Thue-Morse: selects the split "
+                             f"oracle, default {DEFAULT_TM_TERMS}; Rudin-Shapiro: "
+                             f"default {DEFAULT_RS_TERMS}; at most "
                              f"{MAX_TM_TERMS} and {MAX_RS_TERMS})")
     parser.add_argument("--rs-split-levels", type=int, default=None,
                         help="Rudin-Shapiro split levels (default: automatic)")

@@ -1,21 +1,30 @@
 """Numerical engines for the five exponent kinds and the analytic probes.
 
-The +-1 Thue-Morse evaluator accelerates by dyadic splitting: each split
-is an exact identity whose boundary is an exact rational and whose
-log-terms gain one order of decay, so L splits, built at once as one
-regrouping, turn O(1/n) tails into O(1/n^{L+1}) ones.  The summation
-itself runs in fixed-point integer arithmetic: exact power sums of the
-split offsets weight a table of Thue-Morse sums of (n0/n)^j that does not
-depend on the rational, so it is built once per precision and shared by
-every evaluation (a bounded memo of a pure function, like ``gamma``).
-The few smallest indices are evaluated exactly and folded into the exact
-split boundary, so each evaluation takes a single logarithm of a rational.
+Every default +-1 Thue-Morse evaluation goes through the scaled tail
+engine.  With E(s) = M^s sum_{n>=M} (-1)^{t_n} n^-s,
+
+    sum_{n>=start} (-1)^{t_n} log R(n)
+        = log prod_{start<=n<M} R(n)^{(-1)^{t_n}}
+          + sum_j (-1)^(j+1) p_j / (j M^j) E(j),
+
+where p_j are the exact power sums of R's offsets.  The head is one exact
+rational taken through one logarithm.  The table E(1..) does not depend on
+R: it is built once per precision in integers from the 2^K-fold Prouhet
+recursion and shared by every evaluation (a bounded memo of a pure
+function, like ``gamma``).  The engine sums the whole tail, so its digits
+are real and its error estimate is a derived bound.
+
+When the caller fixes ``split_levels`` or ``terms``, ``eval_pm_thue``
+runs instead: the L-fold dyadic split, whose exact boundary is a rational
+and whose log-terms gain one order of decay per level, summed to a fixed
+number of terms through a second rational-independent table.  It is kept
+as an independent oracle.
 
 Plain products telescope into Gamma values.  The 0/1-exponent kinds use
 2 s_n = 1 - (-1)^{s_n} and combine the plain and +-1 results.
 
-Rudin-Shapiro products are summed directly (compensated summation over
-float64 terms); when the rational is not fully convergent the O(1/n)
+Rudin-Shapiro products are summed directly over float64 terms, with an
+exactly rounded sum; when the rational is not fully convergent the O(1/n)
 log-term component makes direct tails decay like 1/sqrt(N), so the
 evaluator first applies the exact index-regrouping split (``rs_split``)
 a configurable number of times, halving that slow component per level.
@@ -31,7 +40,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import List, Optional, Tuple
+from typing import Iterable, Iterator, List, Optional, Tuple
 
 import mpmath
 import numpy as np
@@ -40,8 +49,8 @@ from .errors import ConsistencyError, EvaluationError, InputError
 from .factored_rational import (FactoredRational, classify, log_term,
                                 pole_check, positivity_check,
                                 rs_split_power_sums, rs_split_rational)
-from .numerics import (DEFAULT_PRECISION, constant, gamma, log_fraction,
-                       mpf_from_fraction, workdps, working_dps)
+from .numerics import (DEFAULT_PRECISION, constant, gamma, gamma_error,
+                       log_fraction, mpf_from_fraction, workdps, working_dps)
 from .sequences import ExponentKind
 
 DEFAULT_TM_TERMS = 4096
@@ -49,9 +58,9 @@ DEFAULT_RS_TERMS = 10 ** 6
 # The Thue-Morse tail table loops over every term in Python: WR at 2^20
 # terms took 3.9 s at 60 digits and 59 s at 500 digits (one run, 2 vCPU).
 MAX_TM_TERMS = 1 << 20
-# The Rudin-Shapiro tail holds about 70 bytes per term in numpy arrays and
-# the list fed to math.fsum: GS at 4*10^6 terms raised peak RSS from 44 to
-# 322 MB, so this cap keeps one request near 0.3 GB.
+# The Rudin-Shapiro tail runs in blocks of RS_BLOCK terms, so its memory
+# does not grow with the terms: GS at this cap peaks at 44 MB and takes
+# 0.32 s (one run, 2 vCPU), against 322 MB when it held every term.
 MAX_RS_TERMS = 1 << 22
 DEFAULT_SPLIT_LEVELS = 8
 DEFAULT_RS_SPLIT_LEVELS = 10
@@ -95,21 +104,24 @@ class ProductSpec:
 class EvalOptions:
     """Work parameters: decimal precision, split levels, term counts.
 
-    ``terms`` defaults to 4096 for Thue-Morse kinds and 10^6 for
-    Rudin-Shapiro kinds; ``tm_terms`` and ``rs_terms`` reject counts above
+    With ``split_levels`` and ``terms`` both None, +-1 Thue-Morse products
+    go through the scaled tail engine.  Fixing either selects the split
+    oracle ``eval_pm_thue``, which reads None as ``DEFAULT_SPLIT_LEVELS``
+    levels and 4096 terms.  ``terms`` defaults to 10^6 for Rudin-Shapiro
+    kinds; ``tm_terms`` and ``rs_terms`` reject counts above
     ``MAX_TM_TERMS`` and ``MAX_RS_TERMS``.  ``rs_split_levels`` of None
     picks 0 for fully convergent rationals and 10 otherwise.
     """
 
     precision: int = DEFAULT_PRECISION
-    split_levels: int = DEFAULT_SPLIT_LEVELS
+    split_levels: Optional[int] = None
     terms: Optional[int] = None
     rs_split_levels: Optional[int] = None
 
     def __post_init__(self):
         if self.precision < 1:
             raise InputError("precision must be at least 1 digit")
-        if not 0 <= self.split_levels <= MAX_SPLIT_LEVELS:
+        if not 0 <= (self.split_levels or 0) <= MAX_SPLIT_LEVELS:
             raise InputError(f"split levels must be in 0..{MAX_SPLIT_LEVELS}")
         if self.terms is not None and self.terms < 16:
             raise InputError("terms must be >= 16")
@@ -132,7 +144,11 @@ class EvalOptions:
 
 @dataclass(frozen=True)
 class EvalResult:
-    """Value with a heuristic error bound and the work actually done."""
+    """Value with an error estimate and the work actually done.
+
+    The estimate is a derived bound for the scaled tail engine and for
+    plain products, and a heuristic for the split and direct-sum oracles.
+    """
 
     value: mpmath.mpf
     error_estimate: mpmath.mpf
@@ -246,7 +262,7 @@ def eval_pm_thue(spec: ProductSpec, opts: EvalOptions = EvalOptions()) -> EvalRe
         raise InputError(f"eval_pm_thue expects kind pm-t, got {spec.kind.value}")
     terms = opts.tm_terms()
     spec.validate()
-    levels = opts.split_levels
+    levels = DEFAULT_SPLIT_LEVELS if opts.split_levels is None else opts.split_levels
     precision = opts.precision
     wp = working_dps(precision)
 
@@ -269,6 +285,165 @@ def eval_pm_thue(spec: ProductSpec, opts: EvalOptions = EvalOptions()) -> EvalRe
 
 
 # ---------------------------------------------------------------------------
+# +-1 Thue-Morse products: the scaled tail engine
+# ---------------------------------------------------------------------------
+
+# The tail starts at M = 64, or at the next power of two that keeps
+# max|a_i| <= M / 2^K, so that each term of the tail series is at least
+# 2^K times smaller than the one before; every larger M has its own table.
+TM_TAIL_START = 64
+# K: the table recursion splits n >= 2^K M into 2^K residues mod 2^K.
+TM_FOLD = 3
+# Table bits beyond the working precision.
+TM_TABLE_GUARD = 32
+
+
+@lru_cache(maxsize=8)
+def _tm_scaled_table(m: int, fold: int, bits: int) -> Tuple[int, ...]:
+    """(e_0, ..., e_top) with e_s = E(s) 2^(bits - K s) to within
+    2^K m + 8 units, E(s) = sum_{n>=m} (-1)^{t_n} (m/n)^s, K = fold.
+
+    Writing n >= 2^K m as 2^K n' + i with i < 2^K gives t_n = t_n' + t_i,
+    and expanding (1 + i / (2^K n'))^-s gives
+
+        E(s) = F(s) + 2^(-Ks) sum_{k>=K} C(-s,k) m^-k (P_k / 2^(Kk)) E(s+k),
+
+    with F(s) = sum_{m<=n<2^K m} (-1)^{t_n} (m/n)^s and the Prouhet moments
+    P_k = sum_{i<2^K} (-1)^{t_i} i^k, which vanish for k < K.  At the row
+    scales the 2^(Kk) cancels:
+
+        e_s = f_s + 2^(-Ks) sum_k c_k P_k e_{s+k},   c_k = C(-s,k) m^-k,
+
+    so each row carries K bits less than the one before, rows past bits/K
+    are 0, and the rows are filled from the top down.  f_s sums iterated
+    floors y <- floor(y m / (2^K n)).  c_k follows c_k = c_{k-1} (-(s+k-1))
+    / (k m) by plain floor division, at a scale that covers the row's bits,
+    and is rounded before it multiplies the exact P_k.  The table does not
+    depend on the rational, so every evaluation at one precision shares it.
+
+    Rounding: f_s sums (2^K - 1) m iterated floors, each off by less than
+    2^K / (2^K - 1) units, so by less than 2^K m.  The final floor of the
+    correction, the rounded c_k, the rows cut at the top and the errors of
+    later rows (weighted by less than 2^-9) add less than 8 more.
+    """
+    width = 1 << fold
+    top = bits // fold
+    plus = [0] * (top + 1)
+    minus = [0] * (top + 1)
+    for n in range(m, width * m):
+        row = minus if n.bit_count() & 1 else plus
+        y = 1 << bits
+        d = n << fold
+        for s in range(1, top + 1):
+            y = y * m // d
+            if not y:
+                break
+            row[s] += y
+    e = [a - b for a, b in zip(plus, minus)]
+    moments = [sum(-(i ** k) if i.bit_count() & 1 else i ** k for i in range(width))
+               for k in range(top + 1)]
+    for s in range(top - fold, 0, -1):
+        # c_k carries the row's bits above 2^(Ks) and 40 guard bits, plus
+        # one per 32 rows for the growth of C(s+k-1, k) m^-k <= (1-1/m)^-s
+        scale = max(0, bits - 2 * fold * s) + 40 + s // 32
+        c = 1 << scale
+        acc = 0
+        for k in range(1, top - s + 1):
+            c = c * -(s + k - 1) // (k * m)
+            if not c:
+                break
+            if k >= fold:
+                acc += c * moments[k] * e[s + k]
+        e[s] += acc >> (scale + fold * s)
+    return tuple(e)
+
+
+def _tm_engine(spec: ProductSpec, precision: int) -> EvalResult:
+    """prod_{n>=start} R(n)^{(-1)^{t_n}} from an exact head and the scaled tail.
+
+    log prod = log H + sum_{j<=J} (-1)^(j+1) p_j / (j M^j) E(j), with the
+    exact head H = prod_{start<=n<M} R(n)^{(-1)^{t_n}} and E(j) from
+    ``_tm_scaled_table`` at B = working bits + 32.  With rho = max|a_i| / M
+    <= 2^-K and mass = sum |m_i|, the error of the log is bounded by
+
+    * truncation: for n >= M the series of log R(n) past j = J is below
+      mass (max|a_i|/n)^(J+1) / ((J+1)(1-rho)), and summing over n gives
+      mass rho^(J+1) (1 + M/J) / ((J+1)(1-rho));
+    * table rounding: row j is off by at most u = 2^K M + 8 units of
+      2^(Kj-B) and weighted by |p_j| / (j M^j) <= mass 2^(-Kj) / j, so at
+      most u mass H_J 2^-B (H_J the harmonic number);
+    * coefficient rounding: one floor division per term, J units of 2^-B;
+    * the head logarithm, taken at enough extra digits that its error
+      2 (bits of H's numerator and denominator + 2) 2^-prec is about 2 ulps;
+    * 10 ulps of the working precision, relative to 1 + |log H| + |tail|,
+      for the final sum, exp and a few operations on the value downstream.
+
+    The value's estimate is value * err (1 + err).
+    """
+    r = spec.rational
+    wp = working_dps(precision)
+    if r.is_one:
+        with workdps(wp):
+            return EvalResult(mpmath.mpf(1), mpmath.mpf(0), 0, 0)
+    max_abs = r.max_abs_offset()
+    m = TM_TAIL_START
+    while max_abs * (1 << TM_FOLD) > m:
+        m <<= 1
+    prec = mpmath.libmp.dps_to_prec(wp)
+    bits = prec + TM_TABLE_GUARD
+    table = _tm_scaled_table(m, TM_FOLD, bits)
+
+    num = den = 1
+    for n, value in enumerate(r.values_at(range(spec.start, m)), spec.start):
+        if n.bit_count() & 1:
+            num, den = num * value.denominator, den * value.numerator
+        else:
+            num, den = num * value.numerator, den * value.denominator
+    size = num.bit_length() + den.bit_length() + 2
+    head_digits = precision + len(str(size))
+
+    mass = sum(abs(mult) for _, mult in r.numerators)
+    rho = max_abs / m
+    need = (bits + math.log2(mass * (m + 1) * 8 / 7)) / -math.log2(rho)
+    j_max = min(len(table) - 1, max(1, math.ceil(need)))
+    psums = r.power_sums(j_max)
+    # p_j 2^(Kj) / (j M^j) = p_j / (j 2^(step j)) for M = 2^(K + step)
+    step = m.bit_length() - 1 - TM_FOLD
+    acc = 0
+    for j in range(1, j_max + 1):
+        p = psums[j]
+        term = (p.numerator * table[j] >> step * j) // (j * p.denominator)
+        acc += term if j & 1 else -term
+
+    with workdps(wp):
+        log_head = log_fraction(Fraction(num, den), head_digits)
+        tail = mpmath.ldexp(mpmath.mpf(acc), -bits)
+        value = mpmath.exp(log_head + tail)
+        rho_mp = mpmath.mpf(rho.numerator) / rho.denominator
+        truncation = (mass * rho_mp ** (j_max + 1) * (1 + mpmath.mpf(m) / j_max)
+                      / ((j_max + 1) * (1 - rho_mp)))
+        harmonic = math.fsum(1 / j for j in range(1, j_max + 1))
+        rounding = mpmath.ldexp(((m << TM_FOLD) + 8) * mass * harmonic + j_max,
+                                -bits)
+        head_prec = mpmath.libmp.dps_to_prec(working_dps(head_digits))
+        head_error = mpmath.ldexp(2 * size, -head_prec)
+        ulps = mpmath.ldexp(10 * (1 + abs(log_head) + abs(tail)), 1 - prec)
+        err_log = truncation + rounding + head_error + ulps
+        return EvalResult(value, value * err_log * (1 + err_log), m, 0)
+
+
+def _pm_thue(spec: ProductSpec, opts: EvalOptions) -> EvalResult:
+    """The +-1 Thue-Morse evaluation: the scaled tail engine, or the split
+    oracle ``eval_pm_thue`` when the caller fixes split levels or terms."""
+    if opts.split_levels is not None or opts.terms is not None:
+        return eval_pm_thue(spec, opts)
+    if spec.kind is not ExponentKind.PM_THUE:
+        raise InputError(f"eval_pm_thue expects kind pm-t, got {spec.kind.value}")
+    spec.validate()
+    return _tm_engine(spec, opts.precision)
+
+
+# ---------------------------------------------------------------------------
 # Plain products (Gamma telescoping)
 # ---------------------------------------------------------------------------
 
@@ -276,16 +451,18 @@ def eval_plain(spec: ProductSpec, opts: EvalOptions = EvalOptions()) -> EvalResu
     """prod_{n>=s} prod_i (n+a_i)^{m_i} = prod_i Gamma(a_i + s)^{-m_i}.
 
     Exact telescoping; the only error is Gamma's own, so no truncation
-    parameters apply.
+    parameters apply.  The estimate is sum_i |m_i| times ``gamma_error``
+    of each Gamma value, plus two rounding units per power and product.
     """
     if spec.kind is not ExponentKind.PLAIN:
         raise InputError(f"eval_plain expects kind plain, got {spec.kind.value}")
     spec.validate()
     r = spec.rational
     precision = opts.precision
-    mult_mass = 0
-    with workdps(working_dps(precision)):
+    wp = working_dps(precision)
+    with workdps(wp):
         value = mpmath.mpf(1)
+        rel = mpmath.mpf(0)
         for f in r.factors:
             arg = f.offset + spec.start
             if arg <= 0:
@@ -293,9 +470,9 @@ def eval_plain(spec: ProductSpec, opts: EvalOptions = EvalOptions()) -> EvalResu
                     f"Gamma telescoping needs offset + start > 0; "
                     f"factor offset {f.offset} with start {spec.start}")
             value *= gamma(arg, precision) ** (-f.multiplicity)
-            mult_mass += abs(f.multiplicity)
-        err = value * (mult_mass + 1) * mpmath.mpf(10) ** (2 - precision)
-        return EvalResult(value, err + _floor_error(precision), 0, 0)
+            rel += abs(f.multiplicity) * gamma_error(arg, precision)
+        rel += mpmath.ldexp(2 * len(r.numerators) + 1, 1 - mpmath.libmp.dps_to_prec(wp))
+        return EvalResult(value, value * rel, 0, 0)
 
 
 def eval_zero_one_thue(spec: ProductSpec, opts: EvalOptions = EvalOptions()) -> EvalResult:
@@ -304,29 +481,89 @@ def eval_zero_one_thue(spec: ProductSpec, opts: EvalOptions = EvalOptions()) -> 
         raise InputError(f"eval_zero_one_thue expects kind t, got {spec.kind.value}")
     spec.validate()
     # the +-1 product first: it rejects a terms count before any Gamma work
-    pm = eval_pm_thue(ProductSpec(spec.rational, ExponentKind.PM_THUE, spec.start), opts)
+    pm = _pm_thue(ProductSpec(spec.rational, ExponentKind.PM_THUE, spec.start), opts)
     plain = eval_plain(ProductSpec(spec.rational, ExponentKind.PLAIN, spec.start), opts)
     return _sqrt_ratio(plain, pm, opts)
 
 
 def _sqrt_ratio(plain: EvalResult, pm: EvalResult, opts: EvalOptions) -> EvalResult:
-    with workdps(working_dps(opts.precision)):
+    """sqrt(plain / pm): half of each relative estimate, plus 10 rounding
+    units of the working precision for the quotient and the root."""
+    wp = working_dps(opts.precision)
+    with workdps(wp):
         value = mpmath.sqrt(plain.value / pm.value)
         rel = (plain.error_estimate / plain.value
                + pm.error_estimate / pm.value) / 2
-        return EvalResult(value, value * rel + _floor_error(opts.precision),
-                          pm.terms_used, pm.split_levels)
+        rel += mpmath.ldexp(10, 1 - mpmath.libmp.dps_to_prec(wp))
+        return EvalResult(value, value * rel, pm.terms_used, pm.split_levels)
 
 
 # ---------------------------------------------------------------------------
 # Rudin-Shapiro products
 # ---------------------------------------------------------------------------
 
-def _eps_v_array(count: int) -> np.ndarray:
-    """(-1)^{v_n} for n = 0..count-1 as an int8 numpy array."""
-    n = np.arange(count, dtype=np.uint64)
+def _eps_v_array(lo: int, hi: int) -> np.ndarray:
+    """(-1)^{v_n} for n = lo..hi-1 as an int8 numpy array."""
+    n = np.arange(lo, hi, dtype=np.uint64)
     pairs = np.bitwise_count(n & (n >> np.uint64(1)))
     return (1 - 2 * (pairs.astype(np.int64) & 1)).astype(np.int8)
+
+
+# Terms per block of the Rudin-Shapiro tail: a block's arrays stay in cache
+# and no array of all the terms is built.
+RS_BLOCK = 1 << 14
+
+
+def _rs_tail_blocks(q: List[float], n0: int, terms: int) -> Iterator[np.ndarray]:
+    """(-1)^{v_n} sum_j q_j n^-j for n0 <= n <= terms, one block at a time.
+
+    Every term takes the same float64 Horner steps (acc += q_j; acc *= 1/n)
+    in every block, so the terms do not depend on the block size.
+    """
+    for lo in range(n0, terms + 1, RS_BLOCK):
+        hi = min(lo + RS_BLOCK, terms + 1)
+        x = 1.0 / np.arange(lo, hi, dtype=np.float64)
+        acc = np.zeros_like(x)
+        for qj in q[:0:-1]:
+            acc += qj
+            acc *= x
+        yield acc * _eps_v_array(lo, hi)
+
+
+# np.frexp exponents of finite float64 values lie in -1073..1024
+_FREXP_OFFSET = 1073
+_FREXP_SLOTS = 1024 + _FREXP_OFFSET + 1
+
+
+def _exact_sum(blocks: Iterable[np.ndarray]) -> float:
+    """The exactly rounded sum of finite float64 blocks, equal to math.fsum
+    of their concatenation, without building a Python list.
+
+    Each x = f 2^e (np.frexp) has the integer mantissa M = f 2^53, cut
+    into hi = M >> 26 and lo = M - hi 2^26 < 2^26.  np.bincount adds each
+    half per exponent in float64, exactly while a block holds fewer than
+    2^26 values; the integer sums are shifted onto one scale and a single
+    int / int, which Python rounds correctly, gives the result.
+    """
+    hi_sums = np.zeros(_FREXP_SLOTS, dtype=np.int64)
+    lo_sums = np.zeros(_FREXP_SLOTS, dtype=np.int64)
+    for block in blocks:
+        fraction, exponent = np.frexp(block)
+        mantissa = np.ldexp(fraction, 53).astype(np.int64)
+        hi = mantissa >> 26
+        slot = exponent + _FREXP_OFFSET
+        hi_sums += np.bincount(slot, weights=hi, minlength=_FREXP_SLOTS).astype(np.int64)
+        lo_sums += np.bincount(slot, weights=mantissa - (hi << 26),
+                               minlength=_FREXP_SLOTS).astype(np.int64)
+    used = np.flatnonzero(hi_sums | lo_sums)
+    if not used.size:
+        return 0.0
+    low = int(used[0])
+    total = sum(((int(hi_sums[i]) << 26) + int(lo_sums[i])) << (int(i) - low)
+                for i in used)
+    # x = M 2^(e - 53) and e = slot - offset
+    shift = low - _FREXP_OFFSET - 53
+    return float(total << shift) if shift >= 0 else total / (1 << -shift)
 
 
 def _rs_level_log_terms(r: FactoredRational, points: List[int]) -> List[float]:
@@ -376,7 +613,6 @@ def eval_pm_rs(spec: ProductSpec, opts: EvalOptions = EvalOptions()) -> EvalResu
             return EvalResult(value, value * _floor_error(precision)
                               + _floor_error(precision), 0, levels)
 
-    eps = _eps_v_array(terms + 1)
     max_abs = float(r.max_abs_offset())
     n0 = max(8, int(math.ceil(2 * max_abs)) + 1)
     pieces: List[float] = list(boundary_logs)
@@ -384,8 +620,8 @@ def eval_pm_rs(spec: ProductSpec, opts: EvalOptions = EvalOptions()) -> EvalResu
     small_lo = 1 if levels > 0 else max(spec.start, 1)
     small_hi = min(n0, terms + 1)
     small_terms = _rs_level_log_terms(r, list(range(small_lo, small_hi)))
-    pieces.extend(int(eps[n]) * t
-                  for n, t in zip(range(small_lo, small_hi), small_terms))
+    pieces.extend(int(e) * t
+                  for e, t in zip(_eps_v_array(small_lo, small_hi), small_terms))
 
     if terms >= n0:
         mass = sum(abs(m) for _, m in r.numerators)
@@ -396,14 +632,7 @@ def eval_pm_rs(spec: ProductSpec, opts: EvalOptions = EvalOptions()) -> EvalResu
         q = [0.0] * (j_max + 1)
         for j in range(1, j_max + 1):
             q[j] = float(psums[j] / j) * (1 if j % 2 == 1 else -1)
-        n = np.arange(n0, terms + 1, dtype=np.float64)
-        x = 1.0 / n
-        acc = np.zeros_like(x)
-        for j in range(j_max, 0, -1):
-            acc += q[j]
-            acc *= x
-        signed = acc * eps[n0:terms + 1]
-        pieces.append(math.fsum(signed.tolist()))
+        pieces.append(_exact_sum(_rs_tail_blocks(q, n0, terms)))
     else:
         psums = rs_split_power_sums(spec.rational, levels, 3)
 
@@ -438,7 +667,7 @@ def eval_zero_one_rs(spec: ProductSpec, opts: EvalOptions = EvalOptions()) -> Ev
 # ---------------------------------------------------------------------------
 
 _DISPATCH = {
-    ExponentKind.PM_THUE: eval_pm_thue,
+    ExponentKind.PM_THUE: _pm_thue,
     ExponentKind.ZERO_ONE_THUE: eval_zero_one_thue,
     ExponentKind.PM_RS: eval_pm_rs,
     ExponentKind.ZERO_ONE_RS: eval_zero_one_rs,
@@ -467,11 +696,10 @@ def f_value(a: Fraction, b: Fraction, opts: EvalOptions = EvalOptions()) -> Eval
     _check_f_parameter("b", b)
     if a == b:
         with workdps(working_dps(opts.precision)):
-            return EvalResult(mpmath.mpf(1), _floor_error(opts.precision),
-                              0, opts.split_levels)
+            return EvalResult(mpmath.mpf(1), mpmath.mpf(0), 0, 0)
     rational = FactoredRational.from_offsets({a: 1, b: -1})
     spec = ProductSpec(rational, ExponentKind.PM_THUE, 1)
-    return eval_pm_thue(spec, opts)
+    return _pm_thue(spec, opts)
 
 
 def g_value(x: Fraction, opts: EvalOptions = EvalOptions()) -> EvalResult:
@@ -515,7 +743,7 @@ def flajolet_martin(opts: EvalOptions = EvalOptions()) -> FlajoletMartin:
     # raises CapabilityError beyond the stored digits, before any work
     euler_gamma = constant("euler_gamma", precision)
     g0 = g_value(Fraction(0), opts)
-    ratio = eval_pm_thue(ProductSpec(FM_RATIO_RATIONAL, ExponentKind.PM_THUE, 1), opts)
+    ratio = _pm_thue(ProductSpec(FM_RATIO_RATIONAL, ExponentKind.PM_THUE, 1), opts)
     with workdps(working_dps(precision)):
         e_gamma = mpmath.exp(euler_gamma)
         inv_sqrt2 = 1 / mpmath.sqrt(mpmath.mpf(2))

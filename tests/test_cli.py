@@ -76,13 +76,26 @@ def test_eval_parse_error_exits_two(capsys):
 
 
 def test_eval_json_format(capsys):
+    # fixing the split levels and terms selects the split oracle
     code, out, _ = run(capsys, "eval", "(4n+1)/(4n+3)", "--kind", "pm-t",
-                       "--digits", "20", "--format", "json")
+                       "--digits", "20", "--split-levels", "8",
+                       "--terms", "4096", "--format", "json")
     assert code == 0
     payload = json.loads(out)
     assert payload["value"].startswith("0.50000000000000000000")
     assert payload["terms_used"] == 4096
     assert payload["split_levels"] == 8
+
+
+def test_eval_json_format_engine(capsys):
+    # the default path: the scaled tail engine, tail start M = 64, no split
+    code, out, _ = run(capsys, "eval", "(4n+1)/(4n+3)", "--kind", "pm-t",
+                       "--digits", "20", "--format", "json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["value"] == "0.50000000000000000000"
+    assert payload["terms_used"] == 64
+    assert payload["split_levels"] == 0
 
 
 def test_eval_deterministic_output(capsys):

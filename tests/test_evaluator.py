@@ -3,6 +3,7 @@ import random
 from fractions import Fraction as F
 
 import mpmath
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -432,6 +433,41 @@ def test_rs_error_estimate_honest_for_direct_slow_case():
     assert float(res.error_estimate) > float(actual) > 1e-5
 
 
+finite_floats = st.floats(allow_nan=False, allow_infinity=False,
+                          min_value=-1e300, max_value=1e300)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.lists(st.one_of(finite_floats,
+                                   st.floats(-1e-300, 1e-300, allow_subnormal=True)),
+                         max_size=40), max_size=6))
+def test_exact_sum_equals_fsum(blocks):
+    # blocks may be empty; values include subnormals, zeros and
+    # cancelling magnitudes
+    arrays = [np.array(b, dtype=np.float64) for b in blocks]
+    flat = [x for b in blocks for x in b]
+    assert evaluator._exact_sum(arrays) == math.fsum(flat)
+
+
+def test_exact_sum_cancellation_and_block_size():
+    rng = np.random.default_rng(5)
+    values = rng.standard_normal(5000) * 10.0 ** rng.integers(-300, 300, 5000)
+    values = np.concatenate([values, -values[:2500], [1e-320, 2.0 ** -1074]])
+    for size in (1, 7, 4096):
+        blocks = [values[i:i + size] for i in range(0, values.size, size)]
+        assert evaluator._exact_sum(blocks) == math.fsum(values.tolist())
+
+
+def test_rs_tail_blocks_match_one_array(monkeypatch):
+    # the same Horner steps per term whatever the block size
+    q = [0.0, 0.75, -0.3125, 0.125, 1e-3]
+    monkeypatch.setattr(evaluator, "RS_BLOCK", 1 << 20)
+    (whole,) = evaluator._rs_tail_blocks(q, 9, 50000)
+    monkeypatch.setattr(evaluator, "RS_BLOCK", 1000)
+    blocked = np.concatenate(list(evaluator._rs_tail_blocks(q, 9, 50000)))
+    assert whole.size == 50000 - 8 and np.array_equal(whole, blocked)
+
+
 def test_hot_paths_never_build_the_factors_view(monkeypatch):
     # the evaluators read the stored integer numerators; the Fraction view
     # ``factors`` serves rendering, the plain kind and the symbolic engine
@@ -512,7 +548,9 @@ def test_options_validation():
 # ---------------------------------------------------------------------------
 
 def test_f_reflexive_is_one():
-    assert f_value(F(3, 7), F(3, 7)).value == 1
+    res = f_value(F(3, 7), F(3, 7))
+    assert res.value == 1 and res.error_estimate == 0
+    assert (res.terms_used, res.split_levels) == (0, 0)
 
 
 def test_f_half_one_is_sqrt_two():

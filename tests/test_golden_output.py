@@ -4,7 +4,9 @@ Each case runs ``cli.main(argv)`` with ``--format json`` and compares
 stdout with ``tests/golden/<name>.json``.  A change that moves any printed
 digit fails here.  After an intended output change, rewrite the files of
 the named cases, and only those, with
-``PYTHONPATH=src python tests/test_golden_output.py NAME [NAME ...]``.
+``PYTHONPATH=src python tests/test_golden_output.py NAME [NAME ...]``;
+it prints the old and the new JSON of every case it rewrites, so that a
+record of the change can be copied from its output.
 """
 
 import contextlib
@@ -76,4 +78,7 @@ if __name__ == "__main__":
     os.environ.pop(ENV_PRECISION, None)
     for case in names:
         _, text = run_json(CASES[case])
-        (GOLDEN / f"{case}.json").write_text(text)
+        path = GOLDEN / f"{case}.json"
+        old = path.read_text() if path.exists() else "(none)\n"
+        print(f"== {case}\nold: {old}new: {text}", end="")
+        path.write_text(text)

@@ -7,8 +7,9 @@ import pytest
 
 from digitprod import CapabilityError, EvaluationError, InputError, constant, gamma
 from digitprod.numerics import (CF_E_GAMMA, CF_GAMMA_QUARTER, CF_PI, Div,
-                                Sub, cf_mul, cf_pow, cf_rat,
-                                power_product_exponents, power_product_form)
+                                Sub, cf_mul, cf_pow, cf_rat, gamma_error,
+                                power_product_exponents, power_product_form,
+                                working_dps)
 
 
 def tol(digits, slack=2):
@@ -52,6 +53,20 @@ def test_gamma_against_library_oracle():
             ours = gamma(x, 60)
             ref = mpmath.gamma(mpmath.mpf(x.numerator) / x.denominator)
             assert abs(ours - ref) < tol(60) * abs(ref)
+
+
+@pytest.mark.parametrize("precision", [1, 3, 20, 60, 200])
+def test_gamma_error_bounds_the_actual_error(precision):
+    # against mpmath.gamma; the bound stays within 10^3 units of the
+    # working precision, so products built on it keep their digits
+    unit = mpmath.ldexp(1, 1 - mpmath.libmp.dps_to_prec(working_dps(precision)))
+    for x in (F(1, 4), F(3, 4), F(1, 2), F(7, 3), F(5), F(41, 8)):
+        with mpmath.workdps(precision + 40):
+            ref = mpmath.gamma(mpmath.mpf(x.numerator) / x.denominator)
+            rel = abs(gamma(x, precision) / ref - 1)
+            bound = gamma_error(x, precision)
+            assert rel <= bound, x
+            assert bound <= 1000 * unit, x
 
 
 def test_gamma_recurrence_invariant():
