@@ -59,8 +59,8 @@ DEFAULT_RS_TERMS = 10 ** 6
 # terms took 3.9 s at 60 digits and 59 s at 500 digits (one run, 2 vCPU).
 MAX_TM_TERMS = 1 << 20
 # The Rudin-Shapiro tail runs in blocks of RS_BLOCK terms, so its memory
-# does not grow with the terms: GS at this cap peaks at 44 MB and takes
-# 0.32 s (one run, 2 vCPU), against 322 MB when it held every term.
+# does not grow with the terms; the cap bounds the time: GS at this cap
+# takes 0.32 s and peaks at 44 MB (one run, 2 vCPU).
 MAX_RS_TERMS = 1 << 22
 DEFAULT_SPLIT_LEVELS = 8
 DEFAULT_RS_SPLIT_LEVELS = 10

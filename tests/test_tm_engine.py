@@ -45,7 +45,7 @@ def _references(digits):
 @pytest.mark.parametrize("digits", [60, 200, 500])
 def test_engine_full_digits_on_closed_forms(digits):
     refs = _references(digits)
-    for name in ["WR", "C3c", "C3i", "C3l", "T5a", "T5b", "T5c"]:
+    for name in TM_NAMES:
         res = eval_product(catalog_entry(name).spec, EvalOptions(precision=digits))
         assert (res.terms_used, res.split_levels) == (64, 0)
         with mpmath.workdps(digits + 30):
