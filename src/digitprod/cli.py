@@ -116,12 +116,18 @@ def _to_csv(payload: dict) -> str:
 
 def _printed(value, estimate, digits: int) -> tuple:
     """The value to ``digits`` significant digits, and its error estimate
-    plus half a unit in the last printed digit, so that the printed
-    estimate covers the printed value."""
+    plus half a unit in the last printed digit, rounded up to three
+    digits, so that the printed estimate covers the printed value."""
     text = _nstr(value, digits)
     last = Decimal(text).adjusted() - digits + 1
+    man, exp = mpmath.mpf(estimate).man_exp
+    bound = man * Fraction(2) ** exp + Fraction(10) ** last / 2
     with workdps(digits + 5):
-        return text, _nstr(estimate + mpmath.mpf(10) ** last / 2, 3)
+        shown = Decimal(_nstr(estimate + mpmath.mpf(10) ** last / 2, 3))
+        if Fraction(shown) < bound:
+            # one unit in the third digit up from a value that rounded down
+            shown += Decimal(1).scaleb(shown.adjusted() - 2)
+        return text, _nstr(mpmath.mpf(str(shown)), 3)
 
 
 def _eval_result_payload(result: EvalResult, digits: int) -> dict:
@@ -325,7 +331,8 @@ def _add_common(parser: argparse.ArgumentParser, default_precision: int) -> None
                         help="dyadic split levels for +-1 Thue-Morse products; "
                              "setting this or --terms selects the split oracle "
                              f"(default {DEFAULT_SPLIT_LEVELS} there) in place "
-                             "of the scaled tail engine")
+                             "of the scaled tail engine, as does an offset "
+                             "above 64")
     parser.add_argument("--terms", type=_positive_int, default=None,
                         help=f"summation terms (Thue-Morse: selects the split "
                              f"oracle, default {DEFAULT_TM_TERMS}; Rudin-Shapiro: "

@@ -12,7 +12,9 @@ rational taken through one logarithm.  The table E(1..) does not depend on
 R: it is built once per precision in integers from the 2^K-fold Prouhet
 recursion and shared by every evaluation (a bounded memo of a pure
 function, like ``gamma``).  The engine sums the whole tail, so its digits
-are real and its error estimate is a derived bound.
+are real and its error estimate is a derived bound.  M grows with the
+largest offset and the table's cost with M, so offsets above
+``TM_MAX_TAIL_START / 2^K`` go to the split oracle.
 
 When the caller fixes ``split_levels`` or ``terms``, ``eval_pm_thue``
 runs instead: the L-fold dyadic split, whose exact boundary is a rational
@@ -105,7 +107,8 @@ class EvalOptions:
     """Work parameters: decimal precision, split levels, term counts.
 
     With ``split_levels`` and ``terms`` both None, +-1 Thue-Morse products
-    go through the scaled tail engine.  Fixing either selects the split
+    go through the scaled tail engine, unless an offset exceeds
+    ``TM_MAX_TAIL_START / 2^K`` = 64.  Fixing either selects the split
     oracle ``eval_pm_thue``, which reads None as ``DEFAULT_SPLIT_LEVELS``
     levels and 4096 terms.  ``terms`` defaults to 10^6 for Rudin-Shapiro
     kinds; ``tm_terms`` and ``rs_terms`` reject counts above
@@ -241,19 +244,36 @@ def _tm_log_sum(r: FactoredRational, start: int, terms: int,
                 abs(mpmath.mpf(h)) / (1 << bits))
 
 
-def _tm_start1_boundary(r: FactoredRational, levels: int) -> Fraction:
-    """prod_{1<=i<2^L} R(i)^{(-1)^{t_i}}, the start-1 boundary of the L-fold split.
+def _tm_head(r: FactoredRational, lo: int, hi: int) -> Fraction:
+    """prod_{lo<=n<hi} R(n)^{(-1)^{t_n}}, exactly.
 
-    Numerators and denominators are multiplied as integers; one Fraction
-    is built at the end.
+    With a_i = u_i / D, R(n) = s D^-deg prod_i (n D + u_i)^{m_i}, so the
+    integer factors n D + u_i are multiplied straight into one numerator
+    and one denominator, and a single Fraction is built at the end.
     """
+    d = r.denominator
     num = den = 1
-    for i, value in enumerate(r.values_at(range(1, 1 << levels)), 1):
-        if i.bit_count() & 1:
-            num, den = num * value.denominator, den * value.numerator
+    net = 0  # points with even t_n minus points with odd t_n
+    for n in range(lo, hi):
+        p = q = 1
+        for u, m in r.numerators:
+            base = n * d + u
+            if not base:
+                raise EvaluationError(f"R({n}) has a zero factor; real log undefined")
+            if m > 0:
+                p *= base ** m
+            else:
+                q *= base ** -m
+        if n.bit_count() & 1:
+            num, den, net = num * q, den * p, net - 1
         else:
-            num, den = num * value.numerator, den * value.denominator
-    return Fraction(num, den)
+            num, den, net = num * p, den * q, net + 1
+    return Fraction(num, den) * (r.scale / Fraction(d) ** r.degree_sum()) ** net
+
+
+def _tm_start1_boundary(r: FactoredRational, levels: int) -> Fraction:
+    """prod_{1<=i<2^L} R(i)^{(-1)^{t_i}}, the start-1 boundary of the L-fold split."""
+    return _tm_head(r, 1, 1 << levels)
 
 
 def eval_pm_thue(spec: ProductSpec, opts: EvalOptions = EvalOptions()) -> EvalResult:
@@ -292,6 +312,14 @@ def eval_pm_thue(spec: ProductSpec, opts: EvalOptions = EvalOptions()) -> EvalRe
 # max|a_i| <= M / 2^K, so that each term of the tail series is at least
 # 2^K times smaller than the one before; every larger M has its own table.
 TM_TAIL_START = 64
+# The table loops over 7M values of n, so past M = 256 its cost doubles
+# with M.  Cold, g(x) at M = 512 (x = 100) took 0.06-0.08 s at 60 digits
+# and 0.8 s at 500, about what the split oracle takes at its defaults
+# (0.06 s and 0.65-0.8 s); at M = 4096 (x = 1000) it took 0.35 s and 5.5 s
+# against 0.07 s and 1.5 s, and at M = 65536 (x = 10^4) 11.4 s against
+# 0.15 s at 60 digits (one run each, 2 vCPU).  Offsets that would need a
+# larger M go to the split oracle.
+TM_MAX_TAIL_START = 1 << 9
 # K: the table recursion splits n >= 2^K M into 2^K residues mod 2^K.
 TM_FOLD = 3
 # Table bits beyond the working precision.
@@ -358,6 +386,15 @@ def _tm_scaled_table(m: int, fold: int, bits: int) -> Tuple[int, ...]:
     return tuple(e)
 
 
+def _tm_tail_start(r: FactoredRational) -> int:
+    """M: TM_TAIL_START, or the next power of two with max|a_i| <= M / 2^K."""
+    max_abs = r.max_abs_offset()
+    m = TM_TAIL_START
+    while max_abs * (1 << TM_FOLD) > m:
+        m <<= 1
+    return m
+
+
 def _tm_engine(spec: ProductSpec, precision: int) -> EvalResult:
     """prod_{n>=start} R(n)^{(-1)^{t_n}} from an exact head and the scaled tail.
 
@@ -385,25 +422,17 @@ def _tm_engine(spec: ProductSpec, precision: int) -> EvalResult:
     if r.is_one:
         with workdps(wp):
             return EvalResult(mpmath.mpf(1), mpmath.mpf(0), 0, 0)
-    max_abs = r.max_abs_offset()
-    m = TM_TAIL_START
-    while max_abs * (1 << TM_FOLD) > m:
-        m <<= 1
+    m = _tm_tail_start(r)
     prec = mpmath.libmp.dps_to_prec(wp)
     bits = prec + TM_TABLE_GUARD
     table = _tm_scaled_table(m, TM_FOLD, bits)
 
-    num = den = 1
-    for n, value in enumerate(r.values_at(range(spec.start, m)), spec.start):
-        if n.bit_count() & 1:
-            num, den = num * value.denominator, den * value.numerator
-        else:
-            num, den = num * value.numerator, den * value.denominator
-    size = num.bit_length() + den.bit_length() + 2
+    head = _tm_head(r, spec.start, m)
+    size = head.numerator.bit_length() + head.denominator.bit_length() + 2
     head_digits = precision + len(str(size))
 
     mass = sum(abs(mult) for _, mult in r.numerators)
-    rho = max_abs / m
+    rho = r.max_abs_offset() / m
     need = (bits + math.log2(mass * (m + 1) * 8 / 7)) / -math.log2(rho)
     j_max = min(len(table) - 1, max(1, math.ceil(need)))
     psums = r.power_sums(j_max)
@@ -416,7 +445,7 @@ def _tm_engine(spec: ProductSpec, precision: int) -> EvalResult:
         acc += term if j & 1 else -term
 
     with workdps(wp):
-        log_head = log_fraction(Fraction(num, den), head_digits)
+        log_head = log_fraction(head, head_digits)
         tail = mpmath.ldexp(mpmath.mpf(acc), -bits)
         value = mpmath.exp(log_head + tail)
         rho_mp = mpmath.mpf(rho.numerator) / rho.denominator
@@ -434,8 +463,10 @@ def _tm_engine(spec: ProductSpec, precision: int) -> EvalResult:
 
 def _pm_thue(spec: ProductSpec, opts: EvalOptions) -> EvalResult:
     """The +-1 Thue-Morse evaluation: the scaled tail engine, or the split
-    oracle ``eval_pm_thue`` when the caller fixes split levels or terms."""
-    if opts.split_levels is not None or opts.terms is not None:
+    oracle ``eval_pm_thue`` when the caller fixes split levels or terms or
+    when the offsets would need a tail start above TM_MAX_TAIL_START."""
+    if (opts.split_levels is not None or opts.terms is not None
+            or _tm_tail_start(spec.rational) > TM_MAX_TAIL_START):
         return eval_pm_thue(spec, opts)
     if spec.kind is not ExponentKind.PM_THUE:
         raise InputError(f"eval_pm_thue expects kind pm-t, got {spec.kind.value}")

@@ -1,9 +1,12 @@
 import json
+from decimal import Decimal
+from fractions import Fraction
 
+import mpmath
 import pytest
 
 from digitprod import evaluator, symbolic
-from digitprod.cli import main
+from digitprod.cli import _printed, main
 from digitprod.evaluator import MAX_RS_TERMS, MAX_TM_TERMS
 from digitprod.symbolic import MAX_REDUCE_DEPTH
 
@@ -96,6 +99,37 @@ def test_eval_json_format_engine(capsys):
     assert payload["value"] == "0.50000000000000000000"
     assert payload["terms_used"] == 64
     assert payload["split_levels"] == 0
+
+
+@pytest.mark.parametrize("argv", [
+    ("g", "--x", "10000"),
+    ("eval", "(n+1000)/(n+1001)", "--kind", "pm-t"),
+])
+def test_large_offsets_take_the_split_oracle(capsys, monkeypatch, argv):
+    # the engine's table would need a tail start of 2^13 or more
+    def no_table(*args):
+        raise AssertionError("built an engine table")
+    monkeypatch.setattr(evaluator, "_tm_scaled_table", no_table)
+    code, out, _ = run(capsys, *argv, "--format", "json")
+    assert code == 0
+    payload = json.loads(out)
+    assert (payload["terms_used"], payload["split_levels"]) == (4096, 8)
+
+
+@pytest.mark.parametrize("value, estimate", [
+    ("0.5", "1e-70"), ("0.5", "0"), ("0.7071", "5.2449e-5"),
+    ("1.25", "1.7851"), ("3.0", "9.996e-5"), ("0.5", "0.3525")])
+def test_printed_estimate_covers_the_printed_value(value, estimate):
+    # estimate + half a unit in the last printed digit, rounded up to three
+    # digits: at least the bound and less than one third-digit unit above it
+    digits = 20
+    text, shown = _printed(mpmath.mpf(value), mpmath.mpf(estimate), digits)
+    half = Fraction(10) ** (Decimal(text).adjusted() - digits + 1) / 2
+    man, exp = mpmath.mpf(estimate).man_exp
+    bound = man * Fraction(2) ** exp + half
+    printed = Fraction(Decimal(shown))
+    assert bound <= printed
+    assert printed - bound < Fraction(10) ** (Decimal(shown).adjusted() - 2)
 
 
 def test_eval_deterministic_output(capsys):

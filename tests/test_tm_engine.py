@@ -104,6 +104,28 @@ def test_engine_large_offsets_take_a_larger_tail_start():
         assert abs(oracle.value - res.value) < mpmath.mpf(10) ** -55
 
 
+@pytest.mark.parametrize("x, tail_start", [
+    (F(127), evaluator.TM_MAX_TAIL_START),  # max|a| = 64: M = 512, the cap
+    (F(128), None),                         # max|a| = 129/2 would need 1024
+    (F(10 ** 4), None),                     # max|a| = (10^4 + 1)/2: 2^16
+])
+def test_offsets_above_the_tail_start_cap_take_the_split_oracle(
+        monkeypatch, x, tail_start):
+    # decided from the offsets before any work: past the cap no engine
+    # table is built, and the split oracle runs at its defaults
+    if tail_start is None:
+        def no_table(*args):
+            raise AssertionError("built an engine table")
+        monkeypatch.setattr(evaluator, "_tm_scaled_table", no_table)
+    a, b = x / 2, (x + 1) / 2
+    res = f_value(a, b)
+    if tail_start is None:
+        assert res == f_value(a, b, EvalOptions(split_levels=8, terms=4096))
+        assert (res.terms_used, res.split_levels) == (4096, 8)
+    else:
+        assert (res.terms_used, res.split_levels) == (tail_start, 0)
+
+
 def test_engine_table_is_shared_and_built_on_first_use():
     evaluator._tm_scaled_table.cache_clear()
     for name in ["WR", "C3b", "T5a"]:
