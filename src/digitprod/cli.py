@@ -334,12 +334,15 @@ def _add_common(parser: argparse.ArgumentParser, default_precision: int) -> None
                              "of the scaled tail engine, as does an offset "
                              "above 64")
     parser.add_argument("--terms", type=_positive_int, default=None,
-                        help=f"summation terms (Thue-Morse: selects the split "
-                             f"oracle, default {DEFAULT_TM_TERMS}; Rudin-Shapiro: "
-                             f"default {DEFAULT_RS_TERMS}; at most "
+                        help=f"summation terms; selects the kind's oracle "
+                             f"(Thue-Morse: default {DEFAULT_TM_TERMS}; "
+                             f"Rudin-Shapiro: default {DEFAULT_RS_TERMS}; at most "
                              f"{MAX_TM_TERMS} and {MAX_RS_TERMS})")
     parser.add_argument("--rs-split-levels", type=int, default=None,
-                        help="Rudin-Shapiro split levels (default: automatic)")
+                        help="Rudin-Shapiro split levels; setting this or "
+                             "--terms selects the direct-sum oracle (default "
+                             "automatic there) in place of the scaled tail "
+                             "engine, as does an offset above 128")
     parser.add_argument("--format", choices=("text", "json", "csv"),
                         default="text")
     parser.add_argument("--output", default=None, metavar="PATH",

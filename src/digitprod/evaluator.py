@@ -1,20 +1,25 @@
 """Numerical engines for the five exponent kinds and the analytic probes.
 
-Every default +-1 Thue-Morse evaluation goes through the scaled tail
-engine.  With E(s) = M^s sum_{n>=M} (-1)^{t_n} n^-s,
+Every default +-1 evaluation, Thue-Morse or Rudin-Shapiro, goes through
+one scaled tail engine.  The exponent x_n[0] comes from a signed binary
+automaton (``_Automaton``): one state for (-1)^{t_n}, and the pair
+(r_n, u_n) = ((-1)^{v_n}, (-1)^n (-1)^{v_n}) for Rudin-Shapiro.  With
+E(s) = M^s sum_{n>=M} x_n[0] n^-s,
 
-    sum_{n>=start} (-1)^{t_n} log R(n)
-        = log prod_{start<=n<M} R(n)^{(-1)^{t_n}}
+    sum_{n>=start} x_n[0] log R(n)
+        = log prod_{start<=n<M} R(n)^{x_n[0]}
           + sum_j (-1)^(j+1) p_j / (j M^j) E(j),
 
 where p_j are the exact power sums of R's offsets.  The head is one exact
 rational taken through one logarithm.  The table E(1..) does not depend on
-R: it is built once per precision in integers from the 2^K-fold Prouhet
-recursion and shared by every evaluation (a bounded memo of a pure
-function, like ``gamma``).  The engine sums the whole tail, so its digits
-are real and its error estimate is a derived bound.  M grows with the
-largest offset and the table's cost with M, so offsets above
-``TM_MAX_TAIL_START / 2^K`` go to the split oracle.
+R: it is built once per automaton and precision in integers from the
+2^K-fold recursion of the automaton (Allouche & Cohen, "Dirichlet series
+and curious infinite products", Bull. LMS 1985) and shared by every
+evaluation (a bounded memo of a pure function, like ``gamma``).  The
+engine sums the whole tail, so its digits are real and its error estimate
+is a derived bound.  M grows with the largest offset and the table's cost
+with M, so offsets above ``MAX_TAIL_START / 2^K`` (64 for Thue-Morse, 128
+for Rudin-Shapiro) go to the kind's oracle.
 
 When the caller fixes ``split_levels`` or ``terms``, ``eval_pm_thue``
 runs instead: the L-fold dyadic split, whose exact boundary is a rational
@@ -22,18 +27,16 @@ and whose log-terms gain one order of decay per level, summed to a fixed
 number of terms through a second rational-independent table.  It is kept
 as an independent oracle.
 
+When the caller fixes ``rs_split_levels`` or ``terms``, ``eval_pm_rs``
+runs instead, also kept as an oracle: it sums float64 terms directly, with
+an exactly rounded sum, after applying the exact index-regrouping split
+(``rs_split``) a number of times when the rational is not fully
+convergent, halving the slow O(1/n) log-term component per level.  The
+tail's power sums are carried through the split chain from the base
+rational's own (``rs_split_power_sums``).
+
 Plain products telescope into Gamma values.  The 0/1-exponent kinds use
 2 s_n = 1 - (-1)^{s_n} and combine the plain and +-1 results.
-
-Rudin-Shapiro products are summed directly over float64 terms, with an
-exactly rounded sum; when the rational is not fully convergent the O(1/n)
-log-term component makes direct tails decay like 1/sqrt(N), so the
-evaluator first applies the exact index-regrouping split (``rs_split``)
-a configurable number of times, halving that slow component per level.
-The tail's power sums are carried through the split chain from the base
-rational's own (``rs_split_power_sums``), never summed over the factors of
-the last split rational; the chain itself still gives the head terms and
-the offset bounds.
 """
 
 from __future__ import annotations
@@ -42,7 +45,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Iterator, List, Optional, Tuple
+from operator import mul
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 import mpmath
 import numpy as np
@@ -66,6 +70,12 @@ MAX_TM_TERMS = 1 << 20
 MAX_RS_TERMS = 1 << 22
 DEFAULT_SPLIT_LEVELS = 8
 DEFAULT_RS_SPLIT_LEVELS = 10
+# The split oracle's head multiplies one Fraction per point n < n0, where
+# n0 grows with max|a_i|, so its cost is quadratic in the offsets:
+# f_value(x/2, (x+1)/2) at 60 digits took 1.02 s at x = 10^5 and 1.88 s at
+# x = 131070, just under this cap (one run each, 2 vCPU); the 4.6 s and
+# 16.9 s at x = 2*10^5 and 4*10^5 are above it.
+MAX_TM_OFFSET = 1 << 16
 # Split work grows geometrically with the levels; these caps keep one
 # request within about a minute.
 MAX_SPLIT_LEVELS = 16
@@ -106,14 +116,16 @@ class ProductSpec:
 class EvalOptions:
     """Work parameters: decimal precision, split levels, term counts.
 
-    With ``split_levels`` and ``terms`` both None, +-1 Thue-Morse products
-    go through the scaled tail engine, unless an offset exceeds
-    ``TM_MAX_TAIL_START / 2^K`` = 64.  Fixing either selects the split
-    oracle ``eval_pm_thue``, which reads None as ``DEFAULT_SPLIT_LEVELS``
-    levels and 4096 terms.  ``terms`` defaults to 10^6 for Rudin-Shapiro
-    kinds; ``tm_terms`` and ``rs_terms`` reject counts above
-    ``MAX_TM_TERMS`` and ``MAX_RS_TERMS``.  ``rs_split_levels`` of None
-    picks 0 for fully convergent rationals and 10 otherwise.
+    With ``split_levels`` (Thue-Morse) or ``rs_split_levels``
+    (Rudin-Shapiro) and ``terms`` all None, +-1 products go through the
+    scaled tail engine, unless an offset would need a tail start above
+    ``MAX_TAIL_START``: |a_i| above 64 for Thue-Morse, 128 for
+    Rudin-Shapiro.  Fixing either selects the kind's oracle.
+    ``eval_pm_thue`` reads None as ``DEFAULT_SPLIT_LEVELS`` levels and 4096
+    terms and refuses offsets above ``MAX_TM_OFFSET``; ``eval_pm_rs`` reads
+    ``terms`` None as 10^6, and ``rs_split_levels`` None as 0 for fully
+    convergent rationals and 10 otherwise.  ``tm_terms`` and ``rs_terms``
+    reject counts above ``MAX_TM_TERMS`` and ``MAX_RS_TERMS``.
     """
 
     precision: int = DEFAULT_PRECISION
@@ -149,8 +161,10 @@ class EvalOptions:
 class EvalResult:
     """Value with an error estimate and the work actually done.
 
-    The estimate is a derived bound for the scaled tail engine and for
-    plain products, and a heuristic for the split and direct-sum oracles.
+    The estimate is a derived bound for the scaled tail engine (every
+    default +-1 evaluation with offsets up to 64 for Thue-Morse and 128 for
+    Rudin-Shapiro) and for plain products, and a heuristic for the split
+    and direct-sum oracles.
     """
 
     value: mpmath.mpf
@@ -244,36 +258,9 @@ def _tm_log_sum(r: FactoredRational, start: int, terms: int,
                 abs(mpmath.mpf(h)) / (1 << bits))
 
 
-def _tm_head(r: FactoredRational, lo: int, hi: int) -> Fraction:
-    """prod_{lo<=n<hi} R(n)^{(-1)^{t_n}}, exactly.
-
-    With a_i = u_i / D, R(n) = s D^-deg prod_i (n D + u_i)^{m_i}, so the
-    integer factors n D + u_i are multiplied straight into one numerator
-    and one denominator, and a single Fraction is built at the end.
-    """
-    d = r.denominator
-    num = den = 1
-    net = 0  # points with even t_n minus points with odd t_n
-    for n in range(lo, hi):
-        p = q = 1
-        for u, m in r.numerators:
-            base = n * d + u
-            if not base:
-                raise EvaluationError(f"R({n}) has a zero factor; real log undefined")
-            if m > 0:
-                p *= base ** m
-            else:
-                q *= base ** -m
-        if n.bit_count() & 1:
-            num, den, net = num * q, den * p, net - 1
-        else:
-            num, den, net = num * p, den * q, net + 1
-    return Fraction(num, den) * (r.scale / Fraction(d) ** r.degree_sum()) ** net
-
-
 def _tm_start1_boundary(r: FactoredRational, levels: int) -> Fraction:
     """prod_{1<=i<2^L} R(i)^{(-1)^{t_i}}, the start-1 boundary of the L-fold split."""
-    return _tm_head(r, 1, 1 << levels)
+    return _head(r, 1, 1 << levels, THUE_MORSE)
 
 
 def eval_pm_thue(spec: ProductSpec, opts: EvalOptions = EvalOptions()) -> EvalResult:
@@ -281,6 +268,8 @@ def eval_pm_thue(spec: ProductSpec, opts: EvalOptions = EvalOptions()) -> EvalRe
     if spec.kind is not ExponentKind.PM_THUE:
         raise InputError(f"eval_pm_thue expects kind pm-t, got {spec.kind.value}")
     terms = opts.tm_terms()
+    if spec.rational.max_abs_offset() > MAX_TM_OFFSET:
+        raise InputError(f"the split oracle takes offsets |a_i| <= {MAX_TM_OFFSET}")
     spec.validate()
     levels = DEFAULT_SPLIT_LEVELS if opts.split_levels is None else opts.split_levels
     precision = opts.precision
@@ -305,61 +294,168 @@ def eval_pm_thue(spec: ProductSpec, opts: EvalOptions = EvalOptions()) -> EvalRe
 
 
 # ---------------------------------------------------------------------------
-# +-1 Thue-Morse products: the scaled tail engine
+# +-1 products: the scaled tail engine over a signed automaton
 # ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class _Automaton:
+    """A signed binary automaton, and the table fold K of its engine.
+
+    Its sequence is a vector x_n with one entry per state: x_0 = 1 in
+    every state and x_{2n+d}[q] = sign[q][d] x_n[next_state[q][d]].  A
+    product's exponent is x_n[0].  Reading the K low digits of
+    n = 2^K n' + i, least significant first, gives x_n = A_i x_n', where
+    row q of A_i holds one sign, in the column of the state the digits of
+    i lead q to.
+    """
+
+    name: str
+    next_state: Tuple[Tuple[int, int], ...]
+    sign: Tuple[Tuple[int, int], ...]
+    fold: int
+
+    def vectors(self, hi: int) -> List[Tuple[int, ...]]:
+        """[x_0, ..., x_{hi-1}]."""
+        digits = [[(t[d], s[d]) for t, s in zip(self.next_state, self.sign)]
+                  for d in (0, 1)]
+        xs = [(1,) * len(self.sign)]
+        for n in range(1, hi):
+            prev = xs[n >> 1]
+            xs.append(tuple([sign * prev[t] for t, sign in digits[n & 1]]))
+        return xs[:hi]
+
+    def residue_map(self, i: int) -> List[Tuple[int, int]]:
+        """Row q of A_i as (column, sign), for the K-digit word i."""
+        rows = []
+        for q in range(len(self.sign)):
+            sign = 1
+            for j in range(self.fold):
+                d = i >> j & 1
+                sign *= self.sign[q][d]
+                q = self.next_state[q][d]
+            rows.append((q, sign))
+        return rows
+
+
+# (-1)^{t_n}: one state, whose sign flips at every 1 digit
+THUE_MORSE = _Automaton("Thue-Morse", ((0, 0),), ((1, -1),), 3)
+# (r_n, u_n) = ((-1)^{v_n}, (-1)^n (-1)^{v_n}): r_2n = r_n, r_2n+1 = u_n,
+# u_2n = r_n and u_2n+1 = -u_n
+RUDIN_SHAPIRO = _Automaton("Rudin-Shapiro", ((0, 1), (0, 1)), ((1, 1), (1, -1)), 2)
 
 # The tail starts at M = 64, or at the next power of two that keeps
 # max|a_i| <= M / 2^K, so that each term of the tail series is at least
 # 2^K times smaller than the one before; every larger M has its own table.
-TM_TAIL_START = 64
-# The table loops over 7M values of n, so past M = 256 its cost doubles
-# with M.  Cold, g(x) at M = 512 (x = 100) took 0.06-0.08 s at 60 digits
-# and 0.8 s at 500, about what the split oracle takes at its defaults
-# (0.06 s and 0.65-0.8 s); at M = 4096 (x = 1000) it took 0.35 s and 5.5 s
-# against 0.07 s and 1.5 s, and at M = 65536 (x = 10^4) 11.4 s against
-# 0.15 s at 60 digits (one run each, 2 vCPU).  Offsets that would need a
-# larger M go to the split oracle.
-TM_MAX_TAIL_START = 1 << 9
-# K: the table recursion splits n >= 2^K M into 2^K residues mod 2^K.
-TM_FOLD = 3
+TAIL_START = 64
+# The table loops over (2^K - 1) M values of n, so past M = 256 its cost
+# doubles with M.  Cold Thue-Morse g(x) at M = 512 (x = 100) took
+# 0.06-0.08 s at 60 digits and 0.8 s at 500, about what the split oracle
+# takes at its defaults (0.06 s and 0.65-0.8 s); at M = 4096 (x = 1000) it
+# took 0.35 s and 5.5 s against 0.07 s and 1.5 s, and at M = 65536
+# (x = 10^4) 11.4 s against 0.15 s at 60 digits (one run each, 2 vCPU).
+# Offsets that would need a larger M go to the kind's oracle.
+MAX_TAIL_START = 1 << 9
 # Table bits beyond the working precision.
-TM_TABLE_GUARD = 32
+TABLE_GUARD = 32
+
+
+@lru_cache(maxsize=16)
+def _signs(automaton: _Automaton, hi: int) -> Tuple[int, ...]:
+    """(x_0[0], ..., x_{hi-1}[0]): the exponents of a product's first terms."""
+    return tuple(x[0] for x in automaton.vectors(hi))
+
+
+def _head(r: FactoredRational, lo: int, hi: int, automaton: _Automaton) -> Fraction:
+    """prod_{lo<=n<hi} R(n)^{x_n[0]}, exactly.
+
+    With a_i = u_i / D, R(n) = s D^-deg prod_i (n D + u_i)^{m_i}, so the
+    integer factors n D + u_i are multiplied straight into one numerator
+    and one denominator, and a single Fraction is built at the end.
+    """
+    signs = _signs(automaton, hi)
+    d = r.denominator
+    num = den = 1
+    net = 0  # points with exponent +1 minus points with exponent -1
+    for n in range(lo, hi):
+        p = q = 1
+        for u, m in r.numerators:
+            base = n * d + u
+            if not base:
+                raise EvaluationError(f"R({n}) has a zero factor; real log undefined")
+            if m > 0:
+                p *= base ** m
+            else:
+                q *= base ** -m
+        if signs[n] < 0:
+            num, den, net = num * q, den * p, net - 1
+        else:
+            num, den, net = num * p, den * q, net + 1
+    return Fraction(num, den) * (r.scale / Fraction(d) ** r.degree_sum()) ** net
+
+
+def _moments(automaton: _Automaton, top: int) -> Tuple[int, Dict[Tuple[int, int], List[int]]]:
+    """(c_0, {(q, t): [P_0[q][t], ..., P_top[q][t]]}) with
+    P_k = sum_{i<2^K} i^k A_i and P_0 = c_0 I; entries that are 0 for
+    every k are left out.
+
+    The table's solve needs P_0 to be a multiple of I: Thue-Morse has
+    P_0 = 0, and Rudin-Shapiro at even K has P_0 = S^K = 2^(K/2) I with
+    S = A_0 + A_1 = [[1, 1], [1, -1]].
+    """
+    moments: Dict[Tuple[int, int], List[int]] = {}
+    for i in range(1 << automaton.fold):
+        for q, (t, sign) in enumerate(automaton.residue_map(i)):
+            column = moments.setdefault((q, t), [0] * (top + 1))
+            power = sign
+            for k in range(top + 1):
+                column[k] += power
+                power *= i
+    states = range(len(automaton.sign))
+    c0 = moments.get((0, 0), [0])[0]
+    if any(moments.get((q, t), [0])[0] != (c0 if q == t else 0)
+           for q in states for t in states):
+        raise ValueError(f"{automaton.name}: P_0 is not a multiple of I")
+    return c0, {key: column for key, column in moments.items() if any(column)}
 
 
 @lru_cache(maxsize=8)
-def _tm_scaled_table(m: int, fold: int, bits: int) -> Tuple[int, ...]:
+def _scaled_table(automaton: _Automaton, m: int, bits: int) -> Tuple[int, ...]:
     """(e_0, ..., e_top) with e_s = E(s) 2^(bits - K s) to within
-    2^K m + 8 units, E(s) = sum_{n>=m} (-1)^{t_n} (m/n)^s, K = fold.
+    ``_table_unit(automaton, m)`` units, E(s) = sum_{n>=m} x_n[0] (m/n)^s.
 
-    Writing n >= 2^K m as 2^K n' + i with i < 2^K gives t_n = t_n' + t_i,
-    and expanding (1 + i / (2^K n'))^-s gives
+    Writing n >= 2^K m as 2^K n' + i with i < 2^K gives x_n = A_i x_n',
+    and expanding (1 + i / (2^K n'))^-s gives, for the vector E(s) over
+    all states,
 
-        E(s) = F(s) + 2^(-Ks) sum_{k>=K} C(-s,k) m^-k (P_k / 2^(Kk)) E(s+k),
+        E(s) = F(s) + 2^(-Ks) sum_{k>=0} C(-s,k) m^-k (P_k / 2^(Kk)) E(s+k),
 
-    with F(s) = sum_{m<=n<2^K m} (-1)^{t_n} (m/n)^s and the Prouhet moments
-    P_k = sum_{i<2^K} (-1)^{t_i} i^k, which vanish for k < K.  At the row
-    scales the 2^(Kk) cancels:
+    with F(s) = sum_{m<=n<2^K m} x_n (m/n)^s and the moments
+    P_k = sum_{i<2^K} i^k A_i (``_moments``).  At the row scales the
+    2^(Kk) cancels, and with P_0 = c_0 I:
 
-        e_s = f_s + 2^(-Ks) sum_k c_k P_k e_{s+k},   c_k = C(-s,k) m^-k,
+        (1 - c_0 2^(-Ks)) e_s = f_s + 2^(-Ks) sum_{k>=1} c_k P_k e_{s+k},
+        c_k = C(-s,k) m^-k,
 
     so each row carries K bits less than the one before, rows past bits/K
-    are 0, and the rows are filled from the top down.  f_s sums iterated
-    floors y <- floor(y m / (2^K n)).  c_k follows c_k = c_{k-1} (-(s+k-1))
-    / (k m) by plain floor division, at a scale that covers the row's bits,
-    and is rounded before it multiplies the exact P_k.  The table does not
-    depend on the rational, so every evaluation at one precision shares it.
-
-    Rounding: f_s sums (2^K - 1) m iterated floors, each off by less than
-    2^K / (2^K - 1) units, so by less than 2^K m.  The final floor of the
-    correction, the rounded c_k, the rows cut at the top and the errors of
-    later rows (weighted by less than 2^-9) add less than 8 more.
+    are 0, and the rows are filled from the top down.  For Thue-Morse the
+    Prouhet moments P_k vanish for k < K and c_0 = 0, so the solve is the
+    identity.  f_s sums iterated floors y <- floor(y m / (2^K n)), one sum
+    per sign vector x_n.  c_k follows c_k = c_{k-1} (-(s+k-1)) / (k m) by
+    plain floor division, at a scale that covers the row's bits, and is
+    rounded before it multiplies the exact P_k.  The table does not
+    depend on the rational, so every evaluation of the automaton at one
+    precision shares it.
     """
+    fold = automaton.fold
     width = 1 << fold
     top = bits // fold
-    plus = [0] * (top + 1)
-    minus = [0] * (top + 1)
+    states = len(automaton.sign)
+    sums: Dict[Tuple[int, ...], List[int]] = {}
+    xs = automaton.vectors(width * m)
     for n in range(m, width * m):
-        row = minus if n.bit_count() & 1 else plus
+        row = sums.get(xs[n])
+        if row is None:
+            row = sums[xs[n]] = [0] * (top + 1)
         y = 1 << bits
         d = n << fold
         for s in range(1, top + 1):
@@ -367,48 +463,83 @@ def _tm_scaled_table(m: int, fold: int, bits: int) -> Tuple[int, ...]:
             if not y:
                 break
             row[s] += y
-    e = [a - b for a, b in zip(plus, minus)]
-    moments = [sum(-(i ** k) if i.bit_count() & 1 else i ** k for i in range(width))
-               for k in range(top + 1)]
-    for s in range(top - fold, 0, -1):
+    # e[q][s]: row s of state q
+    e = [[sum(x[q] * row[s] for x, row in sums.items()) for s in range(top + 1)]
+         for q in range(states)]
+    c0, moments = _moments(automaton, top)
+    columns = [(q, t, column[1:]) for (q, t), column in moments.items()]
+    for s in range(top - 1, 0, -1):
         # c_k carries the row's bits above 2^(Ks) and 40 guard bits, plus
         # one per 32 rows for the growth of C(s+k-1, k) m^-k <= (1-1/m)^-s
         scale = max(0, bits - 2 * fold * s) + 40 + s // 32
         c = 1 << scale
-        acc = 0
+        cs = []
         for k in range(1, top - s + 1):
             c = c * -(s + k - 1) // (k * m)
             if not c:
                 break
-            if k >= fold:
-                acc += c * moments[k] * e[s + k]
-        e[s] += acc >> (scale + fold * s)
-    return tuple(e)
+            cs.append(c)
+        acc = [0] * states
+        for q, t, column in columns:
+            acc[q] += sum(map(mul, map(mul, cs, column), e[t][s + 1:]))
+        den = (1 << fold * s) - c0
+        for q in range(states):
+            rhs = e[q][s] + (acc[q] >> (scale + fold * s))
+            e[q][s] = rhs + rhs * c0 // den
+    return tuple(e[0])
 
 
-def _tm_tail_start(r: FactoredRational) -> int:
-    """M: TM_TAIL_START, or the next power of two with max|a_i| <= M / 2^K."""
+def _table_unit(automaton: _Automaton, m: int) -> int:
+    """U: every row of ``_scaled_table(automaton, m, ·)`` is off by at
+    most U units.
+
+    Before the solve a row is off by less than 2^K m + 8 units: f_s sums
+    (2^K - 1) m iterated floors per state, each off by less than
+    2^K / (2^K - 1) units; the floors of the correction and of the solve,
+    the rounded c_k, the rows cut at the top and the errors of later rows
+    carried by the moments k >= K (weighted by less than 2^-10 for
+    m >= 64) add less than 8 more.  The solve multiplies by
+    1 / (1 - c_0 2^(-Ks)) <= inv = 2^K / (2^K - c_0), and the low moments
+    1 <= k < K carry later rows' errors with weight
+    w_s = 2^(-Ks) sum_k C(s+k-1,k) m^-k |P_k| (|.| the largest row sum of
+    absolute values), largest at s = 1.  If every later row is within U,
+    a row is within inv (2^K m + 8 + w_1 U), so
+    U = inv (2^K m + 8) / (1 - inv w_1) holds for all rows.  For
+    Thue-Morse c_0 = 0 and no low moment is left, so U = 2^K m + 8.
+    """
+    fold = automaton.fold
+    c0, moments = _moments(automaton, fold - 1)
+    states = range(len(automaton.sign))
+    w = sum(Fraction(max(sum(abs(moments.get((q, t), [0] * fold)[k]) for t in states)
+                         for q in states), m ** k)
+            for k in range(1, fold)) / (1 << fold)
+    inv = Fraction(1 << fold, (1 << fold) - c0)
+    return math.ceil(inv * ((m << fold) + 8) / (1 - inv * w))
+
+
+def _tail_start(r: FactoredRational, fold: int) -> int:
+    """M: TAIL_START, or the next power of two with max|a_i| <= M / 2^K."""
     max_abs = r.max_abs_offset()
-    m = TM_TAIL_START
-    while max_abs * (1 << TM_FOLD) > m:
+    m = TAIL_START
+    while max_abs * (1 << fold) > m:
         m <<= 1
     return m
 
 
-def _tm_engine(spec: ProductSpec, precision: int) -> EvalResult:
-    """prod_{n>=start} R(n)^{(-1)^{t_n}} from an exact head and the scaled tail.
+def _engine(spec: ProductSpec, precision: int, automaton: _Automaton) -> EvalResult:
+    """prod_{n>=start} R(n)^{x_n[0]} from an exact head and the scaled tail.
 
     log prod = log H + sum_{j<=J} (-1)^(j+1) p_j / (j M^j) E(j), with the
-    exact head H = prod_{start<=n<M} R(n)^{(-1)^{t_n}} and E(j) from
-    ``_tm_scaled_table`` at B = working bits + 32.  With rho = max|a_i| / M
+    exact head H = prod_{start<=n<M} R(n)^{x_n[0]} and E(j) from
+    ``_scaled_table`` at B = working bits + 32.  With rho = max|a_i| / M
     <= 2^-K and mass = sum |m_i|, the error of the log is bounded by
 
     * truncation: for n >= M the series of log R(n) past j = J is below
       mass (max|a_i|/n)^(J+1) / ((J+1)(1-rho)), and summing over n gives
       mass rho^(J+1) (1 + M/J) / ((J+1)(1-rho));
-    * table rounding: row j is off by at most u = 2^K M + 8 units of
+    * table rounding: row j is off by at most U = ``_table_unit`` units of
       2^(Kj-B) and weighted by |p_j| / (j M^j) <= mass 2^(-Kj) / j, so at
-      most u mass H_J 2^-B (H_J the harmonic number);
+      most U mass H_J 2^-B (H_J the harmonic number);
     * coefficient rounding: one floor division per term, J units of 2^-B;
     * the head logarithm, taken at enough extra digits that its error
       2 (bits of H's numerator and denominator + 2) 2^-prec is about 2 ulps;
@@ -422,22 +553,24 @@ def _tm_engine(spec: ProductSpec, precision: int) -> EvalResult:
     if r.is_one:
         with workdps(wp):
             return EvalResult(mpmath.mpf(1), mpmath.mpf(0), 0, 0)
-    m = _tm_tail_start(r)
+    fold = automaton.fold
+    m = _tail_start(r, fold)
     prec = mpmath.libmp.dps_to_prec(wp)
-    bits = prec + TM_TABLE_GUARD
-    table = _tm_scaled_table(m, TM_FOLD, bits)
+    bits = prec + TABLE_GUARD
+    table = _scaled_table(automaton, m, bits)
 
-    head = _tm_head(r, spec.start, m)
+    head = _head(r, spec.start, m, automaton)
     size = head.numerator.bit_length() + head.denominator.bit_length() + 2
     head_digits = precision + len(str(size))
 
     mass = sum(abs(mult) for _, mult in r.numerators)
     rho = r.max_abs_offset() / m
-    need = (bits + math.log2(mass * (m + 1) * 8 / 7)) / -math.log2(rho)
+    width = 1 << fold
+    need = (bits + math.log2(mass * (m + 1) * width / (width - 1))) / -math.log2(rho)
     j_max = min(len(table) - 1, max(1, math.ceil(need)))
     psums = r.power_sums(j_max)
     # p_j 2^(Kj) / (j M^j) = p_j / (j 2^(step j)) for M = 2^(K + step)
-    step = m.bit_length() - 1 - TM_FOLD
+    step = m.bit_length() - 1 - fold
     acc = 0
     for j in range(1, j_max + 1):
         p = psums[j]
@@ -452,7 +585,7 @@ def _tm_engine(spec: ProductSpec, precision: int) -> EvalResult:
         truncation = (mass * rho_mp ** (j_max + 1) * (1 + mpmath.mpf(m) / j_max)
                       / ((j_max + 1) * (1 - rho_mp)))
         harmonic = math.fsum(1 / j for j in range(1, j_max + 1))
-        rounding = mpmath.ldexp(((m << TM_FOLD) + 8) * mass * harmonic + j_max,
+        rounding = mpmath.ldexp(_table_unit(automaton, m) * mass * harmonic + j_max,
                                 -bits)
         head_prec = mpmath.libmp.dps_to_prec(working_dps(head_digits))
         head_error = mpmath.ldexp(2 * size, -head_prec)
@@ -461,17 +594,31 @@ def _tm_engine(spec: ProductSpec, precision: int) -> EvalResult:
         return EvalResult(value, value * err_log * (1 + err_log), m, 0)
 
 
-def _pm_thue(spec: ProductSpec, opts: EvalOptions) -> EvalResult:
-    """The +-1 Thue-Morse evaluation: the scaled tail engine, or the split
-    oracle ``eval_pm_thue`` when the caller fixes split levels or terms or
-    when the offsets would need a tail start above TM_MAX_TAIL_START."""
-    if (opts.split_levels is not None or opts.terms is not None
-            or _tm_tail_start(spec.rational) > TM_MAX_TAIL_START):
-        return eval_pm_thue(spec, opts)
-    if spec.kind is not ExponentKind.PM_THUE:
-        raise InputError(f"eval_pm_thue expects kind pm-t, got {spec.kind.value}")
+def _route(spec: ProductSpec, opts: EvalOptions, oracle_levels: Optional[int],
+           oracle, kind: ExponentKind, automaton: _Automaton) -> EvalResult:
+    """The scaled tail engine, or the kind's oracle when the caller fixes
+    its split levels or the terms, or when the offsets would need a tail
+    start above MAX_TAIL_START."""
+    if (oracle_levels is not None or opts.terms is not None
+            or _tail_start(spec.rational, automaton.fold) > MAX_TAIL_START):
+        return oracle(spec, opts)
+    if spec.kind is not kind:
+        raise InputError(f"{oracle.__name__} expects kind {kind.value}, "
+                         f"got {spec.kind.value}")
     spec.validate()
-    return _tm_engine(spec, opts.precision)
+    return _engine(spec, opts.precision, automaton)
+
+
+def _pm_thue(spec: ProductSpec, opts: EvalOptions) -> EvalResult:
+    """The +-1 Thue-Morse evaluation; the oracle is ``eval_pm_thue``."""
+    return _route(spec, opts, opts.split_levels, eval_pm_thue,
+                  ExponentKind.PM_THUE, THUE_MORSE)
+
+
+def _pm_rs(spec: ProductSpec, opts: EvalOptions) -> EvalResult:
+    """The +-1 Rudin-Shapiro evaluation; the oracle is ``eval_pm_rs``."""
+    return _route(spec, opts, opts.rs_split_levels, eval_pm_rs,
+                  ExponentKind.PM_RS, RUDIN_SHAPIRO)
 
 
 # ---------------------------------------------------------------------------
@@ -638,11 +785,17 @@ def eval_pm_rs(spec: ProductSpec, opts: EvalOptions = EvalOptions()) -> EvalResu
         r = rs_split_rational(r)
 
     if r.is_one:
+        # the value is exact up to rounding: the boundary's log is off by
+        # 2 (bits of its numerator and denominator + 2) 2^-prec at most, as
+        # the head in ``_engine``, and the exp by a few ulps
         with workdps(wp):
-            value = mpmath.exp(log_fraction(exact_boundary, precision)) \
-                if exact_boundary != 1 else mpmath.mpf(1)
-            return EvalResult(value, value * _floor_error(precision)
-                              + _floor_error(precision), 0, levels)
+            if exact_boundary == 1:
+                return EvalResult(mpmath.mpf(1), mpmath.mpf(0), 0, levels)
+            value = mpmath.exp(log_fraction(exact_boundary, precision))
+            size = (exact_boundary.numerator.bit_length()
+                    + exact_boundary.denominator.bit_length() + 2)
+            rel = mpmath.ldexp(2 * size + 4, -mpmath.libmp.dps_to_prec(wp))
+            return EvalResult(value, value * rel, 0, levels)
 
     max_abs = float(r.max_abs_offset())
     n0 = max(8, int(math.ceil(2 * max_abs)) + 1)
@@ -688,7 +841,7 @@ def eval_zero_one_rs(spec: ProductSpec, opts: EvalOptions = EvalOptions()) -> Ev
     if spec.kind is not ExponentKind.ZERO_ONE_RS:
         raise InputError(f"eval_zero_one_rs expects kind v, got {spec.kind.value}")
     spec.validate()
-    pm = eval_pm_rs(ProductSpec(spec.rational, ExponentKind.PM_RS, spec.start), opts)
+    pm = _pm_rs(ProductSpec(spec.rational, ExponentKind.PM_RS, spec.start), opts)
     plain = eval_plain(ProductSpec(spec.rational, ExponentKind.PLAIN, spec.start), opts)
     return _sqrt_ratio(plain, pm, opts)
 
@@ -700,7 +853,7 @@ def eval_zero_one_rs(spec: ProductSpec, opts: EvalOptions = EvalOptions()) -> Ev
 _DISPATCH = {
     ExponentKind.PM_THUE: _pm_thue,
     ExponentKind.ZERO_ONE_THUE: eval_zero_one_thue,
-    ExponentKind.PM_RS: eval_pm_rs,
+    ExponentKind.PM_RS: _pm_rs,
     ExponentKind.ZERO_ONE_RS: eval_zero_one_rs,
     ExponentKind.PLAIN: eval_plain,
 }
@@ -783,7 +936,7 @@ def flajolet_martin(opts: EvalOptions = EvalOptions()) -> FlajoletMartin:
         cross = abs(ratio.value * g0.value - mpmath.mpf(3) / 2)
         combined = (ratio.error_estimate * g0.value
                     + g0.error_estimate * ratio.value)
-        if cross > 10 * combined + _floor_error(precision):
+        if cross > 10 * combined:
             raise ConsistencyError(
                 f"R*g(0) = {mpmath.nstr(ratio.value * g0.value, 25)} "
                 f"deviates from 3/2 by {mpmath.nstr(cross, 5)}")

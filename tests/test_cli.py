@@ -109,11 +109,20 @@ def test_large_offsets_take_the_split_oracle(capsys, monkeypatch, argv):
     # the engine's table would need a tail start of 2^13 or more
     def no_table(*args):
         raise AssertionError("built an engine table")
-    monkeypatch.setattr(evaluator, "_tm_scaled_table", no_table)
+    monkeypatch.setattr(evaluator, "_scaled_table", no_table)
     code, out, _ = run(capsys, *argv, "--format", "json")
     assert code == 0
     payload = json.loads(out)
     assert (payload["terms_used"], payload["split_levels"]) == (4096, 8)
+
+
+def test_offsets_above_the_split_oracle_cap_exit_three(capsys, monkeypatch):
+    # g(10^6) has max|a| = (10^6 + 1)/2 > 2^16: refused before the head
+    def no_work(*args):
+        raise AssertionError("started the split oracle")
+    monkeypatch.setattr(evaluator, "_tm_log_sum", no_work)
+    code, out, err = run(capsys, "g", "--x", "1000000")
+    assert code == 3 and out == "" and str(evaluator.MAX_TM_OFFSET) in err
 
 
 @pytest.mark.parametrize("value, estimate", [

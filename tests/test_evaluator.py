@@ -9,7 +9,8 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import naive_signed_product, random_fully_convergent, random_pm_convergent
 
-from digitprod import (CapabilityError, EvalOptions, EvaluationError,
+from digitprod import (CapabilityError, ConsistencyError, EvalOptions,
+                       EvaluationError,
                        ExponentKind, FactoredRational, InputError,
                        ProductSpec, eval_plain, eval_pm_rs, eval_pm_thue,
                        eval_product, eval_zero_one_rs, eval_zero_one_thue,
@@ -382,6 +383,12 @@ def test_pm_rs_identity_rational():
     assert res.value == 1
 
 
+@pytest.mark.parametrize("start", [0, 1])
+def test_pm_rs_identity_rational_has_no_error(start):
+    res = eval_pm_rs(ProductSpec(FactoredRational.one(), ExponentKind.PM_RS, start))
+    assert res.value == 1 and res.error_estimate == 0
+
+
 def test_pm_rs_matches_naive_oracle(rng):
     r = random_fully_convergent(rng)
     spec = ProductSpec(r, ExponentKind.PM_RS, 1)
@@ -594,6 +601,36 @@ def test_flajolet_martin_record():
             mpmath.mpf("1e-20")
         assert abs(fm.phi - fm.phi_via_g0) < mpmath.mpf("1e-20")
         assert mpmath.nstr(fm.phi, 7) == "0.7735163"
+
+
+@pytest.mark.parametrize("digits", [40, 60, 100])
+def test_flajolet_martin_cross_check_within_ten_combined_bounds(digits):
+    fm = flajolet_martin(EvalOptions(precision=digits))
+    with mp(digits + 20):
+        combined = (fm.ratio.error_estimate * fm.g0.value
+                    + fm.g0.error_estimate * fm.ratio.value)
+        assert fm.cross_check_error <= 10 * combined
+
+
+def test_flajolet_martin_rejects_a_ratio_off_by_100_bounds(monkeypatch):
+    # the tolerance is 10 combined bounds, with no floor of its own
+    opts = EvalOptions(precision=60)
+    fm = flajolet_martin(opts)
+    with mp(90):
+        shift = 100 * (fm.ratio.error_estimate
+                       + fm.g0.error_estimate * fm.ratio.value / fm.g0.value)
+    engine = evaluator._pm_thue
+
+    def perturbed(spec, options):
+        res = engine(spec, options)
+        if spec.rational == evaluator.FM_RATIO_RATIONAL:
+            with mp(90):
+                return evaluator.EvalResult(res.value + shift, res.error_estimate,
+                                            res.terms_used, res.split_levels)
+        return res
+    monkeypatch.setattr(evaluator, "_pm_thue", perturbed)
+    with pytest.raises(ConsistencyError):
+        flajolet_martin(opts)
 
 
 def test_flajolet_martin_rejects_precision_beyond_stored_euler_gamma():

@@ -1,6 +1,7 @@
-"""The scaled tail engine for +-1 Thue-Morse products, against oracles
-that share none of its code: the closed forms written here in mpmath, the
-L-fold split oracle ``eval_pm_thue`` at high L and N, and the engine
+"""The scaled tail engine for +-1 Thue-Morse and Rudin-Shapiro products,
+against oracles that share none of its code: the closed forms written
+here in mpmath, the L-fold split oracle ``eval_pm_thue`` at high L and N,
+the direct-sum oracle ``eval_pm_rs`` at its largest N, and the engine
 itself at a second tail start M.
 """
 
@@ -14,14 +15,14 @@ from hypothesis import given, settings, strategies as st
 from conftest import random_fully_convergent, random_pm_convergent
 
 from digitprod import (EvalOptions, ExponentKind, FactoredRational,
-                       ProductSpec, catalog_entry, eval_pm_thue, eval_product,
-                       f_value)
+                       ProductSpec, catalog_entry, eval_pm_rs, eval_pm_thue,
+                       eval_product, f_value)
 from digitprod import evaluator
 from digitprod.numerics import working_dps
 
 
 def _closed_forms():
-    """The 15 Thue-Morse catalog constants, in mpmath at the current precision."""
+    """The 18 catalog constants, in mpmath at the current precision."""
     r2 = mpmath.sqrt(2)
     return {
         "WR": 1 / r2, "C3b": mpmath.mpf(1) / 2, "C3c": mpmath.mpf(2),
@@ -30,11 +31,16 @@ def _closed_forms():
         "C3j": mpmath.mpf(1) / 4, "C3k": mpmath.mpf(1), "C3l": mpmath.mpf(1) / 2,
         "T5a": mpmath.pi ** (mpmath.mpf(3) / 4) * r2 / mpmath.gamma(mpmath.mpf(1) / 4),
         "T5b": r2, "T5c": mpmath.sqrt(2 * r2 - 2),
+        "T6a": mpmath.mpf(1),
+        "T6b": 8 * mpmath.sqrt(mpmath.pi) / mpmath.gamma(mpmath.mpf(1) / 4) ** 2,
+        "GS": 1 / r2,
     }
 
 
 TM_NAMES = sorted(["WR", "C3b", "C3c", "C3d", "C3e", "C3f", "C3g", "C3h",
                    "C3i", "C3j", "C3k", "C3l", "T5a", "T5b", "T5c"])
+RS_NAMES = ["GS", "T6a", "T6b"]
+NAMES = TM_NAMES + RS_NAMES
 
 
 def _references(digits):
@@ -45,7 +51,7 @@ def _references(digits):
 @pytest.mark.parametrize("digits", [60, 200, 500])
 def test_engine_full_digits_on_closed_forms(digits):
     refs = _references(digits)
-    for name in TM_NAMES:
+    for name in NAMES:
         res = eval_product(catalog_entry(name).spec, EvalOptions(precision=digits))
         assert (res.terms_used, res.split_levels) == (64, 0)
         with mpmath.workdps(digits + 30):
@@ -59,7 +65,7 @@ def test_engine_bound_covers_and_is_within_1000_of_actual():
     # precision: a bound cannot be asked to beat the arithmetic it runs in
     refs = _references(60)
     unit = mpmath.ldexp(1, 1 - mpmath.libmp.dps_to_prec(working_dps(60)))
-    for name in TM_NAMES:
+    for name in NAMES:
         res = eval_product(catalog_entry(name).spec, EvalOptions(precision=60))
         with mpmath.workdps(90):
             error = abs(res.value - refs[name])
@@ -85,9 +91,9 @@ def test_engine_matches_split_oracle_at_high_levels(spec):
 @pytest.mark.parametrize("digits", [60, 200])
 def test_engine_second_tail_start(monkeypatch, digits):
     # M = 128 builds its own table; both starts hit the closed forms
-    monkeypatch.setattr(evaluator, "TM_TAIL_START", 128)
+    monkeypatch.setattr(evaluator, "TAIL_START", 128)
     refs = _references(digits)
-    for name in ["WR", "C3k", "T5a"]:
+    for name in ["WR", "C3k", "T5a", "GS", "T6a", "T6b"]:
         res = eval_product(catalog_entry(name).spec, EvalOptions(precision=digits))
         assert res.terms_used == 128
         with mpmath.workdps(digits + 30):
@@ -105,7 +111,7 @@ def test_engine_large_offsets_take_a_larger_tail_start():
 
 
 @pytest.mark.parametrize("x, tail_start", [
-    (F(127), evaluator.TM_MAX_TAIL_START),  # max|a| = 64: M = 512, the cap
+    (F(127), evaluator.MAX_TAIL_START),  # max|a| = 64: M = 512, the cap
     (F(128), None),                         # max|a| = 129/2 would need 1024
     (F(10 ** 4), None),                     # max|a| = (10^4 + 1)/2: 2^16
 ])
@@ -116,7 +122,7 @@ def test_offsets_above_the_tail_start_cap_take_the_split_oracle(
     if tail_start is None:
         def no_table(*args):
             raise AssertionError("built an engine table")
-        monkeypatch.setattr(evaluator, "_tm_scaled_table", no_table)
+        monkeypatch.setattr(evaluator, "_scaled_table", no_table)
     a, b = x / 2, (x + 1) / 2
     res = f_value(a, b)
     if tail_start is None:
@@ -127,25 +133,27 @@ def test_offsets_above_the_tail_start_cap_take_the_split_oracle(
 
 
 def test_engine_table_is_shared_and_built_on_first_use():
-    evaluator._tm_scaled_table.cache_clear()
+    evaluator._scaled_table.cache_clear()
     for name in ["WR", "C3b", "T5a"]:
         eval_product(catalog_entry(name).spec, EvalOptions(precision=40))
-    info = evaluator._tm_scaled_table.cache_info()
+    info = evaluator._scaled_table.cache_info()
     assert (info.misses, info.hits) == (1, 2)
 
 
 @settings(max_examples=25, deadline=None)
 @given(st.integers(0, 2 ** 32), st.sampled_from([0, 1]),
-       st.sampled_from(["pm-t", "t"]), st.integers(15, 120), st.integers(1, 80))
+       st.sampled_from(["pm-t", "t", "pm-v", "v"]), st.integers(15, 120),
+       st.integers(1, 80))
 def test_engine_two_precisions_agree_to_the_lower(seed, start, kind, low, extra):
     rng = random.Random(seed)
-    if kind == "pm-t":
-        spec = ProductSpec(random_pm_convergent(rng), ExponentKind.PM_THUE, start)
+    kind = ExponentKind(kind)
+    if kind in (ExponentKind.PM_THUE, ExponentKind.PM_RS):
+        spec = ProductSpec(random_pm_convergent(rng), kind, start)
     else:
-        spec = ProductSpec(random_fully_convergent(rng),
-                           ExponentKind.ZERO_ONE_THUE, start)
+        spec = ProductSpec(random_fully_convergent(rng), kind, start)
     coarse = eval_product(spec, EvalOptions(precision=low))
     fine = eval_product(spec, EvalOptions(precision=low + extra))
+    assert coarse.split_levels == fine.split_levels == 0
     with mpmath.workdps(low + extra + 20):
         gap = abs(coarse.value - fine.value)
         assert gap <= coarse.error_estimate + fine.error_estimate
@@ -163,3 +171,66 @@ def test_fixing_split_levels_or_terms_selects_the_oracle():
 def test_engine_identity_rational_is_exact():
     res = eval_product(ProductSpec(FactoredRational.one(), ExponentKind.PM_THUE, 1))
     assert res.value == 1 and res.error_estimate == 0
+
+
+# ---------------------------------------------------------------------------
+# Rudin-Shapiro on the engine
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("name", ["GS", "T6a"])
+def test_rs_engine_matches_direct_sum_oracle_at_its_largest_n(name):
+    # GS after the default 10 split levels, T6a summed directly: both
+    # oracles carry their own (heuristic) estimate
+    spec = catalog_entry(name).spec
+    oracle = eval_pm_rs(spec, EvalOptions(terms=evaluator.MAX_RS_TERMS))
+    engine = eval_product(spec)
+    with mpmath.workdps(80):
+        assert abs(oracle.value - engine.value) <= oracle.error_estimate
+
+
+@pytest.mark.parametrize("opts", [EvalOptions(rs_split_levels=6),
+                                  EvalOptions(terms=10 ** 4)])
+def test_fixing_rs_split_levels_or_terms_selects_the_oracle(opts):
+    for name in ["GS", "T6a"]:
+        spec = catalog_entry(name).spec
+        assert eval_product(spec, opts) == eval_pm_rs(spec, opts)
+
+
+def test_rs_offsets_above_the_tail_start_cap_take_the_oracle():
+    # max|a| = 129 would need M = 1024 at K = 2
+    spec = ProductSpec(FactoredRational.parse("(n+128)/(n+129)"),
+                       ExponentKind.PM_RS, 1)
+    opts = EvalOptions(precision=30)
+    assert eval_product(spec, opts) == eval_pm_rs(spec, opts)
+
+
+def test_rs_engine_runs_no_split_chain_or_float_sum(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("took the direct-sum oracle's path")
+    monkeypatch.setattr(evaluator, "rs_split_rational", forbidden)
+    monkeypatch.setattr(evaluator, "_exact_sum", forbidden)
+    for name in RS_NAMES:
+        res = eval_product(catalog_entry(name).spec)
+        assert (res.terms_used, res.split_levels) == (64, 0)
+
+
+def test_rs_automaton_gives_the_rudin_shapiro_signs():
+    # (-1)^{v_n} with v_n the number of 11 blocks in the binary digits of n
+    signs = evaluator._signs(evaluator.RUDIN_SHAPIRO, 1 << 12)
+    assert signs == tuple(-1 if (n & n >> 1).bit_count() & 1 else 1
+                          for n in range(1 << 12))
+    signs = evaluator._signs(evaluator.THUE_MORSE, 1 << 12)
+    assert signs == tuple(-1 if n.bit_count() & 1 else 1 for n in range(1 << 12))
+
+
+@pytest.mark.parametrize("automaton", [evaluator.THUE_MORSE, evaluator.RUDIN_SHAPIRO])
+@pytest.mark.parametrize("m", [64, 128])
+def test_table_rows_within_their_unit_bound(automaton, m):
+    # against the same table at 64 more bits, whose own error is 2^-64 of
+    # a unit here
+    bits = 268
+    table = evaluator._scaled_table(automaton, m, bits)
+    finer = evaluator._scaled_table(automaton, m, bits + 64)
+    unit = evaluator._table_unit(automaton, m)
+    for s in range(1, len(table)):
+        assert abs(table[s] - (finer[s] >> 64)) <= unit, s
