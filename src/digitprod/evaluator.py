@@ -297,7 +297,7 @@ def eval_pm_thue(spec: ProductSpec, opts: EvalOptions = EvalOptions()) -> EvalRe
 # +-1 products: the scaled tail engine over a signed automaton
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class _Automaton:
     """A signed binary automaton, and the table fold K of its engine.
 
@@ -314,15 +314,28 @@ class _Automaton:
     sign: Tuple[Tuple[int, int], ...]
     fold: int
 
-    def vectors(self, hi: int) -> List[Tuple[int, ...]]:
-        """[x_0, ..., x_{hi-1}]."""
-        digits = [[(t[d], s[d]) for t, s in zip(self.next_state, self.sign)]
-                  for d in (0, 1)]
-        xs = [(1,) * len(self.sign)]
+    def vectors(self, hi: int) -> Tuple[List[Tuple[int, ...]], List[int]]:
+        """(values, ids) with x_n = values[ids[n]] for n < hi.
+
+        x_n takes few values (two for Thue-Morse, four for Rudin-Shapiro),
+        so each n costs one lookup in the table of A_d on those values.
+        """
+        values = [(1,) * len(self.sign)]
+        index = {values[0]: 0}
+        step = []  # step[v][d]: the id of A_d values[v]
+        for x in values:  # visits the values appended below too
+            row = []
+            for d in (0, 1):
+                y = tuple(s[d] * x[t[d]] for s, t in zip(self.sign, self.next_state))
+                if y not in index:
+                    index[y] = len(values)
+                    values.append(y)
+                row.append(index[y])
+            step.append(row)
+        ids = [0]
         for n in range(1, hi):
-            prev = xs[n >> 1]
-            xs.append(tuple([sign * prev[t] for t, sign in digits[n & 1]]))
-        return xs[:hi]
+            ids.append(step[ids[n >> 1]][n & 1])
+        return values, ids[:hi]
 
     def residue_map(self, i: int) -> List[Tuple[int, int]]:
         """Row q of A_i as (column, sign), for the K-digit word i."""
@@ -362,7 +375,8 @@ TABLE_GUARD = 32
 @lru_cache(maxsize=16)
 def _signs(automaton: _Automaton, hi: int) -> Tuple[int, ...]:
     """(x_0[0], ..., x_{hi-1}[0]): the exponents of a product's first terms."""
-    return tuple(x[0] for x in automaton.vectors(hi))
+    values, ids = automaton.vectors(hi)
+    return tuple(values[v][0] for v in ids)
 
 
 def _head(r: FactoredRational, lo: int, hi: int, automaton: _Automaton) -> Fraction:
@@ -440,7 +454,7 @@ def _scaled_table(automaton: _Automaton, m: int, bits: int) -> Tuple[int, ...]:
     are 0, and the rows are filled from the top down.  For Thue-Morse the
     Prouhet moments P_k vanish for k < K and c_0 = 0, so the solve is the
     identity.  f_s sums iterated floors y <- floor(y m / (2^K n)), one sum
-    per sign vector x_n.  c_k follows c_k = c_{k-1} (-(s+k-1)) / (k m) by
+    per value of x_n.  c_k follows c_k = c_{k-1} (-(s+k-1)) / (k m) by
     plain floor division, at a scale that covers the row's bits, and is
     rounded before it multiplies the exact P_k.  The table does not
     depend on the rational, so every evaluation of the automaton at one
@@ -450,12 +464,10 @@ def _scaled_table(automaton: _Automaton, m: int, bits: int) -> Tuple[int, ...]:
     width = 1 << fold
     top = bits // fold
     states = len(automaton.sign)
-    sums: Dict[Tuple[int, ...], List[int]] = {}
-    xs = automaton.vectors(width * m)
+    values, ids = automaton.vectors(width * m)
+    sums = [[0] * (top + 1) for _ in values]  # one row of sums per value of x_n
     for n in range(m, width * m):
-        row = sums.get(xs[n])
-        if row is None:
-            row = sums[xs[n]] = [0] * (top + 1)
+        row = sums[ids[n]]
         y = 1 << bits
         d = n << fold
         for s in range(1, top + 1):
@@ -464,7 +476,7 @@ def _scaled_table(automaton: _Automaton, m: int, bits: int) -> Tuple[int, ...]:
                 break
             row[s] += y
     # e[q][s]: row s of state q
-    e = [[sum(x[q] * row[s] for x, row in sums.items()) for s in range(top + 1)]
+    e = [[sum(x[q] * row[s] for x, row in zip(values, sums)) for s in range(top + 1)]
          for q in range(states)]
     c0, moments = _moments(automaton, top)
     columns = [(q, t, column[1:]) for (q, t), column in moments.items()]
@@ -489,6 +501,7 @@ def _scaled_table(automaton: _Automaton, m: int, bits: int) -> Tuple[int, ...]:
     return tuple(e[0])
 
 
+@lru_cache(maxsize=16)
 def _table_unit(automaton: _Automaton, m: int) -> int:
     """U: every row of ``_scaled_table(automaton, m, ·)`` is off by at
     most U units.
