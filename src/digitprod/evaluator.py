@@ -45,7 +45,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from operator import mul
+from operator import add, mul, sub
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 import mpmath
@@ -407,7 +407,8 @@ def _head(r: FactoredRational, lo: int, hi: int, automaton: _Automaton) -> Fract
     return Fraction(num, den) * (r.scale / Fraction(d) ** r.degree_sum()) ** net
 
 
-def _moments(automaton: _Automaton, top: int) -> Tuple[int, Dict[Tuple[int, int], List[int]]]:
+def _moments(automaton: _Automaton,
+             top: int) -> Tuple[int, Dict[Tuple[int, int], List[int]]]:
     """(c_0, {(q, t): [P_0[q][t], ..., P_top[q][t]]}) with
     P_k = sum_{i<2^K} i^k A_i and P_0 = c_0 I; entries that are 0 for
     every k are left out.
@@ -476,8 +477,10 @@ def _scaled_table(automaton: _Automaton, m: int, bits: int) -> Tuple[int, ...]:
                 break
             row[s] += y
     # e[q][s]: row s of state q
-    e = [[sum(x[q] * row[s] for x, row in zip(values, sums)) for s in range(top + 1)]
-         for q in range(states)]
+    e = [[0] * (top + 1) for _ in range(states)]
+    for x, row in zip(values, sums):
+        for q in range(states):
+            e[q] = list(map(add if x[q] > 0 else sub, e[q], row))
     c0, moments = _moments(automaton, top)
     columns = [(q, t, column[1:]) for (q, t), column in moments.items()]
     for s in range(top - 1, 0, -1):
@@ -493,7 +496,8 @@ def _scaled_table(automaton: _Automaton, m: int, bits: int) -> Tuple[int, ...]:
             cs.append(c)
         acc = [0] * states
         for q, t, column in columns:
-            acc[q] += sum(map(mul, map(mul, cs, column), e[t][s + 1:]))
+            later = e[t][s + 1:s + 1 + len(cs)]
+            acc[q] += sum(map(mul, map(mul, cs, column), later))
         den = (1 << fold * s) - c0
         for q in range(states):
             rhs = e[q][s] + (acc[q] >> (scale + fold * s))
@@ -523,9 +527,11 @@ def _table_unit(automaton: _Automaton, m: int) -> int:
     fold = automaton.fold
     c0, moments = _moments(automaton, fold - 1)
     states = range(len(automaton.sign))
-    w = sum(Fraction(max(sum(abs(moments.get((q, t), [0] * fold)[k]) for t in states)
-                         for q in states), m ** k)
-            for k in range(1, fold)) / (1 << fold)
+
+    def norm(k: int) -> int:  # |P_k|
+        return max(sum(abs(moments.get((q, t), [0] * fold)[k]) for t in states)
+                   for q in states)
+    w = sum(Fraction(norm(k), m ** k) for k in range(1, fold)) / (1 << fold)
     inv = Fraction(1 << fold, (1 << fold) - c0)
     return math.ceil(inv * ((m << fold) + 8) / (1 - inv * w))
 
