@@ -223,6 +223,19 @@ def test_rs_automaton_gives_the_rudin_shapiro_signs():
     assert signs == tuple(-1 if n.bit_count() & 1 else 1 for n in range(1 << 12))
 
 
+def test_rs_engine_second_fold_agrees():
+    # K = 4 has P_0 = S^4 = 4 I: another scalar solve, another table
+    rs = evaluator.RUDIN_SHAPIRO
+    fold4 = evaluator._Automaton("Rudin-Shapiro, K = 4", rs.next_state, rs.sign, 4)
+    for name in ["GS", "T6a"]:
+        spec = catalog_entry(name).spec
+        default = eval_product(spec, EvalOptions(precision=60))
+        other = evaluator._engine(spec, 60, fold4)
+        with mpmath.workdps(90):
+            assert (abs(default.value - other.value)
+                    <= default.error_estimate + other.error_estimate), name
+
+
 @pytest.mark.parametrize("automaton", [evaluator.THUE_MORSE, evaluator.RUDIN_SHAPIRO])
 @pytest.mark.parametrize("m", [64, 128])
 def test_table_rows_within_their_unit_bound(automaton, m):
