@@ -269,7 +269,7 @@ def eval_pm_thue(spec: ProductSpec, opts: EvalOptions = EvalOptions()) -> EvalRe
         raise InputError(f"eval_pm_thue expects kind pm-t, got {spec.kind.value}")
     terms = opts.tm_terms()
     if spec.rational.max_abs_offset() > MAX_TM_OFFSET:
-        raise InputError(f"the split oracle takes offsets |a_i| <= {MAX_TM_OFFSET}")
+        raise InputError(f"offsets |a_i| must be <= {MAX_TM_OFFSET} for the split oracle")
     spec.validate()
     levels = DEFAULT_SPLIT_LEVELS if opts.split_levels is None else opts.split_levels
     precision = opts.precision
