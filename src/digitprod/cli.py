@@ -342,7 +342,7 @@ def _add_common(parser: argparse.ArgumentParser, default_precision: int) -> None
                         help="Rudin-Shapiro split levels; setting this or "
                              "--terms selects the direct-sum oracle (default "
                              "automatic there) in place of the scaled tail "
-                             "engine, as does an offset above 128")
+                             "engine, as does an offset above 512")
     parser.add_argument("--format", choices=("text", "json", "csv"),
                         default="text")
     parser.add_argument("--output", default=None, metavar="PATH",

@@ -18,8 +18,8 @@ and curious infinite products", Bull. LMS 1985) and shared by every
 evaluation (a bounded memo of a pure function, like ``gamma``).  The
 engine sums the whole tail, so its digits are real and its error estimate
 is a derived bound.  M grows with the largest offset and the table's cost
-with M, so offsets above ``MAX_TAIL_START / 2^K`` (64 for Thue-Morse, 128
-for Rudin-Shapiro) go to the kind's oracle.
+with M, so offsets above the automaton's ``max_tail_start / 2^K`` (64 for
+Thue-Morse, 512 for Rudin-Shapiro) go to the kind's oracle.
 
 When the caller fixes ``split_levels`` or ``terms``, ``eval_pm_thue``
 runs instead: the L-fold dyadic split, whose exact boundary is a rational
@@ -119,7 +119,7 @@ class EvalOptions:
     With ``split_levels`` (Thue-Morse) or ``rs_split_levels``
     (Rudin-Shapiro) and ``terms`` all None, +-1 products go through the
     scaled tail engine, unless an offset would need a tail start above
-    ``MAX_TAIL_START``: |a_i| above 64 for Thue-Morse, 128 for
+    the automaton's cap: |a_i| above 64 for Thue-Morse, 512 for
     Rudin-Shapiro.  Fixing either selects the kind's oracle.
     ``eval_pm_thue`` reads None as ``DEFAULT_SPLIT_LEVELS`` levels and 4096
     terms and refuses offsets above ``MAX_TM_OFFSET``; ``eval_pm_rs`` reads
@@ -162,7 +162,7 @@ class EvalResult:
     """Value with an error estimate and the work actually done.
 
     The estimate is a derived bound for the scaled tail engine (every
-    default +-1 evaluation with offsets up to 64 for Thue-Morse and 128 for
+    default +-1 evaluation with offsets up to 64 for Thue-Morse and 512 for
     Rudin-Shapiro) and for plain products, and a heuristic for the split
     and direct-sum oracles.
     """
@@ -306,13 +306,15 @@ class _Automaton:
     product's exponent is x_n[0].  Reading the K low digits of
     n = 2^K n' + i, least significant first, gives x_n = A_i x_n', where
     row q of A_i holds one sign, in the column of the state the digits of
-    i lead q to.
+    i lead q to.  Offsets that would need a tail start above
+    ``max_tail_start`` go to the kind's oracle.
     """
 
     name: str
     next_state: Tuple[Tuple[int, int], ...]
     sign: Tuple[Tuple[int, int], ...]
     fold: int
+    max_tail_start: int
 
     def vectors(self, hi: int) -> Tuple[List[Tuple[int, ...]], List[int]]:
         """(values, ids) with x_n = values[ids[n]] for n < hi.
@@ -350,24 +352,41 @@ class _Automaton:
         return rows
 
 
-# (-1)^{t_n}: one state, whose sign flips at every 1 digit
-THUE_MORSE = _Automaton("Thue-Morse", ((0, 0),), ((1, -1),), 3)
-# (r_n, u_n) = ((-1)^{v_n}, (-1)^n (-1)^{v_n}): r_2n = r_n, r_2n+1 = u_n,
-# u_2n = r_n and u_2n+1 = -u_n
-RUDIN_SHAPIRO = _Automaton("Rudin-Shapiro", ((0, 1), (0, 1)), ((1, 1), (1, -1)), 2)
-
 # The tail starts at M = 64, or at the next power of two that keeps
 # max|a_i| <= M / 2^K, so that each term of the tail series is at least
 # 2^K times smaller than the one before; every larger M has its own table.
 TAIL_START = 64
-# The table loops over (2^K - 1) M values of n, so past M = 256 its cost
-# doubles with M.  Cold Thue-Morse g(x) at M = 512 (x = 100) took
-# 0.06-0.08 s at 60 digits and 0.8 s at 500, about what the split oracle
-# takes at its defaults (0.06 s and 0.65-0.8 s); at M = 4096 (x = 1000) it
-# took 0.35 s and 5.5 s against 0.07 s and 1.5 s, and at M = 65536
-# (x = 10^4) 11.4 s against 0.15 s at 60 digits (one run each, 2 vCPU).
-# Offsets that would need a larger M go to the kind's oracle.
-MAX_TAIL_START = 1 << 9
+
+# Each automaton's cap on M.  The table loops over (2^K - 1) M values of
+# n, so past a few hundred its cost doubles with M; both caps keep the
+# cold 500-digit table under about 0.8 s.
+#
+# (-1)^{t_n}: one state, whose sign flips at every 1 digit.  Cold g(x) at
+# M = 512 (x = 100) took 0.06-0.08 s at 60 digits and 0.8 s at 500, about
+# what the split oracle takes at its defaults (0.06 s and 0.65-0.8 s); at
+# M = 4096 (x = 1000) it took 0.35 s and 5.5 s against 0.07 s and 1.5 s,
+# and at M = 65536 (x = 10^4) 11.4 s against 0.15 s at 60 digits (one run
+# each, 2 vCPU).  The cap sits where the cold costs cross: offsets above
+# 64 go to the split oracle.
+THUE_MORSE = _Automaton("Thue-Morse", ((0, 0),), ((1, -1),), 3, 1 << 9)
+# (r_n, u_n) = ((-1)^{v_n}, (-1)^n (-1)^{v_n}): r_2n = r_n, r_2n+1 = u_n,
+# u_2n = r_n and u_2n+1 = -u_n.  Engine on (n+M/4-1)/(n+M/4), the largest
+# offset at M, against the direct-sum oracle at its defaults on
+# (n+M/4)/(n+M/4+1), the smallest past M (one run each, 2 vCPU):
+#
+#   M      engine cold (warm), 60 / 500 digits     oracle, 60 / 500 digits
+#   512    12 ms (0.4 ms) / 0.36 s (3.3 ms)        44 / 41 ms
+#   1024   23 ms (0.8 ms) / 0.51 s (3.9 ms)        42 / 46 ms
+#   2048   48 ms (1.9 ms) / 0.84 s (5.2 ms)        43 / 43 ms
+#   4096   88 ms (6.3 ms) / 1.60 s (9.4 ms)        48 / 50 ms
+#
+# The engine gives every digit; the oracle gives 5.7 correct digits at
+# any precision, under an estimate of about 5e-6.  The engine's cold cost
+# meets the oracle's at 60 digits at M = 2048, where the 500-digit table costs what
+# Thue-Morse's does at its cap: offsets above 512 go to the oracle.
+RUDIN_SHAPIRO = _Automaton("Rudin-Shapiro", ((0, 1), (0, 1)), ((1, 1), (1, -1)),
+                           2, 1 << 11)
+
 # Table bits beyond the working precision.
 TABLE_GUARD = 32
 
@@ -617,9 +636,9 @@ def _route(spec: ProductSpec, opts: EvalOptions, oracle_levels: Optional[int],
            oracle, kind: ExponentKind, automaton: _Automaton) -> EvalResult:
     """The scaled tail engine, or the kind's oracle when the caller fixes
     its split levels or the terms, or when the offsets would need a tail
-    start above MAX_TAIL_START."""
+    start above the automaton's cap."""
     if (oracle_levels is not None or opts.terms is not None
-            or _tail_start(spec.rational, automaton.fold) > MAX_TAIL_START):
+            or _tail_start(spec.rational, automaton.fold) > automaton.max_tail_start):
         return oracle(spec, opts)
     if spec.kind is not kind:
         raise InputError(f"{oracle.__name__} expects kind {kind.value}, "

@@ -111,7 +111,7 @@ def test_engine_large_offsets_take_a_larger_tail_start():
 
 
 @pytest.mark.parametrize("x, tail_start", [
-    (F(127), evaluator.MAX_TAIL_START),  # max|a| = 64: M = 512, the cap
+    (F(127), evaluator.THUE_MORSE.max_tail_start),  # max|a| = 64: M = 512, the cap
     (F(128), None),                         # max|a| = 129/2 would need 1024
     (F(10 ** 4), None),                     # max|a| = (10^4 + 1)/2: 2^16
 ])
@@ -196,12 +196,26 @@ def test_fixing_rs_split_levels_or_terms_selects_the_oracle(opts):
         assert eval_product(spec, opts) == eval_pm_rs(spec, opts)
 
 
-def test_rs_offsets_above_the_tail_start_cap_take_the_oracle():
-    # max|a| = 129 would need M = 1024 at K = 2
-    spec = ProductSpec(FactoredRational.parse("(n+128)/(n+129)"),
+@pytest.mark.parametrize("a, tail_start", [
+    (512, evaluator.RUDIN_SHAPIRO.max_tail_start),  # M = 4 * 512 = 2048, the cap
+    (513, None),                                    # would need M = 4096
+])
+def test_rs_offsets_above_the_tail_start_cap_take_the_oracle(
+        monkeypatch, a, tail_start):
+    spec = ProductSpec(FactoredRational.parse(f"(n+{a - 1})/(n+{a})"),
                        ExponentKind.PM_RS, 1)
     opts = EvalOptions(precision=30)
-    assert eval_product(spec, opts) == eval_pm_rs(spec, opts)
+    if tail_start is None:
+        def no_table(*args):
+            raise AssertionError("built an engine table")
+        monkeypatch.setattr(evaluator, "_scaled_table", no_table)
+        assert eval_product(spec, opts) == eval_pm_rs(spec, opts)
+    else:
+        res = eval_product(spec, opts)
+        assert (res.terms_used, res.split_levels) == (tail_start, 0)
+        oracle = eval_pm_rs(spec, opts)
+        with mpmath.workdps(40):
+            assert abs(res.value - oracle.value) <= oracle.error_estimate
 
 
 def test_rs_engine_runs_no_split_chain_or_float_sum(monkeypatch):
@@ -226,7 +240,8 @@ def test_rs_automaton_gives_the_rudin_shapiro_signs():
 def test_rs_engine_second_fold_agrees():
     # K = 4 has P_0 = S^4 = 4 I: another scalar solve, another table
     rs = evaluator.RUDIN_SHAPIRO
-    fold4 = evaluator._Automaton("Rudin-Shapiro, K = 4", rs.next_state, rs.sign, 4)
+    fold4 = evaluator._Automaton("Rudin-Shapiro, K = 4", rs.next_state, rs.sign, 4,
+                                 rs.max_tail_start)
     for name in ["GS", "T6a"]:
         spec = catalog_entry(name).spec
         default = eval_product(spec, EvalOptions(precision=60))
