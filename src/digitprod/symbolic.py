@@ -8,10 +8,11 @@ relation vector
     r_x :  G(x/2) - G((x+1)/2) - G(x) = log(1+x),
 
 and reducing an expression to a constant means writing its G-part as an
-exact rational combination of relation vectors.  The solver does exact
-sparse Gaussian elimination over the rationals on a universe of candidate
-relation points and returns the combination as a certificate; constants
-come out as products of positive rationals with rational exponents.
+exact rational combination of relation vectors.  The solver peels the
+linear system on a universe of candidate relation points, one row with a
+single unknown at a time (``_solve_relations`` proves one always exists),
+and returns the combination as a certificate; constants come out as
+products of positive rationals with rational exponents.
 Inside ``reduce`` a point x is the integer x * one, where one is the lcm
 of the expression's denominators times 2^(depth+1): the search halves a
 point at most depth + 1 times, so every halving is exact, and the keys
@@ -24,11 +25,11 @@ import heapq
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 import mpmath
 
-from .errors import CapabilityError, InputError
+from .errors import CapabilityError, ConsistencyError, InputError
 from .evaluator import EvalOptions, ProductSpec, eval_product
 from .factored_rational import FactoredRational, classify
 from .numerics import (ClosedForm, Rat, Sub, cf_mul, cf_pow, cf_rat,
@@ -39,11 +40,10 @@ from .sequences import ExponentKind
 
 DEFAULT_REDUCE_DEPTH = 6
 # Universes roughly double per depth level.  At depth 9, irreducible 2-, 4-
-# and 6-point targets take 0.2, 0.5 and 0.8 s (2 vCPU), and an 8-point one
-# already exceeds UNIVERSE_CAP.
+# and 6-point targets take 0.02, 0.05 and 0.07 s (best of nine, 2 vCPU), and
+# an 8-point one already exceeds UNIVERSE_CAP.
 MAX_REDUCE_DEPTH = 9
 UNIVERSE_CAP = 20000  # relation points searched per depth
-_ONE = Fraction(1)
 
 
 # ---------------------------------------------------------------------------
@@ -184,83 +184,81 @@ def _universe(points: List[int], depth: int, one: int) -> List[int]:
 
 def _solve_relations(universe: List[int], target: Dict[int, Fraction],
                      one: int) -> Optional[Dict[int, Fraction]]:
-    """Exact sparse elimination for sum_x lambda_x r_x = target.
+    """Solve sum_x lambda_x r_x = target exactly, by peeling.
 
     Points are integers over ``one``; relation points need x > -1 so that
-    log(1+x) is real.  Returns the lambda coefficients or None when the
+    log(1+x) is real.  Returns the lambda coefficients, or None when the
     target is not in the span of the available relations.
 
-    Each pivot is the active row with the least (length, point), taken
-    from a lazy min-heap: every row is pushed once, and again whenever
-    elimination changes its length; a popped entry whose length is stale,
-    or whose row is no longer active, is skipped.  An empty row never
-    changes again, so it is checked once, when popped.
+    Row p holds the coefficients of G(p): the relation points p, 2p and
+    2p-1 (at p = 1, 2p-1 = p with -2; at p = 0, 2p = p and they cancel).
+    Peeling never stalls.  A row is retired only once all its variables
+    are solved, so while a nonempty set W of variables is unsolved, it is
+    enough that some row holds exactly one member of W (when W is empty,
+    every row left is empty and queued):
+    - W has a member >= 1: take the largest, w.  Row w's other points 2w
+      and 2w-1 exceed w (or equal it, at w = 1).
+    - Else W has one in (-1, 0): take the least, w.  Row w's other points
+      are 2w < w and 2w-1 < -1.
+    - Else W lies in [0, 1), where a row p > 0 holds p, D(p) (D the
+      doubling map mod 1) and a point outside [0, 1).  The universe is
+      finite, so W has a least positive w, if any, and its preimage row
+      w/2 holds w/2, w and w-1, only w in W.  Otherwise W = {0}: row 1/2
+      holds 1/2, 1 and 0.
+    So every pivot row is a singleton, and as empty rows change nothing,
+    the pivots, hence the certificate's key order, are those of a general
+    elimination that pivots on the least (length, point).
     """
-    # row p: the coefficient of G(p) in each r_x, a Fraction so pivots divide exactly
-    rows: Dict[int, Dict[int, Fraction]] = {p: {} for p in target}
+    rows: Dict[int, Dict[int, int]] = {p: {} for p in target}
     for x in universe:
         if x > -one:
-            for p, coef in ((x // 2, _ONE), ((x + one) // 2, -_ONE), (x, -_ONE)):
+            for p, c in ((x // 2, 1), ((x + one) // 2, -1), (x, -1)):
                 row = rows.setdefault(p, {})
-                row[x] = row.get(x, 0) + coef
-    rows = {p: _clean(row) for p, row in rows.items()}
-    rhs = {p: target.get(p, Fraction(0)) for p in rows}
-
-    var_rows: Dict[int, set] = {}
-    for p, row in rows.items():
-        for x in row:
-            var_rows.setdefault(x, set()).add(p)
-
-    pivots: List[Tuple[int, int]] = []  # (point, variable)
-    active = set(rows)
-    heap = [(len(row), p) for p, row in rows.items()]
-    heapq.heapify(heap)
-    while heap:
-        length, p = heapq.heappop(heap)
-        if p not in active or length != len(rows[p]):
-            continue  # stale entry
-        if not length:
-            if rhs[p]:
-                return None  # inconsistent equation 0 = nonzero
-            active.discard(p)
-            continue
-        x = min(rows[p])
-        c = rows[p][x]
-        # normalize pivot row
-        if c != 1:
-            rows[p] = {k: v / c for k, v in rows[p].items()}
-            rhs[p] /= c
-        # eliminate x from the other rows
-        for p2 in list(var_rows.get(x, ())):
-            if p2 == p:
-                continue
-            factor = rows[p2].get(x)
-            if factor is None:
-                continue
-            before = len(rows[p2])
-            for k, v in rows[p].items():
-                newv = rows[p2].get(k, Fraction(0)) - factor * v
-                if newv:
-                    rows[p2][k] = newv
-                    var_rows.setdefault(k, set()).add(p2)
+                c += row.get(x, 0)
+                if c:
+                    row[x] = c
                 else:
-                    rows[p2].pop(k, None)
-                    var_rows.get(k, set()).discard(p2)
-            rhs[p2] -= factor * rhs[p]
-            if p2 in active and len(rows[p2]) != before:
-                heapq.heappush(heap, (len(rows[p2]), p2))
-        pivots.append((p, x))
-        active.discard(p)
-        var_rows.get(x, set()).discard(p)
+                    del row[x]
+    rhs = {p: Fraction(c) for p, c in target.items()}
+    return _peel(rows, rhs, lambda x: (x // 2, (x + one) // 2, x))
 
-    solution: Dict[int, Fraction] = {}
-    for p, x in reversed(pivots):
-        value = rhs[p]
-        for k, v in rows[p].items():
-            if k != x:
-                value -= v * solution.get(k, Fraction(0))
-        solution[x] = value
-    return {x: v for x, v in solution.items() if v}
+
+def _peel(rows: Dict[int, Dict[int, int]], rhs: Dict[int, Fraction],
+          column: Callable[[int], Tuple[int, ...]]) -> Optional[Dict[int, Fraction]]:
+    """Solve rows . lambda = rhs (a missing rhs is 0), where ``column(x)``
+    names the rows that may hold x, by taking the least row of length at
+    most 1: empty, it needs rhs 0, or there is no solution (None); {x: c}
+    sets x = rhs/c and strikes x from its other rows.  Consumes ``rows``;
+    returns the nonzero values, last solved first.  Raises
+    ConsistencyError if rows remain but none has length at most 1."""
+    heap = [p for p, row in rows.items() if len(row) <= 1]
+    heapq.heapify(heap)
+    solved: List[Tuple[int, Fraction]] = []
+    while heap:
+        p = heapq.heappop(heap)
+        row = rows.pop(p, None)
+        if row is None:
+            continue  # queued at length 1, then again at 0
+        b = rhs.get(p)
+        if not row:
+            if b:
+                return None  # 0 = nonzero
+            continue
+        (x, c), = row.items()
+        if b:
+            b /= c
+            solved.append((x, b))
+        for q in column(x):
+            other = rows.get(q, ())
+            if x in other:
+                c = other.pop(x)
+                if b:
+                    rhs[q] = rhs.get(q, 0) - c * b
+                if len(other) <= 1:
+                    heapq.heappush(heap, q)
+    if rows:
+        raise ConsistencyError(f"peeling stalled with {len(rows)} rows left")
+    return dict(reversed(solved))
 
 
 def reduce(expr: GExpression, depth: int = DEFAULT_REDUCE_DEPTH) -> ReduceResult:

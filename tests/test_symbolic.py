@@ -6,10 +6,10 @@ import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from digitprod import (CapabilityError, EvalOptions, ExponentKind,
-                       FactoredRational, InputError, ProductSpec, catalog,
-                       catalog_entry, expr_from_spec, family, reduce, verify,
-                       verify_all)
+from digitprod import (CapabilityError, ConsistencyError, EvalOptions,
+                       ExponentKind, FactoredRational, InputError,
+                       ProductSpec, catalog, catalog_entry, expr_from_spec,
+                       family, reduce, verify, verify_all)
 from digitprod.numerics import Rat, power_product_exponents
 from digitprod import symbolic
 from digitprod.symbolic import (MAX_REDUCE_DEPTH, UNIVERSE_CAP, GExpression,
@@ -149,6 +149,24 @@ def test_reduce_irreducible_is_a_result():
     assert out.residual is not None
 
 
+def test_peel_skips_a_row_queued_twice():
+    # rows 0 and 1 hold only x = 5: row 1 is queued at length 1, and again
+    # when solving x from row 0 empties it
+    for rhs1, expected in ((F(6), {5: F(3)}), (F(5), None)):
+        rows = {0: {5: 1}, 1: {5: 2}}
+        assert symbolic._peel(rows, {0: F(3), 1: rhs1},
+                              lambda x: (0, 1)) == expected
+
+
+def test_peel_stall_raises_instead_of_a_partial_solution():
+    # no row of length <= 1 at the start, or none left after one step
+    columns = {1: (1, 2), 2: (1, 2), 5: (0, 1)}
+    for rows in ({1: {1: 1, 2: 1}, 2: {1: 1, 2: -1}},
+                 {0: {5: 1}, 1: {5: 1, 1: 1, 2: 1}, 2: {1: 1, 2: -1}}):
+        with pytest.raises(ConsistencyError, match="stalled with 2 rows"):
+            symbolic._peel(rows, {0: F(1), 1: F(2)}, columns.get)
+
+
 def test_reduce_random_family_instances(rng):
     for _ in range(20):
         a = F(rng.randint(1, 20), rng.randint(1, 20))
@@ -194,8 +212,10 @@ def universe_reference(points, depth):
 
 
 def solve_reference(universe, target):
-    """sum_x lambda_x r_x = target by sparse elimination over Fraction keys,
-    with the pivot rule of ``symbolic._solve_relations``."""
+    """sum_x lambda_x r_x = target by general sparse Gaussian elimination
+    over Fraction keys, each pivot the row with the least (length, point).
+    Peeling in ``symbolic._solve_relations`` must reproduce its solution
+    and its pivot order, which is the certificate's key order."""
     relations = {}
     for x in universe:
         if x <= -1:

@@ -142,7 +142,8 @@ def test_engine_table_is_shared_and_built_on_first_use():
 
 @settings(max_examples=25, deadline=None)
 @given(st.integers(0, 2 ** 32), st.sampled_from([0, 1]),
-       st.sampled_from(["pm-t", "t", "pm-v", "v"]), st.integers(15, 120),
+       st.sampled_from(["pm-t", "t", "pm-v", "v", "plain"]),
+       st.integers(15, 120),
        st.integers(1, 80))
 def test_engine_two_precisions_agree_to_the_lower(seed, start, kind, low, extra):
     rng = random.Random(seed)
