@@ -46,10 +46,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from operator import add, mul, sub
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import (TYPE_CHECKING, Dict, Iterable, Iterator, List, Optional,
+                    Tuple)
 
 import mpmath
-import numpy as np
 
 from .errors import ConsistencyError, EvaluationError, InputError
 from .factored_rational import (FactoredRational, classify, log_term,
@@ -59,14 +59,19 @@ from .numerics import (DEFAULT_PRECISION, constant, gamma, gamma_error,
                        log_fraction, mpf_from_fraction, workdps, working_dps)
 from .sequences import ExponentKind
 
+if TYPE_CHECKING:
+    import numpy as np
+
 DEFAULT_TM_TERMS = 4096
 DEFAULT_RS_TERMS = 10 ** 6
 # The Thue-Morse tail table loops over every term in Python: WR at 2^20
 # terms took 3.9 s at 60 digits and 59 s at 500 digits (one run, 2 vCPU).
 MAX_TM_TERMS = 1 << 20
-# The Rudin-Shapiro tail runs in blocks of RS_BLOCK terms, so its memory
-# does not grow with the terms; the cap bounds the time: GS at this cap
-# takes 0.32 s and peaks at 44 MB (one run, 2 vCPU).
+# The direct-sum oracle's Rudin-Shapiro tail runs in numpy blocks of
+# RS_BLOCK terms, so its memory does not grow with the terms; that is why
+# the blocks stay.  The cap bounds the time: GS at this cap takes
+# 0.28-0.30 s, numpy's first import included, and peaks at 42 MB (three
+# runs, 2 vCPU).
 MAX_RS_TERMS = 1 << 22
 DEFAULT_SPLIT_LEVELS = 8
 DEFAULT_RS_SPLIT_LEVELS = 10
@@ -720,13 +725,16 @@ def _sqrt_ratio(plain: EvalResult, pm: EvalResult, opts: EvalOptions) -> EvalRes
 
 def _eps_v_array(lo: int, hi: int) -> np.ndarray:
     """(-1)^{v_n} for n = lo..hi-1 as an int8 numpy array."""
+    import numpy as np
     n = np.arange(lo, hi, dtype=np.uint64)
     pairs = np.bitwise_count(n & (n >> np.uint64(1)))
     return (1 - 2 * (pairs.astype(np.int64) & 1)).astype(np.int8)
 
 
 # Terms per block of the Rudin-Shapiro tail: a block's arrays stay in cache
-# and no array of all the terms is built.
+# and no array of all the terms is built.  These helpers and
+# remainder_sign_probe are the package's only numpy users; numpy is
+# imported on their first call, so the default paths never load it.
 RS_BLOCK = 1 << 14
 
 
@@ -736,6 +744,7 @@ def _rs_tail_blocks(q: List[float], n0: int, terms: int) -> Iterator[np.ndarray]
     Every term takes the same float64 Horner steps (acc += q_j; acc *= 1/n)
     in every block, so the terms do not depend on the block size.
     """
+    import numpy as np
     for lo in range(n0, terms + 1, RS_BLOCK):
         hi = min(lo + RS_BLOCK, terms + 1)
         x = 1.0 / np.arange(lo, hi, dtype=np.float64)
@@ -761,6 +770,7 @@ def _exact_sum(blocks: Iterable[np.ndarray]) -> float:
     2^26 values; the integer sums are shifted onto one scale and a single
     int / int, which Python rounds correctly, gives the result.
     """
+    import numpy as np
     hi_sums = np.zeros(_FREXP_SLOTS, dtype=np.int64)
     lo_sums = np.zeros(_FREXP_SLOTS, dtype=np.int64)
     for block in blocks:
@@ -1013,6 +1023,7 @@ def remainder_sign_probe(a: Fraction, b: Fraction, k: int, n_max: int,
     if n_tail + 1 > MAX_PROBE_GRID >> k:
         raise InputError(f"need 2^k * (n_tail + 1) <= {MAX_PROBE_GRID} grid points")
 
+    import numpy as np
     width = 1 << k
     top = width * (n_tail + 1)
     x = np.arange(0, top, dtype=np.float64)
