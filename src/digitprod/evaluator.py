@@ -18,8 +18,8 @@ and curious infinite products", Bull. LMS 1985) and shared by every
 evaluation (a bounded memo of a pure function, like ``gamma``).  The
 engine sums the whole tail, so its digits are real and its error estimate
 is a derived bound.  M grows with the largest offset and the table's cost
-with M, so offsets above the automaton's ``max_tail_start / 2^K`` (64 for
-Thue-Morse, 512 for Rudin-Shapiro) go to the kind's oracle.
+with M, so offsets that would need a tail start above the automaton's
+``max_tail_start`` go to the kind's oracle.
 
 When the caller fixes ``split_levels`` or ``terms``, ``eval_pm_thue``
 runs instead: the L-fold dyadic split, whose exact boundary is a rational
@@ -124,8 +124,8 @@ class EvalOptions:
     With ``split_levels`` (Thue-Morse) or ``rs_split_levels``
     (Rudin-Shapiro) and ``terms`` all None, +-1 products go through the
     scaled tail engine, unless an offset would need a tail start above
-    the automaton's cap: |a_i| above 64 for Thue-Morse, 512 for
-    Rudin-Shapiro.  Fixing either selects the kind's oracle.
+    the automaton's ``max_tail_start``.  Fixing either selects the kind's
+    oracle.
     ``eval_pm_thue`` reads None as ``DEFAULT_SPLIT_LEVELS`` levels and 4096
     terms and refuses offsets above ``MAX_TM_OFFSET``; ``eval_pm_rs`` reads
     ``terms`` None as 10^6, and ``rs_split_levels`` None as 0 for fully
@@ -167,9 +167,9 @@ class EvalResult:
     """Value with an error estimate and the work actually done.
 
     The estimate is a derived bound for the scaled tail engine (every
-    default +-1 evaluation with offsets up to 64 for Thue-Morse and 512 for
-    Rudin-Shapiro) and for plain products, and a heuristic for the split
-    and direct-sum oracles.
+    default +-1 evaluation whose tail start is within the automaton's
+    ``max_tail_start``) and for plain products, and a heuristic for the
+    split and direct-sum oracles.
     """
 
     value: mpmath.mpf
@@ -263,11 +263,6 @@ def _tm_log_sum(r: FactoredRational, start: int, terms: int,
                 abs(mpmath.mpf(h)) / (1 << bits))
 
 
-def _tm_start1_boundary(r: FactoredRational, levels: int) -> Fraction:
-    """prod_{1<=i<2^L} R(i)^{(-1)^{t_i}}, the start-1 boundary of the L-fold split."""
-    return _head(r, 1, 1 << levels, THUE_MORSE)
-
-
 def eval_pm_thue(spec: ProductSpec, opts: EvalOptions = EvalOptions()) -> EvalResult:
     """Evaluate prod R(n)^{(-1)^{t_n}} by an L-fold dyadic split."""
     if spec.kind is not ExponentKind.PM_THUE:
@@ -287,7 +282,7 @@ def eval_pm_thue(spec: ProductSpec, opts: EvalOptions = EvalOptions()) -> EvalRe
     boundary, tail, last = _tm_log_sum(spec.rational.regroup(maps), spec.start,
                                        terms, precision)
     if spec.start == 1:
-        boundary *= _tm_start1_boundary(spec.rational, levels)
+        boundary *= _head(spec.rational, 1, 1 << levels, THUE_MORSE)
     if boundary <= 0:
         raise EvaluationError(f"boundary product {boundary} is not positive")
     with workdps(wp):
@@ -637,31 +632,24 @@ def _engine(spec: ProductSpec, precision: int, automaton: _Automaton) -> EvalRes
         return EvalResult(value, value * err_log * (1 + err_log), m, 0)
 
 
-def _route(spec: ProductSpec, opts: EvalOptions, oracle_levels: Optional[int],
-           oracle, kind: ExponentKind, automaton: _Automaton) -> EvalResult:
-    """The scaled tail engine, or the kind's oracle when the caller fixes
-    its split levels or the terms, or when the offsets would need a tail
-    start above the automaton's cap."""
-    if (oracle_levels is not None or opts.terms is not None
+def _plus_minus(spec: ProductSpec, opts: EvalOptions) -> EvalResult:
+    """A +-1 product: the scaled tail engine, or the kind's oracle when the
+    caller fixes its split levels or the terms, or when the offsets would
+    need a tail start above the automaton's cap.
+
+    The oracle is looked up as a module global at each call, so that a
+    wrapper installed over ``eval_pm_thue`` or ``eval_pm_rs`` sees every
+    call routed to it.
+    """
+    if spec.kind is ExponentKind.PM_THUE:
+        automaton, levels, oracle = THUE_MORSE, opts.split_levels, eval_pm_thue
+    else:
+        automaton, levels, oracle = RUDIN_SHAPIRO, opts.rs_split_levels, eval_pm_rs
+    if (levels is not None or opts.terms is not None
             or _tail_start(spec.rational, automaton.fold) > automaton.max_tail_start):
         return oracle(spec, opts)
-    if spec.kind is not kind:
-        raise InputError(f"{oracle.__name__} expects kind {kind.value}, "
-                         f"got {spec.kind.value}")
     spec.validate()
     return _engine(spec, opts.precision, automaton)
-
-
-def _pm_thue(spec: ProductSpec, opts: EvalOptions) -> EvalResult:
-    """The +-1 Thue-Morse evaluation; the oracle is ``eval_pm_thue``."""
-    return _route(spec, opts, opts.split_levels, eval_pm_thue,
-                  ExponentKind.PM_THUE, THUE_MORSE)
-
-
-def _pm_rs(spec: ProductSpec, opts: EvalOptions) -> EvalResult:
-    """The +-1 Rudin-Shapiro evaluation; the oracle is ``eval_pm_rs``."""
-    return _route(spec, opts, opts.rs_split_levels, eval_pm_rs,
-                  ExponentKind.PM_RS, RUDIN_SHAPIRO)
 
 
 # ---------------------------------------------------------------------------
@@ -700,16 +688,18 @@ def eval_zero_one_thue(spec: ProductSpec, opts: EvalOptions = EvalOptions()) -> 
     """prod R(n)^{t_n} = sqrt(plain / pm) via 2 t_n = 1 - (-1)^{t_n}."""
     if spec.kind is not ExponentKind.ZERO_ONE_THUE:
         raise InputError(f"eval_zero_one_thue expects kind t, got {spec.kind.value}")
+    return _zero_one(spec, ExponentKind.PM_THUE, opts)
+
+
+def _zero_one(spec: ProductSpec, pm_kind: ExponentKind,
+              opts: EvalOptions) -> EvalResult:
+    """sqrt(plain / pm) for the +-1 kind ``pm_kind``: half of each relative
+    estimate, plus 10 rounding units of the working precision for the
+    quotient and the root."""
     spec.validate()
     # the +-1 product first: it rejects a terms count before any Gamma work
-    pm = _pm_thue(ProductSpec(spec.rational, ExponentKind.PM_THUE, spec.start), opts)
+    pm = _plus_minus(ProductSpec(spec.rational, pm_kind, spec.start), opts)
     plain = eval_plain(ProductSpec(spec.rational, ExponentKind.PLAIN, spec.start), opts)
-    return _sqrt_ratio(plain, pm, opts)
-
-
-def _sqrt_ratio(plain: EvalResult, pm: EvalResult, opts: EvalOptions) -> EvalResult:
-    """sqrt(plain / pm): half of each relative estimate, plus 10 rounding
-    units of the working precision for the quotient and the root."""
     wp = working_dps(opts.precision)
     with workdps(wp):
         value = mpmath.sqrt(plain.value / pm.value)
@@ -819,6 +809,10 @@ def eval_pm_rs(spec: ProductSpec, opts: EvalOptions = EvalOptions()) -> EvalResu
     levels = opts.rs_split_levels
     if levels is None:
         levels = 0 if r.power_sum(1) == 0 else DEFAULT_RS_SPLIT_LEVELS
+    # the split turns no other rational into 1, and R = 1 has boundary 1
+    if r.is_one:
+        with workdps(wp):
+            return EvalResult(mpmath.mpf(1), mpmath.mpf(0), 0, levels)
 
     boundary_logs: List[float] = []
     exact_boundary = Fraction(1)
@@ -831,19 +825,6 @@ def eval_pm_rs(spec: ProductSpec, opts: EvalOptions = EvalOptions()) -> EvalResu
     for _ in range(levels):
         boundary_logs.extend(_rs_level_log_terms(r, [1]))
         r = rs_split_rational(r)
-
-    if r.is_one:
-        # the value is exact up to rounding: the boundary's log is off by
-        # 2 (bits of its numerator and denominator + 2) 2^-prec at most, as
-        # the head in ``_engine``, and the exp by a few ulps
-        with workdps(wp):
-            if exact_boundary == 1:
-                return EvalResult(mpmath.mpf(1), mpmath.mpf(0), 0, levels)
-            value = mpmath.exp(log_fraction(exact_boundary, precision))
-            size = (exact_boundary.numerator.bit_length()
-                    + exact_boundary.denominator.bit_length() + 2)
-            rel = mpmath.ldexp(2 * size + 4, -mpmath.libmp.dps_to_prec(wp))
-            return EvalResult(value, value * rel, 0, levels)
 
     max_abs = float(r.max_abs_offset())
     n0 = max(8, int(math.ceil(2 * max_abs)) + 1)
@@ -888,10 +869,7 @@ def eval_zero_one_rs(spec: ProductSpec, opts: EvalOptions = EvalOptions()) -> Ev
     """prod R(n)^{v_n} = sqrt(plain / pm_rs)."""
     if spec.kind is not ExponentKind.ZERO_ONE_RS:
         raise InputError(f"eval_zero_one_rs expects kind v, got {spec.kind.value}")
-    spec.validate()
-    pm = _pm_rs(ProductSpec(spec.rational, ExponentKind.PM_RS, spec.start), opts)
-    plain = eval_plain(ProductSpec(spec.rational, ExponentKind.PLAIN, spec.start), opts)
-    return _sqrt_ratio(plain, pm, opts)
+    return _zero_one(spec, ExponentKind.PM_RS, opts)
 
 
 # ---------------------------------------------------------------------------
@@ -899,9 +877,9 @@ def eval_zero_one_rs(spec: ProductSpec, opts: EvalOptions = EvalOptions()) -> Ev
 # ---------------------------------------------------------------------------
 
 _DISPATCH = {
-    ExponentKind.PM_THUE: _pm_thue,
+    ExponentKind.PM_THUE: _plus_minus,
     ExponentKind.ZERO_ONE_THUE: eval_zero_one_thue,
-    ExponentKind.PM_RS: _pm_rs,
+    ExponentKind.PM_RS: _plus_minus,
     ExponentKind.ZERO_ONE_RS: eval_zero_one_rs,
     ExponentKind.PLAIN: eval_plain,
 }
@@ -931,7 +909,7 @@ def f_value(a: Fraction, b: Fraction, opts: EvalOptions = EvalOptions()) -> Eval
             return EvalResult(mpmath.mpf(1), mpmath.mpf(0), 0, 0)
     rational = FactoredRational.from_offsets({a: 1, b: -1})
     spec = ProductSpec(rational, ExponentKind.PM_THUE, 1)
-    return _pm_thue(spec, opts)
+    return _plus_minus(spec, opts)
 
 
 def g_value(x: Fraction, opts: EvalOptions = EvalOptions()) -> EvalResult:
@@ -975,7 +953,7 @@ def flajolet_martin(opts: EvalOptions = EvalOptions()) -> FlajoletMartin:
     # raises CapabilityError beyond the stored digits, before any work
     euler_gamma = constant("euler_gamma", precision)
     g0 = g_value(Fraction(0), opts)
-    ratio = _pm_thue(ProductSpec(FM_RATIO_RATIONAL, ExponentKind.PM_THUE, 1), opts)
+    ratio = _plus_minus(ProductSpec(FM_RATIO_RATIONAL, ExponentKind.PM_THUE, 1), opts)
     with workdps(working_dps(precision)):
         e_gamma = mpmath.exp(euler_gamma)
         inv_sqrt2 = 1 / mpmath.sqrt(mpmath.mpf(2))

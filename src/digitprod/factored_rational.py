@@ -10,10 +10,13 @@ equal, and it is immutable after construction.
 
 Everything here is exact and works on the integers u_i: ``regroup`` is
 the one substitution rule (n -> c*n + d, behind composition, powers and
-every split), ``values_at`` the one exact evaluator of R(n)
-(``value_at`` is its one-point case) and ``power_sums`` the one source
-of the power sums p_j that drive the tail series; ``rs_split_power_sums``
-carries them through the Rudin-Shapiro split chain.  The
+every split), ``values_at`` the exact evaluator of R(n) at rational
+points (``value_at`` is its one-point case) and ``power_sums`` the one
+source of the power sums p_j that drive the tail series;
+``rs_split_power_sums`` carries them through the Rudin-Shapiro split
+chain.  ``evaluator._head`` also multiplies the integer factors
+n D + u_i, on purpose: a signed product over many integer points builds
+one Fraction at the end, not one per point.  The
 ``factors`` view of ``AffineFactor``s is built on demand, for rendering
 and for callers that want each offset as a Fraction.  The only numerical
 operation, ``log_term``, is ``numerics.log_fraction`` of the exact value.

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 from decimal import Decimal
 from fractions import Fraction
@@ -331,6 +333,41 @@ def test_csv_format(capsys):
     lines = out.splitlines()
     assert lines[0].startswith("name,")
     assert lines[1].startswith("C3b,")
+
+
+@pytest.mark.parametrize("argv", [
+    ["g", "--x", "3/4"],
+    ["eval", "(2n+1)/(2n+2)", "--kind", "pm-t"],
+])
+def test_csv_format_prints_sorted_key_value_rows(capsys, argv):
+    # a payload without rows prints one key,value row per key, sorted
+    code, out, _ = run(capsys, *argv, "--digits", "25", "--format", "json")
+    assert code == 0
+    payload = json.loads(out)
+    code, out, _ = run(capsys, *argv, "--digits", "25", "--format", "csv")
+    assert code == 0
+    assert list(csv.reader(io.StringIO(out))) == [
+        [key, str(payload[key])] for key in sorted(payload)]
+
+
+def test_catalog_csv_closed_forms_are_the_json_ones(capsys):
+    code, out, _ = run(capsys, "catalog", "--format", "json")
+    assert code == 0
+    expected = json.loads(out)["rows"]
+    code, out, _ = run(capsys, "catalog", "--format", "csv")
+    assert code == 0
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert [row["name"] for row in rows] == [row["name"] for row in expected]
+    for row, want in zip(rows, expected):
+        assert json.loads(row["closed_form"]) == want["closed_form"], row["name"]
+
+
+def test_constants_g0_is_g_at_zero(capsys):
+    code, out, _ = run(capsys, "constants", "g0", "--digits", "30")
+    assert code == 0
+    code, g_out, _ = run(capsys, "g", "--x", "0", "--digits", "30", "--format", "json")
+    assert code == 0
+    assert out.splitlines()[0] == f"g0 = {json.loads(g_out)['value']}"
 
 
 def test_env_precision(monkeypatch, capsys):

@@ -385,8 +385,11 @@ def test_pm_rs_identity_rational():
 
 @pytest.mark.parametrize("start", [0, 1])
 def test_pm_rs_identity_rational_has_no_error(start):
-    res = eval_pm_rs(ProductSpec(FactoredRational.one(), ExponentKind.PM_RS, start))
+    spec = ProductSpec(FactoredRational.one(), ExponentKind.PM_RS, start)
+    res = eval_pm_rs(spec)
     assert res.value == 1 and res.error_estimate == 0
+    res = eval_pm_rs(spec, EvalOptions(rs_split_levels=6))
+    assert (res.value, res.error_estimate, res.split_levels) == (1, 0, 6)
 
 
 def test_pm_rs_matches_naive_oracle(rng):
@@ -619,7 +622,7 @@ def test_flajolet_martin_rejects_a_ratio_off_by_100_bounds(monkeypatch):
     with mp(90):
         shift = 100 * (fm.ratio.error_estimate
                        + fm.g0.error_estimate * fm.ratio.value / fm.g0.value)
-    engine = evaluator._pm_thue
+    engine = evaluator._plus_minus
 
     def perturbed(spec, options):
         res = engine(spec, options)
@@ -628,7 +631,7 @@ def test_flajolet_martin_rejects_a_ratio_off_by_100_bounds(monkeypatch):
                 return evaluator.EvalResult(res.value + shift, res.error_estimate,
                                             res.terms_used, res.split_levels)
         return res
-    monkeypatch.setattr(evaluator, "_pm_thue", perturbed)
+    monkeypatch.setattr(evaluator, "_plus_minus", perturbed)
     with pytest.raises(ConsistencyError):
         flajolet_martin(opts)
 

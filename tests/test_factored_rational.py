@@ -7,7 +7,7 @@ from hypothesis import assume, given, settings, strategies as st
 from digitprod import (ConvergenceTag, EvaluationError, FactoredRational,
                        InputError, ParseError, classify, dyadic_split,
                        log_term, pole_check, rs_split, thue_morse)
-from digitprod.evaluator import _tm_start1_boundary
+from digitprod.evaluator import THUE_MORSE, _head
 from digitprod.factored_rational import (positivity_check, rs_split_power_sums,
                                          rs_split_rational)
 
@@ -392,6 +392,31 @@ def test_rs_split_power_sums_match_the_split_chain(case, levels, j_max):
     assert rs_split_power_sums(r, levels, j_max) == split.power_sums(j_max)
 
 
+@st.composite
+def _signed_rationals(draw):
+    # offsets of both signs, at and below -1 too; scale 1 half the time,
+    # so that R = 1 is drawn
+    offsets = draw(st.dictionaries(
+        st.fractions(min_value=-4, max_value=4, max_denominator=6),
+        st.integers(-3, 3).filter(bool), max_size=5))
+    scale = draw(st.one_of(st.just(F(1)), st.fractions(
+        min_value=F(1, 8), max_value=8, max_denominator=8)))
+    return FactoredRational.from_offsets(offsets, scale)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_signed_rationals())
+def test_rs_split_turns_no_other_rational_into_one(r):
+    # the split sends a to a/2, (1+a)/4 (weight 2) and (1+a)/2: if
+    # max a > -1, (1 + max a)/2 has no other preimage, else (min a)/2 has
+    # none; the scale s goes to s^2
+    try:
+        split = rs_split_rational(r)
+    except EvaluationError:
+        assume(False)
+    assert split.is_one == r.is_one
+
+
 @settings(max_examples=200, deadline=None)
 @given(_rational_and_point(), st.lists(st.fractions(min_value=-4, max_value=4,
                                                     max_denominator=6), max_size=6),
@@ -496,7 +521,7 @@ def test_regroup_matches_value_at_oracle(case, maps):
 def test_l_fold_regroup_is_iterated_dyadic_split(rng, start, levels):
     # R_L(n) = prod_{i<2^L} R(2^L n + i)^{(-1)^{t_i}} is L dyadic splits
     # in one; the evaluator's boundary is R_L(0) for start 0 and
-    # prod_{1<=i<2^L} R(i)^{(-1)^{t_i}} (``_tm_start1_boundary``) for start 1
+    # prod_{1<=i<2^L} R(i)^{(-1)^{t_i}} (``_head``) for start 1
     from conftest import random_pm_convergent
     for _ in range(3):
         r = random_pm_convergent(rng)
@@ -509,7 +534,7 @@ def test_l_fold_regroup_is_iterated_dyadic_split(rng, start, levels):
         assert r.regroup(maps) == split
         if start == 1:
             assert r.regroup(maps[1:]).value_at(0) == boundary
-            assert _tm_start1_boundary(r, levels) == boundary
+            assert _head(r, 1, 1 << levels, THUE_MORSE) == boundary
         elif levels:
             assert split.value_at(0) == boundary
 

@@ -18,6 +18,7 @@ from digitprod import (EvalOptions, ExponentKind, FactoredRational,
                        ProductSpec, catalog_entry, eval_pm_rs, eval_pm_thue,
                        eval_product, f_value)
 from digitprod import evaluator
+from digitprod.cli import main
 from digitprod.numerics import working_dps
 
 
@@ -217,6 +218,27 @@ def test_rs_offsets_above_the_tail_start_cap_take_the_oracle(
         oracle = eval_pm_rs(spec, opts)
         with mpmath.workdps(40):
             assert abs(res.value - oracle.value) <= oracle.error_estimate
+
+
+def test_default_route_fallbacks_reach_the_patched_oracles(monkeypatch, capsys):
+    # the route reads the oracles as module attributes at each call, so a
+    # wrapper installed over them sees the fallbacks past each cap:
+    # g(1000) has offset 1001/2 > 64, and (n+600)/(n+601) offset 601 > 512
+    calls = []
+
+    def recorder(name):
+        oracle = getattr(evaluator, name)
+
+        def record(spec, opts):
+            calls.append(name)
+            return oracle(spec, opts)
+        return record
+    for name in ["eval_pm_thue", "eval_pm_rs"]:
+        monkeypatch.setattr(evaluator, name, recorder(name))
+    assert main(["g", "--x", "1000", "--digits", "20"]) == 0
+    assert main(["eval", "(n+600)/(n+601)", "--kind", "pm-v", "--digits", "20"]) == 0
+    capsys.readouterr()
+    assert calls == ["eval_pm_thue", "eval_pm_rs"]
 
 
 def test_rs_engine_runs_no_split_chain_or_float_sum(monkeypatch):
