@@ -24,9 +24,9 @@ from . import symbolic
 from .errors import DigitprodError, InputError, ParseError
 from .evaluator import (DEFAULT_RS_TERMS, DEFAULT_SPLIT_LEVELS,
                         DEFAULT_TM_TERMS, MAX_RS_TERMS, MAX_TM_TERMS,
-                        RUDIN_SHAPIRO, THUE_MORSE, EvalOptions, EvalResult,
-                        ProductSpec, eval_product, flajolet_martin, g_value,
-                        monotonicity_scan, remainder_sign_probe)
+                        EvalOptions, EvalResult, ProductSpec, eval_product,
+                        flajolet_martin, g_value, monotonicity_scan,
+                        remainder_sign_probe)
 from .factored_rational import FactoredRational
 from .numerics import DEFAULT_PRECISION, workdps
 from .sequences import ExponentKind, block_parity, exponent
@@ -331,8 +331,7 @@ def _add_common(parser: argparse.ArgumentParser, default_precision: int) -> None
                         help="dyadic split levels for +-1 Thue-Morse products; "
                              "setting this or --terms selects the split oracle "
                              f"(default {DEFAULT_SPLIT_LEVELS} there) in place "
-                             "of the scaled tail engine, as does an offset "
-                             f"above {THUE_MORSE.max_tail_start >> THUE_MORSE.fold}")
+                             "of the scaled tail engine")
     parser.add_argument("--terms", type=_positive_int, default=None,
                         help=f"summation terms; selects the kind's oracle "
                              f"(Thue-Morse: default {DEFAULT_TM_TERMS}; "
@@ -342,8 +341,7 @@ def _add_common(parser: argparse.ArgumentParser, default_precision: int) -> None
                         help="Rudin-Shapiro split levels; setting this or "
                              "--terms selects the direct-sum oracle (default "
                              "automatic there) in place of the scaled tail "
-                             "engine, as does an offset above "
-                             f"{RUDIN_SHAPIRO.max_tail_start >> RUDIN_SHAPIRO.fold}")
+                             "engine")
     parser.add_argument("--format", choices=("text", "json", "csv"),
                         default="text")
     parser.add_argument("--output", default=None, metavar="PATH",

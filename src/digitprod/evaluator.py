@@ -18,22 +18,22 @@ and curious infinite products", Bull. LMS 1985) and shared by every
 evaluation (a bounded memo of a pure function, like ``gamma``).  The
 engine sums the whole tail, so its digits are real and its error estimate
 is a derived bound.  M grows with the largest offset and the table's cost
-with M, so offsets that would need a tail start above the automaton's
-``max_tail_start`` go to the kind's oracle.
+with M, so the engine refuses offsets that would need a tail start above
+the automaton's ``max_tail_start`` (``CapabilityError``) before any work.
 
-When the caller fixes ``split_levels`` or ``terms``, ``eval_pm_thue``
-runs instead: the L-fold dyadic split, whose exact boundary is a rational
-and whose log-terms gain one order of decay per level, summed to a fixed
-number of terms through a second rational-independent table.  It is kept
-as an independent oracle.
+Only when the caller fixes ``split_levels`` or ``terms`` does
+``eval_pm_thue`` run instead: the L-fold dyadic split, whose exact
+boundary is a rational and whose log-terms gain one order of decay per
+level, summed to a fixed number of terms through a second
+rational-independent table.  It is kept as an independent oracle.
 
-When the caller fixes ``rs_split_levels`` or ``terms``, ``eval_pm_rs``
-runs instead, also kept as an oracle: it sums float64 terms directly, with
-an exactly rounded sum, after applying the exact index-regrouping split
-(``rs_split``) a number of times when the rational is not fully
-convergent, halving the slow O(1/n) log-term component per level.  The
-tail's power sums are carried through the split chain from the base
-rational's own (``rs_split_power_sums``).
+Only when the caller fixes ``rs_split_levels`` or ``terms`` does
+``eval_pm_rs`` run instead, also kept as an oracle: it sums float64 terms
+directly, with an exactly rounded sum, after applying the exact
+index-regrouping split (``rs_split``) a number of times when the rational
+is not fully convergent, halving the slow O(1/n) log-term component per
+level.  The tail's power sums are carried through the split chain from
+the base rational's own (``rs_split_power_sums``).
 
 Plain products telescope into Gamma values.  The 0/1-exponent kinds use
 2 s_n = 1 - (-1)^{s_n} and combine the plain and +-1 results.
@@ -51,7 +51,8 @@ from typing import (TYPE_CHECKING, Dict, Iterable, Iterator, List, Optional,
 
 import mpmath
 
-from .errors import ConsistencyError, EvaluationError, InputError
+from .errors import (CapabilityError, ConsistencyError, EvaluationError,
+                     InputError)
 from .factored_rational import (FactoredRational, classify, log_term,
                                 pole_check, positivity_check,
                                 rs_split_power_sums, rs_split_rational)
@@ -123,9 +124,9 @@ class EvalOptions:
 
     With ``split_levels`` (Thue-Morse) or ``rs_split_levels``
     (Rudin-Shapiro) and ``terms`` all None, +-1 products go through the
-    scaled tail engine, unless an offset would need a tail start above
-    the automaton's ``max_tail_start``.  Fixing either selects the kind's
-    oracle.
+    scaled tail engine, which raises ``CapabilityError`` for an offset
+    that would need a tail start above the automaton's
+    ``max_tail_start``.  Fixing either selects the kind's oracle.
     ``eval_pm_thue`` reads None as ``DEFAULT_SPLIT_LEVELS`` levels and 4096
     terms and refuses offsets above ``MAX_TM_OFFSET``; ``eval_pm_rs`` reads
     ``terms`` None as 10^6, and ``rs_split_levels`` None as 0 for fully
@@ -167,9 +168,8 @@ class EvalResult:
     """Value with an error estimate and the work actually done.
 
     The estimate is a derived bound for the scaled tail engine (every
-    default +-1 evaluation whose tail start is within the automaton's
-    ``max_tail_start``) and for plain products, and a heuristic for the
-    split and direct-sum oracles.
+    +-1 evaluation without oracle options) and for plain products, and a
+    heuristic for the split and direct-sum oracles.
     """
 
     value: mpmath.mpf
@@ -306,8 +306,8 @@ class _Automaton:
     product's exponent is x_n[0].  Reading the K low digits of
     n = 2^K n' + i, least significant first, gives x_n = A_i x_n', where
     row q of A_i holds one sign, in the column of the state the digits of
-    i lead q to.  Offsets that would need a tail start above
-    ``max_tail_start`` go to the kind's oracle.
+    i lead q to.  ``max_tail_start`` bounds the engine's work: offsets
+    that would need a larger tail start are refused.
     """
 
     name: str
@@ -357,17 +357,19 @@ class _Automaton:
 # 2^K times smaller than the one before; every larger M has its own table.
 TAIL_START = 64
 
-# Each automaton's cap on M.  The table loops over (2^K - 1) M values of
-# n, so past a few hundred its cost doubles with M; both caps keep the
-# cold 500-digit table under about 0.8 s.
+# Each automaton's cap on M, the bound on the engine's work: the table
+# loops over (2^K - 1) M values of n, so past a few hundred its cost
+# doubles with M; both caps keep the cold 500-digit table under about
+# 0.8 s.  Offsets that would need a larger M are refused (exit 3), and
+# the kind's oracle runs only when its options are given.
 #
 # (-1)^{t_n}: one state, whose sign flips at every 1 digit.  Cold g(x) at
 # M = 512 (x = 100) took 0.06-0.08 s at 60 digits and 0.8 s at 500, about
 # what the split oracle takes at its defaults (0.06 s and 0.65-0.8 s); at
 # M = 4096 (x = 1000) it took 0.35 s and 5.5 s against 0.07 s and 1.5 s,
 # and at M = 65536 (x = 10^4) 11.4 s against 0.15 s at 60 digits (one run
-# each, 2 vCPU).  The cap sits where the cold costs cross: offsets above
-# 64 go to the split oracle.
+# each, 2 vCPU).  The cap, M = 512 (offsets up to 64), sits where the
+# cold costs cross.
 THUE_MORSE = _Automaton("Thue-Morse", ((0, 0),), ((1, -1),), 3, 1 << 9)
 # (r_n, u_n) = ((-1)^{v_n}, (-1)^n (-1)^{v_n}): r_2n = r_n, r_2n+1 = u_n,
 # u_2n = r_n and u_2n+1 = -u_n.  Engine on (n+M/4-1)/(n+M/4), the largest
@@ -382,8 +384,8 @@ THUE_MORSE = _Automaton("Thue-Morse", ((0, 0),), ((1, -1),), 3, 1 << 9)
 #
 # The engine gives every digit; the oracle gives 5.7 correct digits at
 # any precision, under an estimate of about 5e-6.  The engine's cold cost
-# meets the oracle's at 60 digits at M = 2048, where the 500-digit table costs what
-# Thue-Morse's does at its cap: offsets above 512 go to the oracle.
+# meets the oracle's at 60 digits at M = 2048 (offsets up to 512), the
+# cap, where the 500-digit table costs what Thue-Morse's does at its cap.
 RUDIN_SHAPIRO = _Automaton("Rudin-Shapiro", ((0, 1), (0, 1)), ((1, 1), (1, -1)),
                            2, 1 << 11)
 
@@ -633,21 +635,30 @@ def _engine(spec: ProductSpec, precision: int, automaton: _Automaton) -> EvalRes
 
 
 def _plus_minus(spec: ProductSpec, opts: EvalOptions) -> EvalResult:
-    """A +-1 product: the scaled tail engine, or the kind's oracle when the
-    caller fixes its split levels or the terms, or when the offsets would
-    need a tail start above the automaton's cap.
+    """A +-1 product: the kind's oracle when the caller fixes its split
+    levels or the terms, and the scaled tail engine otherwise.
 
-    The oracle is looked up as a module global at each call, so that a
-    wrapper installed over ``eval_pm_thue`` or ``eval_pm_rs`` sees every
-    call routed to it.
+    The engine refuses, with ``CapabilityError`` and before any other
+    work, offsets that would need a tail start above the automaton's
+    ``max_tail_start``.  The oracle is looked up as a module global at
+    each call, so that a wrapper installed over ``eval_pm_thue`` or
+    ``eval_pm_rs`` sees every call routed to it.
     """
     if spec.kind is ExponentKind.PM_THUE:
         automaton, levels, oracle = THUE_MORSE, opts.split_levels, eval_pm_thue
+        option, name = "split_levels", f"split oracle (offsets up to {MAX_TM_OFFSET})"
     else:
         automaton, levels, oracle = RUDIN_SHAPIRO, opts.rs_split_levels, eval_pm_rs
-    if (levels is not None or opts.terms is not None
-            or _tail_start(spec.rational, automaton.fold) > automaton.max_tail_start):
+        option, name = "rs_split_levels", "direct-sum oracle"
+    if levels is not None or opts.terms is not None:
         return oracle(spec, opts)
+    if _tail_start(spec.rational, automaton.fold) > automaton.max_tail_start:
+        flag = "--" + option.replace("_", "-")
+        raise CapabilityError(
+            f"offsets |a_i| above {automaton.max_tail_start >> automaton.fold} need "
+            f"a {automaton.name} tail start above {automaton.max_tail_start}, the "
+            f"engine's cap; {flag} or --terms (EvalOptions {option} or terms) "
+            f"selects the {name}")
     spec.validate()
     return _engine(spec, opts.precision, automaton)
 
@@ -787,11 +798,26 @@ def _rs_level_log_terms(r: FactoredRational, points: List[int]) -> List[float]:
 
     Multiplicities after several rs splits are huge and cancel, so each
     term list is fed to math.fsum; the remaining error is the per-term
-    log1p rounding, bounded by eps * sum_i |m_i * log1p(a_i/n)|.
+    rounding, bounded by eps * sum_i |m_i * log|1 + a_i/n||.  R(n) > 0 and
+    the net degree is 0, so log R(n) = sum_i m_i log|1 + a_i/n| also at a
+    point n where some n + a_i < 0; there each such factor takes the log of
+    |n D + u_i| / (n D), and the others still log1p(a_i/n).
     """
+    d = r.denominator
     # int / int is correctly rounded, like float(Fraction(u, D))
-    offs = [(u / r.denominator, m) for u, m in r.numerators]
-    return [math.fsum(m * math.log1p(a / n) for a, m in offs) for n in points]
+    offs = [(u, u / d, m) for u, m in r.numerators]
+    # from this n on, every n + a_i > 0
+    positive = -min((u for u, _ in r.numerators), default=0) // d + 1
+
+    def log_abs(n: int, u: int, a: float) -> float:
+        """log|1 + a/n| for a = u/D."""
+        if n * d + u > 0:
+            return math.log1p(a / n)
+        return math.log(-(n * d + u) / (n * d))
+
+    return [math.fsum(m * math.log1p(a / n) for _, a, m in offs) if n >= positive
+            else math.fsum(m * log_abs(n, u, a) for u, a, m in offs)
+            for n in points]
 
 
 def eval_pm_rs(spec: ProductSpec, opts: EvalOptions = EvalOptions()) -> EvalResult:

@@ -490,14 +490,20 @@ def pole_check(r: FactoredRational, start: int) -> Optional[int]:
 def positivity_check(r: FactoredRational, start: int) -> None:
     """Raise EvaluationError unless R(n) > 0 for every integer n >= start.
 
-    Only finitely many n can fail: past n > max(-a_i) every factor is
-    positive, so exact checks up to that bound decide the whole range.
+    With no factor vanishing at an integer n >= start, R keeps its sign
+    between consecutive roots -a_i, so the integers n >= start fall into
+    runs of one sign, each starting at ``start`` or at the first integer
+    past a root.  Checking those starts, at most one more than the number
+    of factors, finds the first n with R(n) <= 0, as a walk over every n
+    up to max(-a_i) would.
     """
     pole = pole_check(r, start)
     if pole is not None:
         raise EvaluationError(f"factor vanishes at n = {pole} (n >= {start})")
-    bound = max([start] + [-(u // r.denominator) + 1 for u, _ in r.numerators])
-    for n, value in zip(range(start, bound + 1), r.values_at(range(start, bound + 1))):
+    d = r.denominator
+    past_roots = {-u // d + 1 for u, _ in r.numerators}  # first integer past -u/d
+    points = sorted({start} | {n for n in past_roots if n > start})
+    for n, value in zip(points, r.values_at(points)):
         if value <= 0:
             raise EvaluationError(f"R({n}) = {value} is not positive; "
                                   f"real logarithms require R(n) > 0 for n >= {start}")

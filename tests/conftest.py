@@ -1,4 +1,5 @@
-"""Shared helpers: random balanced rationals and independent oracles.
+"""Shared helpers: random balanced rationals, independent oracles, a
+guard that fails any engine or oracle work, and an oracle call recorder.
 
 The oracles here never touch the accelerated evaluation paths: they sum
 float64 logarithms of the raw factors directly, so they stay independent
@@ -12,7 +13,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from digitprod import FactoredRational
+from digitprod import FactoredRational, evaluator
 
 
 def popcount_parity(values: np.ndarray) -> np.ndarray:
@@ -66,3 +67,29 @@ def random_fully_convergent(rng: random.Random) -> FactoredRational:
 @pytest.fixture
 def rng():
     return random.Random(20260810)
+
+
+def forbid_engine_and_oracles(monkeypatch):
+    """Make the engine's table and head and both oracles fail when called,
+    so that a refusal is shown to come before any of that work."""
+    def no_work(*args):
+        raise AssertionError("worked before the refusal")
+    for name in ["_scaled_table", "_head", "eval_pm_thue", "eval_pm_rs"]:
+        monkeypatch.setattr(evaluator, name, no_work)
+
+
+def record_oracle_calls(monkeypatch, *names):
+    """Wrap each named oracle in ``evaluator``; the returned list records
+    the names in call order."""
+    calls = []
+
+    def recorder(name):
+        oracle = getattr(evaluator, name)
+
+        def record(spec, opts):
+            calls.append(name)
+            return oracle(spec, opts)
+        return record
+    for name in names:
+        monkeypatch.setattr(evaluator, name, recorder(name))
+    return calls

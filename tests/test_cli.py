@@ -7,6 +7,8 @@ from fractions import Fraction
 import mpmath
 import pytest
 
+from conftest import forbid_engine_and_oracles, record_oracle_calls
+
 from digitprod import evaluator, symbolic
 from digitprod.cli import _printed, main
 from digitprod.evaluator import MAX_RS_TERMS, MAX_TM_TERMS
@@ -104,27 +106,87 @@ def test_eval_json_format_engine(capsys):
 
 
 @pytest.mark.parametrize("argv", [
+    ("g", "--x", "128"),
+    ("eval", "(n+513)/(n+514)", "--kind", "pm-v"),
+    ("eval", "(n+600)^2/((n+599)(n+601))", "--kind", "v"),
+])
+def test_offsets_past_the_engine_cap_exit_three_before_any_work(
+        capsys, monkeypatch, argv):
+    forbid_engine_and_oracles(monkeypatch)
+    code, out, err = run(capsys, *argv)
+    assert code == 3 and out == "" and "--terms" in err
+
+
+@pytest.mark.parametrize("argv", [
     ("g", "--x", "10000"),
     ("eval", "(n+1000)/(n+1001)", "--kind", "pm-t"),
 ])
 def test_large_offsets_take_the_split_oracle(capsys, monkeypatch, argv):
-    # the engine's table would need a tail start of 2^13 or more
-    def no_table(*args):
-        raise AssertionError("built an engine table")
-    monkeypatch.setattr(evaluator, "_scaled_table", no_table)
-    code, out, _ = run(capsys, *argv, "--format", "json")
-    assert code == 0
+    # the engine's table would need a tail start of 2^13 or more: without
+    # an oracle flag that is refused before any work, and --split-levels
+    # reaches the split oracle through the module attribute
+    forbid_engine_and_oracles(monkeypatch)
+    code, out, err = run(capsys, *argv, "--format", "json")
+    assert code == 3 and out == "" and "--split-levels" in err
+    monkeypatch.undo()
+    calls = record_oracle_calls(monkeypatch, "eval_pm_thue")
+    code, out, _ = run(capsys, *argv, "--split-levels", "8", "--format", "json")
+    assert code == 0 and calls == ["eval_pm_thue"]
     payload = json.loads(out)
     assert (payload["terms_used"], payload["split_levels"]) == (4096, 8)
 
 
 def test_offsets_above_the_split_oracle_cap_exit_three(capsys, monkeypatch):
-    # g(10^6) has max|a| = (10^6 + 1)/2 > 2^16: refused before the head
+    # g(10^6) has max|a| = (10^6 + 1)/2 > 2^16: refused before the head,
+    # by default past the engine's cap and with a flag by the oracle itself
     def no_work(*args):
         raise AssertionError("started the split oracle")
     monkeypatch.setattr(evaluator, "_tm_log_sum", no_work)
     code, out, err = run(capsys, "g", "--x", "1000000")
     assert code == 3 and out == "" and str(evaluator.MAX_TM_OFFSET) in err
+    code, out, err = run(capsys, "g", "--x", "1000000", "--split-levels", "8")
+    assert code == 3 and out == "" and str(evaluator.MAX_TM_OFFSET) in err
+
+
+NEGATIVE = "(n-3/2)^2/((n-5/4)(n-7/4))"
+
+
+@pytest.mark.parametrize("argv", [
+    # negative offsets, some n + a_i < 0 in the product range
+    *[("eval", NEGATIVE, "--kind", kind, *flags)
+      for kind, flag_sets in [
+          ("pm-t", [(), ("--terms", "4096"), ("--split-levels", "3")]),
+          ("t", [(), ("--terms", "4096")]),
+          ("pm-v", [(), ("--terms", "4096"), ("--rs-split-levels", "3")]),
+          ("v", [(), ("--terms", "4096"), ("--rs-split-levels", "3")]),
+          ("plain", [(), ("--start", "1")])]
+      for flags in flag_sets],
+    *[("eval", "(n-1/4)(n-3/4)/(n-1/2)^2", "--kind", kind, "--start", "1")
+      for kind in ["t", "v", "plain"]],
+    ("eval", "(n-3/2)/(n+1/2)", "--kind", "pm-v", "--terms", "4096"),
+    ("eval", "(n-3/2)/(n+1/2)", "--kind", "pm-t"),
+    # each side of the Thue-Morse cap, |a_i| = 64 and 65
+    ("eval", "(n+63)/(n+64)", "--kind", "pm-t"),
+    ("eval", "(n+64)/(n+65)", "--kind", "pm-t"),
+    ("eval", "(n+64)/(n+65)", "--kind", "pm-t", "--terms", "4096"),
+    ("eval", "(n+63)^2/((n+62)(n+64))", "--kind", "t"),
+    ("eval", "(n+64)^2/((n+63)(n+65))", "--kind", "t"),
+    ("eval", "(n+64)^2/((n+63)(n+65))", "--kind", "t", "--split-levels", "8"),
+    ("g", "--x", "127"), ("g", "--x", "128"), ("g", "--x", "128", "--terms", "4096"),
+    ("g", "--x", "1000000", "--split-levels", "8"),
+    # each side of the Rudin-Shapiro cap, |a_i| = 512 and 513
+    ("eval", "(n+511)/(n+512)", "--kind", "pm-v"),
+    ("eval", "(n+512)/(n+513)", "--kind", "pm-v"),
+    ("eval", "(n+512)/(n+513)", "--kind", "pm-v", "--terms", "4096"),
+    ("eval", "(n+511)^2/((n+510)(n+512))", "--kind", "v"),
+    ("eval", "(n+512)^2/((n+511)(n+513))", "--kind", "v"),
+    ("eval", "(n+512)^2/((n+511)(n+513))", "--kind", "v", "--rs-split-levels", "2"),
+    ("eval", "(n+512)^2/((n+511)(n+513))", "--kind", "plain"),
+    ("eval", "(2x+1)/(2n+2)"),
+])
+def test_no_input_ends_in_a_traceback(capsys, argv):
+    code, _, _ = run(capsys, *argv, "--digits", "20")
+    assert code in (0, 2, 3)
 
 
 @pytest.mark.parametrize("value, estimate", [

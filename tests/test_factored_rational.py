@@ -180,6 +180,57 @@ def test_positivity_check():
         positivity_check(FactoredRational.parse("(n-3/2)/(n+1)"), 1)
 
 
+def positivity_walk(r, start):
+    """Reference: the exact value at every integer from start to the
+    largest root, past which every factor is positive."""
+    pole = pole_check(r, start)
+    if pole is not None:
+        raise EvaluationError(f"factor vanishes at n = {pole} (n >= {start})")
+    bound = max([start] + [-(u // r.denominator) + 1 for u, _ in r.numerators])
+    for n, value in zip(range(start, bound + 1), r.values_at(range(start, bound + 1))):
+        if value <= 0:
+            raise EvaluationError(f"R({n}) = {value} is not positive; "
+                                  f"real logarithms require R(n) > 0 for n >= {start}")
+
+
+def _outcome(check, r, start):
+    try:
+        check(r, start)
+    except EvaluationError as exc:
+        return str(exc)
+    return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.dictionaries(st.fractions(min_value=-12, max_value=4, max_denominator=6),
+                       st.integers(-3, 3).filter(bool), max_size=6),
+       st.sampled_from([F(1), F(3, 2)]), st.integers(0, 3))
+def test_positivity_check_matches_the_walk(offsets, scale, start):
+    # the same first failing n and the same message, or both pass
+    r = FactoredRational.from_offsets(offsets, scale)
+    assert _outcome(positivity_check, r, start) == _outcome(positivity_walk, r, start)
+
+
+def test_positivity_check_evaluates_one_point_per_sign_run(monkeypatch):
+    # roots near 10^6: the walk would evaluate a million points
+    r = FactoredRational.parse("(n-2000001/2)(n-4000001/4)/(n-8000003/8)^2")
+    seen = []
+    values_at = FactoredRational.values_at
+
+    def record(self, points):
+        points = list(points)
+        seen.append(len(points))
+        return values_at(self, points)
+    monkeypatch.setattr(FactoredRational, "values_at", record)
+    positivity_check(r, 0)
+    assert len(seen) == 1 and seen[0] <= len(r.numerators) + 1
+    seen.clear()
+    # R < 0 only between the roots 1000000.5 and 1000002.5
+    with pytest.raises(EvaluationError, match=r"R\(1000001\)"):
+        positivity_check(FactoredRational.parse("(n-2000001/2)(n-2000005/2)/(n+1)^2"), 0)
+    assert len(seen) == 1 and seen[0] <= 4
+
+
 def test_log_term_values():
     import mpmath
     with mpmath.workdps(50):

@@ -12,11 +12,12 @@ import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import random_fully_convergent, random_pm_convergent
+from conftest import (forbid_engine_and_oracles, random_fully_convergent,
+                      random_pm_convergent, record_oracle_calls)
 
-from digitprod import (EvalOptions, ExponentKind, FactoredRational,
-                       ProductSpec, catalog_entry, eval_pm_rs, eval_pm_thue,
-                       eval_product, f_value)
+from digitprod import (CapabilityError, EvalOptions, ExponentKind,
+                       FactoredRational, ProductSpec, catalog_entry, eval_pm_rs,
+                       eval_pm_thue, eval_product, f_value)
 from digitprod import evaluator
 from digitprod.cli import main
 from digitprod.numerics import working_dps
@@ -118,19 +119,24 @@ def test_engine_large_offsets_take_a_larger_tail_start():
 ])
 def test_offsets_above_the_tail_start_cap_take_the_split_oracle(
         monkeypatch, x, tail_start):
-    # decided from the offsets before any work: past the cap no engine
-    # table is built, and the split oracle runs at its defaults
-    if tail_start is None:
-        def no_table(*args):
-            raise AssertionError("built an engine table")
-        monkeypatch.setattr(evaluator, "_scaled_table", no_table)
+    # decided from the offsets before any work: past the cap the default
+    # route refuses, and only an oracle flag runs the split oracle
     a, b = x / 2, (x + 1) / 2
-    res = f_value(a, b)
-    if tail_start is None:
-        assert res == f_value(a, b, EvalOptions(split_levels=8, terms=4096))
-        assert (res.terms_used, res.split_levels) == (4096, 8)
-    else:
+    if tail_start is not None:
+        res = f_value(a, b)
         assert (res.terms_used, res.split_levels) == (tail_start, 0)
+        return
+    forbid_engine_and_oracles(monkeypatch)
+    with pytest.raises(CapabilityError, match="--split-levels"):
+        f_value(a, b)
+    monkeypatch.undo()
+    calls = record_oracle_calls(monkeypatch, "eval_pm_thue")
+    opts = EvalOptions(split_levels=8, terms=4096)
+    res = f_value(a, b, opts)
+    assert calls == ["eval_pm_thue"] and (res.terms_used, res.split_levels) == (4096, 8)
+    spec = ProductSpec(FactoredRational.from_offsets({a: 1, b: -1}),
+                       ExponentKind.PM_THUE, 1)
+    assert res == eval_pm_thue(spec, opts)
 
 
 def test_engine_table_is_shared_and_built_on_first_use():
@@ -208,10 +214,14 @@ def test_rs_offsets_above_the_tail_start_cap_take_the_oracle(
                        ExponentKind.PM_RS, 1)
     opts = EvalOptions(precision=30)
     if tail_start is None:
-        def no_table(*args):
-            raise AssertionError("built an engine table")
-        monkeypatch.setattr(evaluator, "_scaled_table", no_table)
-        assert eval_product(spec, opts) == eval_pm_rs(spec, opts)
+        forbid_engine_and_oracles(monkeypatch)
+        with pytest.raises(CapabilityError, match="--rs-split-levels"):
+            eval_product(spec, opts)
+        monkeypatch.undo()
+        calls = record_oracle_calls(monkeypatch, "eval_pm_rs")
+        flagged = EvalOptions(precision=30, terms=evaluator.DEFAULT_RS_TERMS)
+        assert eval_product(spec, flagged) == eval_pm_rs(spec, flagged)
+        assert calls == ["eval_pm_rs"]
     else:
         res = eval_product(spec, opts)
         assert (res.terms_used, res.split_levels) == (tail_start, 0)
@@ -220,23 +230,30 @@ def test_rs_offsets_above_the_tail_start_cap_take_the_oracle(
             assert abs(res.value - oracle.value) <= oracle.error_estimate
 
 
+@pytest.mark.parametrize("start", [0, 1])
+@pytest.mark.parametrize("opts", [EvalOptions(terms=4096), EvalOptions(rs_split_levels=3)])
+def test_direct_sum_oracle_takes_factors_below_their_root(start, opts):
+    # n - 3/2, n - 5/4 and n - 7/4 are negative at n = 1 while R(1) = 4/3:
+    # those factors enter as log|1 + a_i/n|
+    spec = ProductSpec(FactoredRational.parse("(n-3/2)^2/((n-5/4)(n-7/4))"),
+                       ExponentKind.PM_RS, start)
+    oracle = eval_pm_rs(spec, opts)
+    engine = eval_product(spec)
+    with mpmath.workdps(80):
+        assert abs(oracle.value - engine.value) <= oracle.error_estimate
+
+
 def test_default_route_fallbacks_reach_the_patched_oracles(monkeypatch, capsys):
     # the route reads the oracles as module attributes at each call, so a
-    # wrapper installed over them sees the fallbacks past each cap:
-    # g(1000) has offset 1001/2 > 64, and (n+600)/(n+601) offset 601 > 512
-    calls = []
-
-    def recorder(name):
-        oracle = getattr(evaluator, name)
-
-        def record(spec, opts):
-            calls.append(name)
-            return oracle(spec, opts)
-        return record
-    for name in ["eval_pm_thue", "eval_pm_rs"]:
-        monkeypatch.setattr(evaluator, name, recorder(name))
-    assert main(["g", "--x", "1000", "--digits", "20"]) == 0
-    assert main(["eval", "(n+600)/(n+601)", "--kind", "pm-v", "--digits", "20"]) == 0
+    # wrapper installed over them sees every call an oracle flag routes:
+    # g(1000) has offset 1001/2 > 64, and (n+600)/(n+601) offset 601 > 512;
+    # without the flags both are refused and reach neither
+    calls = record_oracle_calls(monkeypatch, "eval_pm_thue", "eval_pm_rs")
+    thue = ["g", "--x", "1000", "--digits", "20"]
+    rs = ["eval", "(n+600)/(n+601)", "--kind", "pm-v", "--digits", "20"]
+    assert main(thue) == 3 and main(rs) == 3 and calls == []
+    assert main(thue + ["--split-levels", "8"]) == 0
+    assert main(rs + ["--terms", "1000000"]) == 0
     capsys.readouterr()
     assert calls == ["eval_pm_thue", "eval_pm_rs"]
 
