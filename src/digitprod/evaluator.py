@@ -18,8 +18,9 @@ and curious infinite products", Bull. LMS 1985) and shared by every
 evaluation (a bounded memo of a pure function, like ``gamma``).  The
 engine sums the whole tail, so its digits are real and its error estimate
 is a derived bound.  M grows with the largest offset and the table's cost
-with M, so the engine refuses offsets that would need a tail start above
-the automaton's ``max_tail_start`` (``CapabilityError``) before any work.
+with M, so the engine refuses valid input whose offsets would need a tail
+start above the automaton's ``max_tail_start`` (``CapabilityError``)
+before any head, table or oracle work.
 
 Only when the caller fixes ``split_levels`` or ``terms`` does
 ``eval_pm_thue`` run instead: the L-fold dyadic split, whose exact
@@ -634,33 +635,48 @@ def _engine(spec: ProductSpec, precision: int, automaton: _Automaton) -> EvalRes
         return EvalResult(value, value * err_log * (1 + err_log), m, 0)
 
 
-def _plus_minus(spec: ProductSpec, opts: EvalOptions) -> EvalResult:
-    """A +-1 product: the kind's oracle when the caller fixes its split
-    levels or the terms, and the scaled tail engine otherwise.
+def _engine_automaton(spec: ProductSpec, opts: EvalOptions) -> Optional[_Automaton]:
+    """The automaton whose engine evaluates the +-1 product ``spec``, or
+    None when ``opts`` fix the split levels or the terms, which select the
+    kind's oracle.
 
-    The engine refuses, with ``CapabilityError`` and before any other
-    work, offsets that would need a tail start above the automaton's
-    ``max_tail_start``.  The oracle is looked up as a module global at
-    each call, so that a wrapper installed over ``eval_pm_thue`` or
-    ``eval_pm_rs`` sees every call routed to it.
+    For the engine, ``spec`` is validated, and offsets that would need a
+    tail start above the automaton's ``max_tail_start`` raise
+    ``CapabilityError``; neither check does head, table or oracle work.
     """
     if spec.kind is ExponentKind.PM_THUE:
-        automaton, levels, oracle = THUE_MORSE, opts.split_levels, eval_pm_thue
-        option, name = "split_levels", f"split oracle (offsets up to {MAX_TM_OFFSET})"
+        automaton, levels = THUE_MORSE, opts.split_levels
+        oracle = ("--split-levels or --terms (EvalOptions split_levels or terms) "
+                  f"selects the split oracle (offsets up to {MAX_TM_OFFSET})")
     else:
-        automaton, levels, oracle = RUDIN_SHAPIRO, opts.rs_split_levels, eval_pm_rs
-        option, name = "rs_split_levels", "direct-sum oracle"
+        automaton, levels = RUDIN_SHAPIRO, opts.rs_split_levels
+        oracle = ("--rs-split-levels or --terms (EvalOptions rs_split_levels or "
+                  "terms) selects the direct-sum oracle")
     if levels is not None or opts.terms is not None:
-        return oracle(spec, opts)
+        return None
+    spec.validate()
     if _tail_start(spec.rational, automaton.fold) > automaton.max_tail_start:
-        flag = "--" + option.replace("_", "-")
         raise CapabilityError(
             f"offsets |a_i| above {automaton.max_tail_start >> automaton.fold} need "
             f"a {automaton.name} tail start above {automaton.max_tail_start}, the "
-            f"engine's cap; {flag} or --terms (EvalOptions {option} or terms) "
-            f"selects the {name}")
-    spec.validate()
-    return _engine(spec, opts.precision, automaton)
+            f"engine's cap; {oracle}")
+    return automaton
+
+
+def _plus_minus(spec: ProductSpec, opts: EvalOptions) -> EvalResult:
+    """A +-1 product: the kind's oracle when the caller fixes its split
+    levels or the terms, and the scaled tail engine otherwise, which
+    refuses offsets past its cap (``_engine_automaton``).
+
+    The oracle is looked up as a module global at each call, so that a
+    wrapper installed over ``eval_pm_thue`` or ``eval_pm_rs`` sees every
+    call routed to it.
+    """
+    automaton = _engine_automaton(spec, opts)
+    if automaton is not None:
+        return _engine(spec, opts.precision, automaton)
+    oracle = eval_pm_thue if spec.kind is ExponentKind.PM_THUE else eval_pm_rs
+    return oracle(spec, opts)
 
 
 # ---------------------------------------------------------------------------
@@ -806,17 +822,9 @@ def _rs_level_log_terms(r: FactoredRational, points: List[int]) -> List[float]:
     d = r.denominator
     # int / int is correctly rounded, like float(Fraction(u, D))
     offs = [(u, u / d, m) for u, m in r.numerators]
-    # from this n on, every n + a_i > 0
-    positive = -min((u for u, _ in r.numerators), default=0) // d + 1
-
-    def log_abs(n: int, u: int, a: float) -> float:
-        """log|1 + a/n| for a = u/D."""
-        if n * d + u > 0:
-            return math.log1p(a / n)
-        return math.log(-(n * d + u) / (n * d))
-
-    return [math.fsum(m * math.log1p(a / n) for _, a, m in offs) if n >= positive
-            else math.fsum(m * log_abs(n, u, a) for u, a, m in offs)
+    return [math.fsum(m * (math.log1p(a / n) if n * d + u > 0
+                           else math.log(-(n * d + u) / (n * d)))
+                      for u, a, m in offs)
             for n in points]
 
 
@@ -1080,6 +1088,11 @@ def monotonicity_scan(x_lo: Fraction, x_hi: Fraction, steps: int,
     x_lo, x_hi = Fraction(x_lo), Fraction(x_hi)
     if steps < 1 or (steps > 1 and not x_lo < x_hi) or x_lo < 0:
         raise InputError("need 0 <= x_lo < x_hi and steps >= 1")
+    # the largest x has the largest offsets, so a grid past the engine's
+    # cap is refused before any point's work
+    top = x_lo if steps == 1 else x_hi
+    _engine_automaton(ProductSpec(FactoredRational.from_offsets(
+        {top / 2: 1, (top + 1) / 2: -1}), ExponentKind.PM_THUE, 1), opts)
     points = []
     for i in range(steps):
         x = x_lo if steps == 1 else x_lo + (x_hi - x_lo) * i / (steps - 1)

@@ -15,9 +15,10 @@ from hypothesis import given, settings, strategies as st
 from conftest import (forbid_engine_and_oracles, random_fully_convergent,
                       random_pm_convergent, record_oracle_calls)
 
-from digitprod import (CapabilityError, EvalOptions, ExponentKind,
-                       FactoredRational, ProductSpec, catalog_entry, eval_pm_rs,
-                       eval_pm_thue, eval_product, f_value)
+from digitprod import (CapabilityError, EvalOptions, EvaluationError,
+                       ExponentKind, FactoredRational, InputError, ProductSpec,
+                       catalog_entry, eval_pm_rs, eval_pm_thue, eval_product,
+                       f_value, monotonicity_scan)
 from digitprod import evaluator
 from digitprod.cli import main
 from digitprod.numerics import working_dps
@@ -137,6 +138,30 @@ def test_offsets_above_the_tail_start_cap_take_the_split_oracle(
     spec = ProductSpec(FactoredRational.from_offsets({a: 1, b: -1}),
                        ExponentKind.PM_THUE, 1)
     assert res == eval_pm_thue(spec, opts)
+
+
+@pytest.mark.parametrize("kind", [ExponentKind.PM_THUE, ExponentKind.PM_RS])
+@pytest.mark.parametrize("text, error", [
+    ("(n+1000)^2/(n+2000)", InputError),         # divergent
+    ("(n-2001/2)/(n-1999/2)", EvaluationError),  # R(1000) < 0
+])
+def test_invalid_input_past_the_cap_is_refused_as_invalid(monkeypatch, kind, text, error):
+    # the input is validated before the cap, so the error names its fault
+    # rather than the oracle flags, which could not evaluate it either
+    forbid_engine_and_oracles(monkeypatch)
+    with pytest.raises(error):
+        eval_product(ProductSpec(FactoredRational.parse(text), kind, 1))
+
+
+@pytest.mark.parametrize("lo, hi, steps", [(F(0), F(200), 41), (F(128), F(128), 1)])
+def test_scan_past_the_cap_is_refused_before_any_point(monkeypatch, lo, hi, steps):
+    forbid_engine_and_oracles(monkeypatch)
+    with pytest.raises(CapabilityError, match="--split-levels"):
+        monotonicity_scan(lo, hi, steps)
+    monkeypatch.undo()
+    calls = record_oracle_calls(monkeypatch, "eval_pm_thue")
+    report = monotonicity_scan(hi, hi, 1, EvalOptions(precision=20, split_levels=8))
+    assert calls == ["eval_pm_thue"] and len(report.points) == 1
 
 
 def test_engine_table_is_shared_and_built_on_first_use():
