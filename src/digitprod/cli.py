@@ -401,7 +401,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--b", type=_fraction, required=True)
     p.add_argument("--k", type=int, default=0)
     p.add_argument("--n-max", type=_positive_int, default=64)
-    p.add_argument("--tail", type=_positive_int, default=2 ** 20)
+    p.add_argument("--tail", type=_positive_int, default=2 ** 20,
+                   help="sum each remainder to the largest 2^p - 1 <= TAIL, "
+                        "a whole Thue-Morse block (default 2^20)")
     _add_common(p, precision)
     p.set_defaults(func=cmd_probe)
 

@@ -48,12 +48,11 @@ from fractions import Fraction
 from functools import lru_cache
 from operator import add, mul, sub
 from typing import (TYPE_CHECKING, Dict, Iterable, Iterator, List, Optional,
-                    Tuple)
+                    Sequence, Tuple)
 
 import mpmath
 
-from .errors import (CapabilityError, ConsistencyError, EvaluationError,
-                     InputError)
+from .errors import CapabilityError, ConsistencyError, InputError
 from .factored_rational import (FactoredRational, classify, log_term,
                                 pole_check, positivity_check,
                                 rs_split_power_sums, rs_split_rational)
@@ -101,6 +100,10 @@ class ProductSpec:
     start: int
 
     def validate(self) -> None:
+        """Raise unless the product converges for its kind and R(n) > 0 for
+        every integer n >= start.  The evaluators validate first and never
+        check again that a head or boundary is positive or has no zero
+        factor, or that a +-1 rational has scale 1 and net degree 0."""
         if self.start not in (0, 1):
             raise InputError(f"start index must be 0 or 1, got {self.start}")
         cls = classify(self.rational)
@@ -187,27 +190,35 @@ def _floor_error(precision: int) -> mpmath.mpf:
 # +-1 Thue-Morse products
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=8)
-def _tm_tail_table(n0: int, terms: int, bits: int, j_max: int) -> Tuple[int, ...]:
-    """(T_1, ..., T_{j_max}), T_j = sum_{n0<=n<=terms} (-1)^{t_n} y_{n,j}.
-
-    y_{n,0} = 2^bits and y_{n,j} = floor(y_{n,j-1} n0 / n), so y_{n,j} is
-    2^bits (n0/n)^j rounded down by less than j units; a row stops once it
-    reaches 0.  The table does not depend on the rational, so every
-    Thue-Morse evaluation at one precision shares it.
-    """
-    plus = [0] * j_max
-    minus = [0] * j_max
-    one = 1 << bits
-    for n in range(n0, terms + 1):
-        row = minus if n.bit_count() & 1 else plus
-        y = one
-        for j in range(j_max):
-            y = y * n0 // n
+def _floor_sums(ids: Sequence[int], groups: int, lo: int, hi: int, c: int,
+                shift: int, bits: int, top: int) -> List[List[int]]:
+    """sums[g][s] = sum of y_{n,s} over lo <= n < hi with ids[n] = g, for
+    g < groups and 1 <= s <= top (sums[g][0] = 0), where y_{n,0} = 2^bits
+    and y_{n,s} = floor(y_{n,s-1} c / (2^shift n)): 2^bits (c/(2^shift n))^s
+    rounded down by less than s units.  A row stops once y reaches 0."""
+    sums = [[0] * (top + 1) for _ in range(groups)]
+    for n in range(lo, hi):
+        row = sums[ids[n]]
+        y = 1 << bits
+        d = n << shift
+        for s in range(1, top + 1):
+            y = y * c // d
             if not y:
                 break
-            row[j] += y
-    return tuple(a - b for a, b in zip(plus, minus))
+            row[s] += y
+    return sums
+
+
+@lru_cache(maxsize=8)
+def _tm_tail_table(n0: int, terms: int, bits: int, j_max: int) -> Tuple[int, ...]:
+    """(T_1, ..., T_{j_max}), T_j = sum_{n0<=n<=terms} (-1)^{t_n} y_{n,j},
+    with y_{n,j} from ``_floor_sums`` at c = n0: 2^bits (n0/n)^j rounded
+    down by less than j units.  The table does not depend on the rational,
+    so every Thue-Morse evaluation at one precision shares it.
+    """
+    parity = [n.bit_count() & 1 for n in range(terms + 1)]
+    plus, minus = _floor_sums(parity, 2, n0, terms + 1, n0, 0, bits, j_max)
+    return tuple(a - b for a, b in zip(plus[1:], minus[1:]))
 
 
 def _tm_log_sum(r: FactoredRational, start: int, terms: int,
@@ -236,8 +247,6 @@ def _tm_log_sum(r: FactoredRational, start: int, terms: int,
     head = Fraction(1)
     exact_hi = min(n0, terms + 1)
     for n, value in zip(range(start, exact_hi), r.values_at(range(start, exact_hi))):
-        if value <= 0:
-            raise EvaluationError(f"R({n}) = {value} is not positive; real log undefined")
         head = head / value if (n.bit_count() & 1) else head * value
 
     if terms < n0:
@@ -283,9 +292,7 @@ def eval_pm_thue(spec: ProductSpec, opts: EvalOptions = EvalOptions()) -> EvalRe
     boundary, tail, last = _tm_log_sum(spec.rational.regroup(maps), spec.start,
                                        terms, precision)
     if spec.start == 1:
-        boundary *= _head(spec.rational, 1, 1 << levels, THUE_MORSE)
-    if boundary <= 0:
-        raise EvaluationError(f"boundary product {boundary} is not positive")
+        boundary *= _head(spec.rational, 1, 1 << levels, [w for _, _, w in maps])
     with workdps(wp):
         log_value = tail + log_fraction(boundary, precision)
         value = mpmath.exp(log_value)
@@ -394,39 +401,28 @@ RUDIN_SHAPIRO = _Automaton("Rudin-Shapiro", ((0, 1), (0, 1)), ((1, 1), (1, -1)),
 TABLE_GUARD = 32
 
 
-@lru_cache(maxsize=16)
-def _signs(automaton: _Automaton, hi: int) -> Tuple[int, ...]:
-    """(x_0[0], ..., x_{hi-1}[0]): the exponents of a product's first terms."""
-    values, ids = automaton.vectors(hi)
-    return tuple(values[v][0] for v in ids)
+def _head(r: FactoredRational, lo: int, hi: int, signs: Sequence[int]) -> Fraction:
+    """prod_{lo<=n<hi} R(n)^{signs[n]} for signs of +-1, exactly.
 
-
-def _head(r: FactoredRational, lo: int, hi: int, automaton: _Automaton) -> Fraction:
-    """prod_{lo<=n<hi} R(n)^{x_n[0]}, exactly.
-
-    With a_i = u_i / D, R(n) = s D^-deg prod_i (n D + u_i)^{m_i}, so the
-    integer factors n D + u_i are multiplied straight into one numerator
-    and one denominator, and a single Fraction is built at the end.
+    With a_i = u_i / D, a validated +-1 rational (scale 1, net degree 0)
+    is R(n) = prod_i (n D + u_i)^{m_i}, so the integer factors n D + u_i
+    go straight into one numerator and one denominator, and a single
+    Fraction is built at the end.
     """
-    signs = _signs(automaton, hi)
     d = r.denominator
     num = den = 1
-    net = 0  # points with exponent +1 minus points with exponent -1
     for n in range(lo, hi):
         p = q = 1
         for u, m in r.numerators:
-            base = n * d + u
-            if not base:
-                raise EvaluationError(f"R({n}) has a zero factor; real log undefined")
             if m > 0:
-                p *= base ** m
+                p *= (n * d + u) ** m
             else:
-                q *= base ** -m
+                q *= (n * d + u) ** -m
         if signs[n] < 0:
-            num, den, net = num * q, den * p, net - 1
+            num, den = num * q, den * p
         else:
-            num, den, net = num * p, den * q, net + 1
-    return Fraction(num, den) * (r.scale / Fraction(d) ** r.degree_sum()) ** net
+            num, den = num * p, den * q
+    return Fraction(num, den)
 
 
 def _moments(automaton: _Automaton,
@@ -456,9 +452,12 @@ def _moments(automaton: _Automaton,
 
 
 @lru_cache(maxsize=8)
-def _scaled_table(automaton: _Automaton, m: int, bits: int) -> Tuple[int, ...]:
-    """(e_0, ..., e_top) with e_s = E(s) 2^(bits - K s) to within
-    ``_table_unit(automaton, m)`` units, E(s) = sum_{n>=m} x_n[0] (m/n)^s.
+def _scaled_table(automaton: _Automaton, m: int,
+                  bits: int) -> Tuple[Tuple[int, ...], int, Tuple[int, ...]]:
+    """(table, unit, signs): table = (e_0, ..., e_top) with
+    e_s = E(s) 2^(bits - K s), E(s) = sum_{n>=m} x_n[0] (m/n)^s, to within
+    unit = ``_table_unit(automaton, m)`` units, and signs = (x_0[0], ...,
+    x_{m-1}[0]), the exponents of the head's terms (``_head``).
 
     Writing n >= 2^K m as 2^K n' + i with i < 2^K gives x_n = A_i x_n',
     and expanding (1 + i / (2^K n'))^-s gives, for the vector E(s) over
@@ -476,28 +475,20 @@ def _scaled_table(automaton: _Automaton, m: int, bits: int) -> Tuple[int, ...]:
     so each row carries K bits less than the one before, rows past bits/K
     are 0, and the rows are filled from the top down.  For Thue-Morse the
     Prouhet moments P_k vanish for k < K and c_0 = 0, so the solve is the
-    identity.  f_s sums iterated floors y <- floor(y m / (2^K n)), one sum
-    per value of x_n.  c_k follows c_k = c_{k-1} (-(s+k-1)) / (k m) by
-    plain floor division, at a scale that covers the row's bits, and is
-    rounded before it multiplies the exact P_k.  The table does not
-    depend on the rational, so every evaluation of the automaton at one
-    precision shares it.
+    identity.  f_s sums the iterated floors y <- floor(y m / (2^K n)) of
+    ``_floor_sums``, one sum per value of x_n.  c_k follows
+    c_k = c_{k-1} (-(s+k-1)) / (k m) by plain floor division, at a scale
+    that covers the row's bits, and is rounded before it multiplies the
+    exact P_k.  The table does not depend on the rational, so every
+    evaluation of the automaton at one precision shares this one memo
+    entry, unit and signs included.
     """
     fold = automaton.fold
     width = 1 << fold
     top = bits // fold
     states = len(automaton.sign)
     values, ids = automaton.vectors(width * m)
-    sums = [[0] * (top + 1) for _ in values]  # one row of sums per value of x_n
-    for n in range(m, width * m):
-        row = sums[ids[n]]
-        y = 1 << bits
-        d = n << fold
-        for s in range(1, top + 1):
-            y = y * m // d
-            if not y:
-                break
-            row[s] += y
+    sums = _floor_sums(ids, len(values), m, width * m, m, fold, bits, top)
     # e[q][s]: row s of state q
     e = [[0] * (top + 1) for _ in range(states)]
     for x, row in zip(values, sums):
@@ -524,13 +515,13 @@ def _scaled_table(automaton: _Automaton, m: int, bits: int) -> Tuple[int, ...]:
         for q in range(states):
             rhs = e[q][s] + (acc[q] >> (scale + fold * s))
             e[q][s] = rhs + rhs * c0 // den
-    return tuple(e[0])
+    return (tuple(e[0]), _table_unit(automaton, m),
+            tuple(values[v][0] for v in ids[:m]))
 
 
-@lru_cache(maxsize=16)
 def _table_unit(automaton: _Automaton, m: int) -> int:
-    """U: every row of ``_scaled_table(automaton, m, ·)`` is off by at
-    most U units.
+    """U: every row of ``_scaled_table(automaton, m, ·)``'s table is off
+    by at most U units.
 
     Before the solve a row is off by less than 2^K m + 8 units: f_s sums
     (2^K - 1) m iterated floors per state, each off by less than
@@ -578,7 +569,7 @@ def _engine(spec: ProductSpec, precision: int, automaton: _Automaton) -> EvalRes
     * truncation: for n >= M the series of log R(n) past j = J is below
       mass (max|a_i|/n)^(J+1) / ((J+1)(1-rho)), and summing over n gives
       mass rho^(J+1) (1 + M/J) / ((J+1)(1-rho));
-    * table rounding: row j is off by at most U = ``_table_unit`` units of
+    * table rounding: row j is off by at most U (``_table_unit``) units of
       2^(Kj-B) and weighted by |p_j| / (j M^j) <= mass 2^(-Kj) / j, so at
       most U mass H_J 2^-B (H_J the harmonic number);
     * coefficient rounding: one floor division per term, J units of 2^-B;
@@ -598,9 +589,9 @@ def _engine(spec: ProductSpec, precision: int, automaton: _Automaton) -> EvalRes
     m = _tail_start(r, fold)
     prec = mpmath.libmp.dps_to_prec(wp)
     bits = prec + TABLE_GUARD
-    table = _scaled_table(automaton, m, bits)
+    table, unit, signs = _scaled_table(automaton, m, bits)
 
-    head = _head(r, spec.start, m, automaton)
+    head = _head(r, spec.start, m, signs)
     size = head.numerator.bit_length() + head.denominator.bit_length() + 2
     head_digits = precision + len(str(size))
 
@@ -626,8 +617,7 @@ def _engine(spec: ProductSpec, precision: int, automaton: _Automaton) -> EvalRes
         truncation = (mass * rho_mp ** (j_max + 1) * (1 + mpmath.mpf(m) / j_max)
                       / ((j_max + 1) * (1 - rho_mp)))
         harmonic = math.fsum(1 / j for j in range(1, j_max + 1))
-        rounding = mpmath.ldexp(_table_unit(automaton, m) * mass * harmonic + j_max,
-                                -bits)
+        rounding = mpmath.ldexp(unit * mass * harmonic + j_max, -bits)
         head_prec = mpmath.libmp.dps_to_prec(working_dps(head_digits))
         head_error = mpmath.ldexp(2 * size, -head_prec)
         ulps = mpmath.ldexp(10 * (1 + abs(log_head) + abs(tail)), 1 - prec)
@@ -849,12 +839,7 @@ def eval_pm_rs(spec: ProductSpec, opts: EvalOptions = EvalOptions()) -> EvalResu
             return EvalResult(mpmath.mpf(1), mpmath.mpf(0), 0, levels)
 
     boundary_logs: List[float] = []
-    exact_boundary = Fraction(1)
-    if spec.start == 0:
-        r0 = r.value_at(0)
-        if r0 <= 0:
-            raise EvaluationError(f"R(0) = {r0} is not positive")
-        exact_boundary *= r0
+    exact_boundary = r.value_at(0) if spec.start == 0 else Fraction(1)
 
     for _ in range(levels):
         boundary_logs.extend(_rs_level_log_terms(r, [1]))
@@ -1020,11 +1005,14 @@ class SignProbeRow:
 
 def remainder_sign_probe(a: Fraction, b: Fraction, k: int, n_max: int,
                          n_tail: int = 2 ** 20) -> List[SignProbeRow]:
-    """Signs of truncated remainders sum_{j=n}^{n_tail} (-1)^{t_j} T^k G(j)
+    """Signs of truncated remainders sum_{j=n}^{N} (-1)^{t_j} T^k G(j)
     against (-1)^{t_n}, for G(x) = log((x+a)/(x+b)) with a > b > 0.
 
-    T^k G(j) expands to sum_{i<2^k} (-1)^{t_i} G(2^k j + i), so the probe
-    evaluates G on one dense grid and folds it k times.
+    N, the largest 2^p - 1 <= n_tail, ends the sums on a whole Thue-Morse
+    block, and n_max must not exceed it.  T^k G(j) expands to
+    sum_{i<2^k} (-1)^{t_i} G(2^k j + i), so the probe evaluates G on one
+    dense grid, as log1p((a-b)/(x+b)) against float64 cancellation, and
+    folds it k times.
     """
     a, b = Fraction(a), Fraction(b)
     if not (a > b > 0):
@@ -1034,12 +1022,15 @@ def remainder_sign_probe(a: Fraction, b: Fraction, k: int, n_max: int,
         raise InputError("need k >= 0 and 1 <= n_max <= n_tail")
     if n_tail + 1 > MAX_PROBE_GRID >> k:
         raise InputError(f"need 2^k * (n_tail + 1) <= {MAX_PROBE_GRID} grid points")
+    n_tail = (1 << (n_tail + 1).bit_length() - 1) - 1
+    if n_max > n_tail:
+        raise InputError(f"need n_max <= {n_tail}, the largest 2^p - 1 <= n_tail")
 
     import numpy as np
     width = 1 << k
     top = width * (n_tail + 1)
     x = np.arange(0, top, dtype=np.float64)
-    g = np.log(x + float(a)) - np.log(x + float(b))
+    g = np.log1p(float(a - b) / (x + float(b)))
     for _ in range(k):
         g = g[0::2] - g[1::2]
     tk = g[1:n_tail + 1]

@@ -300,11 +300,31 @@ def test_probe_grid_above_cap_exits_three(capsys, monkeypatch):
     assert code == 3 and out == "" and "grid points" in err
 
 
+@pytest.mark.parametrize("a, k", [("3", "2"), ("3", "0"), ("2", "0")])
+def test_probe_matches_every_row_to_256(capsys, a, k):
+    # log1p terms do not cancel in float64 at large x (k = 2), and the
+    # sums end at 2^20 - 1, so no Thue-Morse pair is split (k = 0)
+    code, out, _ = run(capsys, "probe", "--a", a, "--b", "1", "--k", k,
+                       "--n-max", "256")
+    assert code == 0 and "MISMATCH" not in out
+    assert out.endswith("all match: True")
+
+
 def test_scan_command(capsys):
     code, out, _ = run(capsys, "scan", "--lo", "0", "--hi", "2", "--steps", "5",
                        "--digits", "25", "--split-levels", "6", "--terms", "512")
     assert code == 0
     assert "strictly decreasing" in out
+
+
+def test_scan_lists_unresolved_pairs(capsys):
+    # h(0) and h(10^-70) differ by far less than their error estimates
+    argv = ("scan", "--lo", "0", "--hi", "1/1" + "0" * 70, "--steps", "2")
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert out.splitlines()[-1] == "non-decreasing pairs: (0, 1/1" + "0" * 70 + ")"
+    code, out, _ = run(capsys, *argv, "--format", "json")
+    assert code == 0 and json.loads(out)["strictly_decreasing"] is False
 
 
 def test_reduce_family(capsys):
@@ -316,6 +336,23 @@ def test_reduce_family(capsys):
 def test_reduce_family_without_a_exits_three(capsys, family_id):
     code, out, err = run(capsys, "reduce", "--family", family_id)
     assert code == 3 and out == "" and "needs a" in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("reduce",), "needs --family or an expression"),
+    (("reduce", "(n-1/2)/(n+1/2)", "--start", "0"), "R(0) = -1 is not positive"),
+])
+def test_reduce_bad_input_exits_three(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == 3 and out == "" and message in err
+
+
+@pytest.mark.parametrize("argv", [("g", "--x", "abc"), ("seq", "t", "--count", "0")])
+def test_argument_errors_exit_two(capsys, argv):
+    # argparse reports the error and exits 2 from main
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2 and capsys.readouterr().out == ""
 
 
 @pytest.mark.parametrize("flag,level", [("--split-levels", "17"),
@@ -444,3 +481,9 @@ def test_env_precision_invalid(monkeypatch, capsys):
     monkeypatch.setenv("DIGITPROD_DIGITS", "zero")
     code = main(["seq", "t", "--count", "2"])
     assert code == 2
+
+
+def test_env_precision_zero_exits_two(monkeypatch, capsys):
+    monkeypatch.setenv("DIGITPROD_DIGITS", "0")
+    code, out, err = run(capsys, "seq", "t", "--count", "2")
+    assert code == 2 and out == "" and "DIGITPROD_DIGITS" in err

@@ -663,6 +663,13 @@ def test_probe_rejects_bad_class():
         remainder_sign_probe(F(2), F(0), 0, 8)   # needs b > 0
 
 
+def test_probe_rejects_n_max_past_the_cut_tail():
+    # the sums end at 63, the largest 2^p - 1 <= 64, so row 64 would be empty
+    with pytest.raises(InputError, match="n_max <= 63"):
+        remainder_sign_probe(F(2), F(1), 0, 64, 64)
+    assert all(r.matches for r in remainder_sign_probe(F(2), F(1), 0, 63, 64))
+
+
 def no_arange(*args, **kwargs):
     raise AssertionError("the probe allocated its grid")
 

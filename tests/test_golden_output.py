@@ -42,7 +42,7 @@ CASES = {
     # first three power sums for the error estimate
     "eval-rs-short-sum": ["eval", "(n+20)/(n+21)", "--kind", "pm-v",
                           "--rs-split-levels", "1", "--terms", "16"],
-    # the 8-level split cancels 512 factors down to 172
+    # the default engine at tail start M = 64 (terms_used 64, no split)
     "eval-n1-n2": ["eval", "(n+1)/(n+2)"],
     "reduce-family-ii": ["reduce", "--family", "ii", "--a", "7/3"],
     # reduced at depth 3 with a 4-term certificate

@@ -295,10 +295,10 @@ def test_rs_engine_runs_no_split_chain_or_float_sum(monkeypatch):
 
 def test_rs_automaton_gives_the_rudin_shapiro_signs():
     # (-1)^{v_n} with v_n the number of 11 blocks in the binary digits of n
-    signs = evaluator._signs(evaluator.RUDIN_SHAPIRO, 1 << 12)
+    _, _, signs = evaluator._scaled_table(evaluator.RUDIN_SHAPIRO, 1 << 12, 64)
     assert signs == tuple(-1 if (n & n >> 1).bit_count() & 1 else 1
                           for n in range(1 << 12))
-    signs = evaluator._signs(evaluator.THUE_MORSE, 1 << 12)
+    _, _, signs = evaluator._scaled_table(evaluator.THUE_MORSE, 1 << 12, 64)
     assert signs == tuple(-1 if n.bit_count() & 1 else 1 for n in range(1 << 12))
 
 
@@ -322,8 +322,7 @@ def test_table_rows_within_their_unit_bound(automaton, m):
     # against the same table at 64 more bits, whose own error is 2^-64 of
     # a unit here
     bits = 268
-    table = evaluator._scaled_table(automaton, m, bits)
-    finer = evaluator._scaled_table(automaton, m, bits + 64)
-    unit = evaluator._table_unit(automaton, m)
+    table, unit, _ = evaluator._scaled_table(automaton, m, bits)
+    finer, _, _ = evaluator._scaled_table(automaton, m, bits + 64)
     for s in range(1, len(table)):
         assert abs(table[s] - (finer[s] >> 64)) <= unit, s
