@@ -46,6 +46,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 from operator import add, mul, sub
 from typing import (TYPE_CHECKING, Dict, Iterable, Iterator, List, Optional,
                     Sequence, Tuple)
@@ -368,32 +369,34 @@ TAIL_START = 64
 # Each automaton's cap on M, the bound on the engine's work: the table
 # loops over (2^K - 1) M values of n, so past a few hundred its cost
 # doubles with M; both caps keep the cold 500-digit table under about
-# 0.8 s.  Offsets that would need a larger M are refused (exit 3), and
-# the kind's oracle runs only when its options are given.
+# 0.7 s.  Offsets that would need a larger M are refused (exit 3), and
+# the kind's oracle runs only when its options are given.  Cold times
+# are first calls in a fresh interpreter, 2 vCPU.
 #
 # (-1)^{t_n}: one state, whose sign flips at every 1 digit.  Cold g(x) at
-# M = 512 (x = 100) took 0.06-0.08 s at 60 digits and 0.8 s at 500, about
-# what the split oracle takes at its defaults (0.06 s and 0.65-0.8 s); at
-# M = 4096 (x = 1000) it took 0.35 s and 5.5 s against 0.07 s and 1.5 s,
-# and at M = 65536 (x = 10^4) 11.4 s against 0.15 s at 60 digits (one run
-# each, 2 vCPU).  The cap, M = 512 (offsets up to 64), sits where the
-# cold costs cross.
+# M = 512 (x = 100) took 0.017 s at 60 digits and 0.27 s at 500 (three
+# runs each), what the split oracle takes at its defaults (0.018 s and
+# 0.26-0.29 s); at M = 4096 (x = 1000) it took 0.13 s and 1.9 s against
+# 0.026 s and 0.56 s, and at M = 65536 (x = 10^4) 3.6 s against 0.05 s
+# at 60 digits (one run each).  The cap, M = 512 (offsets up to 64), sits
+# where the cold costs cross.
 THUE_MORSE = _Automaton("Thue-Morse", ((0, 0),), ((1, -1),), 3, 1 << 9)
 # (r_n, u_n) = ((-1)^{v_n}, (-1)^n (-1)^{v_n}): r_2n = r_n, r_2n+1 = u_n,
 # u_2n = r_n and u_2n+1 = -u_n.  Engine on (n+M/4-1)/(n+M/4), the largest
 # offset at M, against the direct-sum oracle at its defaults on
-# (n+M/4)/(n+M/4+1), the smallest past M (one run each, 2 vCPU):
+# (n+M/4)/(n+M/4+1), the smallest past M; the oracle's times are best of
+# three with numpy loaded (its import adds about 45 ms to a first call):
 #
 #   M      engine cold (warm), 60 / 500 digits     oracle, 60 / 500 digits
-#   512    12 ms (0.4 ms) / 0.36 s (3.3 ms)        44 / 41 ms
-#   1024   23 ms (0.8 ms) / 0.51 s (3.9 ms)        42 / 46 ms
-#   2048   48 ms (1.9 ms) / 0.84 s (5.2 ms)        43 / 43 ms
-#   4096   88 ms (6.3 ms) / 1.60 s (9.4 ms)        48 / 50 ms
+#   512    13 ms (0.4 ms) / 0.25 s (3.4 ms)        41 / 41 ms
+#   1024   25 ms (0.8 ms) / 0.42 s (3.9 ms)        42 / 42 ms
+#   2048   45 ms (1.8 ms) / 0.71 s (4.8 ms)        43 / 43 ms
+#   4096   90 ms (5.5 ms) / 1.37 s (9.5 ms)        47 / 47 ms
 #
 # The engine gives every digit; the oracle gives 5.7 correct digits at
 # any precision, under an estimate of about 5e-6.  The engine's cold cost
 # meets the oracle's at 60 digits at M = 2048 (offsets up to 512), the
-# cap, where the 500-digit table costs what Thue-Morse's does at its cap.
+# cap; there its 500-digit table is the dearer of the two caps' tables.
 RUDIN_SHAPIRO = _Automaton("Rudin-Shapiro", ((0, 1), (0, 1)), ((1, 1), (1, -1)),
                            2, 1 << 11)
 
@@ -476,12 +479,26 @@ def _scaled_table(automaton: _Automaton, m: int,
     are 0, and the rows are filled from the top down.  For Thue-Morse the
     Prouhet moments P_k vanish for k < K and c_0 = 0, so the solve is the
     identity.  f_s sums the iterated floors y <- floor(y m / (2^K n)) of
-    ``_floor_sums``, one sum per value of x_n.  c_k follows
-    c_k = c_{k-1} (-(s+k-1)) / (k m) by plain floor division, at a scale
-    that covers the row's bits, and is rounded before it multiplies the
-    exact P_k.  The table does not depend on the rational, so every
-    evaluation of the automaton at one precision shares this one memo
-    entry, unit and signs included.
+    ``_floor_sums``, one sum per value of x_n.
+
+    The correction is a Horner sum: with v_k = sum_t P_k[q][t] e_t[s+k]
+    and g = 32 guard bits,
+
+        h <- floor((2^g v_k + h) (-(s+k-1)) / (k m)),  k = k_max, ..., 1,
+
+    ends at h = 2^g sum_k c_k v_k, and e_s gains floor(h / 2^(Ks+g)), so
+    each term costs one moment x row product and two single-limb
+    operations; a zero moment (Thue-Morse's P_1 = P_2 = 0) multiplies as
+    0.  The floor at k is carried into h by |c_(k-1)| <= C(s+k-2,k-1)
+    m^-(k-1), so together they are off by less than
+    sum_k C(s+k-1,k) m^-k = (1-1/m)^-s units of h, below 2^-g of a row
+    unit since (1-1/m)^-1 < 2^K.  The sum keeps the terms with
+    2^scale |c_k| >= 1, scale covering the row's bits above 2^(Ks) and 40
+    guard bits; in k that weight rises while (s+k) > (k+1) m and then
+    falls, so the kept terms are k = 1, ..., k_max, found from log2 k! by
+    a walk from the row above's k_max.  The table does not depend on the
+    rational, so every evaluation of the automaton at one precision shares
+    this one memo entry, unit and signs included.
     """
     fold = automaton.fold
     width = 1 << fold
@@ -495,25 +512,37 @@ def _scaled_table(automaton: _Automaton, m: int,
         for q in range(states):
             e[q] = list(map(add if x[q] > 0 else sub, e[q], row))
     c0, moments = _moments(automaton, top)
-    columns = [(q, t, column[1:]) for (q, t), column in moments.items()]
+    guard = 32  # the Horner sums' bits below the row's unit
+    columns = [(q, t, [p << guard for p in column[1:]])
+               for (q, t), column in moments.items()]
+    log_fact = list(accumulate(map(math.log2, range(1, top)), initial=0.0))
+    log_m = math.log2(m)
+
+    def kept(s: int, k: int, scale: int) -> bool:  # 2^scale C(s+k-1,k) m^-k >= 1
+        return scale + log_fact[s + k - 1] - log_fact[s - 1] - log_fact[k] >= k * log_m
+
+    k_max = 1
     for s in range(top - 1, 0, -1):
-        # c_k carries the row's bits above 2^(Ks) and 40 guard bits, plus
-        # one per 32 rows for the growth of C(s+k-1, k) m^-k <= (1-1/m)^-s
+        # 40 guard bits, plus one per 32 rows for the growth of
+        # C(s+k-1, k) m^-k <= (1-1/m)^-s; k = 1 is always kept
         scale = max(0, bits - 2 * fold * s) + 40 + s // 32
-        c = 1 << scale
-        cs = []
-        for k in range(1, top - s + 1):
-            c = c * -(s + k - 1) // (k * m)
-            if not c:
-                break
-            cs.append(c)
-        acc = [0] * states
+        k_max = min(k_max, top - s)
+        while k_max < top - s and kept(s, k_max + 1, scale):
+            k_max += 1
+        while k_max > 1 and not kept(s, k_max, scale):
+            k_max -= 1
+        # v[q][k_max - k] = 2^g sum_t P_k[q][t] e_t[s+k]
+        v: List[Optional[List[int]]] = [None] * states
         for q, t, column in columns:
-            later = e[t][s + 1:s + 1 + len(cs)]
-            acc[q] += sum(map(mul, map(mul, cs, column), later))
+            terms = map(mul, column[k_max - 1::-1], e[t][s + k_max:s:-1])
+            v[q] = list(terms if v[q] is None else map(add, v[q], terms))
         den = (1 << fold * s) - c0
         for q in range(states):
-            rhs = e[q][s] + (acc[q] >> (scale + fold * s))
+            h = 0
+            for x, num, d in zip(v[q], range(1 - s - k_max, 1 - s),
+                                 range(k_max * m, 0, -m)):
+                h = (x + h) * num // d
+            rhs = e[q][s] + (h >> (fold * s + guard))
             e[q][s] = rhs + rhs * c0 // den
     return (tuple(e[0]), _table_unit(automaton, m),
             tuple(values[v][0] for v in ids[:m]))
@@ -526,9 +555,12 @@ def _table_unit(automaton: _Automaton, m: int) -> int:
     Before the solve a row is off by less than 2^K m + 8 units: f_s sums
     (2^K - 1) m iterated floors per state, each off by less than
     2^K / (2^K - 1) units; the floors of the correction and of the solve,
-    the rounded c_k, the rows cut at the top and the errors of later rows
-    carried by the moments k >= K (weighted by less than 2^-10 for
-    m >= 64) add less than 8 more.  The solve multiplies by
+    the Horner floors (less than 2^-g, g = 32; see ``_scaled_table``), the
+    terms past the cut (2^scale |c_k| < 1 with scale >= bits - 2Ks + 40,
+    |P_k| < 2^K (2^K - 1)^k and |e_(s+k)| <= (m+1) 2^(bits - K(s+k)), so
+    less than 2^(2K-40) (m+1) in all), the rows cut at the top and the
+    errors of later rows carried by the moments k >= K (weighted by less
+    than 2^-10 for m >= 64) add less than 8 more.  The solve multiplies by
     1 / (1 - c_0 2^(-Ks)) <= inv = 2^K / (2^K - c_0), and the low moments
     1 <= k < K carry later rows' errors with weight
     w_s = 2^(-Ks) sum_k C(s+k-1,k) m^-k |P_k| (|.| the largest row sum of
@@ -570,9 +602,12 @@ def _engine(spec: ProductSpec, precision: int, automaton: _Automaton) -> EvalRes
       mass (max|a_i|/n)^(J+1) / ((J+1)(1-rho)), and summing over n gives
       mass rho^(J+1) (1 + M/J) / ((J+1)(1-rho));
     * table rounding: row j is off by at most U (``_table_unit``) units of
-      2^(Kj-B) and weighted by |p_j| / (j M^j) <= mass 2^(-Kj) / j, so at
-      most U mass H_J 2^-B (H_J the harmonic number);
-    * coefficient rounding: one floor division per term, J units of 2^-B;
+      2^(Kj-B), which covers the iterated floors of f_j and the Horner
+      floors of its solve (less than 2^-32 of a unit), and is weighted by
+      |p_j| / (j M^j) <= mass 2^(-Kj) / j, so at most U mass H_J 2^-B
+      (H_J the harmonic number);
+    * coefficient rounding: the sum below floors each term
+      p_j table[j] / (j M^j) once, J units of 2^-B;
     * the head logarithm, taken at enough extra digits that its error
       2 (bits of H's numerator and denominator + 2) 2^-prec is about 2 ulps;
     * 10 ulps of the working precision, relative to 1 + |log H| + |tail|,

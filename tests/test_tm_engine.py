@@ -316,13 +316,77 @@ def test_rs_engine_second_fold_agrees():
                     <= default.error_estimate + other.error_estimate), name
 
 
-@pytest.mark.parametrize("automaton", [evaluator.THUE_MORSE, evaluator.RUDIN_SHAPIRO])
-@pytest.mark.parametrize("m", [64, 128])
-def test_table_rows_within_their_unit_bound(automaton, m):
+def chain_table_reference(automaton, m, bits):
+    """``_scaled_table``'s table from the same f_s and moments, with the
+    solve's series summed term by term: each row's coefficients
+    c_k = C(-s,k) m^-k follow c_k = c_{k-1} (-(s+k-1)) / (k m) by floor
+    division at 2^scale, the chain stops at the first c_k that is 0, and
+    every term costs two products, c_k P_k and that by e_{s+k}.  The
+    Horner sum of the builder must give the same rows."""
+    fold = automaton.fold
+    width = 1 << fold
+    top = bits // fold
+    states = len(automaton.sign)
+    values, ids = automaton.vectors(width * m)
+    sums = evaluator._floor_sums(ids, len(values), m, width * m, m, fold, bits, top)
+    e = [[0] * (top + 1) for _ in range(states)]
+    for x, row in zip(values, sums):
+        for q in range(states):
+            e[q] = [a + b if x[q] > 0 else a - b for a, b in zip(e[q], row)]
+    c0, moments = evaluator._moments(automaton, top)
+    for s in range(top - 1, 0, -1):
+        scale = max(0, bits - 2 * fold * s) + 40 + s // 32
+        c = 1 << scale
+        cs = []
+        for k in range(1, top - s + 1):
+            c = c * -(s + k - 1) // (k * m)
+            if not c:
+                break
+            cs.append(c)
+        acc = [0] * states
+        for (q, t), column in moments.items():
+            acc[q] += sum(c * column[k] * e[t][s + k] for k, c in enumerate(cs, 1))
+        den = (1 << fold * s) - c0
+        for q in range(states):
+            rhs = e[q][s] + (acc[q] >> (scale + fold * s))
+            e[q][s] = rhs + rhs * c0 // den
+    return tuple(e[0])
+
+
+def _table_bits(digits):
+    """The table bits of an engine evaluation at ``digits``."""
+    return (mpmath.libmp.dps_to_prec(working_dps(digits))
+            + evaluator.TABLE_GUARD)
+
+
+@pytest.mark.parametrize("automaton, m, digits", [
+    *((a, m, d) for a in (evaluator.THUE_MORSE, evaluator.RUDIN_SHAPIRO)
+      for m in (64, 128) for d in (60, 200)),
+    (evaluator.THUE_MORSE, 64, 500),
+])
+def test_table_equals_the_chain_solve_row_for_row(automaton, m, digits):
+    bits = _table_bits(digits)
+    table, _, _ = evaluator._scaled_table(automaton, m, bits)
+    assert table == chain_table_reference(automaton, m, bits)
+
+
+def _assert_rows_within_their_unit(automaton, m, bits):
     # against the same table at 64 more bits, whose own error is 2^-64 of
     # a unit here
-    bits = 268
     table, unit, _ = evaluator._scaled_table(automaton, m, bits)
     finer, _, _ = evaluator._scaled_table(automaton, m, bits + 64)
     for s in range(1, len(table)):
         assert abs(table[s] - (finer[s] >> 64)) <= unit, s
+
+
+@pytest.mark.parametrize("automaton", [evaluator.THUE_MORSE, evaluator.RUDIN_SHAPIRO])
+@pytest.mark.parametrize("m", [64, 128])
+def test_table_rows_within_their_unit_bound(automaton, m):
+    _assert_rows_within_their_unit(automaton, m, _table_bits(60))
+
+
+@pytest.mark.parametrize("automaton", [evaluator.THUE_MORSE, evaluator.RUDIN_SHAPIRO])
+def test_table_rows_within_their_unit_bound_at_500_digits(automaton):
+    # 1730 bits: s reaches 576 > m, where the Horner multipliers
+    # (s+k-1)/(k m) exceed 1 and C(s+k-1,k) m^-k is largest
+    _assert_rows_within_their_unit(automaton, 64, _table_bits(500))
