@@ -29,6 +29,8 @@ CASES = {
     "eval-t5a-60": ["eval", "(4n+1)(4n+4)/((4n+2)(4n+3))", "--kind", "t",
                     "--digits", "60"],
     "g-3-4": ["g", "--x", "3/4"],
+    # D = 8: the engine's series runs to 477 terms at 500 digits
+    "g-37-4-500": ["g", "--x", "37/4", "--digits", "500"],
     "constants-fm-phi-100": ["constants", "fm-phi", "--digits", "100"],
     "eval-wr-unsplit-64": ["eval", WR, "--split-levels", "0", "--terms", "64"],
     # all 18 entries: the default 10-level Rudin-Shapiro chain of GS,
@@ -44,6 +46,13 @@ CASES = {
                           "--rs-split-levels", "1", "--terms", "16"],
     # the default engine at tail start M = 64 (terms_used 64, no split)
     "eval-n1-n2": ["eval", "(n+1)/(n+2)"],
+    # the Rudin-Shapiro engine at 500 digits
+    "eval-gs-500": ["eval", "(2n+1)^2/((4n+1)(n+1))", "--kind", "pm-v",
+                    "--start", "1", "--digits", "500"],
+    # a negative offset: odd power sums are negative, and the series'
+    # shifts and divisions floor toward minus infinity
+    "eval-neg-offset-200": ["eval", "(2n-1)/(2n+1)", "--start", "1",
+                            "--digits", "200"],
     "reduce-family-ii": ["reduce", "--family", "ii", "--a", "7/3"],
     # reduced at depth 3 with a 4-term certificate
     "reduce-c3l": ["reduce", "(8n+1)(8n+7)/((8n+3)(8n+5))", "--start", "0"],
