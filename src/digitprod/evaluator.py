@@ -606,8 +606,11 @@ def _engine(spec: ProductSpec, precision: int, automaton: _Automaton) -> EvalRes
       floors of its solve (less than 2^-32 of a unit), and is weighted by
       |p_j| / (j M^j) <= mass 2^(-Kj) / j, so at most U mass H_J 2^-B
       (H_J the harmonic number);
-    * coefficient rounding: the sum below floors each term
-      p_j table[j] / (j M^j) once, J units of 2^-B;
+    * coefficient rounding: the sum below reads p_j as S_j / D^j
+      (``power_sum_numerators``) and floors each term
+      S_j table[j] / (j D^j M^j) once, J units of 2^-B; a floor by the
+      shift and then by j D^j is one floor, as floor(floor(x) / n) =
+      floor(x / n) for an integer n > 0;
     * the head logarithm, taken at enough extra digits that its error
       2 (bits of H's numerator and denominator + 2) 2^-prec is about 2 ulps;
     * 10 ulps of the working precision, relative to 1 + |log H| + |tail|,
@@ -635,13 +638,14 @@ def _engine(spec: ProductSpec, precision: int, automaton: _Automaton) -> EvalRes
     width = 1 << fold
     need = (bits + math.log2(mass * (m + 1) * width / (width - 1))) / -math.log2(rho)
     j_max = min(len(table) - 1, max(1, math.ceil(need)))
-    psums = r.power_sums(j_max)
-    # p_j 2^(Kj) / (j M^j) = p_j / (j 2^(step j)) for M = 2^(K + step)
+    sums = r.power_sum_numerators(j_max)
+    # p_j 2^(Kj) / (j M^j) = S_j / (j D^j 2^(step j)) for M = 2^(K + step)
     step = m.bit_length() - 1 - fold
+    d, d_j = r.denominator, 1
     acc = 0
     for j in range(1, j_max + 1):
-        p = psums[j]
-        term = (p.numerator * table[j] >> step * j) // (j * p.denominator)
+        d_j *= d
+        term = (sums[j] * table[j] >> step * j) // (j * d_j)
         acc += term if j & 1 else -term
 
     with workdps(wp):

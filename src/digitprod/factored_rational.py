@@ -11,12 +11,14 @@ equal, and it is immutable after construction.
 Everything here is exact and works on the integers u_i: ``regroup`` is
 the one substitution rule (n -> c*n + d, behind composition, powers and
 every split), ``values_at`` the exact evaluator of R(n) at rational
-points (``value_at`` is its one-point case) and ``power_sums`` the one
-source of the power sums p_j that drive the tail series;
-``rs_split_power_sums`` carries them through the Rudin-Shapiro split
-chain.  ``evaluator._head`` also multiplies the integer factors
-n D + u_i, on purpose: a signed product over many integer points builds
-one Fraction at the end, not one per point.  The
+points (``value_at`` is its one-point case) and ``power_sum_numerators``
+the one source of the power sums that drive the tail series: the
+integers S_j = sum_i m_i u_i^j, with p_j = S_j / D^j.  ``power_sums``
+and ``power_sum`` are their Fraction view, the engine reads S_j and D^j
+directly, and ``rs_split_power_sums`` carries the S_j through the
+Rudin-Shapiro split chain.  ``evaluator._head`` also multiplies the
+integer factors n D + u_i, on purpose: a signed product over many
+integer points builds one Fraction at the end, not one per point.  The
 ``factors`` view of ``AffineFactor``s is built on demand, for rendering
 and for callers that want each offset as a Fraction.  The only numerical
 operation, ``log_term``, is ``numerics.log_fraction`` of the exact value.
@@ -29,6 +31,8 @@ import re
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from itertools import accumulate, repeat
+from operator import add, mul
 from typing import Iterable, List, Optional, Tuple, Union
 
 from .errors import EvaluationError, InputError, ParseError
@@ -109,19 +113,22 @@ class FactoredRational:
         """Net degree (numerator degree minus denominator degree)."""
         return sum(m for _, m in self.numerators)
 
-    def power_sums(self, j_max: int) -> List[Fraction]:
-        """Exact power sums [p_0, ..., p_{j_max}], p_j = sum_i m_i * a_i^j."""
+    def power_sum_numerators(self, j_max: int) -> List[int]:
+        """[S_0, ..., S_{j_max}], S_j = sum_i m_i * u_i^j, so that the power
+        sum p_j = sum_i m_i * a_i^j is S_j / D^j."""
         sums = [0] * (j_max + 1)
         for u, m in self.numerators:
-            p = m
-            for j in range(j_max + 1):
-                sums[j] += p
-                p *= u
+            sums = list(map(add, sums, accumulate(repeat(u, j_max), mul, initial=m)))
+        return sums
+
+    def power_sums(self, j_max: int) -> List[Fraction]:
+        """Exact power sums [p_0, ..., p_{j_max}], p_j = sum_i m_i * a_i^j."""
+        sums = self.power_sum_numerators(j_max)
         return [Fraction(s, self.denominator ** j) for j, s in enumerate(sums)]
 
     def power_sum(self, j: int) -> Fraction:
         """Exact power sum p_j = sum_i m_i * a_i^j."""
-        return self.power_sums(j)[j]
+        return Fraction(self.power_sum_numerators(j)[j], self.denominator ** j)
 
     def max_abs_offset(self) -> Fraction:
         """max_i |a_i|, 0 without factors; the numerators are sorted."""
@@ -560,7 +567,8 @@ def rs_split_rational(r: FactoredRational) -> FactoredRational:
 
 def rs_split_power_sums(r: FactoredRational, levels: int, j_max: int) -> List[Fraction]:
     """Power sums [p_0, ..., p_{j_max}] of ``rs_split_rational`` applied
-    ``levels`` times to r, carried from r's own power sums.
+    ``levels`` times to r, carried from r's own integer power sums
+    (``power_sum_numerators``: N_j = S_j over E = D at level 0).
 
     One level sends an offset a of multiplicity m to a/2 (m), (1+a)/4 (2m)
     and (1+a)/2 (-m), so p'_j = 2^-j p_j + (2^(1-2j) - 2^-j) sum_l C(j,l) p_l.
@@ -570,7 +578,7 @@ def rs_split_power_sums(r: FactoredRational, levels: int, j_max: int) -> List[Fr
     the split rational has.
     """
     e = r.denominator
-    sums = [int(p * e ** j) for j, p in enumerate(r.power_sums(j_max))]
+    sums = r.power_sum_numerators(j_max)
     for _ in range(levels):
         powers = [e ** k for k in range(j_max + 1)]
         sums = [(1 << j) * sums[j] + (2 - (1 << j)) * sum(

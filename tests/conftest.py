@@ -1,19 +1,30 @@
 """Shared helpers: random balanced rationals, independent oracles, a
 guard that fails any engine or oracle work, and an oracle call recorder.
 
+Setting HYPOTHESIS_PROFILE loads that Hypothesis profile.  The ``ci``
+profile derandomizes the examples and prints the blob that replays a
+failure (``@reproduce_failure``), so a failure in CI reproduces locally
+with ``HYPOTHESIS_PROFILE=ci``; each test's ``max_examples`` is kept.
+
 The oracles here never touch the accelerated evaluation paths: they sum
 float64 logarithms of the raw factors directly, so they stay independent
 of the dyadic-split and fixed-point machinery they are used to check.
 """
 
 import math
+import os
 import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from digitprod import FactoredRational, evaluator
+
+settings.register_profile("ci", derandomize=True, print_blob=True)
+if os.environ.get("HYPOTHESIS_PROFILE"):
+    settings.load_profile(os.environ["HYPOTHESIS_PROFILE"])
 
 
 def popcount_parity(values: np.ndarray) -> np.ndarray:

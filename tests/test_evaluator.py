@@ -497,8 +497,9 @@ def test_hot_paths_never_build_the_factors_view(monkeypatch):
     ("(2n+1)^2/((n+1)(4n+1))", 10, 10 ** 4),  # GS, tail-sum branch
     ("(n+20)/(n+21)", 1, 16)])                  # terms < n0: short-sum branch
 def test_rs_power_sums_never_loop_over_split_factors(monkeypatch, text, levels, terms):
-    # the power sums come through the chain from the base rational
-    split, direct = evaluator.rs_split_rational, FactoredRational.power_sums
+    # the power sums come through the chain from the base rational; every
+    # power sum, Fraction or integer, is read from power_sum_numerators
+    split, direct = evaluator.rs_split_rational, FactoredRational.power_sum_numerators
     splits = []
 
     def recording_split(r):
@@ -509,7 +510,7 @@ def test_rs_power_sums_never_loop_over_split_factors(monkeypatch, text, levels, 
     def guarded(self, j_max):
         assert not any(self is s for s in splits), "power sums of a split rational"
         return direct(self, j_max)
-    monkeypatch.setattr(FactoredRational, "power_sums", guarded)
+    monkeypatch.setattr(FactoredRational, "power_sum_numerators", guarded)
     spec = ProductSpec(FactoredRational.parse(text), ExponentKind.PM_RS, 1)
     eval_pm_rs(spec, EvalOptions(terms=terms, rs_split_levels=levels))
     assert len(splits) == levels

@@ -428,6 +428,20 @@ def test_value_at_and_power_sums_match_fraction_oracle(case, j_max):
     assert r.value_at(n) == expected
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.dictionaries(st.fractions(min_value=-16, max_value=16, max_denominator=97),
+                       st.integers(-3, 3).filter(bool), max_size=5),
+       st.integers(0, 300))
+def test_power_sum_numerators_are_the_power_sums_over_d_to_the_j(offsets, j):
+    # S_j = p_j D^j exactly, for offsets of both signs and |m_i| up to 3
+    r = FactoredRational.from_offsets(offsets)
+    p_j = sum((m * a ** j for a, m in offsets.items()), F(0))
+    sums = r.power_sum_numerators(j)
+    assert len(sums) == j + 1
+    assert sums[j] == p_j * r.denominator ** j
+    assert r.power_sum(j) == p_j
+
+
 @settings(max_examples=200, deadline=None)
 @given(_rational_and_point(), st.integers(0, 4), st.integers(0, 30))
 def test_rs_split_power_sums_match_the_split_chain(case, levels, j_max):

@@ -5,6 +5,7 @@ the direct-sum oracle ``eval_pm_rs`` at its largest N, and the engine
 itself at a second tail start M.
 """
 
+import math
 import random
 from fractions import Fraction as F
 
@@ -21,7 +22,7 @@ from digitprod import (CapabilityError, EvalOptions, EvaluationError,
                        f_value, monotonicity_scan)
 from digitprod import evaluator
 from digitprod.cli import main
-from digitprod.numerics import working_dps
+from digitprod.numerics import log_fraction, working_dps
 
 
 def _closed_forms():
@@ -390,3 +391,87 @@ def test_table_rows_within_their_unit_bound_at_500_digits(automaton):
     # 1730 bits: s reaches 576 > m, where the Horner multipliers
     # (s+k-1)/(k m) exceed 1 and C(s+k-1,k) m^-k is largest
     _assert_rows_within_their_unit(automaton, 64, _table_bits(500))
+
+
+def fraction_series_engine_reference(spec, precision, automaton):
+    """``_engine``'s (value, error_estimate) with the series summed from
+    reduced Fraction power sums p_j = N_j / Q_j, built here from the
+    offsets as Fractions: each term
+    floor(floor(N_j table[j] / 2^(step j)) / (j Q_j)), one gcd per j.
+    The engine reads p_j as S_j / D^j instead; both floor the same
+    rational once, so they must give the same bits."""
+    r = spec.rational
+    wp = working_dps(precision)
+    fold = automaton.fold
+    m = evaluator._tail_start(r, fold)
+    prec = mpmath.libmp.dps_to_prec(wp)
+    bits = prec + evaluator.TABLE_GUARD
+    table, unit, signs = evaluator._scaled_table(automaton, m, bits)
+    head = evaluator._head(r, spec.start, m, signs)
+    size = head.numerator.bit_length() + head.denominator.bit_length() + 2
+    head_digits = precision + len(str(size))
+    mass = sum(abs(mult) for _, mult in r.numerators)
+    rho = r.max_abs_offset() / m
+    width = 1 << fold
+    need = (bits + math.log2(mass * (m + 1) * width / (width - 1))) / -math.log2(rho)
+    j_max = min(len(table) - 1, max(1, math.ceil(need)))
+    psums = [F(0)] * (j_max + 1)
+    for a, mult in r.offset_dict().items():
+        power = F(mult)
+        for j in range(j_max + 1):
+            psums[j] += power
+            power *= a
+    step = m.bit_length() - 1 - fold
+    acc = 0
+    for j in range(1, j_max + 1):
+        p = psums[j]
+        term = (p.numerator * table[j] >> step * j) // (j * p.denominator)
+        acc += term if j & 1 else -term
+    with mpmath.workdps(wp):
+        log_head = log_fraction(head, head_digits)
+        tail = mpmath.ldexp(mpmath.mpf(acc), -bits)
+        value = mpmath.exp(log_head + tail)
+        rho_mp = mpmath.mpf(rho.numerator) / rho.denominator
+        truncation = (mass * rho_mp ** (j_max + 1) * (1 + mpmath.mpf(m) / j_max)
+                      / ((j_max + 1) * (1 - rho_mp)))
+        harmonic = math.fsum(1 / j for j in range(1, j_max + 1))
+        rounding = mpmath.ldexp(unit * mass * harmonic + j_max, -bits)
+        head_prec = mpmath.libmp.dps_to_prec(working_dps(head_digits))
+        head_error = mpmath.ldexp(2 * size, -head_prec)
+        ulps = mpmath.ldexp(10 * (1 + abs(log_head) + abs(tail)), 1 - prec)
+        err_log = truncation + rounding + head_error + ulps
+        return value, value * err_log * (1 + err_log)
+
+
+def _random_valid_pm_spec(rng, kind):
+    """A validated +-1 spec: offsets a = u / q in [-4, 16) with q up to 97,
+    multiplicities +-1 or +-2 and net degree 0, drawn until R(n) > 0 for
+    every n >= start."""
+    while True:
+        offsets = {}
+        while len(offsets) < 4:
+            q = rng.randint(1, 97)
+            offsets[F(rng.randrange(-4 * q, 16 * q), q)] = rng.choice((1, 2))
+        for a in rng.sample(sorted(offsets), 2):
+            offsets[a] = -offsets[a]
+        if sum(offsets.values()):
+            continue
+        start = 1 if kind is ExponentKind.PM_RS else rng.choice((0, 1))
+        spec = ProductSpec(FactoredRational.from_offsets(offsets), kind, start)
+        try:
+            spec.validate()
+        except (InputError, EvaluationError):
+            continue
+        return spec
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2 ** 32),
+       st.sampled_from([ExponentKind.PM_THUE, ExponentKind.PM_RS]),
+       st.sampled_from([5, 30, 60, 200, 300]))
+def test_engine_series_sum_matches_the_fraction_reference_bit_for_bit(seed, kind, digits):
+    spec = _random_valid_pm_spec(random.Random(seed), kind)
+    automaton = evaluator.THUE_MORSE if kind is ExponentKind.PM_THUE else evaluator.RUDIN_SHAPIRO
+    res = evaluator._engine(spec, digits, automaton)
+    value, estimate = fraction_series_engine_reference(spec, digits, automaton)
+    assert (res.value._mpf_, res.error_estimate._mpf_) == (value._mpf_, estimate._mpf_)
