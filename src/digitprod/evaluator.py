@@ -193,12 +193,51 @@ def _floor_error(precision: int) -> mpmath.mpf:
 
 def _floor_sums(ids: Sequence[int], groups: int, lo: int, hi: int, c: int,
                 shift: int, bits: int, top: int) -> List[List[int]]:
-    """sums[g][s] = sum of y_{n,s} over lo <= n < hi with ids[n] = g, for
-    g < groups and 1 <= s <= top (sums[g][0] = 0), where y_{n,0} = 2^bits
-    and y_{n,s} = floor(y_{n,s-1} c / (2^shift n)): 2^bits (c/(2^shift n))^s
-    rounded down by less than s units.  A row stops once y reaches 0."""
+    """sums[g][s] = sum over lo <= n < hi with ids[n] = g of
+    2^bits (c/d_n)^s, d_n = 2^shift n, rounded down, for g < groups and
+    1 <= s <= top (sums[g][0] = 0).
+
+    Member by member, y_{n,0} = 2^bits and y_{n,s} = floor(y_{n,s-1} c / d_n)
+    is off by less than min(s, 1/(1 - a)) units, a = c/d_n.  When every
+    ratio is at most 1/2 (2c <= 2^shift lo, so for every engine table,
+    whose ratios are at most 2^-K), the members of each value class are
+    summed two at a time, in ascending n, through the recurrence of a sum
+    of two geometric sequences, d1 d2 U_s = c (d1 + d2) U_(s-1) - c^2 U_(s-2):
+    from u_0 = 2^(bits+1) (the seed; row 0 stays 0) and
+    u_1 = floor(2^bits c (d1 + d2) / (d1 d2)),
+
+        u_s = floor((c (d1 + d2) u_(s-1) - c^2 u_(s-2)) / (d1 d2)),
+
+    one division per pair and row in place of two.  With a_i = c/d_i and
+    r_s in [0, 1) the fraction the floor drops, the error e_s = U_s - u_s
+    obeys e_s = (a1 + a2) e_(s-1) - a1 a2 e_(s-2) + r_s, whose impulse
+    response sum_(i<=j) a1^i a2^(j-i) is positive, so
+    0 <= e_s < 1/((1 - a1)(1 - a2)) <= (2^K / (2^K - 1))^2 for ratios at
+    most 2^-K: the square of one member's bound, below two members' bound.
+    The bound grows without limit as a ratio nears 1, so other inputs (the
+    split oracle's first ratio is 1), and a member left over in a class,
+    take the iterated floors.  Either way a member or pair stops at its
+    first value <= 0; its later rows are below their exact values by less
+    than that value's bound."""
     sums = [[0] * (top + 1) for _ in range(groups)]
-    for n in range(lo, hi):
+    singles: Iterable[int] = range(lo, hi)
+    if 2 * c <= lo << shift:
+        classes: List[List[int]] = [[] for _ in range(groups)]
+        for n in range(lo, hi):
+            classes[ids[n]].append(n)
+        singles = [members[-1] for members in classes if len(members) & 1]
+        cc = c * c
+        for row, members in zip(sums, classes):
+            for n1, n2 in zip(members[::2], members[1::2]):
+                d1, d2 = n1 << shift, n2 << shift
+                a, d = c * (d1 + d2), d1 * d2
+                u0, u = 2 << bits, (a << bits) // d
+                for s in range(1, top + 1):
+                    if u <= 0:
+                        break
+                    row[s] += u
+                    u0, u = u, (a * u - cc * u0) // d
+    for n in singles:
         row = sums[ids[n]]
         y = 1 << bits
         d = n << shift
@@ -213,8 +252,9 @@ def _floor_sums(ids: Sequence[int], groups: int, lo: int, hi: int, c: int,
 @lru_cache(maxsize=8)
 def _tm_tail_table(n0: int, terms: int, bits: int, j_max: int) -> Tuple[int, ...]:
     """(T_1, ..., T_{j_max}), T_j = sum_{n0<=n<=terms} (-1)^{t_n} y_{n,j},
-    with y_{n,j} from ``_floor_sums`` at c = n0: 2^bits (n0/n)^j rounded
-    down by less than j units.  The table does not depend on the rational,
+    with y_{n,j} from ``_floor_sums`` at c = n0, whose first ratio n0/n0 = 1
+    keeps it member by member: 2^bits (n0/n)^j rounded down by less than
+    j units.  The table does not depend on the rational,
     so every Thue-Morse evaluation at one precision shares it.
     """
     parity = [n.bit_count() & 1 for n in range(terms + 1)]
@@ -369,34 +409,43 @@ TAIL_START = 64
 # Each automaton's cap on M, the bound on the engine's work: the table
 # loops over (2^K - 1) M values of n, so past a few hundred its cost
 # doubles with M; both caps keep the cold 500-digit table under about
-# 0.7 s.  Offsets that would need a larger M are refused (exit 3), and
-# the kind's oracle runs only when its options are given.  Cold times
-# are first calls in a fresh interpreter, 2 vCPU.
+# 0.55 s.  Up to both caps the pair divisors of ``_floor_sums`` fit in one
+# 30-bit limb (2^K n < 2^15); past them they take two, and the pairs save
+# little or nothing.  Offsets that would need a larger M are refused
+# (exit 3), and the kind's oracle runs only when its options are given.
+# Cold times are first calls in a fresh interpreter, three runs each
+# unless noted, 2-vCPU AMD EPYC, Python 3.11.
 #
-# (-1)^{t_n}: one state, whose sign flips at every 1 digit.  Cold g(x) at
-# M = 512 (x = 100) took 0.017 s at 60 digits and 0.27 s at 500 (three
-# runs each), what the split oracle takes at its defaults (0.018 s and
-# 0.26-0.29 s); at M = 4096 (x = 1000) it took 0.13 s and 1.9 s against
-# 0.026 s and 0.56 s, and at M = 65536 (x = 10^4) 3.6 s against 0.05 s
-# at 60 digits (one run each).  The cap, M = 512 (offsets up to 64), sits
-# where the cold costs cross.
+# (-1)^{t_n}: one state, whose sign flips at every 1 digit.  Cold g(x),
+# engine against the split oracle at its defaults, 60 / 500 digits:
+#
+#   M                  engine                       split oracle
+#   512 (x = 100)      0.013-0.027 / 0.20-0.25 s    0.020-0.035 / 0.30-0.32 s
+#   1024 (x = 200)     0.030-0.059 / 0.45-0.50 s    0.020-0.034 / 0.32-0.34 s
+#   4096 (x = 1000)    0.14 / 2.0 s                 0.028 / 0.60 s
+#   65536 (x = 10^4)   4.8 s at 60 (one run)        0.06 s at 60
+#
+# The cap, M = 512 (offsets up to 64), is the last M at which the engine
+# is no dearer than the oracle; at 500 digits it is now the cheaper.
 THUE_MORSE = _Automaton("Thue-Morse", ((0, 0),), ((1, -1),), 3, 1 << 9)
 # (r_n, u_n) = ((-1)^{v_n}, (-1)^n (-1)^{v_n}): r_2n = r_n, r_2n+1 = u_n,
 # u_2n = r_n and u_2n+1 = -u_n.  Engine on (n+M/4-1)/(n+M/4), the largest
 # offset at M, against the direct-sum oracle at its defaults on
-# (n+M/4)/(n+M/4+1), the smallest past M; the oracle's times are best of
-# three with numpy loaded (its import adds about 45 ms to a first call):
+# (n+M/4)/(n+M/4+1), the smallest past M; the engine's times are medians
+# of three, the oracle's best of three with numpy loaded (its import adds
+# about 45 ms to a first call):
 #
 #   M      engine cold (warm), 60 / 500 digits     oracle, 60 / 500 digits
-#   512    13 ms (0.4 ms) / 0.25 s (3.4 ms)        41 / 41 ms
-#   1024   25 ms (0.8 ms) / 0.42 s (3.9 ms)        42 / 42 ms
-#   2048   45 ms (1.8 ms) / 0.71 s (4.8 ms)        43 / 43 ms
-#   4096   90 ms (5.5 ms) / 1.37 s (9.5 ms)        47 / 47 ms
+#   512    10 ms (0.4 ms) / 0.21 s (2.3 ms)        43 / 43 ms
+#   1024   18 ms (0.7 ms) / 0.30 s (2.7 ms)        44 / 45 ms
+#   2048   34 ms (1.7 ms) / 0.52 s (4.0 ms)        45 / 44 ms
+#   4096   94 ms (5.7 ms) / 1.22 s (8.2 ms)        48 / 48 ms
 #
 # The engine gives every digit; the oracle gives 5.7 correct digits at
-# any precision, under an estimate of about 5e-6.  The engine's cold cost
-# meets the oracle's at 60 digits at M = 2048 (offsets up to 512), the
-# cap; there its 500-digit table is the dearer of the two caps' tables.
+# any precision, under an estimate of about 5e-6.  The cap, M = 2048
+# (offsets up to 512), is the last M at which the engine's cold cost at
+# 60 digits is below the oracle's; there its 500-digit table is the
+# dearer of the two caps' tables.
 RUDIN_SHAPIRO = _Automaton("Rudin-Shapiro", ((0, 1), (0, 1)), ((1, 1), (1, -1)),
                            2, 1 << 11)
 
@@ -478,8 +527,9 @@ def _scaled_table(automaton: _Automaton, m: int,
     so each row carries K bits less than the one before, rows past bits/K
     are 0, and the rows are filled from the top down.  For Thue-Morse the
     Prouhet moments P_k vanish for k < K and c_0 = 0, so the solve is the
-    identity.  f_s sums the iterated floors y <- floor(y m / (2^K n)) of
-    ``_floor_sums``, one sum per value of x_n.
+    identity.  f_s comes from ``_floor_sums``, one sum per value of x_n,
+    whose ratios m / (2^K n) <= 2^-K let it sum the n of each value two at
+    a time, one floor division per pair and row.
 
     The correction is a Horner sum: with v_k = sum_t P_k[q][t] e_t[s+k]
     and g = 32 guard bits,
@@ -552,9 +602,12 @@ def _table_unit(automaton: _Automaton, m: int) -> int:
     """U: every row of ``_scaled_table(automaton, m, ·)``'s table is off
     by at most U units.
 
-    Before the solve a row is off by less than 2^K m + 8 units: f_s sums
-    (2^K - 1) m iterated floors per state, each off by less than
-    2^K / (2^K - 1) units; the floors of the correction and of the solve,
+    Before the solve a row is off by less than 2^K m + 8 units: f_s covers
+    (2^K - 1) m values of n per state, from ``_floor_sums``, summed in
+    pairs, each pair off by less than (2^K / (2^K - 1))^2
+    < 2 (2^K / (2^K - 1)) units, and at most one member per class alone,
+    off by less than 2^K / (2^K - 1), so by less than 2^K / (2^K - 1) per
+    n and 2^K m in all; the floors of the correction and of the solve,
     the Horner floors (less than 2^-g, g = 32; see ``_scaled_table``), the
     terms past the cut (2^scale |c_k| < 1 with scale >= bits - 2Ks + 40,
     |P_k| < 2^K (2^K - 1)^k and |e_(s+k)| <= (m+1) 2^(bits - K(s+k)), so
@@ -602,7 +655,7 @@ def _engine(spec: ProductSpec, precision: int, automaton: _Automaton) -> EvalRes
       mass (max|a_i|/n)^(J+1) / ((J+1)(1-rho)), and summing over n gives
       mass rho^(J+1) (1 + M/J) / ((J+1)(1-rho));
     * table rounding: row j is off by at most U (``_table_unit``) units of
-      2^(Kj-B), which covers the iterated floors of f_j and the Horner
+      2^(Kj-B), which covers the floor sums of f_j and the Horner
       floors of its solve (less than 2^-32 of a unit), and is weighted by
       |p_j| / (j M^j) <= mass 2^(-Kj) / j, so at most U mass H_J 2^-B
       (H_J the harmonic number);

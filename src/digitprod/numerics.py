@@ -88,10 +88,10 @@ def gamma(x: Fraction, precision: int = DEFAULT_PRECISION) -> mpmath.mpf:
     Evaluates ln Gamma(x + m) by Stirling's series with a shift
     m ~ ceil(1.2 * precision), then divides by the exact rising product
     x (x+1) ... (x+m-1).  Kept in place of ``mpmath.gamma``: its first
-    call in a fresh interpreter takes 0.4-0.7 s at 515 digits, against
-    36-46 ms here for all Gamma values of a 500-digit T5a evaluation
-    (2-vCPU x86-64 Xeon, Python 3.11).  ``gamma_error`` bounds its
-    relative error.
+    call in a fresh interpreter takes 0.21-0.26 s at 515 digits, against
+    16.4-16.5 ms here for all Gamma values of a 500-digit T5a evaluation
+    (three fresh interpreters each, 2-vCPU AMD EPYC, Python 3.11.7).
+    ``gamma_error`` bounds its relative error.
     """
     return _stirling_gamma(Fraction(x), precision)[0]
 

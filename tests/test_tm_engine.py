@@ -393,6 +393,43 @@ def test_table_rows_within_their_unit_bound_at_500_digits(automaton):
     _assert_rows_within_their_unit(automaton, 64, _table_bits(500))
 
 
+@pytest.mark.parametrize("automaton, m", [(evaluator.THUE_MORSE, 512),
+                                          (evaluator.RUDIN_SHAPIRO, 2048)])
+def test_table_rows_within_their_unit_bound_at_the_caps(automaton, m):
+    # the largest tail starts, where the pair divisors d1 d2 come closest
+    # to 2^30
+    assert m == automaton.max_tail_start
+    _assert_rows_within_their_unit(automaton, m, _table_bits(60))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 200), st.sampled_from([8, 16, 32, 64]), st.sampled_from([2, 3]),
+       st.integers(1, 4), st.integers(0, 2 ** 32))
+def test_floor_sums_pairs_stay_below_the_exact_sums(bits, m, fold, groups, seed):
+    # ratios m / (2^K n) <= 2^-K: each class is summed in pairs, each pair
+    # below its exact sum by less than (2^K / (2^K - 1))^2, and a member
+    # left over by less than 2^K / (2^K - 1)
+    rng = random.Random(seed)
+    width = 1 << fold
+    ids = [rng.randrange(groups) for _ in range(width * m)]
+    top = bits // fold + 1
+    sums = evaluator._floor_sums(ids, groups, m, width * m, m, fold, bits, top)
+    member = F(width, width - 1)
+    guard = 64
+    for g, row in enumerate(sums):
+        members = [n for n in range(m, width * m) if ids[n] == g]
+        bound = len(members) // 2 * member ** 2 + len(members) % 2 * member
+        assert row[0] == 0
+        for s in range(1, top + 1):
+            # 2^guard times the exact sum is in [floors, floors + len(members)),
+            # so the asserts check row <= exact sum and exact sum - row < bound
+            # to within len(members) 2^-guard units
+            floors = sum((m ** s << bits + guard) // (n << fold) ** s for n in members)
+            scaled = row[s] << guard
+            assert scaled < floors + len(members), (g, s)
+            assert floors - scaled < bound * (1 << guard), (g, s)
+
+
 def fraction_series_engine_reference(spec, precision, automaton):
     """``_engine``'s (value, error_estimate) with the series summed from
     reduced Fraction power sums p_j = N_j / Q_j, built here from the
