@@ -28,7 +28,12 @@ CASES = {
     "eval-wr-500": ["eval", WR, "--digits", "500"],
     "eval-t5a-60": ["eval", "(4n+1)(4n+4)/((4n+2)(4n+3))", "--kind", "t",
                     "--digits", "60"],
+    # tm-ladder's 0/1 call at 500 digits: the engine and Gamma
+    "eval-t5a-500": ["eval", "(4n+1)(4n+4)/((4n+2)(4n+3))", "--kind", "t",
+                     "--digits", "500"],
     "g-3-4": ["g", "--x", "3/4"],
+    # max|a| = 64: Thue-Morse at its cap, M = 512
+    "g-127-500": ["g", "--x", "127", "--digits", "500"],
     # D = 8: the engine's series runs to 477 terms at 500 digits
     "g-37-4-500": ["g", "--x", "37/4", "--digits", "500"],
     "constants-fm-phi-100": ["constants", "fm-phi", "--digits", "100"],
@@ -47,6 +52,9 @@ CASES = {
     # the default engine at tail start M = 64 (terms_used 64, no split)
     "eval-n1-n2": ["eval", "(n+1)/(n+2)"],
     # the Rudin-Shapiro engine at 500 digits
+    # max|a| = 512: Rudin-Shapiro at its cap, M = 2048
+    "eval-rs-cap-200": ["eval", "(n+511)/(n+512)", "--kind", "pm-v",
+                        "--digits", "200"],
     "eval-gs-500": ["eval", "(2n+1)^2/((4n+1)(n+1))", "--kind", "pm-v",
                     "--start", "1", "--digits", "500"],
     # a negative offset: odd power sums are negative, and the series'
