@@ -47,7 +47,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
-from operator import add, mul, sub
+from operator import add, mul, rshift, sub
 from typing import (TYPE_CHECKING, Dict, Iterable, Iterator, List, Optional,
                     Sequence, Tuple)
 
@@ -191,18 +191,19 @@ def _floor_error(precision: int) -> mpmath.mpf:
 # +-1 Thue-Morse products
 # ---------------------------------------------------------------------------
 
-def _floor_sums(ids: Sequence[int], groups: int, lo: int, hi: int, c: int,
+def _floor_sums(ids: Sequence[int], groups: int, members: range, c: int,
                 shift: int, bits: int, top: int) -> List[List[int]]:
-    """sums[g][s] = sum over lo <= n < hi with ids[n] = g of
-    2^bits (c/d_n)^s, d_n = 2^shift n, rounded down, for g < groups and
-    1 <= s <= top (sums[g][0] = 0).
+    """sums[g][s] = sum over n in ``members`` (an ascending range) with
+    ids[n] = g of 2^bits (c/d_n)^s, d_n = 2^shift n, rounded down, for
+    g < groups and 1 <= s <= top (sums[g][0] = 0).
 
     Member by member, y_{n,0} = 2^bits and y_{n,s} = floor(y_{n,s-1} c / d_n)
     is off by less than min(s, 1/(1 - a)) units, a = c/d_n.  When every
-    ratio is at most 1/2 (2c <= 2^shift lo, so for every engine table,
-    whose ratios are at most 2^-K), the members of each value class are
-    summed two at a time, in ascending n, through the recurrence of a sum
-    of two geometric sequences, d1 d2 U_s = c (d1 + d2) U_(s-1) - c^2 U_(s-2):
+    ratio is at most 1/2 (2c <= 2^shift times the first member, so for
+    every engine table, whose ratios are at most 2^-K), the members of
+    each value class are summed two at a time, in ascending n, through the
+    recurrence of a sum of two geometric sequences,
+    d1 d2 U_s = c (d1 + d2) U_(s-1) - c^2 U_(s-2):
     from u_0 = 2^(bits+1) (the seed; row 0 stays 0) and
     u_1 = floor(2^bits c (d1 + d2) / (d1 d2)),
 
@@ -220,15 +221,15 @@ def _floor_sums(ids: Sequence[int], groups: int, lo: int, hi: int, c: int,
     first value <= 0; its later rows are below their exact values by less
     than that value's bound."""
     sums = [[0] * (top + 1) for _ in range(groups)]
-    singles: Iterable[int] = range(lo, hi)
-    if 2 * c <= lo << shift:
+    singles: Iterable[int] = members
+    if 2 * c <= members.start << shift:
         classes: List[List[int]] = [[] for _ in range(groups)]
-        for n in range(lo, hi):
+        for n in members:
             classes[ids[n]].append(n)
-        singles = [members[-1] for members in classes if len(members) & 1]
+        singles = [group[-1] for group in classes if len(group) & 1]
         cc = c * c
-        for row, members in zip(sums, classes):
-            for n1, n2 in zip(members[::2], members[1::2]):
+        for row, group in zip(sums, classes):
+            for n1, n2 in zip(group[::2], group[1::2]):
                 d1, d2 = n1 << shift, n2 << shift
                 a, d = c * (d1 + d2), d1 * d2
                 u0, u = 2 << bits, (a << bits) // d
@@ -252,13 +253,16 @@ def _floor_sums(ids: Sequence[int], groups: int, lo: int, hi: int, c: int,
 @lru_cache(maxsize=8)
 def _tm_tail_table(n0: int, terms: int, bits: int, j_max: int) -> Tuple[int, ...]:
     """(T_1, ..., T_{j_max}), T_j = sum_{n0<=n<=terms} (-1)^{t_n} y_{n,j},
-    with y_{n,j} from ``_floor_sums`` at c = n0, whose first ratio n0/n0 = 1
-    keeps it member by member: 2^bits (n0/n)^j rounded down by less than
-    j units.  The table does not depend on the rational,
-    so every Thue-Morse evaluation at one precision shares it.
+    with y_{n,j} from ``_floor_sums`` at c = n0 over every n of
+    range(n0, terms + 1), whose first ratio n0/n0 = 1 keeps it member by
+    member: 2^bits (n0/n)^j rounded down by less than j units.  The engine
+    folds the even n of its block onto the octave below (``_block_sums``);
+    this table does not, so it stays an independent check.  The table does
+    not depend on the rational, so every Thue-Morse evaluation at one
+    precision shares it.
     """
     parity = [n.bit_count() & 1 for n in range(terms + 1)]
-    plus, minus = _floor_sums(parity, 2, n0, terms + 1, n0, 0, bits, j_max)
+    plus, minus = _floor_sums(parity, 2, range(n0, terms + 1), n0, 0, bits, j_max)
     return tuple(a - b for a, b in zip(plus[1:], minus[1:]))
 
 
@@ -406,27 +410,30 @@ class _Automaton:
 # 2^K times smaller than the one before; every larger M has its own table.
 TAIL_START = 64
 
-# Each automaton's cap on M, the bound on the engine's work: the table
-# loops over (2^K - 1) M values of n, so past a few hundred its cost
-# doubles with M; both caps keep the cold 500-digit table under about
-# 0.55 s.  Up to both caps the pair divisors of ``_floor_sums`` fit in one
-# 30-bit limb (2^K n < 2^15); past them they take two, and the pairs save
-# little or nothing.  Offsets that would need a larger M are refused
-# (exit 3), and the kind's oracle runs only when its options are given.
-# Cold times are first calls in a fresh interpreter, three runs each
-# unless noted, 2-vCPU AMD EPYC, Python 3.11.
+# Each automaton's cap on M, the bound on the engine's work: the floor
+# sums loop over 2^(K-1) M values of n and the solve over rows whose
+# series grow with M, so past a few hundred the table's cost doubles with
+# M; both caps keep the cold 500-digit table under about 0.4 s.  Up to
+# both caps the pair divisors of ``_floor_sums`` fit in one 30-bit limb
+# (2^K n < 2^15); past them they take two, and the pairs save little or
+# nothing.  Offsets that would need a larger M are refused (exit 3), and
+# the kind's oracle runs only when its options are given.  Cold times are
+# first calls in a fresh interpreter, three runs each unless noted,
+# 2-vCPU AMD EPYC, Python 3.11.
 #
 # (-1)^{t_n}: one state, whose sign flips at every 1 digit.  Cold g(x),
 # engine against the split oracle at its defaults, 60 / 500 digits:
 #
 #   M                  engine                       split oracle
-#   512 (x = 100)      0.013-0.027 / 0.20-0.25 s    0.020-0.035 / 0.30-0.32 s
-#   1024 (x = 200)     0.030-0.059 / 0.45-0.50 s    0.020-0.034 / 0.32-0.34 s
-#   4096 (x = 1000)    0.14 / 2.0 s                 0.028 / 0.60 s
-#   65536 (x = 10^4)   4.8 s at 60 (one run)        0.06 s at 60
+#   512 (x = 100)      0.008-0.014 / 0.12-0.13 s    0.019 / 0.28-0.29 s
+#   1024 (x = 200)     0.018 / 0.26-0.27 s          0.019 / 0.30-0.31 s
+#   4096 (x = 1000)    0.086 / 1.23 s (one run)     0.026 / 0.58 s (one run)
+#   65536 (x = 10^4)   3.1 s at 60 (one run)        0.05 s at 60 (one run)
 #
-# The cap, M = 512 (offsets up to 64), is the last M at which the engine
-# is no dearer than the oracle; at 500 digits it is now the cheaper.
+# The cap, M = 512 (offsets up to 64), was set as the last M at which the
+# engine was no dearer than the oracle.  Since the even n of F(s) fold
+# onto the octave below, M = 1024 is no dearer either; the cap has not
+# moved.
 THUE_MORSE = _Automaton("Thue-Morse", ((0, 0),), ((1, -1),), 3, 1 << 9)
 # (r_n, u_n) = ((-1)^{v_n}, (-1)^n (-1)^{v_n}): r_2n = r_n, r_2n+1 = u_n,
 # u_2n = r_n and u_2n+1 = -u_n.  Engine on (n+M/4-1)/(n+M/4), the largest
@@ -436,10 +443,10 @@ THUE_MORSE = _Automaton("Thue-Morse", ((0, 0),), ((1, -1),), 3, 1 << 9)
 # about 45 ms to a first call):
 #
 #   M      engine cold (warm), 60 / 500 digits     oracle, 60 / 500 digits
-#   512    10 ms (0.4 ms) / 0.21 s (2.3 ms)        43 / 43 ms
-#   1024   18 ms (0.7 ms) / 0.30 s (2.7 ms)        44 / 45 ms
-#   2048   34 ms (1.7 ms) / 0.52 s (4.0 ms)        45 / 44 ms
-#   4096   94 ms (5.7 ms) / 1.22 s (8.2 ms)        48 / 48 ms
+#   512    12 ms (0.4 ms) / 0.16 s (2.3 ms)        39 / 39 ms
+#   1024   14 ms (0.7 ms) / 0.24 s (2.8 ms)        39 / 39 ms
+#   2048   25 ms (1.7 ms) / 0.38 s (4.0 ms)        40 / 40 ms
+#   4096   59 ms (5.7 ms) / 0.82 s (8.1 ms)        43 / 42 ms
 #
 # The engine gives every digit; the oracle gives 5.7 correct digits at
 # any precision, under an estimate of about 5e-6.  The cap, M = 2048
@@ -503,6 +510,71 @@ def _moments(automaton: _Automaton,
     return c0, {key: column for key, column in moments.items() if any(column)}
 
 
+def _block_sums(automaton: _Automaton, m: int, bits: int
+                ) -> Tuple[List[Tuple[int, ...]], List[int], List[List[int]]]:
+    """(values, ids, sums): x_n = values[ids[n]] for n < 2^K m
+    (``_Automaton.vectors``), and sums[g][s], the sum over m <= n < 2^K m
+    with ids[n] = g of 2^bits (m / (2^K n))^s, rounded down, for
+    1 <= s <= bits/K (sums[g][0] = 0).
+
+    The block [m, 2^K m) is K octaves [2^j m, 2^(j+1) m).  An even n = 2n'
+    of octave j >= 1 has x_n = A_0 x_n' and (m / (2^K n))^s =
+    2^-s (m / (2^K n'))^s, so octave j's class sums are ``_floor_sums``
+    over its odd n plus octave j-1's class sums shifted right by s bits
+    and relabelled through double[ids[n']] = ids[2n'].  The floor sums
+    take the m n of octave 0 and the 2^(j-1) m odd n of each later octave,
+    2^(K-1) m in all: 4m in place of 7m for Thue-Morse (K = 3) and 2m in
+    place of 3m for Rudin-Shapiro (K = 2).
+
+    Every floor drops, so each class row is at most its exact sum.  An n
+    that ``_floor_sums`` takes is off by less than b = 2^K / (2^K - 1) (a
+    pair by less than b^2 <= 2b), and its error reaches the class of
+    2^i n shifted right by at least i bits; each shift floors once more,
+    less than 1 unit, once per class and octave j >= 1, and that floor
+    reaches the later octaves halved at least, weight below 2.  So class
+    g's row is below its exact sum by less than
+
+        b sum_{ids[n] = g} 2^-i(n) + 2 (K - 1) G,
+
+    with i(n) the octaves n was folded through (the number of times 2
+    divides n, at most n's octave) and G = len(values); summed over the
+    classes the floors count once, 2 (K - 1) G in all.
+    """
+    fold = automaton.fold
+    top = bits // fold
+    values, ids = automaton.vectors(m << fold)
+    groups = len(values)
+    double = dict(zip(ids[m:m << (fold - 1)], ids[2 * m::2]))
+    shifts = range(top + 1)
+    octave = _floor_sums(ids, groups, range(m, 2 * m), m, fold, bits, top)
+    sums = octave
+    for lo in (m << j for j in range(1, fold)):
+        below = octave
+        octave = _floor_sums(ids, groups, range(lo + 1, 2 * lo, 2), m, fold, bits, top)
+        for g, h in double.items():
+            octave[h] = list(map(add, octave[h], map(rshift, below[g], shifts)))
+        sums = [list(map(add, a, b)) for a, b in zip(sums, octave)]
+    return values, ids, sums
+
+
+def _last_solved_row(fold: int, m: int, c0: int, bits: int) -> int:
+    """s0 of ``_scaled_table``: the last row s with B(s) >= 1/2, where
+    B(s) = (m+1) 2^(bits - 2Ks) (2^K ((1 - (2^K-1)/(2^K m))^-s - 1) + |c_0|)
+    falls with s.  The walk starts at s = max(1, bits/(2K)), where
+    B(s) >= 1/2 (see ``_scaled_table``), and takes a few rows."""
+    width = 1 << fold
+    num, den = width * m, width * m - width + 1  # (1 - (2^K-1)/(2^K m))^-1
+    s = max(1, bits // (2 * fold))
+    p, q = num ** (s + 1), den ** (s + 1)
+    while True:
+        # B(s+1) < 1/2 <=> 2 (m+1) (2^K (p - q) + |c_0| q) 2^(bits - 2K(s+1)) < q
+        shift = bits - 2 * fold * (s + 1)
+        lhs = 2 * (m + 1) * (width * (p - q) + abs(c0) * q)
+        if lhs << max(shift, 0) < q << max(-shift, 0):
+            return s
+        s, p, q = s + 1, p * num, q * den
+
+
 @lru_cache(maxsize=8)
 def _scaled_table(automaton: _Automaton, m: int,
                   bits: int) -> Tuple[Tuple[int, ...], int, Tuple[int, ...]]:
@@ -526,10 +598,22 @@ def _scaled_table(automaton: _Automaton, m: int,
 
     so each row carries K bits less than the one before, rows past bits/K
     are 0, and the rows are filled from the top down.  For Thue-Morse the
-    Prouhet moments P_k vanish for k < K and c_0 = 0, so the solve is the
-    identity.  f_s comes from ``_floor_sums``, one sum per value of x_n,
-    whose ratios m / (2^K n) <= 2^-K let it sum the n of each value two at
-    a time, one floor division per pair and row.
+    Prouhet moments P_k vanish for k < K and c_0 = 0.  f_s comes from
+    ``_block_sums``: one sum per value of x_n, with the even n of each
+    octave folded onto the octave below.
+
+    Rows above s0 >= 1 (``_last_solved_row``) take no solve: e_s = f_s.
+    For s >= 2, |E_t(s)| <= sum_{n>=m} (m/n)^s <= 1 + m/(s-1) <= m + 1;
+    the largest row sum of |P_k| is at most sum_{i<2^K} i^k
+    < 2^K (2^K - 1)^k; and sum_{k>=1} C(s+k-1,k) x^k = (1-x)^-s - 1.  So
+    with a = (2^K-1)/(2^K m) the exact correction of row s is below
+    (m+1) 2^(bits - 2Ks) 2^K ((1 - a)^-s - 1) units, and the c_0 division
+    moves the exact row by |c_0| 2^(-Ks) |e_s| <= |c_0| (m+1) 2^(bits - 2Ks).
+    Their sum B(s) falls with s, by a factor at most (1 + R) 2^(-2K) < 1
+    per row with R = (1 - a)^-1 < 2, so every row above the last with
+    B(s) >= 1/2 moves by less than half a unit without its solve.  No row
+    s <= bits/(2K) is skipped: there 2^(bits - 2Ks) >= 1 and
+    (m+1) 2^K ((1 - a)^-s - 1) >= (m+1) 2^K s a = s (2^K - 1) (m+1)/m >= 1.
 
     The correction is a Horner sum: with v_k = sum_t P_k[q][t] e_t[s+k]
     and g = 32 guard bits,
@@ -551,11 +635,9 @@ def _scaled_table(automaton: _Automaton, m: int,
     this one memo entry, unit and signs included.
     """
     fold = automaton.fold
-    width = 1 << fold
     top = bits // fold
     states = len(automaton.sign)
-    values, ids = automaton.vectors(width * m)
-    sums = _floor_sums(ids, len(values), m, width * m, m, fold, bits, top)
+    values, ids, sums = _block_sums(automaton, m, bits)
     # e[q][s]: row s of state q
     e = [[0] * (top + 1) for _ in range(states)]
     for x, row in zip(values, sums):
@@ -572,7 +654,7 @@ def _scaled_table(automaton: _Automaton, m: int,
         return scale + log_fact[s + k - 1] - log_fact[s - 1] - log_fact[k] >= k * log_m
 
     k_max = 1
-    for s in range(top - 1, 0, -1):
+    for s in range(min(top - 1, _last_solved_row(fold, m, c0, bits)), 0, -1):
         # 40 guard bits, plus one per 32 rows for the growth of
         # C(s+k-1, k) m^-k <= (1-1/m)^-s; k = 1 is always kept
         scale = max(0, bits - 2 * fold * s) + 40 + s // 32
@@ -602,20 +684,30 @@ def _table_unit(automaton: _Automaton, m: int) -> int:
     """U: every row of ``_scaled_table(automaton, m, ·)``'s table is off
     by at most U units.
 
-    Before the solve a row is off by less than 2^K m + 8 units: f_s covers
-    (2^K - 1) m values of n per state, from ``_floor_sums``, summed in
-    pairs, each pair off by less than (2^K / (2^K - 1))^2
-    < 2 (2^K / (2^K - 1)) units, and at most one member per class alone,
-    off by less than 2^K / (2^K - 1), so by less than 2^K / (2^K - 1) per
-    n and 2^K m in all; the floors of the correction and of the solve,
-    the Horner floors (less than 2^-g, g = 32; see ``_scaled_table``), the
-    terms past the cut (2^scale |c_k| < 1 with scale >= bits - 2Ks + 40,
-    |P_k| < 2^K (2^K - 1)^k and |e_(s+k)| <= (m+1) 2^(bits - K(s+k)), so
-    less than 2^(2K-40) (m+1) in all), the rows cut at the top and the
-    errors of later rows carried by the moments k >= K (weighted by less
-    than 2^-10 for m >= 64) add less than 8 more.  The solve multiplies by
-    1 / (1 - c_0 2^(-Ks)) <= inv = 2^K / (2^K - c_0), and the low moments
-    1 <= k < K carry later rows' errors with weight
+    Before the solve a row is off by less than 2^K m + 8 units:
+
+    * f_s, from ``_block_sums``: an n that ``_floor_sums`` takes is off by
+      less than b = 2^K / (2^K - 1), with weight 2^-i for the i octaves it
+      is folded through.  For Thue-Morse the m n of octave 0 weigh
+      1 + 1/2 + 1/4, the m odd n of octave 1 1 + 1/2 and the 2m odd n of
+      octave 2 1, so (21/4) m b = 6m units; for Rudin-Shapiro the m n of
+      octave 0 weigh 1 + 1/2 and the m odd n of octave 1 1, so
+      (5/2) m b = (10/3) m.  The K - 1 shift floors per class add less
+      than 2 (K - 1) G, 8 for both (G = 2 classes at K = 3, G = 4 at
+      K = 2).  So f_s is off by less than 6m + 8 and (10/3) m + 8, below
+      2^K m - 1/2 for m >= 64.
+    * Rows above s0 take no solve, which moves them by less than 1/2
+      (``_scaled_table``), so they are off by less than 2^K m.
+    * Rows up to s0: the floors of the correction and of the solve, the
+      Horner floors (less than 2^-g, g = 32; see ``_scaled_table``), the
+      terms past the cut (2^scale |c_k| < 1 with scale >= bits - 2Ks + 40,
+      |P_k| < 2^K (2^K - 1)^k and |e_(s+k)| <= (m+1) 2^(bits - K(s+k)), so
+      less than 2^(2K-40) (m+1) in all), the rows cut at the top and the
+      errors of later rows carried by the moments k >= K (weighted by less
+      than 2^-10 for m >= 64) add less than 8 more.
+
+    The solve multiplies by 1 / (1 - c_0 2^(-Ks)) <= inv = 2^K / (2^K - c_0),
+    and the low moments 1 <= k < K carry later rows' errors with weight
     w_s = 2^(-Ks) sum_k C(s+k-1,k) m^-k |P_k| (|.| the largest row sum of
     absolute values), largest at s = 1.  If every later row is within U,
     a row is within inv (2^K m + 8 + w_1 U), so

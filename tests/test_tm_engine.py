@@ -317,25 +317,34 @@ def test_rs_engine_second_fold_agrees():
                     <= default.error_estimate + other.error_estimate), name
 
 
-def chain_table_reference(automaton, m, bits):
-    """``_scaled_table``'s table from the same f_s and moments, with the
+def unsolved_rows(automaton, m, bits):
+    """e[q][s] = f_s of state q, from ``_block_sums``' class rows."""
+    values, _, sums = evaluator._block_sums(automaton, m, bits)
+    e = [[0] * (bits // automaton.fold + 1) for _ in automaton.sign]
+    for x, row in zip(values, sums):
+        for q, eq in enumerate(e):
+            e[q] = [a + b if x[q] > 0 else a - b for a, b in zip(eq, row)]
+    return e
+
+
+def chain_table_reference(automaton, m, bits, every_row=False):
+    """``_scaled_table``'s table from the same f_s (``_block_sums``),
+    moments and first solved row s0 (``_last_solved_row``), with the
     solve's series summed term by term: each row's coefficients
     c_k = C(-s,k) m^-k follow c_k = c_{k-1} (-(s+k-1)) / (k m) by floor
     division at 2^scale, the chain stops at the first c_k that is 0, and
     every term costs two products, c_k P_k and that by e_{s+k}.  The
-    Horner sum of the builder must give the same rows."""
+    Horner sum of the builder must give the same rows.  With
+    ``every_row`` the solve runs over every row below the top instead."""
     fold = automaton.fold
-    width = 1 << fold
     top = bits // fold
     states = len(automaton.sign)
-    values, ids = automaton.vectors(width * m)
-    sums = evaluator._floor_sums(ids, len(values), m, width * m, m, fold, bits, top)
-    e = [[0] * (top + 1) for _ in range(states)]
-    for x, row in zip(values, sums):
-        for q in range(states):
-            e[q] = [a + b if x[q] > 0 else a - b for a, b in zip(e[q], row)]
+    e = unsolved_rows(automaton, m, bits)
     c0, moments = evaluator._moments(automaton, top)
-    for s in range(top - 1, 0, -1):
+    first = top - 1
+    if not every_row:
+        first = min(first, evaluator._last_solved_row(fold, m, c0, bits))
+    for s in range(first, 0, -1):
         scale = max(0, bits - 2 * fold * s) + 40 + s // 32
         c = 1 << scale
         cs = []
@@ -369,6 +378,47 @@ def test_table_equals_the_chain_solve_row_for_row(automaton, m, digits):
     bits = _table_bits(digits)
     table, _, _ = evaluator._scaled_table(automaton, m, bits)
     assert table == chain_table_reference(automaton, m, bits)
+
+
+@pytest.mark.parametrize("automaton, m, digits", [
+    *((a, m, d) for a in (evaluator.THUE_MORSE, evaluator.RUDIN_SHAPIRO)
+      for m in (64, a.max_tail_start) for d in (20, 60)),
+    (evaluator.THUE_MORSE, 64, 500),
+    (evaluator.RUDIN_SHAPIRO, 64, 200),
+])
+def test_rows_above_the_last_solved_row_take_no_solve(automaton, m, digits):
+    # above s0 the table keeps f_s; there the correction and the c_0
+    # division are below half a unit together, so the solve run over
+    # every row moves those rows by at most 1
+    bits = _table_bits(digits)
+    table, _, _ = evaluator._scaled_table(automaton, m, bits)
+    c0, _ = evaluator._moments(automaton, 1)
+    s0 = evaluator._last_solved_row(automaton.fold, m, c0, bits)
+    assert bits // (2 * automaton.fold) <= s0 < len(table) - 1
+    solved = chain_table_reference(automaton, m, bits, every_row=True)
+    f = unsolved_rows(automaton, m, bits)[0]
+    for s in range(s0 + 1, len(table)):
+        assert table[s] == f[s], s
+        assert abs(table[s] - solved[s]) <= 1, s
+
+
+@pytest.mark.parametrize("automaton", [evaluator.THUE_MORSE, evaluator.RUDIN_SHAPIRO])
+@pytest.mark.parametrize("m", [64, 128, 2048])
+@pytest.mark.parametrize("digits", [20, 60, 500])
+def test_last_solved_row_is_where_the_skip_bound_falls_below_half(automaton, m, digits):
+    # B(s) = (m+1) 2^(bits-2Ks) (2^K ((1 - (2^K-1)/(2^K m))^-s - 1) + |c_0|)
+    # in Fractions: B(s0 + 1) < 1/2, and s0 is the start of the walk or
+    # has B(s0) >= 1/2
+    fold, width = automaton.fold, 1 << automaton.fold
+    bits = _table_bits(digits)
+    c0, _ = evaluator._moments(automaton, 1)
+
+    def skip_bound(s):
+        growth = (1 - F(width - 1, width * m)) ** -s - 1
+        return (m + 1) * F(2) ** (bits - 2 * fold * s) * (width * growth + abs(c0))
+    s0 = evaluator._last_solved_row(fold, m, c0, bits)
+    assert skip_bound(s0 + 1) < F(1, 2)
+    assert s0 == bits // (2 * fold) or skip_bound(s0) >= F(1, 2)
 
 
 def _assert_rows_within_their_unit(automaton, m, bits):
@@ -413,7 +463,7 @@ def test_floor_sums_pairs_stay_below_the_exact_sums(bits, m, fold, groups, seed)
     width = 1 << fold
     ids = [rng.randrange(groups) for _ in range(width * m)]
     top = bits // fold + 1
-    sums = evaluator._floor_sums(ids, groups, m, width * m, m, fold, bits, top)
+    sums = evaluator._floor_sums(ids, groups, range(m, width * m), m, fold, bits, top)
     member = F(width, width - 1)
     guard = 64
     for g, row in enumerate(sums):
@@ -428,6 +478,51 @@ def test_floor_sums_pairs_stay_below_the_exact_sums(bits, m, fold, groups, seed)
             scaled = row[s] << guard
             assert scaled < floors + len(members), (g, s)
             assert floors - scaled < bound * (1 << guard), (g, s)
+
+
+def _fold_depth(n, m):
+    """i(n) of ``_block_sums``: the octaves n is folded through, the times
+    2 divides n, at most the octave of n in [m, 2^K m)."""
+    octave = (n // m).bit_length() - 1
+    return min((n & -n).bit_length() - 1, octave)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.sampled_from([evaluator.THUE_MORSE, evaluator.RUDIN_SHAPIRO]),
+       st.sampled_from(["64", "128", "cap"]), st.integers(0, 200))
+def test_folded_class_rows_stay_below_the_exact_sums(automaton, m, bits):
+    # each class row of the folded sums is at most the exact sum over its
+    # n in [m, 2^K m) and below it by less than
+    # b sum 2^-i(n) + 2 (K - 1) G, b = 2^K / (2^K - 1)
+    m = automaton.max_tail_start if m == "cap" else int(m)
+    fold = automaton.fold
+    width = 1 << fold
+    values, ids, sums = evaluator._block_sums(automaton, m, bits)
+    top = bits // fold
+    member = F(width, width - 1)
+    floors_bound = 2 * (fold - 1) * len(values)
+    guard = 64
+    for g, row in enumerate(sums):
+        members = [n for n in range(m, width * m) if ids[n] == g]
+        bound = member * sum(F(1, 1 << _fold_depth(n, m)) for n in members) + floors_bound
+        # iterated floors at 2^guard: 2^guard times the exact sum is in
+        # [floors[s], floors[s] + 2 len(members)), so the asserts check
+        # row <= exact sum and exact sum - row < bound to within
+        # 2 len(members) 2^-guard units
+        floors = [0] * (top + 1)
+        for n in members:
+            y, d = 1 << bits + guard, n << fold
+            for s in range(1, top + 1):
+                y = y * m // d
+                if not y:
+                    break
+                floors[s] += y
+        slack = 2 * len(members)
+        assert row[0] == 0
+        for s in range(1, top + 1):
+            scaled = row[s] << guard
+            assert scaled < floors[s] + slack, (g, s)
+            assert floors[s] + slack - scaled < bound * (1 << guard), (g, s)
 
 
 def fraction_series_engine_reference(spec, precision, automaton):
