@@ -238,15 +238,7 @@ def cmd_constants(args) -> int:
     opts = _options(args)
     fm = flajolet_martin(opts)
     digits = args.digits
-    if args.name == "g0":
-        value = fm.g0.value
-    elif args.name == "fm-R":
-        value = fm.ratio.value
-    elif args.name == "fm-phi":
-        value = fm.phi
-    else:
-        raise InputError(f"unknown constant {args.name!r}; "
-                         "expected g0, fm-R or fm-phi")
+    value = {"g0": fm.g0.value, "fm-R": fm.ratio.value, "fm-phi": fm.phi}[args.name]
     check = fm.ratio.value * fm.g0.value
     payload = {
         "name": args.name,

@@ -766,8 +766,7 @@ def _engine(spec: ProductSpec, precision: int, automaton: _Automaton) -> EvalRes
     r = spec.rational
     wp = working_dps(precision)
     if r.is_one:
-        with workdps(wp):
-            return EvalResult(mpmath.mpf(1), mpmath.mpf(0), 0, 0)
+        return EvalResult(mpmath.mpf(1), mpmath.mpf(0), 0, 0)
     fold = automaton.fold
     m = _tail_start(r, fold)
     prec = mpmath.libmp.dps_to_prec(wp)
@@ -1019,8 +1018,7 @@ def eval_pm_rs(spec: ProductSpec, opts: EvalOptions = EvalOptions()) -> EvalResu
         levels = 0 if r.power_sum(1) == 0 else DEFAULT_RS_SPLIT_LEVELS
     # the split turns no other rational into 1, and R = 1 has boundary 1
     if r.is_one:
-        with workdps(wp):
-            return EvalResult(mpmath.mpf(1), mpmath.mpf(0), 0, levels)
+        return EvalResult(mpmath.mpf(1), mpmath.mpf(0), 0, levels)
 
     boundary_logs: List[float] = []
     exact_boundary = r.value_at(0) if spec.start == 0 else Fraction(1)
@@ -1108,8 +1106,7 @@ def f_value(a: Fraction, b: Fraction, opts: EvalOptions = EvalOptions()) -> Eval
     _check_f_parameter("a", a)
     _check_f_parameter("b", b)
     if a == b:
-        with workdps(working_dps(opts.precision)):
-            return EvalResult(mpmath.mpf(1), mpmath.mpf(0), 0, 0)
+        return EvalResult(mpmath.mpf(1), mpmath.mpf(0), 0, 0)
     rational = FactoredRational.from_offsets({a: 1, b: -1})
     spec = ProductSpec(rational, ExponentKind.PM_THUE, 1)
     return _plus_minus(spec, opts)
@@ -1118,8 +1115,6 @@ def f_value(a: Fraction, b: Fraction, opts: EvalOptions = EvalOptions()) -> Eval
 def g_value(x: Fraction, opts: EvalOptions = EvalOptions()) -> EvalResult:
     """g(x) = f(x/2, (x+1)/2) / (x+1)."""
     x = Fraction(x)
-    if x.denominator == 1 and x <= -1:
-        raise InputError(f"x = {x} is a negative integer; g is undefined there")
     if x < 0:
         raise InputError(f"g is evaluated on x >= 0 (real-log domain), got {x}")
     f = f_value(x / 2, (x + 1) / 2, opts)

@@ -9,13 +9,13 @@ increasing.  That form is canonical, so equal rationals compare and hash
 equal, and it is immutable after construction.
 
 Everything here is exact and works on the integers u_i: ``regroup`` is
-the one substitution rule (n -> c*n + d, behind composition, powers and
-every split), ``values_at`` the exact evaluator of R(n) at rational
-points (``value_at`` is its one-point case) and ``power_sum_numerators``
-the one source of the power sums that drive the tail series: the
-integers S_j = sum_i m_i u_i^j, with p_j = S_j / D^j.  ``power_sums``
-and ``power_sum`` are their Fraction view, the engine reads S_j and D^j
-directly, and ``rs_split_power_sums`` carries the S_j through the
+the one substitution rule (n -> c*n + d, behind construction from raw
+factors, powers and every split), ``values_at`` the exact evaluator of
+R(n) at rational points (``value_at`` is its one-point case) and
+``power_sum_numerators`` the one source of the power sums that drive the
+tail series: the integers S_j = sum_i m_i u_i^j, with p_j = S_j / D^j.
+``power_sums`` and ``power_sum`` are their Fraction view, the engine
+reads S_j and D^j directly, and ``rs_split_power_sums`` carries the S_j through the
 Rudin-Shapiro split chain.  ``evaluator._head`` also multiplies the
 integer factors n D + u_i, on purpose: a signed product over many
 integer points builds one Fraction at the end, not one per point.  The
@@ -186,10 +186,6 @@ class FactoredRational:
         if not isinstance(k, int):
             return NotImplemented
         return self.regroup([(1, 0, k)])
-
-    def compose_linear(self, c: int, d: int) -> "FactoredRational":
-        """The rational n -> R(c*n + d) in canonical form (c > 0)."""
-        return self.regroup([(c, d, 1)])
 
     def regroup(self, maps: Iterable[Tuple[RationalLike, RationalLike, int]]
                 ) -> "FactoredRational":
@@ -386,7 +382,8 @@ class _Parser:
                 if mult == 0:
                     raise ParseError("zero exponent is not allowed", at)
             if c == 0:
-                return ("scale", d ** mult)
+                # a zero base stays 0 for _parse to refuse: 0^-1 has no value
+                return ("scale", d ** mult if d else d)
             return ("factor", c, d, mult)
         raise ParseError(f"expected term, found {tok!r}", at)
 
@@ -409,6 +406,8 @@ class _Parser:
                     den_terms = self.parse_term_sequence()
                     self.expect(")")
                 except ParseError:
+                    den_terms = []
+                if not den_terms or self.peek() == "^":  # "/(3)^2" is one term
                     self.i = save
                     den_terms = [self.parse_term()]
             else:
@@ -425,10 +424,9 @@ def _parse(text: str) -> FactoredRational:
     for sign, terms in ((1, num_terms), (-1, den_terms)):
         for term in terms:
             if term[0] == "scale":
-                value = term[1] ** sign
-                if value <= 0:
+                if term[1] <= 0:
                     raise InputError(f"scale contribution must be positive, got {term[1]}")
-                scale *= value
+                scale *= term[1] ** sign
             else:
                 _, c, d, mult = term
                 raw.append((c, d, sign * mult))

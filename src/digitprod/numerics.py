@@ -272,23 +272,6 @@ class Mul(ClosedForm):
 
 
 @dataclass(frozen=True)
-class Add(ClosedForm):
-    terms: Tuple[ClosedForm, ...]
-
-    def _eval(self, precision):
-        out = mpmath.mpf(0)
-        for t in self.terms:
-            out += t._eval(precision)
-        return out
-
-    def render(self):
-        return "+".join(_wrap(t) for t in self.terms)
-
-    def to_json(self):
-        return {"type": "add", "terms": [t.to_json() for t in self.terms]}
-
-
-@dataclass(frozen=True)
 class Sub(ClosedForm):
     left: ClosedForm
     right: ClosedForm
@@ -301,24 +284,6 @@ class Sub(ClosedForm):
 
     def to_json(self):
         return {"type": "sub", "left": self.left.to_json(), "right": self.right.to_json()}
-
-
-@dataclass(frozen=True)
-class Div(ClosedForm):
-    num: ClosedForm
-    den: ClosedForm
-
-    def _eval(self, precision):
-        d = self.den._eval(precision)
-        if d == 0:
-            raise EvaluationError("division by zero in closed form")
-        return self.num._eval(precision) / d
-
-    def render(self):
-        return f"{_wrap(self.num)}/{_wrap(self.den)}"
-
-    def to_json(self):
-        return {"type": "div", "num": self.num.to_json(), "den": self.den.to_json()}
 
 
 def _wrap(cf: ClosedForm) -> str:
@@ -400,15 +365,6 @@ def power_product_exponents(cf: ClosedForm) -> Optional[Dict[int, Fraction]]:
                 return None
             for p, e in inner.items():
                 out[p] = out.get(p, Fraction(0)) + e
-        return {p: e for p, e in out.items() if e}
-    if isinstance(cf, Div):
-        num = power_product_exponents(cf.num)
-        den = power_product_exponents(cf.den)
-        if num is None or den is None:
-            return None
-        out = dict(num)
-        for p, e in den.items():
-            out[p] = out.get(p, Fraction(0)) - e
         return {p: e for p, e in out.items() if e}
     return None
 

@@ -72,19 +72,11 @@ class GExpression:
         c = tuple(sorted(_clean(log_const or {}).items()))
         return GExpression(t, c)
 
-    @staticmethod
-    def g_symbol(x, coefficient=1) -> "GExpression":
-        return GExpression.build({Fraction(x): Fraction(coefficient)})
-
     def terms_dict(self) -> Dict[Fraction, Fraction]:
         return dict(self.terms)
 
     def log_const_dict(self) -> Dict[Fraction, Fraction]:
         return dict(self.log_const)
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms and not self.log_const
 
     def __add__(self, other: "GExpression") -> "GExpression":
         t = self.terms_dict()
@@ -94,17 +86,6 @@ class GExpression:
         for k, v in other.log_const:
             c[k] = c.get(k, Fraction(0)) + v
         return GExpression.build(t, c)
-
-    def __neg__(self) -> "GExpression":
-        return self.scaled(-1)
-
-    def __sub__(self, other: "GExpression") -> "GExpression":
-        return self + (-other)
-
-    def scaled(self, factor) -> "GExpression":
-        f = Fraction(factor)
-        return GExpression.build({k: v * f for k, v in self.terms},
-                                 {k: v * f for k, v in self.log_const})
 
     def render(self) -> str:
         parts = [f"{v}*G({k})" for k, v in self.terms]
@@ -488,8 +469,7 @@ class VerifyReport:
 
 
 def verify(identity: Identity, opts: EvalOptions = EvalOptions(),
-           tolerance: Optional[float] = None,
-           symbolic: bool = True) -> VerifyReport:
+           tolerance: Optional[float] = None) -> VerifyReport:
     """Numerically verify one identity, and symbolically when possible.
 
     Pass criterion: |computed - expected| <= max(tolerance, combined
@@ -508,7 +488,7 @@ def verify(identity: Identity, opts: EvalOptions = EvalOptions(),
         passed = bool(abs_error <= max(tol, combined))
 
     symbolic_match: Optional[bool] = None
-    if symbolic and identity.spec.kind is ExponentKind.PM_THUE:
+    if identity.spec.kind is ExponentKind.PM_THUE:
         expected_exponents = power_product_exponents(identity.closed_form)
         if expected_exponents is not None:
             outcome = reduce(expr_from_spec(identity.spec))

@@ -82,6 +82,18 @@ def test_eval_parse_error_exits_two(capsys):
     assert "position" in err
 
 
+def test_eval_zero_denominator_exits_three(capsys):
+    code, out, err = run(capsys, "eval", "(n+1)/0")
+    assert code == 3 and out == ""
+    assert err == "error: scale contribution must be positive, got 0\n"
+
+
+def test_eval_powered_parenthesized_denominator_parses(capsys):
+    # refused for convergence, as "(n+1)/9" is, not for its syntax
+    code, _, err = run(capsys, "eval", "(n+1)/(3)^2", "--kind", "plain")
+    assert code == 3 and "full convergence" in err
+
+
 def test_eval_json_format(capsys):
     # fixing the split levels and terms selects the split oracle
     code, out, _ = run(capsys, "eval", "(4n+1)/(4n+3)", "--kind", "pm-t",

@@ -702,3 +702,25 @@ def test_scan_rejects_bad_grid():
         monotonicity_scan(F(2), F(1), 5, LIGHT)
     with pytest.raises(InputError):
         monotonicity_scan(F(-1), F(1), 5, LIGHT)
+
+
+# ---------------------------------------------------------------------------
+# Validation branches
+# ---------------------------------------------------------------------------
+
+_PM_SPEC = ProductSpec(FactoredRational.parse("(n+1)/(n+2)"), ExponentKind.PM_THUE, 1)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: eval_plain(_PM_SPEC),
+    lambda: eval_pm_rs(_PM_SPEC),
+    lambda: eval_zero_one_thue(_PM_SPEC),
+    lambda: eval_zero_one_rs(_PM_SPEC),
+    lambda: ProductSpec(_PM_SPEC.rational, ExponentKind.PM_THUE, 2).validate(),
+    lambda: remainder_sign_probe(F(1, 2), F(1, 3), -1, 8),
+], ids=["plain-kind", "pm-rs-kind", "zero-one-thue-kind", "zero-one-rs-kind",
+        "start-2", "probe-negative-k"])
+def test_validation_raises_input_error(call):
+    with pytest.raises(InputError) as info:
+        call()
+    assert info.type is InputError

@@ -4,9 +4,10 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from digitprod import (ConvergenceTag, EvaluationError, FactoredRational,
-                       InputError, ParseError, classify, dyadic_split,
-                       log_term, pole_check, rs_split, thue_morse)
+from digitprod import (ConvergenceTag, DigitprodError, EvaluationError,
+                       FactoredRational, InputError, ParseError, classify,
+                       dyadic_split, log_term, pole_check, rs_split,
+                       thue_morse)
 from digitprod.evaluator import _head
 from digitprod.factored_rational import (positivity_check, rs_split_power_sums,
                                          rs_split_rational)
@@ -84,6 +85,46 @@ def test_parse_accepts_grammar_forms(text):
 def test_parse_rejects_malformed(text):
     with pytest.raises((ParseError, InputError)):
         FactoredRational.parse(text)
+
+
+@pytest.mark.parametrize("text", ["(n+1)/0", "3/0", "(n+1)/(0)", "(0)^-1"])
+def test_parse_refuses_a_zero_scale_before_inverting_it(text):
+    with pytest.raises(InputError, match="scale contribution must be positive, got 0"):
+        FactoredRational.parse(text)
+
+
+def test_parse_powered_parenthesized_denominator_is_one_term():
+    assert FactoredRational.parse("(n+1)/(3)^2") == FactoredRational.parse("(n+1)/9")
+
+
+_TERMS = st.lists(st.tuples(st.sampled_from(["(n+1)", "(2n-1/2)", "(n)", "(3)",
+                                             "(0)", "(-2)", "3", "0"]),
+                            st.sampled_from(["", "^2", "^-1"])).map("".join),
+                  min_size=1, max_size=3).map("".join)
+_TOKENS = ["n", "(", ")", "^", "+", "-", "/", "*", "0", "1", "12"]
+
+
+@st.composite
+def near_grammar_texts(draw):
+    """A product of grammar terms, a zero or a power among them, with up
+    to two tokens inserted; the spaces around an inserted token keep each
+    integer to at most 12, so no power grows large."""
+    den = draw(st.sampled_from(["", "/{}", "/({})"]))
+    text = draw(_TERMS) + den.format(draw(_TERMS))
+    for token in draw(st.lists(st.sampled_from(_TOKENS), max_size=2)):
+        at = draw(st.integers(0, len(text)))
+        text = f"{text[:at]} {token} {text[at:]}"
+    return text
+
+
+@given(near_grammar_texts())
+@settings(max_examples=300, deadline=None)
+def test_parse_returns_or_raises_a_package_error(text):
+    try:
+        r = FactoredRational.parse(text)
+    except DigitprodError:
+        return
+    assert FactoredRational.parse(r.render()) == r
 
 
 def test_parse_reports_position():
@@ -332,8 +373,8 @@ def test_rs_split_reconstructs_golay_shapiro_relation():
     # prod (R(n) R(2n+1) / (R(2n) R(4n+1)^2))^{(-1)^{v_n}} = R(1) means the
     # combined rational must match the catalog entry evaluated to one
     base = FactoredRational.parse("(n+2)^2/((n+1)(n+3))")
-    combined = (base * base.compose_linear(2, 1)
-                / (base.compose_linear(2, 0) * base.compose_linear(4, 1) ** 2))
+    combined = (base * base.regroup([(2, 1, 1)])
+                / (base.regroup([(2, 0, 1)]) * base.regroup([(4, 1, 1)]) ** 2))
     expected = FactoredRational.parse("4(n+2)(2n+1)^3(2n+3)^3/((n+3)(n+1)^2(4n+3)^4)")
     assert combined == expected
     split, boundary = rs_split(base)
@@ -366,8 +407,8 @@ def test_rs_split_rational_equals_operator_chain(rng):
     from conftest import random_pm_convergent
     for _ in range(10):
         r = random_pm_convergent(rng)
-        chain = (r.compose_linear(2, 0) * r.compose_linear(4, 1) ** 2
-                 / r.compose_linear(2, 1))
+        chain = (r.regroup([(2, 0, 1)]) * r.regroup([(4, 1, 1)]) ** 2
+                 / r.regroup([(2, 1, 1)]))
         assert rs_split_rational(r) == chain
 
 
@@ -375,9 +416,9 @@ def test_rs_split_rational_equals_operator_chain(rng):
 # Algebra helpers
 # ---------------------------------------------------------------------------
 
-def test_compose_linear():
+def test_regroup_one_linear_map():
     r = FactoredRational.parse("(n+1)/(n+2)")
-    even = r.compose_linear(2, 0)
+    even = r.regroup([(2, 0, 1)])
     assert even.offset_dict() == {F(1, 2): 1, F(1): -1}
     assert even.scale == 1
     assert even.value_at(3) == r.value_at(6)
@@ -637,3 +678,26 @@ def test_every_constructor_gives_the_canonical_form(case, other, maps, raw, k):
 def test_max_abs_offset_is_max_over_factors(offsets):
     r = FactoredRational.from_offsets(offsets)
     assert r.max_abs_offset() == max((abs(a) for a in offsets), default=0)
+
+
+# ---------------------------------------------------------------------------
+# Validation branches
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("call, error", [
+    (lambda: dyadic_split(FactoredRational.parse("(n-1)/(n-2)"), 1), EvaluationError),
+    (lambda: dyadic_split(FactoredRational.parse("(n)/(n+1)"), 0), EvaluationError),
+    (lambda: dyadic_split(FactoredRational.parse("(n)/(n+1)"), 2), InputError),
+    (lambda: dyadic_split(FactoredRational.parse("(n-3)/(n-2)"), 1), EvaluationError),
+    (lambda: rs_split(FactoredRational.parse("(n-1)/(n-2)")), EvaluationError),
+    (lambda: FactoredRational.parse("(n+1/0)"), ParseError),
+    (lambda: FactoredRational.parse("(1/2n+1)"), ParseError),
+    (lambda: FactoredRational.parse("(n+1)/(n+2))"), ParseError),
+    (lambda: FactoredRational.parse("(-2)(n+1)/(n+2)"), InputError),
+], ids=["dyadic-r1-zero", "dyadic-r0-zero", "dyadic-start-2", "dyadic-split-pole",
+        "rs-r1-zero", "zero-denominator", "fractional-coefficient",
+        "trailing-paren", "negative-scale"])
+def test_validation_raises_its_error_class(call, error):
+    with pytest.raises(error) as info:
+        call()
+    assert info.type is error

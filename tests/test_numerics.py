@@ -6,8 +6,8 @@ import mpmath
 import pytest
 
 from digitprod import CapabilityError, EvaluationError, InputError, constant, gamma
-from digitprod.numerics import (CF_E_GAMMA, CF_GAMMA_QUARTER, CF_PI, Add,
-                                Div, Sub, cf_mul, cf_pow, cf_rat, gamma_error,
+from digitprod.numerics import (CF_E_GAMMA, CF_GAMMA_QUARTER, CF_PI, Sub,
+                                cf_mul, cf_pow, cf_rat, gamma_error,
                                 power_product_exponents, power_product_form,
                                 working_dps)
 
@@ -176,15 +176,10 @@ def test_closed_form_rational_exact():
 
 
 def test_closed_form_sub_div_e_gamma():
-    cf = Div(Sub(cf_rat(3), cf_rat(1)), cf_rat(4))
+    cf = cf_mul(Sub(cf_rat(3), cf_rat(1)), cf_pow(4, -1))
     assert cf.eval(30) == mpmath.mpf(1) / 2
     with mpmath.workdps(40):
         assert abs(CF_E_GAMMA.eval(30) - mpmath.exp(mpmath.euler)) < tol(30)
-
-
-def test_closed_form_division_by_zero():
-    with pytest.raises(EvaluationError):
-        Div(cf_rat(1), Sub(cf_rat(1), cf_rat(1))).eval(30)
 
 
 def test_closed_form_fractional_power_of_negative():
@@ -199,33 +194,12 @@ def test_closed_form_render_and_json():
     assert blob["type"] == "mul" and len(blob["factors"]) == 3
 
 
-def test_closed_form_add_and_div_nodes():
-    total = Add((cf_rat(1, 2), cf_pow(2, F(1, 2))))
-    with mpmath.workdps(40):
-        assert abs(total.eval(30) - (mpmath.mpf(1) / 2 + mpmath.sqrt(2))) < tol(30)
-    assert total.render() == "(1/2)+2^(1/2)"
-    assert total.to_json() == {"type": "add", "terms": [
-        {"type": "rational", "value": "1/2"},
-        {"type": "pow", "base": {"type": "rational", "value": "2"}, "exponent": "1/2"}]}
-    quotient = Div(cf_rat(9), cf_pow(2, F(3, 2)))
-    with mpmath.workdps(40):
-        assert abs(quotient.eval(30) - 9 / mpmath.mpf(2) ** 1.5) < tol(30)
-    assert quotient.render() == "9/2^(3/2)"
-    assert quotient.to_json() == {"type": "div",
-                                  "num": {"type": "rational", "value": "9"},
-                                  "den": {"type": "pow",
-                                          "base": {"type": "rational", "value": "2"},
-                                          "exponent": "3/2"}}
-    assert power_product_exponents(quotient) == {2: F(-3, 2), 3: F(2)}
-    assert power_product_exponents(Div(cf_rat(9), CF_PI)) is None
-    assert power_product_exponents(total) is None
-
-
 def test_power_product_exponents():
     assert power_product_exponents(cf_pow(2, F(-1, 2))) == {2: F(-1, 2)}
     assert power_product_exponents(cf_rat(9, 8)) == {2: F(-3), 3: F(2)}
     assert power_product_exponents(cf_rat(1)) == {}
     assert power_product_exponents(CF_PI) is None
+    assert power_product_exponents(cf_mul(cf_rat(9), CF_PI)) is None
     assert power_product_exponents(cf_mul(cf_rat(6), cf_pow(3, F(1, 2)))) == \
         {2: F(1), 3: F(3, 2)}
 

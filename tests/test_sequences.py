@@ -107,3 +107,13 @@ def test_kind_codes_round_trip():
         assert ExponentKind.from_code(kind.value) is kind
     with pytest.raises(InputError):
         ExponentKind.from_code("bogus")
+
+
+@pytest.mark.parametrize("call", [
+    lambda: prefix_signed_sum(ExponentKind.PM_THUE, 0),
+    lambda: block_parity("1x", 2, 5),
+], ids=["zero-count", "malformed-word"])
+def test_validation_raises_input_error(call):
+    with pytest.raises(InputError) as info:
+        call()
+    assert info.type is InputError
