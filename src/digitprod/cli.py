@@ -69,8 +69,7 @@ def _positive_int(text: str) -> int:
 
 
 def _nstr(x, digits: int) -> str:
-    with workdps(digits + 5):
-        return mpmath.nstr(x, digits, strip_zeros=False)
+    return mpmath.nstr(x, digits, strip_zeros=False)
 
 
 def _options(args) -> EvalOptions:
@@ -81,20 +80,18 @@ def _options(args) -> EvalOptions:
 
 
 def _emit(args, payload: dict, text: str) -> None:
-    fmt = getattr(args, "format", "text")
-    if fmt == "json":
+    if args.format == "json":
         out = json.dumps(payload, sort_keys=True)
-    elif fmt == "csv":
+    elif args.format == "csv":
         out = _to_csv(payload)
     else:
         out = text
-    output = getattr(args, "output", None)
-    if output:
+    if args.output:
         try:
-            with open(output, "w") as handle:
+            with open(args.output, "w") as handle:
                 handle.write(out + "\n")
         except OSError as exc:
-            raise _OutputError(f"cannot write {output}: {exc.strerror}") from None
+            raise _OutputError(f"cannot write {args.output}: {exc.strerror}") from None
     else:
         print(out)
 
@@ -217,7 +214,7 @@ def cmd_catalog(args) -> int:
         f"{r['name']:<4} {r['kind']:>4} start {r['start']}  "
         f"{r['rational']}  =  {r['closed_form_text']}"
         for r in rows)
-    if getattr(args, "format", "text") == "csv":
+    if args.format == "csv":
         for row in rows:
             row["closed_form"] = json.dumps(row["closed_form"], sort_keys=True)
     _emit(args, {"rows": rows}, text)

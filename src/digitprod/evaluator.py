@@ -23,9 +23,9 @@ start above the automaton's ``max_tail_start`` (``CapabilityError``)
 before any head, table or oracle work.
 
 Only when the caller fixes ``split_levels`` or ``terms`` does
-``eval_pm_thue`` run instead: the L-fold dyadic split, whose exact
-boundary is a rational and whose log-terms gain one order of decay per
-level, summed to a fixed number of terms through a second
+``eval_pm_thue`` run instead: ``dyadic_split`` applied L times, whose
+exact boundaries are rationals and whose log-terms gain one order of
+decay per level, summed to a fixed number of terms through a second
 rational-independent table.  It is kept as an independent oracle.
 
 Only when the caller fixes ``rs_split_levels`` or ``terms`` does
@@ -54,8 +54,8 @@ from typing import (TYPE_CHECKING, Dict, Iterable, Iterator, List, Optional,
 import mpmath
 
 from .errors import CapabilityError, ConsistencyError, InputError
-from .factored_rational import (FactoredRational, classify, log_term,
-                                pole_check, positivity_check,
+from .factored_rational import (FactoredRational, classify, dyadic_split,
+                                log_term, pole_check, positivity_check,
                                 rs_split_power_sums, rs_split_rational)
 from .numerics import (DEFAULT_PRECISION, constant, gamma, gamma_error,
                        log_fraction, mpf_from_fraction, workdps, working_dps)
@@ -319,7 +319,12 @@ def _tm_log_sum(r: FactoredRational, start: int, terms: int,
 
 
 def eval_pm_thue(spec: ProductSpec, opts: EvalOptions = EvalOptions()) -> EvalResult:
-    """Evaluate prod R(n)^{(-1)^{t_n}} by an L-fold dyadic split."""
+    """Evaluate prod R(n)^{(-1)^{t_n}} by ``dyadic_split`` applied L times.
+
+    After the first level the split rational starts at 1.  The product of
+    the L boundaries and the head of ``_tm_log_sum`` is one exact rational,
+    taken through one logarithm.
+    """
     if spec.kind is not ExponentKind.PM_THUE:
         raise InputError(f"eval_pm_thue expects kind pm-t, got {spec.kind.value}")
     terms = opts.tm_terms()
@@ -330,16 +335,14 @@ def eval_pm_thue(spec: ProductSpec, opts: EvalOptions = EvalOptions()) -> EvalRe
     precision = opts.precision
     wp = working_dps(precision)
 
-    # R_L(n) = prod_{i<2^L} R(2^L n + i)^{(-1)^{t_i}}, all L splits at once;
-    # start 1 adds the boundary prod_{1<=i<2^L} R(i)^{(-1)^{t_i}}
-    maps = [(1 << levels, i, -1 if i.bit_count() & 1 else 1)
-            for i in range(1 << levels)]
-    boundary, tail, last = _tm_log_sum(spec.rational.regroup(maps), spec.start,
-                                       terms, precision)
-    if spec.start == 1:
-        boundary *= _head(spec.rational, 1, 1 << levels, [w for _, _, w in maps])
+    r, start, boundary = spec.rational, spec.start, Fraction(1)
+    for _ in range(levels):
+        r, b = dyadic_split(r, start)
+        start = 1
+        boundary *= b
+    head, tail, last = _tm_log_sum(r, start, terms, precision)
     with workdps(wp):
-        log_value = tail + log_fraction(boundary, precision)
+        log_value = tail + log_fraction(boundary * head, precision)
         value = mpmath.exp(log_value)
         err_log = last * terms / max(levels, 1) + _floor_error(precision)
         return EvalResult(value, value * err_log + _floor_error(precision),
@@ -1020,16 +1023,15 @@ def eval_pm_rs(spec: ProductSpec, opts: EvalOptions = EvalOptions()) -> EvalResu
     if r.is_one:
         return EvalResult(mpmath.mpf(1), mpmath.mpf(0), 0, levels)
 
-    boundary_logs: List[float] = []
+    pieces: List[float] = []
     exact_boundary = r.value_at(0) if spec.start == 0 else Fraction(1)
 
     for _ in range(levels):
-        boundary_logs.extend(_rs_level_log_terms(r, [1]))
+        pieces.extend(_rs_level_log_terms(r, [1]))
         r = rs_split_rational(r)
 
     max_abs = float(r.max_abs_offset())
     n0 = max(8, int(math.ceil(2 * max_abs)) + 1)
-    pieces: List[float] = list(boundary_logs)
 
     small_lo = 1 if levels > 0 else max(spec.start, 1)
     small_hi = min(n0, terms + 1)

@@ -237,20 +237,7 @@ class FactoredRational:
             q = f.offset.denominator
             p = f.offset.numerator
             comp *= Fraction(q) ** f.multiplicity
-            if q == 1:
-                if p == 0:
-                    body = "n"
-                elif p > 0:
-                    body = f"n+{p}"
-                else:
-                    body = f"n-{-p}"
-            else:
-                if p == 0:
-                    body = f"{q}n"
-                elif p > 0:
-                    body = f"{q}n+{p}"
-                else:
-                    body = f"{q}n-{-p}"
+            body = ("n" if q == 1 else f"{q}n") + (f"{p:+d}" if p else "")
             mult = abs(f.multiplicity)
             part = f"({body})" + (f"^{mult}" if mult != 1 else "")
             (num_parts if f.multiplicity > 0 else den_parts).append(part)

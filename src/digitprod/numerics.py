@@ -8,9 +8,9 @@ with the shift chosen from the precision so the first omitted term is
 negligible; the recurrence divides the shift back out exactly.
 
 Closed forms are small expression trees over exact rationals and the
-named constants pi, Gamma(1/4) and e^gamma.  Gamma(3/4) never appears as
-a leaf: the reflection formula rewrites it as pi*sqrt(2)/Gamma(1/4), so
-the constant basis stays {pi, Gamma(1/4), e^gamma, rationals}.
+named constants pi and Gamma(1/4).  Gamma(3/4) never appears as a leaf:
+the reflection formula rewrites it as pi*sqrt(2)/Gamma(1/4), so the
+constant basis stays {pi, Gamma(1/4), rationals}.
 """
 
 from __future__ import annotations
@@ -176,7 +176,7 @@ def constant(name: str, precision: int = DEFAULT_PRECISION) -> mpmath.mpf:
 # ---------------------------------------------------------------------------
 
 class ClosedForm:
-    """Expression tree over rationals, pi, Gamma(1/4), e^gamma."""
+    """Expression tree over rationals, pi and Gamma(1/4)."""
 
     def eval(self, precision: int = DEFAULT_PRECISION) -> mpmath.mpf:
         with workdps(working_dps(precision)):
@@ -206,22 +206,12 @@ class Rat(ClosedForm):
         return {"type": "rational", "value": str(self.value)}
 
 
-_CONST_EVAL = {
-    "pi": lambda precision: constant("pi", precision),
-    "gamma_quarter": lambda precision: constant("gamma_quarter", precision),
-    "e_gamma": lambda precision: mpmath.exp(constant("euler_gamma", precision)),
-}
-
-
 @dataclass(frozen=True)
 class Const(ClosedForm):
-    name: str  # pi | gamma_quarter | e_gamma
+    name: str  # pi | gamma_quarter; any name ``constant`` knows
 
     def _eval(self, precision):
-        try:
-            return _CONST_EVAL[self.name](precision)
-        except KeyError:
-            raise InputError(f"unknown named constant {self.name!r}") from None
+        return constant(self.name, precision)
 
     def render(self):
         return self.name
@@ -305,16 +295,12 @@ def cf_pow(base, exponent) -> Pow:
     return Pow(base, Fraction(exponent))
 
 
-def cf_mul(*factors) -> ClosedForm:
-    fs = tuple(f if isinstance(f, ClosedForm) else cf_rat(f) for f in factors)
-    if len(fs) == 1:
-        return fs[0]
-    return Mul(fs)
+def cf_mul(*factors) -> Mul:
+    return Mul(tuple(f if isinstance(f, ClosedForm) else cf_rat(f) for f in factors))
 
 
 CF_PI = Const("pi")
 CF_GAMMA_QUARTER = Const("gamma_quarter")
-CF_E_GAMMA = Const("e_gamma")
 
 
 def eval_closed_form(cf: ClosedForm, precision: int = DEFAULT_PRECISION) -> mpmath.mpf:

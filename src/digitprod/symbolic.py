@@ -441,13 +441,13 @@ def catalog() -> List[Identity]:
     ]
 
 
-_ALIASES = {"C3A": "WR", "C3a": "WR"}
+_ALIASES = {"c3a": "wr"}
 
 
 def catalog_entry(name: str) -> Identity:
-    wanted = _ALIASES.get(name, name)
+    wanted = _ALIASES.get(name.lower(), name.lower())
     for identity in catalog():
-        if identity.name.lower() == wanted.lower():
+        if identity.name.lower() == wanted:
             return identity
     raise InputError(f"unknown catalog entry {name!r}")
 

@@ -1,6 +1,9 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 from decimal import Decimal
 from fractions import Fraction
 
@@ -9,6 +12,7 @@ import pytest
 
 from conftest import forbid_engine_and_oracles, record_oracle_calls
 
+import digitprod
 from digitprod import evaluator, symbolic
 from digitprod.cli import _printed, main
 from digitprod.evaluator import MAX_RS_TERMS, MAX_TM_TERMS
@@ -80,6 +84,22 @@ def test_eval_parse_error_exits_two(capsys):
     code, _, err = run(capsys, "eval", "(2x+1)/(2n+2)")
     assert code == 2
     assert "position" in err
+
+
+@pytest.mark.parametrize("argv, code", [
+    (("eval", "(2n+1)/(2n+2)", "--digits", "20"), 0),
+    (("eval", "(2n+1"), 2),
+    (("eval", "(n+1)/(n+2)", "--kind", "plain"), 3),
+])
+def test_module_entry_point_exit_codes(argv, code):
+    # a fresh interpreter runs ``sys.exit(main())``, as the README documents
+    src = os.path.dirname(os.path.dirname(digitprod.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    done = subprocess.run([sys.executable, "-m", "digitprod.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == code, done.stderr
+    assert bool(done.stdout) == (code == 0)
 
 
 def test_eval_zero_denominator_exits_three(capsys):
@@ -353,6 +373,8 @@ def test_reduce_family_without_a_exits_three(capsys, family_id):
 @pytest.mark.parametrize("argv, message", [
     (("reduce",), "needs --family or an expression"),
     (("reduce", "(n-1/2)/(n+1/2)", "--start", "0"), "R(0) = -1 is not positive"),
+    (("reduce", "--family", "ii", "--a", "1", "--b", "2"), "takes only a"),
+    (("reduce", "--family", "i", "--a", "1"), "needs both a and b"),
 ])
 def test_reduce_bad_input_exits_three(capsys, argv, message):
     code, out, err = run(capsys, *argv)
@@ -411,6 +433,11 @@ def test_reduce_expression(capsys):
     code, out, _ = run(capsys, "reduce", "(2n+1)/(2n+2)", "--start", "0")
     assert code == 0
     assert out == "(1/2)*2^(1/2)"  # the Woods-Robbins constant 2^(-1/2)
+
+
+def test_reduce_single_radical(capsys):
+    code, out, _ = run(capsys, "reduce", "(2n+2)/(2n+1)", "--start", "0")
+    assert code == 0 and out == "2^(1/2)"
 
 
 def test_reduce_irreducible(capsys):

@@ -21,7 +21,7 @@ from digitprod.evaluator import (MAX_PROBE_GRID, MAX_RS_SPLIT_LEVELS,
                                  MAX_RS_TERMS, MAX_SPLIT_LEVELS, MAX_TM_TERMS,
                                  _tm_log_sum, _tm_tail_table)
 from digitprod.factored_rational import dyadic_split, log_term
-from digitprod.numerics import working_dps
+from digitprod.numerics import log_fraction, working_dps, workdps
 
 WR_SPEC = ProductSpec(FactoredRational.parse("(2n+1)/(2n+2)"),
                       ExponentKind.PM_THUE, 0)
@@ -249,6 +249,34 @@ def test_pm_thue_split_identity_at_evaluator_level():
     with mp():
         assert abs(lhs.value - boundary * rhs.value) < \
             lhs.error_estimate + rhs.error_estimate
+
+
+@pytest.mark.parametrize("start", [0, 1])
+@pytest.mark.parametrize("levels", [0, 3, 8])
+def test_split_oracle_applies_dyadic_split_once_per_level(monkeypatch, start, levels):
+    starts = []
+
+    def counted(r, s):
+        starts.append(s)
+        return dyadic_split(r, s)
+
+    monkeypatch.setattr(evaluator, "dyadic_split", counted)
+    spec = ProductSpec(FactoredRational.parse("(3n+1)(4n+3)/((3n+2)(4n+1))"),
+                       ExponentKind.PM_THUE, start)
+    opts = EvalOptions(precision=40, split_levels=levels, terms=1024)
+    result = eval_pm_thue(spec, opts)
+    assert starts == ([start] + [1] * (levels - 1) if levels else [])
+
+    # the same L levels as one regrouping, whose start-1 boundary
+    # prod_{1<=i<2^L} R(i)^{(-1)^{t_i}} is an exact head
+    maps = [(1 << levels, i, -1 if i.bit_count() & 1 else 1)
+            for i in range(1 << levels)]
+    head, tail, _ = _tm_log_sum(spec.rational.regroup(maps), start, 1024, 40)
+    if start == 1:
+        head *= evaluator._head(spec.rational, 1, 1 << levels,
+                                [w for _, _, w in maps])
+    with workdps(working_dps(40)):
+        assert result.value == mpmath.exp(tail + log_fraction(head, 40))
 
 
 def test_pm_thue_rejects_divergent():

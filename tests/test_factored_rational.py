@@ -690,13 +690,17 @@ def test_max_abs_offset_is_max_over_factors(offsets):
     (lambda: dyadic_split(FactoredRational.parse("(n)/(n+1)"), 2), InputError),
     (lambda: dyadic_split(FactoredRational.parse("(n-3)/(n-2)"), 1), EvaluationError),
     (lambda: rs_split(FactoredRational.parse("(n-1)/(n-2)")), EvaluationError),
+    # no split factor vanishes, so this reaches the boundary R(1) = 0
+    (lambda: rs_split(FactoredRational.parse("(n-1)/(n+1)")), EvaluationError),
     (lambda: FactoredRational.parse("(n+1/0)"), ParseError),
     (lambda: FactoredRational.parse("(1/2n+1)"), ParseError),
     (lambda: FactoredRational.parse("(n+1)/(n+2))"), ParseError),
     (lambda: FactoredRational.parse("(-2)(n+1)/(n+2)"), InputError),
+    (lambda: FactoredRational(F(-1), 1, ()), InputError),
 ], ids=["dyadic-r1-zero", "dyadic-r0-zero", "dyadic-start-2", "dyadic-split-pole",
-        "rs-r1-zero", "zero-denominator", "fractional-coefficient",
-        "trailing-paren", "negative-scale"])
+        "rs-r1-zero", "rs-boundary-r1-zero", "zero-denominator",
+        "fractional-coefficient", "trailing-paren", "negative-scale",
+        "negative-scale-constructed"])
 def test_validation_raises_its_error_class(call, error):
     with pytest.raises(error) as info:
         call()

@@ -6,7 +6,7 @@ import mpmath
 import pytest
 
 from digitprod import CapabilityError, EvaluationError, InputError, constant, gamma
-from digitprod.numerics import (CF_E_GAMMA, CF_GAMMA_QUARTER, CF_PI, Sub,
+from digitprod.numerics import (CF_GAMMA_QUARTER, CF_PI, Sub,
                                 cf_mul, cf_pow, cf_rat, gamma_error,
                                 power_product_exponents, power_product_form,
                                 working_dps)
@@ -178,8 +178,6 @@ def test_closed_form_rational_exact():
 def test_closed_form_sub_div_e_gamma():
     cf = cf_mul(Sub(cf_rat(3), cf_rat(1)), cf_pow(4, -1))
     assert cf.eval(30) == mpmath.mpf(1) / 2
-    with mpmath.workdps(40):
-        assert abs(CF_E_GAMMA.eval(30) - mpmath.exp(mpmath.euler)) < tol(30)
 
 
 def test_closed_form_fractional_power_of_negative():

@@ -112,7 +112,8 @@ def test_kind_codes_round_trip():
 @pytest.mark.parametrize("call", [
     lambda: prefix_signed_sum(ExponentKind.PM_THUE, 0),
     lambda: block_parity("1x", 2, 5),
-], ids=["zero-count", "malformed-word"])
+    lambda: exponent("pm-t", 3),  # a kind's code is not an ExponentKind
+], ids=["zero-count", "malformed-word", "kind-code-string"])
 def test_validation_raises_input_error(call):
     with pytest.raises(InputError) as info:
         call()

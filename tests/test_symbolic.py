@@ -60,6 +60,12 @@ def test_expr_rejects_wrong_kind():
         expr_from_spec(spec)
 
 
+def test_expr_rejects_divergent():
+    spec = ProductSpec(FactoredRational.parse("(n+1)"), ExponentKind.PM_THUE, 1)
+    with pytest.raises(InputError, match="divergent"):
+        expr_from_spec(spec)
+
+
 def test_expr_respects_multiplication(rng):
     from conftest import random_pm_convergent
     r1, r2 = random_pm_convergent(rng), random_pm_convergent(rng)
@@ -440,7 +446,8 @@ def test_catalog_entry_fields():
 
 
 def test_catalog_alias_and_unknown():
-    assert catalog_entry("C3a").name == "WR"
+    for alias in ("C3a", "c3a", "C3A", "c3A"):
+        assert catalog_entry(alias).name == "WR"
     assert catalog_entry("wr").name == "WR"
     with pytest.raises(InputError):
         catalog_entry("C9z")
