@@ -28,7 +28,7 @@ from .evaluator import (DEFAULT_RS_TERMS, DEFAULT_SPLIT_LEVELS,
                         flajolet_martin, g_value, monotonicity_scan,
                         remainder_sign_probe)
 from .factored_rational import FactoredRational
-from .numerics import DEFAULT_PRECISION, workdps
+from .numerics import DEFAULT_PRECISION, workdps, working_dps
 from .sequences import ExponentKind, block_parity, exponent
 
 ENV_PRECISION = "DIGITPROD_DIGITS"
@@ -117,14 +117,14 @@ def _printed(value, estimate, digits: int) -> tuple:
     digits, so that the printed estimate covers the printed value."""
     text = _nstr(value, digits)
     last = Decimal(text).adjusted() - digits + 1
-    man, exp = mpmath.mpf(estimate).man_exp
+    man, exp = estimate.man_exp
     bound = man * Fraction(2) ** exp + Fraction(10) ** last / 2
-    with workdps(digits + 5):
-        shown = Decimal(_nstr(estimate + mpmath.mpf(10) ** last / 2, 3))
+    with workdps(digits + 5) as ctx:
+        shown = Decimal(_nstr(ctx.convert(estimate) + ctx.mpf(10) ** last / 2, 3))
         if Fraction(shown) < bound:
             # one unit in the third digit up from a value that rounded down
             shown += Decimal(1).scaleb(shown.adjusted() - 2)
-        return text, _nstr(mpmath.mpf(str(shown)), 3)
+        return text, _nstr(ctx.mpf(str(shown)), 3)
 
 
 def _eval_result_payload(result: EvalResult, digits: int) -> dict:
@@ -236,13 +236,15 @@ def cmd_constants(args) -> int:
     fm = flajolet_martin(opts)
     digits = args.digits
     value = {"g0": fm.g0.value, "fm-R": fm.ratio.value, "fm-phi": fm.phi}[args.name]
-    check = fm.ratio.value * fm.g0.value
+    with workdps(working_dps(digits)) as ctx:
+        check = ctx.convert(fm.ratio.value) * fm.g0.value
+        agree = abs(ctx.convert(fm.phi) - fm.phi_via_g0)
     payload = {
         "name": args.name,
         "value": _nstr(value, digits),
         "cross_check_R_times_g0": _nstr(check, min(digits, 25)),
         "cross_check_error": _nstr(fm.cross_check_error, 3),
-        "phi_formulas_agree_within": _nstr(abs(fm.phi - fm.phi_via_g0), 3),
+        "phi_formulas_agree_within": _nstr(agree, 3),
     }
     text = (f"{args.name} = {payload['value']}\n"
             f"cross-check R*g(0) = {payload['cross_check_R_times_g0']} "

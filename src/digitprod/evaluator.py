@@ -43,7 +43,7 @@ Plain products telescope into Gamma values.  The 0/1-exponent kinds use
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
@@ -55,9 +55,9 @@ import mpmath
 
 from .errors import CapabilityError, ConsistencyError, InputError
 from .factored_rational import (FactoredRational, classify, dyadic_split,
-                                log_term, pole_check, positivity_check,
+                                pole_check, positivity_check,
                                 rs_split_power_sums, rs_split_rational)
-from .numerics import (DEFAULT_PRECISION, constant, gamma, gamma_error,
+from .numerics import (DEFAULT_PRECISION, constant, export, gamma, gamma_error,
                        log_fraction, mpf_from_fraction, workdps, working_dps)
 from .sequences import ExponentKind
 
@@ -183,10 +183,6 @@ class EvalResult:
     split_levels: int
 
 
-def _floor_error(precision: int) -> mpmath.mpf:
-    return mpmath.mpf(10) ** (5 - precision)
-
-
 # ---------------------------------------------------------------------------
 # +-1 Thue-Morse products
 # ---------------------------------------------------------------------------
@@ -295,7 +291,8 @@ def _tm_log_sum(r: FactoredRational, start: int, terms: int,
         head = head / value if (n.bit_count() & 1) else head * value
 
     if terms < n0:
-        return head, mpmath.mpf(0), abs(log_term(r, exact_hi - 1, precision))
+        last = r.value_at(exact_hi - 1)  # |log q| = log max(q, 1/q), with the same bits
+        return head, mpmath.mpf(0), log_fraction(max(last, 1 / last), precision)
 
     mass = sum(abs(m) for _, m in r.numerators)
     # series term j at n >= n0 is bounded by mass*(max_abs/n0)^j / j
@@ -313,9 +310,9 @@ def _tm_log_sum(r: FactoredRational, start: int, terms: int,
         c = psums[j] if j % 2 == 1 else -psums[j]
         acc += round(c * (1 << table_bits) / (j * n0 ** j)) * table[j - 1]
         h = (h + round(c * (1 << bits) / j)) // terms
-    with workdps(working_dps(precision)):
-        return (head, mpmath.mpf(acc >> table_bits) / (1 << table_bits),
-                abs(mpmath.mpf(h)) / (1 << bits))
+    with workdps(working_dps(precision)) as ctx:
+        return (head, export(ctx.mpf(acc >> table_bits) / (1 << table_bits)),
+                export(abs(ctx.mpf(h)) / (1 << bits)))
 
 
 def eval_pm_thue(spec: ProductSpec, opts: EvalOptions = EvalOptions()) -> EvalResult:
@@ -341,12 +338,11 @@ def eval_pm_thue(spec: ProductSpec, opts: EvalOptions = EvalOptions()) -> EvalRe
         start = 1
         boundary *= b
     head, tail, last = _tm_log_sum(r, start, terms, precision)
-    with workdps(wp):
-        log_value = tail + log_fraction(boundary * head, precision)
-        value = mpmath.exp(log_value)
-        err_log = last * terms / max(levels, 1) + _floor_error(precision)
-        return EvalResult(value, value * err_log + _floor_error(precision),
-                          terms, levels)
+    with workdps(wp) as ctx:
+        value = ctx.exp(ctx.convert(tail) + log_fraction(boundary * head, precision))
+        floor = ctx.mpf(10) ** (5 - precision)
+        err_log = ctx.convert(last) * terms / max(levels, 1) + floor
+        return EvalResult(export(value), export(value * err_log + floor), terms, levels)
 
 
 # ---------------------------------------------------------------------------
@@ -795,20 +791,20 @@ def _engine(spec: ProductSpec, precision: int, automaton: _Automaton) -> EvalRes
         term = (sums[j] * table[j] >> step * j) // (j * d_j)
         acc += term if j & 1 else -term
 
-    with workdps(wp):
-        log_head = log_fraction(head, head_digits)
-        tail = mpmath.ldexp(mpmath.mpf(acc), -bits)
-        value = mpmath.exp(log_head + tail)
-        rho_mp = mpmath.mpf(rho.numerator) / rho.denominator
-        truncation = (mass * rho_mp ** (j_max + 1) * (1 + mpmath.mpf(m) / j_max)
+    with workdps(wp) as ctx:
+        log_head = ctx.convert(log_fraction(head, head_digits))
+        tail = ctx.ldexp(ctx.mpf(acc), -bits)
+        value = ctx.exp(log_head + tail)
+        rho_mp = ctx.mpf(rho.numerator) / rho.denominator
+        truncation = (mass * rho_mp ** (j_max + 1) * (1 + ctx.mpf(m) / j_max)
                       / ((j_max + 1) * (1 - rho_mp)))
         harmonic = math.fsum(1 / j for j in range(1, j_max + 1))
-        rounding = mpmath.ldexp(unit * mass * harmonic + j_max, -bits)
+        rounding = ctx.ldexp(unit * mass * harmonic + j_max, -bits)
         head_prec = mpmath.libmp.dps_to_prec(working_dps(head_digits))
-        head_error = mpmath.ldexp(2 * size, -head_prec)
-        ulps = mpmath.ldexp(10 * (1 + abs(log_head) + abs(tail)), 1 - prec)
+        head_error = ctx.ldexp(2 * size, -head_prec)
+        ulps = ctx.ldexp(10 * (1 + abs(log_head) + abs(tail)), 1 - prec)
         err_log = truncation + rounding + head_error + ulps
-        return EvalResult(value, value * err_log * (1 + err_log), m, 0)
+        return EvalResult(export(value), export(value * err_log * (1 + err_log)), m, 0)
 
 
 def _engine_automaton(spec: ProductSpec, opts: EvalOptions) -> Optional[_Automaton]:
@@ -872,19 +868,19 @@ def eval_plain(spec: ProductSpec, opts: EvalOptions = EvalOptions()) -> EvalResu
     r = spec.rational
     precision = opts.precision
     wp = working_dps(precision)
-    with workdps(wp):
-        value = mpmath.mpf(1)
-        rel = mpmath.mpf(0)
+    with workdps(wp) as ctx:
+        value = ctx.mpf(1)
+        rel = ctx.mpf(0)
         for f in r.factors:
             arg = f.offset + spec.start
             if arg <= 0:
                 raise InputError(
                     f"Gamma telescoping needs offset + start > 0; "
                     f"factor offset {f.offset} with start {spec.start}")
-            value *= gamma(arg, precision) ** (-f.multiplicity)
-            rel += abs(f.multiplicity) * gamma_error(arg, precision)
-        rel += mpmath.ldexp(2 * len(r.numerators) + 1, 1 - mpmath.libmp.dps_to_prec(wp))
-        return EvalResult(value, value * rel, 0, 0)
+            value *= ctx.convert(gamma(arg, precision)) ** (-f.multiplicity)
+            rel += abs(f.multiplicity) * ctx.convert(gamma_error(arg, precision))
+        rel += ctx.ldexp(2 * len(r.numerators) + 1, 1 - mpmath.libmp.dps_to_prec(wp))
+        return EvalResult(export(value), export(value * rel), 0, 0)
 
 
 def eval_zero_one_thue(spec: ProductSpec, opts: EvalOptions = EvalOptions()) -> EvalResult:
@@ -904,12 +900,12 @@ def _zero_one(spec: ProductSpec, pm_kind: ExponentKind,
     pm = _plus_minus(ProductSpec(spec.rational, pm_kind, spec.start), opts)
     plain = eval_plain(ProductSpec(spec.rational, ExponentKind.PLAIN, spec.start), opts)
     wp = working_dps(opts.precision)
-    with workdps(wp):
-        value = mpmath.sqrt(plain.value / pm.value)
-        rel = (plain.error_estimate / plain.value
-               + pm.error_estimate / pm.value) / 2
-        rel += mpmath.ldexp(10, 1 - mpmath.libmp.dps_to_prec(wp))
-        return EvalResult(value, value * rel, pm.terms_used, pm.split_levels)
+    with workdps(wp) as ctx:
+        value = ctx.sqrt(ctx.convert(plain.value) / pm.value)
+        rel = (ctx.convert(plain.error_estimate) / plain.value
+               + ctx.convert(pm.error_estimate) / pm.value) / 2
+        rel += ctx.ldexp(10, 1 - mpmath.libmp.dps_to_prec(wp))
+        return replace(pm, value=export(value), error_estimate=export(value * rel))
 
 
 # ---------------------------------------------------------------------------
@@ -1059,13 +1055,11 @@ def eval_pm_rs(spec: ProductSpec, opts: EvalOptions = EvalOptions()) -> EvalResu
     abel_tail = 3 * (2 * p1 / sqrt_n + (p2 + p3) * terms ** -1.5)
     err_log = 3 * sqrt_n * local_var + abel_tail + 1e-12 * (1 + abs(log_sum))
 
-    with workdps(wp):
-        total = mpmath.mpf(log_sum)
-        if exact_boundary != 1:
-            total += log_fraction(exact_boundary, precision)
-        value = mpmath.exp(total)
-        return EvalResult(value, value * mpmath.mpf(err_log)
-                          + _floor_error(precision), terms, levels)
+    with workdps(wp) as ctx:
+        # log_fraction(1) is exactly 0
+        value = ctx.exp(ctx.mpf(log_sum) + log_fraction(exact_boundary, precision))
+        return EvalResult(export(value), export(value * ctx.mpf(err_log)
+                          + ctx.mpf(10) ** (5 - precision)), terms, levels)
 
 
 def eval_zero_one_rs(spec: ProductSpec, opts: EvalOptions = EvalOptions()) -> EvalResult:
@@ -1120,10 +1114,10 @@ def g_value(x: Fraction, opts: EvalOptions = EvalOptions()) -> EvalResult:
     if x < 0:
         raise InputError(f"g is evaluated on x >= 0 (real-log domain), got {x}")
     f = f_value(x / 2, (x + 1) / 2, opts)
-    with workdps(working_dps(opts.precision)):
+    with workdps(working_dps(opts.precision)) as ctx:
         denom = mpf_from_fraction(x + 1, opts.precision)
-        return EvalResult(f.value / denom, f.error_estimate / denom,
-                          f.terms_used, f.split_levels)
+        return replace(f, value=export(ctx.convert(f.value) / denom),
+                       error_estimate=export(ctx.convert(f.error_estimate) / denom))
 
 
 # ---------------------------------------------------------------------------
@@ -1154,19 +1148,19 @@ def flajolet_martin(opts: EvalOptions = EvalOptions()) -> FlajoletMartin:
     euler_gamma = constant("euler_gamma", precision)
     g0 = g_value(Fraction(0), opts)
     ratio = _plus_minus(ProductSpec(FM_RATIO_RATIONAL, ExponentKind.PM_THUE, 1), opts)
-    with workdps(working_dps(precision)):
-        e_gamma = mpmath.exp(euler_gamma)
-        inv_sqrt2 = 1 / mpmath.sqrt(mpmath.mpf(2))
-        phi = inv_sqrt2 * e_gamma * mpmath.mpf(2) / 3 * ratio.value
+    with workdps(working_dps(precision)) as ctx:
+        e_gamma = ctx.exp(euler_gamma)
+        inv_sqrt2 = 1 / ctx.sqrt(ctx.mpf(2))
+        phi = inv_sqrt2 * e_gamma * ctx.mpf(2) / 3 * ratio.value
         phi_alt = inv_sqrt2 * e_gamma / g0.value
-        cross = abs(ratio.value * g0.value - mpmath.mpf(3) / 2)
-        combined = (ratio.error_estimate * g0.value
-                    + g0.error_estimate * ratio.value)
+        check = ctx.convert(ratio.value) * g0.value
+        cross = abs(check - ctx.mpf(3) / 2)
+        combined = (ctx.convert(ratio.error_estimate) * g0.value
+                    + ctx.convert(g0.error_estimate) * ratio.value)
         if cross > 10 * combined:
-            raise ConsistencyError(
-                f"R*g(0) = {mpmath.nstr(ratio.value * g0.value, 25)} "
-                f"deviates from 3/2 by {mpmath.nstr(cross, 5)}")
-        return FlajoletMartin(g0, ratio, phi, phi_alt, cross)
+            raise ConsistencyError(f"R*g(0) = {ctx.nstr(check, 25)} "
+                                   f"deviates from 3/2 by {ctx.nstr(cross, 5)}")
+        return FlajoletMartin(g0, ratio, export(phi), export(phi_alt), export(cross))
 
 
 # ---------------------------------------------------------------------------
@@ -1271,9 +1265,9 @@ def monotonicity_scan(x_lo: Fraction, x_hi: Fraction, steps: int,
         res = f_value(x / 2, (x + 1) / 2, opts)
         points.append(ScanPoint(x, res.value, res.error_estimate))
     violations = []
-    with workdps(working_dps(opts.precision)):
+    with workdps(working_dps(opts.precision)) as ctx:
         for left, right in zip(points, points[1:]):
-            if not (left.value - right.value
-                    > left.error_estimate + right.error_estimate):
+            if not (ctx.convert(left.value) - right.value
+                    > ctx.convert(left.error_estimate) + right.error_estimate):
                 violations.append((left.x, right.x))
     return ScanReport(points, violations)

@@ -34,7 +34,7 @@ from .evaluator import EvalOptions, ProductSpec, eval_product
 from .factored_rational import FactoredRational, classify
 from .numerics import (ClosedForm, Rat, Sub, cf_mul, cf_pow, cf_rat,
                        CF_PI, CF_GAMMA_QUARTER, eval_closed_form,
-                       power_product_exponents, power_product_form,
+                       export, power_product_exponents, power_product_form,
                        workdps, working_dps)
 from .sequences import ExponentKind
 
@@ -157,8 +157,6 @@ def _universe(points: List[int], depth: int, one: int) -> List[int]:
             if len(seen) > UNIVERSE_CAP:
                 raise CapabilityError(f"the depth-{depth} relation universe "
                                       f"exceeds {UNIVERSE_CAP} points")
-        if not nxt:
-            break
         frontier = nxt
     return sorted(seen)
 
@@ -318,27 +316,16 @@ def family(family_id: str, a, b=None) -> Identity:
             raise InputError("family (i) needs both a and b")
         b = Fraction(b)
         _not_negative_integer("b", b)
-        constant = Fraction(b + 1, a + 1)
-    elif family_id == "ii":
-        if b is not None:
-            raise InputError("family (ii) takes only a")
-        b = a + 1
-        constant = Fraction(a + 2, a + 1)
-    elif family_id == "iii":
-        if b is not None:
-            raise InputError("family (iii) takes only a")
-        b = Fraction(0)
-        constant = Fraction(1, a + 1)
-    elif family_id == "iv":
-        if b is not None:
-            raise InputError("family (iv) takes only a")
-        if a == 0 or (a.denominator == 2 and a < 0):
-            raise InputError(f"family (iv) excludes a = {a}")
-        b = 2 * a - 1
-        constant = Fraction(2 * a, a + 1)
-    else:
+    elif family_id not in ("ii", "iii", "iv"):
         raise InputError(f"unknown family {family_id!r}; expected i, ii, iii, iv")
-    _not_negative_integer("b", b)
+    elif b is not None:
+        raise InputError(f"family ({family_id}) takes only a")
+    elif family_id == "iv" and (a == 0 or (a.denominator == 2 and a < 0)):
+        raise InputError(f"family (iv) excludes a = {a}")
+    else:
+        # the checks on a keep this b from being a negative integer
+        b = {"ii": a + 1, "iii": Fraction(0), "iv": 2 * a - 1}[family_id]
+    constant = Fraction(b + 1, a + 1)
 
     rational = FactoredRational.from_raw_factors([
         (1, a, 1), (2, a + 1, 1), (2, b, 1),
@@ -479,12 +466,12 @@ def verify(identity: Identity, opts: EvalOptions = EvalOptions(),
     constant exactly.
     """
     result = eval_product(identity.spec, opts)
-    with workdps(working_dps(opts.precision)):
-        expected = eval_closed_form(identity.closed_form, opts.precision)
-        abs_error = abs(result.value - expected)
-        combined = result.error_estimate + abs(expected) * mpmath.mpf(10) ** (
-            -opts.precision + 2)
-        tol = mpmath.mpf(tolerance) if tolerance is not None else 10 * combined
+    expected = eval_closed_form(identity.closed_form, opts.precision)
+    with workdps(working_dps(opts.precision)) as ctx:
+        abs_error = abs(ctx.convert(result.value) - expected)
+        combined = (ctx.convert(result.error_estimate) + abs(ctx.convert(expected))
+                    * ctx.mpf(10) ** (-opts.precision + 2))
+        tol = ctx.mpf(tolerance) if tolerance is not None else 10 * combined
         passed = bool(abs_error <= max(tol, combined))
 
     symbolic_match: Optional[bool] = None
@@ -495,8 +482,8 @@ def verify(identity: Identity, opts: EvalOptions = EvalOptions(),
             symbolic_match = bool(outcome.reduced
                                   and outcome.exponents == expected_exponents)
             passed = passed and symbolic_match
-    return VerifyReport(identity.name, result.value, expected, abs_error,
-                        passed, tol, result.error_estimate, symbolic_match)
+    return VerifyReport(identity.name, result.value, expected, export(abs_error),
+                        passed, export(tol), result.error_estimate, symbolic_match)
 
 
 def verify_all(opts: EvalOptions = EvalOptions(),

@@ -311,6 +311,21 @@ def test_constants_phi(capsys):
     assert payload["value"].startswith("0.7735162909")
 
 
+@pytest.mark.parametrize("caller_dps", [3, 15, 300])
+def test_constants_cross_check_is_computed_at_working_precision(capsys, caller_dps):
+    # the printed R*g(0) is the product of the two 60-digit values, never a
+    # product formed at the caller's mpmath precision
+    argv = ["constants", "fm-phi", "--split-levels", "2", "--terms", "64"]
+    fm = digitprod.flajolet_martin(evaluator.EvalOptions(split_levels=2, terms=64))
+    with mpmath.workdps(80):
+        expected = mpmath.nstr(fm.ratio.value * fm.g0.value, 25, strip_zeros=False)
+    with mpmath.workdps(caller_dps):
+        code, out, _ = run(capsys, *argv, "--format", "json")
+    assert code == 0
+    assert json.loads(out)["cross_check_R_times_g0"] == expected
+    assert expected == "1.500000174614509833656485"
+
+
 def test_constants_phi_beyond_stored_euler_gamma_exits_three(capsys):
     code, out, err = run(capsys, "constants", "fm-phi", "--digits", "150")
     assert code == 3 and out == ""

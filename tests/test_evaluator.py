@@ -1,5 +1,8 @@
+import contextlib
 import math
 import random
+import sys
+import time
 from fractions import Fraction as F
 
 import mpmath
@@ -16,12 +19,12 @@ from digitprod import (CapabilityError, ConsistencyError, EvalOptions,
                        eval_product, eval_zero_one_rs, eval_zero_one_thue,
                        f_value, flajolet_martin, g_value, monotonicity_scan,
                        remainder_sign_probe)
-from digitprod import evaluator
+from digitprod import catalog_entry, evaluator, numerics
 from digitprod.evaluator import (MAX_PROBE_GRID, MAX_RS_SPLIT_LEVELS,
                                  MAX_RS_TERMS, MAX_SPLIT_LEVELS, MAX_TM_TERMS,
                                  _tm_log_sum, _tm_tail_table)
 from digitprod.factored_rational import dyadic_split, log_term
-from digitprod.numerics import log_fraction, working_dps, workdps
+from digitprod.numerics import log_fraction, working_dps
 
 WR_SPEC = ProductSpec(FactoredRational.parse("(2n+1)/(2n+2)"),
                       ExponentKind.PM_THUE, 0)
@@ -110,6 +113,114 @@ def test_precision_regions_do_not_interleave():
     assert mpmath.mp.prec == prec
 
 
+@contextlib.contextmanager
+def fast_thread_switches():
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        yield
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_other_threads_keep_their_mpmath_precision():
+    # while one thread evaluates T5a at 500, 200 and 500 digits, mpmath
+    # arithmetic in another thread runs at that thread's own precision
+    from concurrent.futures import ThreadPoolExecutor
+    spec = catalog_entry("T5a").spec
+    prec = mpmath.mp.prec
+    expected = "0.333333333333333"
+    assert str(mpmath.mpf(1) / 3) == expected
+    tries, wrong = 0, set()
+    deadline = time.monotonic() + 120
+    with fast_thread_switches(), ThreadPoolExecutor(max_workers=1) as pool:
+        future = pool.submit(lambda: [eval_product(spec, EvalOptions(precision=p))
+                                      for p in (500, 200, 500)])
+        while not future.done() and time.monotonic() < deadline:
+            text = str(mpmath.mpf(1) / 3)
+            tries += 1
+            if text != expected:
+                wrong.add(text)
+        future.result(timeout=0)
+    assert tries > 0 and wrong == set()
+    assert mpmath.mp.prec == prec
+
+
+def test_thread_contexts_share_libmp_memos_safely():
+    # three threads evaluate T5a and WR at 60 digits, each time with the
+    # Gamma memo cleared, while a fourth pushes mpmath's pi and log memos
+    # (shared by every context) through new precisions; every evaluation
+    # must give the bits it gives alone
+    from concurrent.futures import ThreadPoolExecutor
+    specs = [catalog_entry("T5a").spec, WR_SPEC]
+    opts = EvalOptions(precision=60)
+    alone = [eval_product(spec, opts) for spec in specs]
+    deadline = time.monotonic() + 3
+
+    def evaluate(first):
+        results = []
+        while time.monotonic() < deadline:
+            numerics.gamma.cache_clear()
+            numerics._stirling_gamma.cache_clear()
+            k = (first + len(results)) % 2
+            results.append((k, eval_product(specs[k], opts)))
+        return results
+
+    def push():
+        pushed = []
+        for digits in range(80, 3000, 3):
+            if time.monotonic() >= deadline:
+                break
+            pushed.append((digits, numerics.constant("pi", digits),
+                           log_fraction(F(3, 7), digits)))
+        return pushed
+
+    with fast_thread_switches(), ThreadPoolExecutor(max_workers=4) as pool:
+        workers = [pool.submit(evaluate, i) for i in range(3)]
+        pusher = pool.submit(push)
+        results = [r for w in workers for r in w.result(timeout=120)]
+        pushed = pusher.result(timeout=120)
+    assert len(results) >= 3 and pushed
+    assert [k for k, res in results if res != alone[k]] == []
+    # references above every pushed precision, so computed afresh
+    top = pushed[-1][0] + 20
+    pi, log = numerics.constant("pi", top), log_fraction(F(3, 7), top)
+    with mpmath.workdps(top):
+        for digits, pi_p, log_p in pushed:
+            assert abs(pi_p - pi) < mpmath.mpf(10) ** -(digits + 5)
+            assert abs(log_p - log) < mpmath.mpf(10) ** -(digits + 5)
+
+
+def test_public_results_are_plain_mpf():
+    # a value of the package's own context type would compute at the
+    # package's precision in the caller's arithmetic
+    from digitprod import constant, eval_closed_form, gamma, verify
+    opts = EvalOptions(precision=30)
+    plain = ProductSpec(FactoredRational.parse("(n+1)(n+3)/(n+2)^2"),
+                        ExponentKind.PLAIN, 0)
+    results = [eval_product(catalog_entry(name).spec, opts)
+               for name in ("WR", "T5a", "GS", "T6b")]
+    results += [eval_product(plain, opts), eval_pm_thue(WR_SPEC, LIGHT),
+                eval_pm_rs(catalog_entry("GS").spec,
+                           EvalOptions(precision=30, rs_split_levels=2, terms=4096)),
+                f_value(F(1, 3), F(1, 2), opts), g_value(F(1, 3), opts)]
+    fm = flajolet_martin(opts)
+    scan = monotonicity_scan(F(0), F(1), 3, opts)
+    report = verify(catalog_entry("C3b"), opts)
+    values = [x for res in results + [fm.g0, fm.ratio]
+              for x in (res.value, res.error_estimate)]
+    values += [fm.phi, fm.phi_via_g0, fm.cross_check_error]
+    values += [x for p in scan.points for x in (p.value, p.error_estimate)]
+    values += [report.computed, report.expected, report.abs_error,
+               report.tolerance, report.error_estimate]
+    values += [gamma(F(1, 3), 30), numerics.gamma_error(F(1, 3), 30),
+               log_term(WR_SPEC.rational, 3, 30), log_fraction(F(3, 7), 30),
+               numerics.mpf_from_fraction(F(3, 7), 30),
+               eval_closed_form(catalog_entry("T5a").closed_form, 30)]
+    values += [constant(name, 30) for name in ("pi", "gamma_quarter", "euler_gamma")]
+    assert [type(x) for x in values if type(x) is not mpmath.mpf] == []
+
+
 def test_pm_thue_takes_one_exact_log(monkeypatch):
     # the exact head terms fold into the split boundary: one log in all
     from digitprod import evaluator
@@ -145,7 +256,8 @@ def horner_log_sum(r, start, terms, precision):
         value = r.value_at(n)
         head = head / value if (n.bit_count() & 1) else head * value
     if terms < n0:
-        return head, mpmath.mpf(0), abs(log_term(r, exact_hi - 1, precision))
+        with mpmath.workdps(working_dps(precision)):
+            return head, mpmath.mpf(0), abs(log_term(r, exact_hi - 1, precision))
     psums = r.power_sums(j_max)
     scale = 1 << bits
     q = [0] * (j_max + 1)
@@ -275,7 +387,7 @@ def test_split_oracle_applies_dyadic_split_once_per_level(monkeypatch, start, le
     if start == 1:
         head *= evaluator._head(spec.rational, 1, 1 << levels,
                                 [w for _, _, w in maps])
-    with workdps(working_dps(40)):
+    with mpmath.workdps(working_dps(40)):
         assert result.value == mpmath.exp(tail + log_fraction(head, 40))
 
 

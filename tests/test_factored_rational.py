@@ -698,7 +698,7 @@ def test_max_abs_offset_is_max_over_factors(offsets):
     (lambda: FactoredRational.parse("(-2)(n+1)/(n+2)"), InputError),
     (lambda: FactoredRational(F(-1), 1, ()), InputError),
 ], ids=["dyadic-r1-zero", "dyadic-r0-zero", "dyadic-start-2", "dyadic-split-pole",
-        "rs-r1-zero", "rs-boundary-r1-zero", "zero-denominator",
+        "rs-split-pole", "rs-boundary-r1-zero", "zero-denominator",
         "fractional-coefficient", "trailing-paren", "negative-scale",
         "negative-scale-constructed"])
 def test_validation_raises_its_error_class(call, error):

@@ -15,8 +15,10 @@ import os
 import pathlib
 import sys
 
+import mpmath
 import pytest
 
+from digitprod import numerics
 from digitprod.cli import ENV_PRECISION, main
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -71,6 +73,15 @@ CASES = {
                             "--depth", "7"],
 }
 
+# oracle and cross-check paths with no golden file, for
+# test_output_ignores_the_callers_mpmath_precision
+UNSTORED = {
+    "scan": ["scan"],
+    "g-third-split": ["g", "--x", "1/3", "--split-levels", "3", "--terms", "64"],
+    "constants-fm-phi-split": ["constants", "fm-phi", "--split-levels", "2",
+                               "--terms", "64"],
+}
+
 
 def run_json(argv):
     out = io.StringIO()
@@ -85,6 +96,23 @@ def test_golden_stdout(name, monkeypatch):
     code, out = run_json(CASES[name])
     assert code == 0
     assert out == (GOLDEN / f"{name}.json").read_text()
+
+
+@pytest.mark.parametrize("name", sorted(CASES) + sorted(UNSTORED))
+def test_output_ignores_the_callers_mpmath_precision(name, monkeypatch):
+    # the package computes in its own mpmath context, so a caller's global
+    # precision, low or high, changes no printed byte; the Gamma memo is
+    # cleared so that every run computes its values afresh
+    monkeypatch.delenv(ENV_PRECISION, raising=False)
+    argv = CASES.get(name) or UNSTORED[name]
+    outputs = {}
+    for dps in (15, 3, 300):
+        numerics.gamma.cache_clear()
+        numerics._stirling_gamma.cache_clear()
+        with mpmath.workdps(dps):
+            outputs[dps] = run_json(argv)
+    assert outputs[3] == outputs[15] and outputs[300] == outputs[15]
+    assert outputs[15][0] == 0
 
 
 if __name__ == "__main__":
