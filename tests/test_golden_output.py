@@ -33,6 +33,15 @@ CASES = {
     # tm-ladder's 0/1 call at 500 digits: the engine and Gamma
     "eval-t5a-500": ["eval", "(4n+1)(4n+4)/((4n+2)(4n+3))", "--kind", "t",
                      "--digits", "500"],
+    # Gamma at 1, 5/4, 2 and 1/4
+    "eval-t5b-200": ["eval", "(n+1)(4n+5)/((n+2)(4n+1))", "--kind", "t",
+                     "--digits", "200"],
+    # the Rudin-Shapiro 0/1 form: Gamma(3/4)^4, Gamma(1/2) and Gamma(3/2)
+    "eval-t6b-60": ["eval", "4(n+2)(2n+1)^3(2n+3)^3/((n+3)(n+1)^2(4n+3)^4)",
+                    "--kind", "v"],
+    # integer arguments near 10^6: Stirling with no shift
+    "eval-plain-big-offset": ["eval", "(n+1000000)(n+1000003)/((n+1000001)(n+1000002))",
+                              "--kind", "plain"],
     "g-3-4": ["g", "--x", "3/4"],
     # max|a| = 64: Thue-Morse at its cap, M = 512
     "g-127-500": ["g", "--x", "127", "--digits", "500"],
