@@ -161,7 +161,7 @@ def test_thread_contexts_share_libmp_memos_safely():
         results = []
         while time.monotonic() < deadline:
             numerics.gamma.cache_clear()
-            numerics._stirling_gamma.cache_clear()
+            numerics._bounded_gamma.cache_clear()
             k = (first + len(results)) % 2
             results.append((k, eval_product(specs[k], opts)))
         return results

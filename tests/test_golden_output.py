@@ -117,7 +117,7 @@ def test_output_ignores_the_callers_mpmath_precision(name, monkeypatch):
     outputs = {}
     for dps in (15, 3, 300):
         numerics.gamma.cache_clear()
-        numerics._stirling_gamma.cache_clear()
+        numerics._bounded_gamma.cache_clear()
         with mpmath.workdps(dps):
             outputs[dps] = run_json(argv)
     assert outputs[3] == outputs[15] and outputs[300] == outputs[15]

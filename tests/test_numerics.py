@@ -6,6 +6,7 @@ import mpmath
 import pytest
 
 from digitprod import CapabilityError, EvaluationError, InputError, constant, gamma
+from digitprod import numerics
 from digitprod.numerics import (CF_GAMMA_QUARTER, CF_PI, Sub,
                                 cf_mul, cf_pow, cf_rat, gamma_error,
                                 power_product_exponents, power_product_form,
@@ -55,18 +56,90 @@ def test_gamma_against_library_oracle():
             assert abs(ours - ref) < tol(60) * abs(ref)
 
 
-@pytest.mark.parametrize("precision", [1, 3, 20, 60, 200])
+PRECISIONS = [1, 3, 20, 60, 200, 500]
+
+
+def shift_cap(precision):
+    # the largest shift k for which gamma takes the exact route
+    return -(-12 * precision // 10) + 2
+
+
+def reducible(precision):
+    # f + k for f in {1/4, 1/2, 3/4, 1}, k from 0 to the cap and past it
+    cap = shift_cap(precision)
+    ks = sorted({0, 1, 2, 7, cap // 2, cap - 1, cap, cap + 1, cap + 9})
+    return [f + k for f in (F(1, 4), F(1, 2), F(3, 4), F(1)) for k in ks]
+
+
+def unit(precision):
+    return mpmath.ldexp(1, 1 - mpmath.libmp.dps_to_prec(working_dps(precision)))
+
+
+@pytest.mark.parametrize("precision", PRECISIONS)
 def test_gamma_error_bounds_the_actual_error(precision):
     # against mpmath.gamma; the bound stays within 10^3 units of the
     # working precision, so products built on it keep their digits
-    unit = mpmath.ldexp(1, 1 - mpmath.libmp.dps_to_prec(working_dps(precision)))
-    for x in (F(1, 4), F(3, 4), F(1, 2), F(7, 3), F(5), F(41, 8)):
+    stirling = [F(7, 3), F(41, 8), F(1, 8), F(5, 6), F(2 * precision + 1, 3)]
+    for x in stirling + reducible(precision):
         with mpmath.workdps(precision + 40):
             ref = mpmath.gamma(mpmath.mpf(x.numerator) / x.denominator)
             rel = abs(gamma(x, precision) / ref - 1)
             bound = gamma_error(x, precision)
             assert rel <= bound, x
-            assert bound <= 1000 * unit, x
+            assert bound <= 1000 * unit(precision), x
+
+
+@pytest.mark.parametrize("precision", PRECISIONS)
+def test_exact_and_stirling_routes_agree_within_their_bounds(precision):
+    # both routes for every reducible argument, also past the cap, where
+    # gamma itself takes Stirling; each value lies within the sum of the
+    # two bounds of the other
+    cap = shift_cap(precision)
+    for x in reducible(precision):
+        k = -(-x.numerator // x.denominator) - 1
+        exact, exact_error = numerics._reduced_gamma(x - k, k, precision)
+        series, series_error = numerics._stirling_gamma(
+            x, max(0, cap - int(x)), precision)
+        with mpmath.workdps(precision + 40):
+            assert abs(exact / series - 1) <= exact_error + series_error, x
+            assert abs(series / exact - 1) <= exact_error + series_error, x
+            assert exact_error <= 1000 * unit(precision), x
+
+
+def test_gamma_of_a_quarter_past_a_million_keeps_stirling():
+    # k = 10^6 is far past the cap: no million-factor product; ln Gamma
+    # is about 1.3e7 here, so the bound is some 1400 units, still 60 digits
+    x = F(10 ** 6) + F(1, 4)
+    with mpmath.workdps(100):
+        ref = mpmath.gamma(mpmath.mpf(10 ** 6) + mpmath.mpf(1) / 4)
+        assert abs(gamma(x, 60) / ref - 1) <= gamma_error(x, 60) < tol(60, 0)
+
+
+def test_quarter_values_share_one_agm_and_call_no_library_gamma(monkeypatch):
+    # Gamma(1/4), Gamma(3/4), Gamma(5/4) and gamma_quarter at one precision
+    # run the AGM once; neither mpmath's gamma nor its agm is called
+    def refuse(*args, **kwargs):
+        raise AssertionError("library gamma or agm called")
+
+    ctx = numerics._THREAD.ctx
+    for owner in (mpmath, mpmath.mp, ctx):
+        monkeypatch.setattr(owner, "gamma", refuse)
+        monkeypatch.setattr(owner, "agm", refuse)
+    agm = numerics._agm_gamma_quarter
+    runs = []
+    monkeypatch.setattr(numerics, "_agm_gamma_quarter",
+                        lambda c: runs.append(c.prec) or agm(c))
+    numerics.gamma.cache_clear()
+    numerics._bounded_gamma.cache_clear()
+    try:
+        values = [gamma(F(3, 4), 77), gamma(F(5, 4), 77), gamma(F(1, 4), 77),
+                  constant("gamma_quarter", 77), gamma(F(7, 2), 77), gamma(F(3), 77)]
+    finally:
+        numerics.gamma.cache_clear()
+        numerics._bounded_gamma.cache_clear()
+    assert len(runs) == 1
+    with mpmath.workdps(100):
+        assert values[2] == values[3] == 4 * values[1]
 
 
 def test_gamma_recurrence_invariant():
