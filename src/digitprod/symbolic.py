@@ -75,18 +75,6 @@ class GExpression:
     def terms_dict(self) -> Dict[Fraction, Fraction]:
         return dict(self.terms)
 
-    def log_const_dict(self) -> Dict[Fraction, Fraction]:
-        return dict(self.log_const)
-
-    def __add__(self, other: "GExpression") -> "GExpression":
-        t = self.terms_dict()
-        for k, v in other.terms:
-            t[k] = t.get(k, Fraction(0)) + v
-        c = self.log_const_dict()
-        for k, v in other.log_const:
-            c[k] = c.get(k, Fraction(0)) + v
-        return GExpression.build(t, c)
-
     def render(self) -> str:
         parts = [f"{v}*G({k})" for k, v in self.terms]
         parts += [f"{v}*log({k})" for k, v in self.log_const]

@@ -22,6 +22,16 @@ def g_expr(*pairs):
     return GExpression.build({F(x): F(c) for x, c in pairs})
 
 
+def plus(left, right):
+    # the term-by-term sum of two expressions
+    terms, log_const = dict(left.terms), dict(left.log_const)
+    for k, v in right.terms:
+        terms[k] = terms.get(k, F(0)) + v
+    for k, v in right.log_const:
+        log_const[k] = log_const.get(k, F(0)) + v
+    return GExpression.build(terms, log_const)
+
+
 # ---------------------------------------------------------------------------
 # GExpression and expr_from_spec
 # ---------------------------------------------------------------------------
@@ -49,7 +59,7 @@ def test_expr_start_zero_shifts_into_log_const():
     spec = ProductSpec(FactoredRational.parse("(2n+1)/(2n+2)"),
                        ExponentKind.PM_THUE, 0)
     expr = expr_from_spec(spec)
-    assert expr.log_const_dict() == {F(1, 2): F(1)}
+    assert dict(expr.log_const) == {F(1, 2): F(1)}
     assert expr.terms_dict() == {F(1, 2): F(1), F(1): F(-1)}
 
 
@@ -70,7 +80,7 @@ def test_expr_respects_multiplication(rng):
     from conftest import random_pm_convergent
     r1, r2 = random_pm_convergent(rng), random_pm_convergent(rng)
     s = lambda r: ProductSpec(r, ExponentKind.PM_THUE, 1)
-    assert expr_from_spec(s(r1 * r2)) == expr_from_spec(s(r1)) + expr_from_spec(s(r2))
+    assert expr_from_spec(s(r1 * r2)) == plus(expr_from_spec(s(r1)), expr_from_spec(s(r2)))
 
 
 # ---------------------------------------------------------------------------
@@ -112,7 +122,7 @@ def test_reduce_relation_invariance():
     x = F(1, 2)
     relation = GExpression.build({x / 2: F(1), (x + 1) / 2: F(-1), x: F(-1)},
                                  {1 + x: F(-1)})
-    out1, out2 = reduce(expr), reduce(expr + relation)
+    out1, out2 = reduce(expr), reduce(plus(expr, relation))
     assert out1.reduced and out2.reduced
     assert out1.exponents == out2.exponents
 
