@@ -162,9 +162,8 @@ def _reduced_gamma(f: Fraction, k: int, precision: int) -> Tuple[mpmath.mpf, mpm
         unit = ctx.ldexp(1, -ctx.prec)
         if k:
             base, error = _bounded_gamma(f, precision)
-            p, q = f.numerator, f.denominator
-            rising = ctx.mpf(math.prod(p + i * q for i in range(k))) / q ** k
-            value = ctx.convert(base) * rising
+            rising = _rising(f, k)
+            value = ctx.convert(base) * (ctx.mpf(rising.numerator) / rising.denominator)
             error = ctx.convert(error) + 4 * unit
         elif f == 1:
             value, error = ctx.mpf(1), ctx.mpf(0)
@@ -211,6 +210,12 @@ def _agm_gamma_quarter(ctx: mpmath.MPContext) -> Tuple[mpmath.mpf, mpmath.mpf]:
     return value, error
 
 
+def _rising(x: Fraction, k: int) -> Fraction:
+    """x (x+1) ... (x+k-1) = prod (p + i q) / q^k for x = p/q."""
+    p, q = x.numerator, x.denominator
+    return Fraction(math.prod(p + i * q for i in range(k)), q ** k)
+
+
 def _stirling_gamma(x: Fraction, shift: int, precision: int) -> Tuple[mpmath.mpf, mpmath.mpf]:
     """(Gamma(x), a bound on its relative error) by Stirling's series for
     ln Gamma(x + shift), less the log of the exact rising product.
@@ -245,9 +250,7 @@ def _stirling_gamma(x: Fraction, shift: int, precision: int) -> Tuple[mpmath.mpf
             previous = abs(term)
             zpow *= z2
             j += 1
-        # x (x+1) ... (x+shift-1) = prod (p + i q) / q^shift for x = p/q
-        p, q = x.numerator, x.denominator
-        rising = Fraction(math.prod(p + i * q for i in range(shift)), q ** shift)
+        rising = _rising(x, shift)
         log_gamma = s - log_fraction(rising, precision + 5)
         logs = math.log(rising.numerator) + math.log(rising.denominator)
         rounding = (j + 6) * (abs(s) + 1) + 2 * logs + abs(log_gamma) + 2
