@@ -2,7 +2,7 @@
 
 Usage (from anywhere; paths are taken relative to this file):
 
-    python3 tools/bench_record.py --label pr24 --seeds 1 2 3 --seconds 10
+    python3 tools/bench_record.py --label main --seeds 1 2 3 --seconds 10
     python3 tools/bench_record.py --label ci --seeds 1 --seconds 2 --workloads tm-ladder
 
 For every workload and seed it runs ``python3 perfbench/run.py`` twice,
