@@ -1140,16 +1140,16 @@ FM_RATIO_RATIONAL = FactoredRational.from_raw_factors(
 def flajolet_martin(opts: EvalOptions = EvalOptions()) -> FlajoletMartin:
     """g(0), the product R, and the probabilistic-counting constant phi.
 
-    Checks R * g(0) = 3/2 within the combined error estimates and reports
-    phi both as 2^{-1/2} e^gamma (2/3) R and as 2^{-1/2} e^gamma / g(0).
+    Raises ``ConsistencyError`` when |R g(0) - 3/2| exceeds
+    10 (e_R g(0) + e_g0 R), ten times the product's first-order error from
+    the two error estimates e_R and e_g0.  Reports phi both as
+    2^{-1/2} e^gamma (2/3) R and as 2^{-1/2} e^gamma / g(0).
     """
     precision = opts.precision
-    # raises CapabilityError beyond the stored digits, before any work
-    euler_gamma = constant("euler_gamma", precision)
     g0 = g_value(Fraction(0), opts)
     ratio = _plus_minus(ProductSpec(FM_RATIO_RATIONAL, ExponentKind.PM_THUE, 1), opts)
     with workdps(working_dps(precision)) as ctx:
-        e_gamma = ctx.exp(euler_gamma)
+        e_gamma = ctx.exp(constant("euler_gamma", precision))
         inv_sqrt2 = 1 / ctx.sqrt(ctx.mpf(2))
         phi = inv_sqrt2 * e_gamma * ctx.mpf(2) / 3 * ratio.value
         phi_alt = inv_sqrt2 * e_gamma / g0.value

@@ -10,7 +10,9 @@ Gamma(1/2) = sqrt(pi), or Gamma(1/4) from the arithmetic-geometric mean
 (and Gamma(3/4) by reflection), times an exact rising product.  Every
 other argument is raised and computed from Stirling's asymptotic series,
 with the shift chosen from the precision so the first omitted term is
-negligible; the recurrence divides the shift back out exactly.
+negligible; the recurrence divides the shift back out exactly.  The
+constants pi and Euler's gamma come from the arithmetic backend (libmp)
+at any precision.
 
 Closed forms are small expression trees over exact rationals and the
 named constants pi and Gamma(1/4).  Gamma(3/4) never appears as a leaf:
@@ -30,19 +32,11 @@ from typing import Dict, Iterator, Optional, Tuple, Union
 
 import mpmath
 
-from .errors import CapabilityError, EvaluationError, InputError
+from .errors import EvaluationError, InputError
 
 GUARD_DIGITS = 10
 
 DEFAULT_PRECISION = 60
-
-# Reference value, 100 decimal digits; computing gamma from scratch is out
-# of scope, so requests beyond this literal raise CapabilityError.
-EULER_GAMMA_100 = (
-    "0.5772156649015328606065120900824024310421"
-    "593359399235988057672348848677267776646709369470632917467495"
-)
-EULER_GAMMA_DIGITS = 100
 
 
 class _ThreadContext(threading.local):
@@ -60,14 +54,17 @@ def workdps(dps: int) -> Iterator[mpmath.MPContext]:
 
     No other thread uses the context, so regions need no lock, and mpmath
     calls made outside the package keep their precision.  Threads still
-    share libmp's caches: the pi and ln2 memos write, and read, value and
-    precision with no call or backward jump between, where CPython checks
-    for a thread switch, and a Bernoulli or log cache entry is the same
-    whichever thread computes it.  In a 20 s run at a 1 us switch interval
-    (Python 3.11.7), three threads evaluating T5a and WR at 60 digits, the
-    Gamma memo cleared each time, while a fourth took ``constant("pi")``
-    and ``log_fraction`` through 974 new precisions (80 to 2,999 digits),
-    gave 0 mismatches in 23,650 evaluations.
+    share libmp's caches: the pi, ln2 and Euler's gamma memos
+    (``constant_memo``, over ``pi_fixed``, ``ln2_fixed`` and
+    ``euler_fixed``) write, and read, value and precision with no call or
+    backward jump between, where CPython checks for a thread switch, and a
+    Bernoulli or log cache entry is the same whichever thread computes it.
+    In a 20 s run at a 1 us switch interval (Python 3.11.7, 2 vCPU), three
+    threads evaluating T5a and WR at 60 digits, the Gamma memo cleared each
+    time, while a fourth took ``constant("pi")``, ``log_fraction`` and
+    ``constant("euler_gamma")`` through 974 new precisions (80 to 2,999
+    digits), gave 0 mismatches in 45,650 evaluations, and every pushed
+    value was right.
     """
     with _THREAD.ctx.workdps(dps):
         yield _THREAD.ctx
@@ -261,26 +258,18 @@ def _stirling_gamma(x: Fraction, shift: int, precision: int) -> Tuple[mpmath.mpf
 def constant(name: str, precision: int = DEFAULT_PRECISION) -> mpmath.mpf:
     """Named constant at the requested precision.
 
-    ``pi`` comes from the arithmetic backend; ``gamma_quarter`` is
-    ``gamma(1/4)``, from the arithmetic-geometric mean, so every Gamma at a
-    quarter argument of the same precision shares its one AGM; and
-    ``euler_gamma`` is read from a 100-digit stored literal (requests
-    beyond 100 digits raise CapabilityError).
+    ``pi`` and ``euler_gamma`` come from the arithmetic backend at the
+    working precision, so any precision can be asked for; ``gamma_quarter``
+    is ``gamma(1/4)``, from the arithmetic-geometric mean, so every Gamma
+    at a quarter argument of the same precision shares its one AGM.
     """
-    if name == "pi":
-        with workdps(working_dps(precision)) as ctx:
-            return export(+ctx.pi)
     if name == "gamma_quarter":
         return gamma(Fraction(1, 4), precision)
-    if name == "euler_gamma":
-        if precision > EULER_GAMMA_DIGITS:
-            raise CapabilityError(
-                f"euler_gamma is stored to {EULER_GAMMA_DIGITS} digits; "
-                f"requested {precision}")
-        with workdps(working_dps(precision)) as ctx:
-            return export(ctx.mpf(EULER_GAMMA_100))
-    raise InputError(f"unknown constant {name!r}; "
-                     "expected pi, gamma_quarter or euler_gamma")
+    if name not in ("pi", "euler_gamma"):
+        raise InputError(f"unknown constant {name!r}; "
+                         "expected pi, gamma_quarter or euler_gamma")
+    with workdps(working_dps(precision)) as ctx:
+        return export(+(ctx.pi if name == "pi" else ctx.euler))
 
 
 # ---------------------------------------------------------------------------

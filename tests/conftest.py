@@ -9,13 +9,20 @@ with ``HYPOTHESIS_PROFILE=ci``; each test's ``max_examples`` is kept.
 The oracles here never touch the accelerated evaluation paths: they sum
 float64 logarithms of the raw factors directly, so they stay independent
 of the dyadic-split and fixed-point machinery they are used to check.
+Euler's gamma comes from an Euler-Maclaurin sum, never from
+``mpmath.euler``, and the Flajolet-Martin phi from that gamma and
+perfbench's Thue-Morse oracle, which shares no code with the package.
 """
 
+import functools
+import importlib.util
 import math
 import os
+import pathlib
 import random
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import settings
@@ -104,3 +111,47 @@ def record_oracle_calls(monkeypatch, *names):
     for name in names:
         monkeypatch.setattr(evaluator, name, recorder(name))
     return calls
+
+
+@functools.lru_cache(maxsize=None)
+def euler_gamma_reference(digits: int) -> mpmath.mpf:
+    """Euler's gamma to ``digits`` digits, without ``mpmath.euler``:
+
+        gamma = H_n - ln n - 1/(2n) + sum_{k>=1} B_2k / (2k n^2k),
+
+    with n = 10 digits, so that the terms fall far below 10^-digits long
+    before the asymptotic series turns; the sum stops there, off by less
+    than its first omitted term."""
+    n = 10 * digits
+    with mpmath.workdps(digits + 20):
+        harmonic = mpmath.fsum(1 / mpmath.mpf(k) for k in range(1, n + 1))
+        value = harmonic - mpmath.log(n) - mpmath.mpf(1) / (2 * n)
+        threshold = mpmath.mpf(10) ** -(digits + 15)
+        k = 1
+        while True:
+            term = mpmath.bernoulli(2 * k) / (2 * k * mpmath.mpf(n) ** (2 * k))
+            if abs(term) < threshold:
+                return +value
+            value += term
+            k += 1
+
+
+def _perfbench_oracle():
+    path = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "oracle.py"
+    spec = importlib.util.spec_from_file_location("perfbench_oracle", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@functools.lru_cache(maxsize=None)
+def fm_phi_reference() -> mpmath.mpf:
+    """The Flajolet-Martin phi = 2^(-1/2) e^gamma (2/3) R to 320 digits,
+    from ``euler_gamma_reference`` and perfbench's Thue-Morse oracle for
+    R = prod_{n>=1} ((4n+1)(4n+2) / (4n(4n+3)))^((-1)^t_n) (about 4 s)."""
+    digits = 320
+    tm = _perfbench_oracle().ThueMorseOracle(digits, Fraction(3, 4))
+    with mpmath.workdps(digits + 15):
+        ratio = tm.product({Fraction(1, 4): 1, Fraction(1, 2): 1,
+                            Fraction(0): -1, Fraction(3, 4): -1})
+        return mpmath.exp(euler_gamma_reference(digits)) / mpmath.sqrt(2) * 2 / 3 * ratio

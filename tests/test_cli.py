@@ -10,7 +10,7 @@ from fractions import Fraction
 import mpmath
 import pytest
 
-from conftest import forbid_engine_and_oracles, record_oracle_calls
+from conftest import fm_phi_reference, forbid_engine_and_oracles, record_oracle_calls
 
 import digitprod
 from digitprod import evaluator, symbolic
@@ -326,10 +326,17 @@ def test_constants_cross_check_is_computed_at_working_precision(capsys, caller_d
     assert expected == "1.500000174614509833656485"
 
 
-def test_constants_phi_beyond_stored_euler_gamma_exits_three(capsys):
-    code, out, err = run(capsys, "constants", "fm-phi", "--digits", "150")
-    assert code == 3 and out == ""
-    assert "euler_gamma" in err
+def test_constants_phi_beyond_100_digits(capsys):
+    # Euler's gamma comes from the backend, so 150 digits print, and each
+    # is within half a unit of the reference built from independent gamma
+    # and R
+    code, out, err = run(capsys, "constants", "fm-phi", "--digits", "150",
+                         "--format", "json")
+    assert code == 0 and err == ""
+    value = json.loads(out)["value"]
+    assert len(value) == len("0.") + 150
+    with mpmath.workdps(170):
+        assert abs(mpmath.mpf(value) - fm_phi_reference()) <= mpmath.mpf(10) ** -150 / 2
 
 
 def test_probe_command(capsys):

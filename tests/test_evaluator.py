@@ -10,9 +10,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import naive_signed_product, random_fully_convergent, random_pm_convergent
+from conftest import (fm_phi_reference, naive_signed_product, random_fully_convergent,
+                      random_pm_convergent)
 
-from digitprod import (CapabilityError, ConsistencyError, EvalOptions,
+from digitprod import (ConsistencyError, EvalOptions,
                        EvaluationError,
                        ExponentKind, FactoredRational, InputError,
                        ProductSpec, eval_plain, eval_pm_rs, eval_pm_thue,
@@ -148,9 +149,9 @@ def test_other_threads_keep_their_mpmath_precision():
 
 def test_thread_contexts_share_libmp_memos_safely():
     # three threads evaluate T5a and WR at 60 digits, each time with the
-    # Gamma memo cleared, while a fourth pushes mpmath's pi and log memos
-    # (shared by every context) through new precisions; every evaluation
-    # must give the bits it gives alone
+    # Gamma memo cleared, while a fourth pushes mpmath's pi, log and Euler's
+    # gamma memos (shared by every context) through new precisions; every
+    # evaluation must give the bits it gives alone
     from concurrent.futures import ThreadPoolExecutor
     specs = [catalog_entry("T5a").spec, WR_SPEC]
     opts = EvalOptions(precision=60)
@@ -172,7 +173,8 @@ def test_thread_contexts_share_libmp_memos_safely():
             if time.monotonic() >= deadline:
                 break
             pushed.append((digits, numerics.constant("pi", digits),
-                           log_fraction(F(3, 7), digits)))
+                           log_fraction(F(3, 7), digits),
+                           numerics.constant("euler_gamma", digits)))
         return pushed
 
     with fast_thread_switches(), ThreadPoolExecutor(max_workers=4) as pool:
@@ -185,10 +187,12 @@ def test_thread_contexts_share_libmp_memos_safely():
     # references above every pushed precision, so computed afresh
     top = pushed[-1][0] + 20
     pi, log = numerics.constant("pi", top), log_fraction(F(3, 7), top)
+    euler = numerics.constant("euler_gamma", top)
     with mpmath.workdps(top):
-        for digits, pi_p, log_p in pushed:
+        for digits, pi_p, log_p, euler_p in pushed:
             assert abs(pi_p - pi) < mpmath.mpf(10) ** -(digits + 5)
             assert abs(log_p - log) < mpmath.mpf(10) ** -(digits + 5)
+            assert abs(euler_p - euler) < mpmath.mpf(10) ** -(digits + 5)
 
 
 def test_public_results_are_plain_mpf():
@@ -777,9 +781,14 @@ def test_flajolet_martin_rejects_a_ratio_off_by_100_bounds(monkeypatch):
         flajolet_martin(opts)
 
 
-def test_flajolet_martin_rejects_precision_beyond_stored_euler_gamma():
-    with pytest.raises(CapabilityError):
-        flajolet_martin(EvalOptions(precision=101))
+def test_flajolet_martin_beyond_100_digits():
+    # Euler's gamma comes from the backend at any precision; both forms of
+    # phi match the reference built from independent gamma and R
+    fm = flajolet_martin(EvalOptions(precision=101))
+    with mp(130):
+        reference = fm_phi_reference()
+        assert abs(fm.phi - reference) < mpmath.mpf(10) ** -101
+        assert abs(fm.phi_via_g0 - reference) < mpmath.mpf(10) ** -101
 
 
 # ---------------------------------------------------------------------------

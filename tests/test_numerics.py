@@ -5,12 +5,18 @@ from fractions import Fraction as F
 import mpmath
 import pytest
 
-from digitprod import CapabilityError, EvaluationError, InputError, constant, gamma
+from conftest import euler_gamma_reference
+from digitprod import EvaluationError, InputError, constant, gamma
 from digitprod import numerics
 from digitprod.numerics import (CF_GAMMA_QUARTER, CF_PI, Sub,
                                 cf_mul, cf_pow, cf_rat, gamma_error,
                                 power_product_exponents, power_product_form,
                                 working_dps)
+
+
+# Euler's gamma to 100 digits, the literal the package once stored
+EULER_GAMMA_100 = ("0.5772156649015328606065120900824024310421"
+                   "593359399235988057672348848677267776646709369470632917467495")
 
 
 def tol(digits, slack=2):
@@ -213,10 +219,25 @@ def test_euler_gamma_against_series_oracle():
     assert abs(float(constant("euler_gamma", 30)) - approx) < 1e-12
 
 
-def test_euler_gamma_capability_cap():
-    constant("euler_gamma", 100)
-    with pytest.raises(CapabilityError):
-        constant("euler_gamma", 101)
+def test_euler_gamma_has_the_bits_of_the_100_digit_reference():
+    # the working precision is p + 10 digits, within the reference's 100
+    # up to p = 89; above that, and past 100 digits, the value stays
+    # within the reference's own rounding
+    for p in range(1, 90):
+        with mpmath.workdps(p + 10):
+            assert constant("euler_gamma", p) == mpmath.mpf(EULER_GAMMA_100)
+    with mpmath.workdps(120):
+        for p in range(90, 111):
+            assert abs(constant("euler_gamma", p) - mpmath.mpf(EULER_GAMMA_100)) < tol(100, 0)
+
+
+@pytest.mark.parametrize("digits", [100, 300, 1000])
+def test_euler_gamma_against_euler_maclaurin(digits):
+    reference = euler_gamma_reference(digits)
+    with mpmath.workdps(digits + 20):
+        if digits == 100:
+            assert abs(reference - mpmath.mpf(EULER_GAMMA_100)) < tol(100, 0)
+        assert abs(constant("euler_gamma", digits) - reference) < tol(digits + 5, 0)
 
 
 def test_unknown_constant():
