@@ -11,6 +11,7 @@ record of the change can be copied from its output.
 
 import contextlib
 import io
+import json
 import os
 import pathlib
 import sys
@@ -18,6 +19,7 @@ import sys
 import mpmath
 import pytest
 
+from conftest import fm_phi_reference
 from digitprod import numerics
 from digitprod.cli import ENV_PRECISION, main
 
@@ -48,6 +50,8 @@ CASES = {
     # D = 8: the engine's series runs to 477 terms at 500 digits
     "g-37-4-500": ["g", "--x", "37/4", "--digits", "500"],
     "constants-fm-phi-100": ["constants", "fm-phi", "--digits", "100"],
+    # past the 100 digits Euler's gamma was once stored to
+    "constants-fm-phi-300": ["constants", "fm-phi", "--digits", "300"],
     "eval-wr-unsplit-64": ["eval", WR, "--split-levels", "0", "--terms", "64"],
     # all 18 entries: the default 10-level Rudin-Shapiro chain of GS,
     # T6a/T6b and the symbolic column
@@ -105,6 +109,15 @@ def test_golden_stdout(name, monkeypatch):
     code, out = run_json(CASES[name])
     assert code == 0
     assert out == (GOLDEN / f"{name}.json").read_text()
+
+
+def test_fm_phi_300_against_independent_references():
+    # each printed digit is within half a unit of phi from an
+    # Euler-Maclaurin gamma and perfbench's Thue-Morse R, both at 320 digits
+    value = json.loads((GOLDEN / "constants-fm-phi-300.json").read_text())["value"]
+    assert len(value) == len("0.") + 300
+    with mpmath.workdps(330):
+        assert abs(mpmath.mpf(value) - fm_phi_reference()) <= mpmath.mpf(10) ** -300 / 2
 
 
 @pytest.mark.parametrize("name", sorted(CASES) + sorted(UNSTORED))
