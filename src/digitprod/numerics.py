@@ -127,7 +127,8 @@ def gamma_error(x: Fraction, precision: int = DEFAULT_PRECISION) -> mpmath.mpf:
 def _bounded_gamma(x: Fraction, precision: int) -> Tuple[mpmath.mpf, mpmath.mpf]:
     """(Gamma(x), a bound on its relative error), by the route ``gamma``
     describes.  Both routes work at ``working_dps(precision) + 5`` digits,
-    and the shift of either route is at most ``cap`` factors."""
+    Stirling's at more when ln Gamma is large, and the shift of either
+    route is at most ``cap`` factors."""
     if x <= 0:
         raise InputError(f"gamma requires a positive argument, got {x}")
     cap = -(-12 * precision // 10) + 2
@@ -223,9 +224,16 @@ def _stirling_gamma(x: Fraction, shift: int, precision: int) -> Tuple[mpmath.mpf
     term computed bounds the truncation.  Each of the j terms added, and
     about six more operations, rounds ln Gamma(z) by one unit of 2^-prec
     of its size; ``log_fraction`` of the rising product p/q rounds both
-    logs and their difference; exp adds one unit.
+    logs and their difference; exp adds one unit.  So the rounding grows
+    with |ln Gamma(z)| < z ln z (z >= 4 here), whose integer part takes
+    about log10(z ln z) of the working digits: beyond the guard digits,
+    each of them is added to the working digits, and the relative error
+    stays below 10^-precision at any argument.
     """
-    wp = working_dps(precision) + 5
+    log_z = math.log(x.numerator + shift * x.denominator) - math.log(x.denominator)
+    digits = precision + 5 + max(
+        0, math.ceil((log_z + math.log(log_z)) / math.log(10)) - GUARD_DIGITS)
+    wp = working_dps(digits)
     with workdps(wp) as ctx:
         z = ctx.convert(mpf_from_fraction(x, wp)) + shift
         # ln Gamma(z) = (z - 1/2) ln z - z + ln(2 pi)/2 + sum B_2j / (2j (2j-1) z^(2j-1))
@@ -248,7 +256,7 @@ def _stirling_gamma(x: Fraction, shift: int, precision: int) -> Tuple[mpmath.mpf
             zpow *= z2
             j += 1
         rising = _rising(x, shift)
-        log_gamma = s - log_fraction(rising, precision + 5)
+        log_gamma = s - log_fraction(rising, digits)
         logs = math.log(rising.numerator) + math.log(rising.denominator)
         rounding = (j + 6) * (abs(s) + 1) + 2 * logs + abs(log_gamma) + 2
         error = 2 * abs(term) + ctx.ldexp(rounding, -ctx.prec)

@@ -447,6 +447,20 @@ def test_plain_telescoping_tan_pi_over_8():
         assert abs(res.value - (mpmath.sqrt(2) - 1)) < mpmath.mpf("1e-55")
 
 
+@pytest.mark.parametrize("a", [10 ** 15, 10 ** 21])
+def test_plain_at_a_huge_offset_keeps_its_digits(a):
+    # prod (n+a)(n+a+3)/((n+a+1)(n+a+2)) = a/(a+2) exactly; ln Gamma(a) is
+    # some 3e16 or 5e22 here, and Stirling's working digits grow with it
+    spec = ProductSpec(FactoredRational.from_offsets({F(a): 1, F(a + 3): 1,
+                                                      F(a + 1): -1, F(a + 2): -1}),
+                       ExponentKind.PLAIN, 0)
+    res = eval_plain(spec, EvalOptions(precision=60))
+    with mp(90):
+        exact = mpmath.mpf(a) / (a + 2)
+        assert abs(res.value - exact) <= res.error_estimate < mpmath.mpf(10) ** -60
+        assert numerics.gamma_error(F(a), 60) < mpmath.mpf(10) ** -60
+
+
 def test_plain_matches_brute_force(rng):
     r = random_fully_convergent(rng)
     res = eval_plain(ProductSpec(r, ExponentKind.PLAIN, 1))

@@ -121,6 +121,16 @@ def test_gamma_of_a_quarter_past_a_million_keeps_stirling():
         assert abs(gamma(x, 60) / ref - 1) <= gamma_error(x, 60) < tol(60, 0)
 
 
+@pytest.mark.parametrize("x", [F(10 ** 15) + F(1, 3), F(10 ** 30) + F(1, 3)])
+def test_gamma_keeps_its_digits_where_ln_gamma_is_huge(x):
+    # ln Gamma(x) is some 3e16 or 7e31: Stirling's working digits grow with
+    # it, so the bound still covers the error and stays below 10^-60
+    with mpmath.workdps(120):
+        ref = mpmath.loggamma(mpmath.mpf(x.numerator) / x.denominator)
+        error = abs(mpmath.log(gamma(x, 60)) - ref)
+        assert error <= gamma_error(x, 60) < tol(60, 0)
+
+
 def test_quarter_values_share_one_agm_and_call_no_library_gamma(monkeypatch):
     # Gamma(1/4), Gamma(3/4), Gamma(5/4) and gamma_quarter at one precision
     # run the AGM once; neither mpmath's gamma nor its agm is called
