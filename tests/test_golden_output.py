@@ -50,11 +50,11 @@ CASES = {
     # D = 8: the engine's series runs to 477 terms at 500 digits
     "g-37-4-500": ["g", "--x", "37/4", "--digits", "500"],
     "constants-fm-phi-100": ["constants", "fm-phi", "--digits", "100"],
-    # past the 100 digits Euler's gamma was once stored to
+    # Euler's gamma from the backend, well past 100 digits
     "constants-fm-phi-300": ["constants", "fm-phi", "--digits", "300"],
     "eval-wr-unsplit-64": ["eval", WR, "--split-levels", "0", "--terms", "64"],
-    # all 18 entries: the default 10-level Rudin-Shapiro chain of GS,
-    # T6a/T6b and the symbolic column
+    # all 18 entries: GS, T6a and T6b's +-1 part on the Rudin-Shapiro
+    # engine, and the symbolic column
     "verify-all": ["verify", "--all"],
     # the 6-level Rudin-Shapiro split chain
     "eval-gs-rs6": ["eval", "(2n+1)^2/((4n+1)(n+1))", "--kind", "pm-v",
@@ -66,10 +66,10 @@ CASES = {
                           "--rs-split-levels", "1", "--terms", "16"],
     # the default engine at tail start M = 64 (terms_used 64, no split)
     "eval-n1-n2": ["eval", "(n+1)/(n+2)"],
-    # the Rudin-Shapiro engine at 500 digits
     # max|a| = 512: Rudin-Shapiro at its cap, M = 2048
     "eval-rs-cap-200": ["eval", "(n+511)/(n+512)", "--kind", "pm-v",
                         "--digits", "200"],
+    # the Rudin-Shapiro engine at 500 digits
     "eval-gs-500": ["eval", "(2n+1)^2/((4n+1)(n+1))", "--kind", "pm-v",
                     "--start", "1", "--digits", "500"],
     # a negative offset: odd power sums are negative, and the series'

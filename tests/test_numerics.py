@@ -14,7 +14,7 @@ from digitprod.numerics import (CF_GAMMA_QUARTER, CF_PI, Sub,
                                 working_dps)
 
 
-# Euler's gamma to 100 digits, the literal the package once stored
+# Euler's gamma to 100 digits, a reference independent of the backend
 EULER_GAMMA_100 = ("0.5772156649015328606065120900824024310421"
                    "593359399235988057672348848677267776646709369470632917467495")
 
