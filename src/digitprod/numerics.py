@@ -224,11 +224,10 @@ def _stirling_gamma(x: Fraction, shift: int, precision: int) -> Tuple[mpmath.mpf
     term computed bounds the truncation.  Each of the j terms added, and
     about six more operations, rounds ln Gamma(z) by one unit of 2^-prec
     of its size; ``log_fraction`` of the rising product p/q rounds both
-    logs and their difference; exp adds one unit.  So the rounding grows
-    with |ln Gamma(z)| < z ln z (z >= 4 here), whose integer part takes
-    about log10(z ln z) of the working digits: beyond the guard digits,
-    each of them is added to the working digits, and the relative error
-    stays below 10^-precision at any argument.
+    logs and their difference; exp adds one unit.  The rounding grows with
+    |ln Gamma(z)| < z ln z (z >= 4 here), so the digits of z ln z beyond
+    the guard digits are added to the working digits, and the relative
+    error stays below 10^-precision at any argument.
     """
     log_z = math.log(x.numerator + shift * x.denominator) - math.log(x.denominator)
     digits = precision + 5 + max(

@@ -119,9 +119,9 @@ def euler_gamma_reference(digits: int) -> mpmath.mpf:
 
         gamma = H_n - ln n - 1/(2n) + sum_{k>=1} B_2k / (2k n^2k),
 
-    with n = 10 digits, so that the terms fall far below 10^-digits long
-    before the asymptotic series turns; the sum stops there, off by less
-    than its first omitted term."""
+    with n = 10 * digits, so that the terms fall far below 10^-digits
+    long before the asymptotic series turns; the sum stops there, off by
+    less than its first omitted term."""
     n = 10 * digits
     with mpmath.workdps(digits + 20):
         harmonic = mpmath.fsum(1 / mpmath.mpf(k) for k in range(1, n + 1))
