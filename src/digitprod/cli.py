@@ -339,55 +339,46 @@ def _add_common(parser: argparse.ArgumentParser, default_precision: int) -> None
                         help="write the result to PATH instead of stdout")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    precision = _default_precision()
-    parser = argparse.ArgumentParser(
-        prog="digitprod",
-        description="Evaluate and verify infinite products with Thue-Morse "
-                    "and Rudin-Shapiro digit-sequence exponents.")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("seq", help="print sequence values")
+def _seq_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("kind", choices=("t", "v", "pm-t", "pm-v", "block"))
     p.add_argument("--count", type=_positive_int, default=16)
     p.add_argument("--word", default=None, help="digit word for kind block")
     p.add_argument("--base", type=_positive_int, default=2)
-    _add_common(p, precision)
     p.set_defaults(func=cmd_seq)
 
-    p = sub.add_parser("eval", help="evaluate one infinite product")
+
+def _eval_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("expression", help='factor expression, e.g. "(2n+1)/(2n+2)"')
     p.add_argument("--kind", choices=[k.value for k in ExponentKind],
                    default="pm-t")
     p.add_argument("--start", type=int, choices=(0, 1), default=0)
-    _add_common(p, precision)
     p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("verify", help="verify catalog identities")
+
+def _verify_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("name", nargs="?", default=None,
                    help="catalog entry name (default: all)")
     p.add_argument("--all", action="store_true")
     p.add_argument("--tolerance", type=float, default=None,
                    help="absolute tolerance (default: 10x the error estimate)")
-    _add_common(p, precision)
     p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("catalog", help="dump the identity catalog")
-    _add_common(p, precision)
+
+def _catalog_arguments(p: argparse.ArgumentParser) -> None:
     p.set_defaults(func=cmd_catalog)
 
-    p = sub.add_parser("g", help="evaluate the function g")
+
+def _g_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--x", type=_fraction, required=True)
-    _add_common(p, precision)
     p.set_defaults(func=cmd_g)
 
-    p = sub.add_parser("constants", help="Flajolet-Martin constants")
+
+def _constants_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("name", choices=("g0", "fm-R", "fm-phi"))
-    _add_common(p, precision)
     p.set_defaults(func=cmd_constants)
 
-    p = sub.add_parser("probe", help="remainder sign probe for the "
-                                     "difference operator")
+
+def _probe_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--a", type=_fraction, required=True)
     p.add_argument("--b", type=_fraction, required=True)
     p.add_argument("--k", type=int, default=0)
@@ -395,17 +386,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tail", type=_positive_int, default=2 ** 20,
                    help="sum each remainder to the largest 2^p - 1 <= TAIL, "
                         "a whole Thue-Morse block (default 2^20)")
-    _add_common(p, precision)
     p.set_defaults(func=cmd_probe)
 
-    p = sub.add_parser("scan", help="monotonicity scan of f(x/2, (x+1)/2)")
+
+def _scan_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--lo", type=_fraction, default=Fraction(0))
     p.add_argument("--hi", type=_fraction, default=Fraction(10))
     p.add_argument("--steps", type=_positive_int, default=41)
-    _add_common(p, precision)
     p.set_defaults(func=cmd_scan)
 
-    p = sub.add_parser("reduce", help="reduce a product to an exact constant")
+
+def _reduce_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("expression", nargs="?", default=None)
     p.add_argument("--family", choices=("i", "ii", "iii", "iv"), default=None)
     p.add_argument("--a", type=_fraction, default=None)
@@ -413,15 +404,67 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--start", type=int, choices=(0, 1), default=1)
     p.add_argument("--depth", type=_positive_int,
                    default=symbolic.DEFAULT_REDUCE_DEPTH)
-    _add_common(p, precision)
     p.set_defaults(func=cmd_reduce)
 
+
+# name -> (help, adds the subcommand's own arguments and its func), in the
+# order the top-level help lists them
+_SUBCOMMANDS = {
+    "seq": ("print sequence values", _seq_arguments),
+    "eval": ("evaluate one infinite product", _eval_arguments),
+    "verify": ("verify catalog identities", _verify_arguments),
+    "catalog": ("dump the identity catalog", _catalog_arguments),
+    "g": ("evaluate the function g", _g_arguments),
+    "constants": ("Flajolet-Martin constants", _constants_arguments),
+    "probe": ("remainder sign probe for the difference operator",
+              _probe_arguments),
+    "scan": ("monotonicity scan of f(x/2, (x+1)/2)", _scan_arguments),
+    "reduce": ("reduce a product to an exact constant", _reduce_arguments),
+}
+
+
+def _parser(command: Optional[str]) -> argparse.ArgumentParser:
+    """The root parser with every subcommand registered by name and help,
+    and arguments added to ``command`` only, or to all of them when
+    ``command`` is None.  Every name stays registered because argparse's
+    top-level usage, printed on an unrecognized argument, lists them all."""
+    precision = _default_precision()
+    parser = argparse.ArgumentParser(
+        prog="digitprod",
+        description="Evaluate and verify infinite products with Thue-Morse "
+                    "and Rudin-Shapiro digit-sequence exponents.")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, add_arguments) in _SUBCOMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        if command is None or command == name:
+            add_arguments(p)
+            _add_common(p, precision)
     return parser
 
 
+def build_parser() -> argparse.ArgumentParser:
+    """The full parser: every subcommand with all of its arguments.
+
+    ``main`` builds only the arguments of the subcommand it is given (see
+    ``main``); this function still returns the full parser, and ``main``'s
+    help and usage text are the same as this parser's."""
+    return _parser(None)
+
+
 def main(argv: Optional[list] = None) -> int:
+    """Run the command line ``argv`` (``sys.argv[1:]`` when None) and
+    return its exit code.
+
+    When the first argument names a subcommand, only that subcommand's
+    arguments are built (``_parser(name)``).  Otherwise (``-h``, no
+    arguments, an unknown name, an option before the subcommand) it builds
+    the full parser, as ``build_parser()`` does.  Help and usage text are
+    the same on either route."""
+    if argv is None:
+        argv = sys.argv[1:]
+    command = argv[0] if argv and argv[0] in _SUBCOMMANDS else None
     try:
-        parser = build_parser()
+        parser = _parser(command)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

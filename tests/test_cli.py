@@ -13,8 +13,8 @@ import pytest
 from conftest import fm_phi_reference, forbid_engine_and_oracles, record_oracle_calls
 
 import digitprod
-from digitprod import evaluator, symbolic
-from digitprod.cli import _printed, main
+from digitprod import cli, evaluator, symbolic
+from digitprod.cli import _printed, build_parser, main
 from digitprod.evaluator import MAX_RS_TERMS, MAX_TM_TERMS
 from digitprod.symbolic import MAX_REDUCE_DEPTH
 
@@ -548,3 +548,44 @@ def test_env_precision_zero_exits_two(monkeypatch, capsys):
     monkeypatch.setenv("DIGITPROD_DIGITS", "0")
     code, out, err = run(capsys, "seq", "t", "--count", "2")
     assert code == 2 and out == "" and "DIGITPROD_DIGITS" in err
+
+
+# ---------------------------------------------------------------------------
+# routing: main builds only the named subcommand's arguments
+# ---------------------------------------------------------------------------
+
+def outcome(capsys, call, argv):
+    """Exit code, stdout and stderr of ``call(argv)``, which ends in
+    argparse's SystemExit for help and usage errors."""
+    with pytest.raises(SystemExit) as exc:
+        call(list(argv))
+    captured = capsys.readouterr()
+    return exc.value.code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    *[(name, "-h") for name in ("seq", "eval", "verify", "catalog", "g",
+                                "constants", "probe", "scan", "reduce")],
+    ("seq",), ("eval",), ("verify", "--tolerance", "abc"),
+    ("catalog", "--format", "xml"), ("g",), ("constants", "nope"),
+    ("probe", "--a", "1"), ("scan", "--steps", "0"), ("reduce", "--family", "v"),
+    ("eval", "(2n+1)/(2n+2)", "--bogus"),
+    ("-h",), (), ("nope",), ("--digits", "5", "eval", "x"),
+])
+def test_routed_help_and_usage_errors_match_the_full_parser(capsys, argv):
+    routed = outcome(capsys, main, argv)
+    full = outcome(capsys, lambda a: build_parser().parse_args(a), argv)
+    assert routed == full
+    assert routed[0] == (0 if "-h" in argv else 2)
+
+
+def test_eval_builds_no_other_subcommands_arguments(capsys, monkeypatch):
+    built = []
+    for name, (help_text, add_arguments) in cli._SUBCOMMANDS.items():
+        def recorded(p, name=name, add_arguments=add_arguments):
+            built.append(name)
+            add_arguments(p)
+        monkeypatch.setitem(cli._SUBCOMMANDS, name, (help_text, recorded))
+    code, out, _ = run(capsys, "eval", "(2n+1)/(2n+2)", "--digits", "20")
+    assert code == 0 and out.startswith("0.70710678118654752440")
+    assert built == ["eval"]

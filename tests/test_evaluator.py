@@ -94,8 +94,9 @@ def test_evaluation_is_pure_under_concurrency():
 
 
 def test_precision_regions_do_not_interleave():
-    # mpmath's precision is process-wide: if two threads' precision regions
-    # interleave, one computes at the other's precision and leaves it set
+    # each thread computes in its own mpmath context: threads at 20 and 80
+    # digits, switching every microsecond, each get their own precision's
+    # value and leave the global mpmath.mp precision as it was
     import sys
     from concurrent.futures import ThreadPoolExecutor
     opts = [EvalOptions(precision=p, split_levels=4, terms=256) for p in (20, 80)]

@@ -7,7 +7,7 @@ that removes one has to say so by editing the expected sets.
 import argparse
 
 import digitprod
-from digitprod.cli import build_parser
+from digitprod.cli import _parser, build_parser
 
 EXPORTS = {
     "AffineFactor", "CapabilityError", "ClosedForm", "ConsistencyError",
@@ -47,10 +47,15 @@ def test_package_exports():
         assert hasattr(digitprod, name), name
 
 
-def test_subcommand_options():
-    parser = build_parser()
+def options(parser):
     sub = next(a for a in parser._actions
                if isinstance(a, argparse._SubParsersAction))
-    found = {name: {s for action in p._actions for s in action.option_strings}
-             for name, p in sub.choices.items()}
-    assert found == OPTIONS
+    return {name: {s for action in p._actions for s in action.option_strings}
+            for name, p in sub.choices.items()}
+
+
+def test_subcommand_options():
+    assert options(build_parser()) == OPTIONS
+    # the parser main builds for one subcommand gives it the same options
+    for name in OPTIONS:
+        assert options(_parser(name))[name] == OPTIONS[name]
