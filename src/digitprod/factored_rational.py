@@ -10,7 +10,7 @@ equal, and it is immutable after construction.
 
 Everything here is exact and works on the integers u_i: ``regroup`` is
 the one substitution rule (n -> c*n + d, behind construction from raw
-factors, powers and every split), ``values_at`` the exact evaluator of
+factors and every split), ``values_at`` the exact evaluator of
 R(n) at rational points (``value_at`` is its one-point case) and
 ``power_sum_numerators`` the one source of the power sums that drive the
 tail series: the integers S_j = sum_i m_i u_i^j, with p_j = S_j / D^j.
@@ -87,10 +87,6 @@ class FactoredRational:
         return FactoredRational(r.scale * Fraction(scale), r.denominator, r.numerators)
 
     @staticmethod
-    def one() -> "FactoredRational":
-        return FactoredRational(Fraction(1), 1, ())
-
-    @staticmethod
     def parse(text: str) -> "FactoredRational":
         return _parse(text)
 
@@ -105,9 +101,6 @@ class FactoredRational:
     @property
     def is_one(self) -> bool:
         return not self.numerators and self.scale == 1
-
-    def offset_dict(self) -> dict:
-        return {Fraction(u, self.denominator): m for u, m in self.numerators}
 
     def degree_sum(self) -> int:
         """Net degree (numerator degree minus denominator degree)."""
@@ -171,21 +164,7 @@ class FactoredRational:
         """Exact value R(n) at a rational n (see ``values_at``)."""
         return self.values_at([n])[0]
 
-    # -- algebra -------------------------------------------------------
-
-    def __mul__(self, other: "FactoredRational") -> "FactoredRational":
-        offsets = self.offset_dict()
-        for a, m in other.offset_dict().items():
-            offsets[a] = offsets.get(a, 0) + m
-        return FactoredRational.from_offsets(offsets, self.scale * other.scale)
-
-    def __truediv__(self, other: "FactoredRational") -> "FactoredRational":
-        return self * other ** -1
-
-    def __pow__(self, k: int) -> "FactoredRational":
-        if not isinstance(k, int):
-            return NotImplemented
-        return self.regroup([(1, 0, k)])
+    # -- substitution --------------------------------------------------
 
     def regroup(self, maps: Iterable[Tuple[RationalLike, RationalLike, int]]
                 ) -> "FactoredRational":
@@ -269,27 +248,31 @@ class _Parser:
     term    := [ integer ] "(" linear ")" [ "^" integer ] | integer
     linear  := [ integer ] "n" [ ("+"|"-") rational ] | rational
     rational:= integer [ "/" integer ]
+
+    One token of lookahead picks the denominator's form: after "/(" it is
+    a group of terms when the next token is "(", or an integer followed by
+    "(" or by another integer, and one term otherwise, so "/(3)^2" is 1/9
+    and "/(2(n+1))" is a group.
     """
 
     def __init__(self, text: str):
-        self.text = text.replace("−", "-")
+        text = text.replace("−", "-")
         self.tokens = []
         pos = 0
-        while pos < len(self.text):
-            m = _TOKEN_RE.match(self.text, pos)
+        while pos < len(text):
+            m = _TOKEN_RE.match(text, pos)
             if not m:
-                raise ParseError(f"unexpected character {self.text[pos]!r}", pos)
+                raise ParseError(f"unexpected character {text[pos]!r}", pos)
             self.tokens.append((m.group(1), m.start(1)))
             pos = m.end()
+        self.tokens.append((None, len(text)))  # end marker
         self.i = 0
 
-    def peek(self) -> Optional[str]:
-        return self.tokens[self.i][0] if self.i < len(self.tokens) else None
+    def peek(self, ahead: int = 0) -> Optional[str]:
+        return self.tokens[self.i + ahead][0]
 
     def pos(self) -> int:
-        if self.i < len(self.tokens):
-            return self.tokens[self.i][1]
-        return len(self.text)
+        return self.tokens[self.i][1]
 
     def next(self) -> str:
         tok = self.peek()
@@ -315,49 +298,41 @@ class _Parser:
 
     def parse_rational(self) -> Fraction:
         num = self.parse_integer()
-        if self.peek() == "/" and self.i + 1 < len(self.tokens) and self.tokens[self.i + 1][0].isdigit():
-            # only a rational if a digit follows; a trailing "/" starts the denominator
-            save = self.i
-            self.next()
-            den = self.parse_integer()
-            if den == 0:
-                self.i = save
-                raise ParseError("zero denominator in rational", self.tokens[save][1])
-            return Fraction(num, den)
-        return Fraction(num)
+        # only a rational if a digit follows; a trailing "/" starts the denominator
+        if self.peek() != "/" or not _is_integer(self.peek(1)):
+            return Fraction(num)
+        den = int(self.peek(1))
+        if den == 0:
+            raise ParseError("zero denominator in rational", self.pos())
+        self.i += 2
+        return Fraction(num, den)
 
     def parse_linear(self) -> Tuple[Fraction, Fraction]:
         """Returns (c, d) for c*n + d; c == 0 means the constant d."""
         at = self.pos()
-        c = Fraction(0)
-        d = Fraction(0)
         if self.peek() == "n":
-            self.next()
             c = Fraction(1)
-        elif self.peek() is not None and (self.peek().isdigit() or self.peek() == "-"):
-            value = self.parse_rational()
-            if self.peek() == "n":
-                self.next()
-                if value.denominator != 1:
-                    raise ParseError("coefficient of n must be an integer", at)
-                c = value
-            else:
-                return Fraction(0), value
+        elif _is_integer(self.peek()) or self.peek() == "-":
+            c = self.parse_rational()
+            if self.peek() != "n":
+                return Fraction(0), c
+            if c.denominator != 1:
+                raise ParseError("coefficient of n must be an integer", at)
         else:
             raise ParseError("expected linear expression", at)
-        if self.peek() in ("+", "-"):
-            sign = 1 if self.next() == "+" else -1
-            d = sign * self.parse_rational()
-        return c, d
+        self.next()
+        if self.peek() not in ("+", "-"):
+            return c, Fraction(0)
+        sign = 1 if self.next() == "+" else -1
+        return c, sign * self.parse_rational()
 
-    def parse_term(self):
-        """Returns ('scale', Fraction) or ('factor', c, d, mult)."""
+    def parse_term(self) -> Tuple[Fraction, Fraction, int]:
+        """Returns (c, d, mult) for (c*n + d)^mult; c == 0 means the scale d."""
         tok = self.peek()
         at = self.pos()
-        if tok is not None and tok.isdigit():
+        if _is_integer(tok):
             # standalone terms are integers; rationals occur only in linears
-            value = Fraction(self.parse_integer())
-            return ("scale", value)
+            return Fraction(0), Fraction(self.parse_integer()), 1
         if tok == "(":
             self.next()
             c, d = self.parse_linear()
@@ -370,53 +345,49 @@ class _Parser:
                     raise ParseError("zero exponent is not allowed", at)
             if c == 0:
                 # a zero base stays 0 for _parse to refuse: 0^-1 has no value
-                return ("scale", d ** mult if d else d)
-            return ("factor", c, d, mult)
+                return c, d ** mult if d else d, 1
+            return c, d, mult
         raise ParseError(f"expected term, found {tok!r}", at)
 
     def parse_term_sequence(self):
         terms = [self.parse_term()]
-        while self.peek() is not None and (self.peek().isdigit() or self.peek() == "("):
+        while _is_integer(self.peek()) or self.peek() == "(":
             terms.append(self.parse_term())
         return terms
 
-    def parse_product(self):
+    def parse_product(self) -> List[Tuple[Fraction, Fraction, int]]:
+        """The terms, each denominator term's mult negated."""
         num_terms = self.parse_term_sequence()
         den_terms = []
         if self.peek() == "/":
             self.next()
-            if self.peek() == "(":
-                # try a parenthesized group of terms; fall back to one term
-                save = self.i
-                try:
-                    self.next()
-                    den_terms = self.parse_term_sequence()
-                    self.expect(")")
-                except ParseError:
-                    den_terms = []
-                if not den_terms or self.peek() == "^":  # "/(3)^2" is one term
-                    self.i = save
-                    den_terms = [self.parse_term()]
+            if self.peek() == "(" and (self.peek(1) == "(" or (
+                    _is_integer(self.peek(1)) and
+                    (_is_integer(self.peek(2)) or self.peek(2) == "("))):
+                self.next()
+                den_terms = self.parse_term_sequence()
+                self.expect(")")
             else:
                 den_terms = [self.parse_term()]
         if self.peek() is not None:
             raise ParseError(f"unexpected trailing token {self.peek()!r}", self.pos())
-        return num_terms, den_terms
+        return num_terms + [(c, d, -mult) for c, d, mult in den_terms]
+
+
+def _is_integer(tok: Optional[str]) -> bool:
+    return tok is not None and tok.isdigit()
 
 
 def _parse(text: str) -> FactoredRational:
-    num_terms, den_terms = _Parser(text).parse_product()
     scale = Fraction(1)
     raw = []
-    for sign, terms in ((1, num_terms), (-1, den_terms)):
-        for term in terms:
-            if term[0] == "scale":
-                if term[1] <= 0:
-                    raise InputError(f"scale contribution must be positive, got {term[1]}")
-                scale *= term[1] ** sign
-            else:
-                _, c, d, mult = term
-                raw.append((c, d, sign * mult))
+    for c, d, mult in _Parser(text).parse_product():
+        if c:
+            raw.append((c, d, mult))
+        elif d <= 0:
+            raise InputError(f"scale contribution must be positive, got {d}")
+        else:
+            scale *= d ** mult
     return FactoredRational.from_raw_factors(raw, scale)
 
 

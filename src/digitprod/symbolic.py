@@ -31,7 +31,7 @@ import mpmath
 
 from .errors import CapabilityError, ConsistencyError, InputError
 from .evaluator import EvalOptions, ProductSpec, eval_product
-from .factored_rational import FactoredRational, classify
+from .factored_rational import FactoredRational
 from .numerics import (ClosedForm, Rat, Sub, cf_mul, cf_pow, cf_rat,
                        CF_PI, CF_GAMMA_QUARTER, eval_closed_form,
                        export, power_product_exponents, power_product_form,
@@ -85,22 +85,17 @@ def expr_from_spec(spec: ProductSpec) -> GExpression:
     """The exact logarithm of a +-1 Thue-Morse product as a GExpression.
 
     For start 1 this is sum_i m_i G(a_i); a start-0 spec first moves the
-    n = 0 factor value into the log-constant part.
+    n = 0 factor value into the log-constant part.  The spec is validated
+    as the evaluators validate it, so a product that ``eval`` refuses (a
+    zero factor, a pole or R(n) <= 0 in range) has no expression either.
     """
     if spec.kind is not ExponentKind.PM_THUE:
         raise InputError(f"expr_from_spec expects kind pm-t, got {spec.kind.value}")
-    cls = classify(spec.rational)
-    if not cls.at_least_pm:
-        raise InputError(f"divergent product: {cls.detail}")
-    terms = {f.offset: Fraction(f.multiplicity) for f in spec.rational.factors}
-    log_const: Dict[Fraction, Fraction] = {}
-    if spec.start == 0:
-        r0 = spec.rational.value_at(0)
-        if r0 <= 0:
-            raise InputError(f"R(0) = {r0} is not positive; cannot shift start")
-        if r0 != 1:
-            log_const[r0] = Fraction(1)
-    return GExpression.build(terms, log_const)
+    spec.validate()
+    r = spec.rational
+    terms = {Fraction(u, r.denominator): Fraction(m) for u, m in r.numerators}
+    r0 = r.value_at(0) if spec.start == 0 else 1
+    return GExpression.build(terms, {r0: Fraction(1)} if r0 != 1 else {})
 
 
 # ---------------------------------------------------------------------------

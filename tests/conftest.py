@@ -71,6 +71,17 @@ def random_pm_convergent(rng: random.Random, max_pairs: int = 3) -> FactoredRati
     return FactoredRational.from_offsets(offsets)
 
 
+def product_of(*powers) -> FactoredRational:
+    """prod r^k over the pairs (r, k), merged offset by offset in Fraction
+    arithmetic; the package itself composes rationals only by ``regroup``."""
+    offsets, scale = {}, Fraction(1)
+    for r, k in powers:
+        scale *= r.scale ** k
+        for f in r.factors:
+            offsets[f.offset] = offsets.get(f.offset, 0) + k * f.multiplicity
+    return FactoredRational.from_offsets(offsets, scale)
+
+
 def random_fully_convergent(rng: random.Random) -> FactoredRational:
     """Balanced rational with equal offset sums (p_1 = 0)."""
     while True:

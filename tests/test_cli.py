@@ -403,6 +403,23 @@ def test_reduce_bad_input_exits_three(capsys, argv, message):
     assert code == 3 and out == "" and message in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("reduce", "(n-1)/(n-2)"), "factor vanishes at n = 1"),  # a zero, then a pole
+    (("reduce", "--family=i", "--a=-3/2", "--b=0"), "R(1) = -1 is not positive"),
+])
+def test_reduce_refuses_a_product_eval_refuses(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == 3 and out == "" and message in err
+    if argv[1].startswith("("):
+        assert run(capsys, "eval", argv[1], "--start", "1")[0] == 3
+
+
+def test_reduce_negative_fractional_parameter_with_equals(capsys):
+    # "--a -1/2" reads -1/2 as an option (argparse exits 2); "--a=-1/2" does not
+    code, out, _ = run(capsys, "reduce", "--family", "ii", "--a=-1/2")
+    assert code == 0 and out == "3"
+
+
 @pytest.mark.parametrize("argv", [("g", "--x", "abc"), ("seq", "t", "--count", "0")])
 def test_argument_errors_exit_two(capsys, argv):
     # argparse reports the error and exits 2 from main

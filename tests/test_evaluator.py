@@ -58,7 +58,7 @@ def test_pm_thue_quarter_identity():
 
 
 def test_pm_thue_identity_rational():
-    spec = ProductSpec(FactoredRational.one(), ExponentKind.PM_THUE, 1)
+    spec = ProductSpec(FactoredRational.from_offsets({}), ExponentKind.PM_THUE, 1)
     res = eval_pm_thue(spec)
     assert res.value == 1
 
@@ -538,13 +538,13 @@ def test_pm_rs_golay_shapiro_product():
 
 
 def test_pm_rs_identity_rational():
-    res = eval_pm_rs(ProductSpec(FactoredRational.one(), ExponentKind.PM_RS, 1))
+    res = eval_pm_rs(ProductSpec(FactoredRational.from_offsets({}), ExponentKind.PM_RS, 1))
     assert res.value == 1
 
 
 @pytest.mark.parametrize("start", [0, 1])
 def test_pm_rs_identity_rational_has_no_error(start):
-    spec = ProductSpec(FactoredRational.one(), ExponentKind.PM_RS, start)
+    spec = ProductSpec(FactoredRational.from_offsets({}), ExponentKind.PM_RS, start)
     res = eval_pm_rs(spec)
     assert res.value == 1 and res.error_estimate == 0
     res = eval_pm_rs(spec, EvalOptions(rs_split_levels=6))
@@ -576,7 +576,7 @@ def test_zero_one_rs_theorem_value():
 
 
 def test_zero_one_rs_identity_rational():
-    res = eval_zero_one_rs(ProductSpec(FactoredRational.one(),
+    res = eval_zero_one_rs(ProductSpec(FactoredRational.from_offsets({}),
                                        ExponentKind.ZERO_ONE_RS, 1))
     assert abs(float(res.value) - 1.0) < 1e-12
 

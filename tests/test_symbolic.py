@@ -6,8 +6,10 @@ import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from digitprod import (CapabilityError, ConsistencyError, EvalOptions,
-                       ExponentKind, FactoredRational, InputError,
+from conftest import product_of
+
+from digitprod import (CapabilityError, ConsistencyError, DigitprodError,
+                       EvalOptions, ExponentKind, FactoredRational, InputError,
                        ProductSpec, catalog, catalog_entry, expr_from_spec,
                        family, reduce, verify, verify_all)
 from digitprod.numerics import Rat, power_product_exponents
@@ -43,7 +45,7 @@ def test_expr_single_factor_pair():
 
 
 def test_expr_identity_rational_is_zero():
-    spec = ProductSpec(FactoredRational.one(), ExponentKind.PM_THUE, 1)
+    spec = ProductSpec(FactoredRational.from_offsets({}), ExponentKind.PM_THUE, 1)
     assert expr_from_spec(spec) == GExpression()
 
 
@@ -76,11 +78,25 @@ def test_expr_rejects_divergent():
         expr_from_spec(spec)
 
 
+@pytest.mark.parametrize("spec", [
+    ProductSpec(FactoredRational.parse("(n-1)/(n-2)"), ExponentKind.PM_THUE, 1),
+    family("i", F(-3, 2), 0).spec,
+], ids=["zero-then-pole", "family-i-negative-r1"])
+def test_expr_refuses_what_validate_refuses(spec):
+    # (n-1)/(n-2) vanishes at n = 1 and has a pole at n = 2; family (i) at
+    # a = -3/2, b = 0 has R(1) = -1
+    with pytest.raises(DigitprodError) as refused:
+        spec.validate()
+    with pytest.raises(refused.type) as info:
+        expr_from_spec(spec)
+    assert str(info.value) == str(refused.value)
+
+
 def test_expr_respects_multiplication(rng):
     from conftest import random_pm_convergent
     r1, r2 = random_pm_convergent(rng), random_pm_convergent(rng)
     s = lambda r: ProductSpec(r, ExponentKind.PM_THUE, 1)
-    assert expr_from_spec(s(r1 * r2)) == plus(expr_from_spec(s(r1)), expr_from_spec(s(r2)))
+    assert expr_from_spec(s(product_of((r1, 1), (r2, 1)))) == plus(expr_from_spec(s(r1)), expr_from_spec(s(r2)))
 
 
 # ---------------------------------------------------------------------------
@@ -474,7 +490,7 @@ def test_catalog_specs_validate():
 
 def test_provenance_b_from_family_iii():
     inst = family("iii", F(1, 2))
-    inverse = inst.spec.rational ** -1
+    inverse = inst.spec.rational.regroup([(1, 0, -1)])
     assert inverse == catalog_entry("C3b").spec.rational
     # shift to start 0: multiply the family value's inverse by R(0)
     value = inverse.value_at(0) / inst.closed_form.value
@@ -484,7 +500,7 @@ def test_provenance_b_from_family_iii():
 def test_provenance_d_from_family_i_and_wr():
     wr = FactoredRational.parse("(2n+1)/(2n+2)")
     inst = family("i", 1, 2)
-    combined = inst.spec.rational * wr ** 2
+    combined = product_of((inst.spec.rational, 1), (wr, 2))
     d = catalog_entry("C3d")
     assert combined == d.spec.rational
     # start-0 value: (family value * instance(0)) * (WR product)^2
@@ -496,7 +512,7 @@ def test_provenance_e_from_family_i_and_wr():
     wr = FactoredRational.parse("(2n+1)/(2n+2)")
     inst = family("i", 1, F(3, 2))
     e = catalog_entry("C3e")
-    assert inst.spec.rational * wr == e.spec.rational
+    assert product_of((inst.spec.rational, 1), (wr, 1)) == e.spec.rational
     value = inst.closed_form.value * inst.spec.rational.value_at(0)
     assert value == 1  # remaining factor: one Woods-Robbins product
     assert power_product_exponents(e.closed_form) == {2: F(-1, 2)}
@@ -514,7 +530,7 @@ def test_provenance_l_from_family_i_and_b():
     inst = family("i", F(3, 4), F(1, 4))
     b = catalog_entry("C3b")
     l = catalog_entry("C3l")
-    assert inst.spec.rational * b.spec.rational == l.spec.rational
+    assert product_of((inst.spec.rational, 1), (b.spec.rational, 1)) == l.spec.rational
     value = (inst.closed_form.value * inst.spec.rational.value_at(0)
              * b.closed_form.value)
     assert value == l.closed_form.value == F(1, 2)
@@ -522,7 +538,7 @@ def test_provenance_l_from_family_i_and_b():
 
 def test_provenance_h_is_f_over_b():
     f_ent, b_ent, h_ent = (catalog_entry(n) for n in ("C3f", "C3b", "C3h"))
-    assert f_ent.spec.rational / b_ent.spec.rational == h_ent.spec.rational
+    assert product_of((f_ent.spec.rational, 1), (b_ent.spec.rational, -1)) == h_ent.spec.rational
 
 
 # ---------------------------------------------------------------------------

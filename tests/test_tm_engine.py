@@ -11,7 +11,7 @@ from fractions import Fraction as F
 
 import mpmath
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import (forbid_engine_and_oracles, random_fully_convergent,
                       random_pm_convergent, record_oracle_calls)
@@ -203,7 +203,7 @@ def test_fixing_split_levels_or_terms_selects_the_oracle():
 
 
 def test_engine_identity_rational_is_exact():
-    res = eval_product(ProductSpec(FactoredRational.one(), ExponentKind.PM_THUE, 1))
+    res = eval_product(ProductSpec(FactoredRational.from_offsets({}), ExponentKind.PM_THUE, 1))
     assert res.value == 1 and res.error_estimate == 0
 
 
@@ -220,6 +220,44 @@ def test_rs_engine_matches_direct_sum_oracle_at_its_largest_n(name):
     engine = eval_product(spec)
     with mpmath.workdps(80):
         assert abs(oracle.value - engine.value) <= oracle.error_estimate
+
+
+def rs_relation(x):
+    """The one-symbol Rudin-Shapiro relation at a rational x > -1 as a pm-v
+    product over n >= 1 whose value is exactly 1 + x:
+
+        prod ((n+x)(n+(x+1)/2)(n+1/4)^2 / ((n+x/2)(n+(x+1)/4)^2 (n+1/2)))^(r_n)
+
+    Its largest offset is at most max(|x|, 1), so x <= 512 keeps the tail
+    start at or under the Rudin-Shapiro cap, M = 2048."""
+    return ProductSpec(FactoredRational.from_raw_factors([
+        (1, x, 1), (1, (x + 1) / 2, 1), (1, F(1, 4), 2),
+        (1, x / 2, -1), (1, (x + 1) / 4, -2), (1, F(1, 2), -1)]), ExponentKind.PM_RS, 1)
+
+
+@st.composite
+def _rs_relation_cases(draw):
+    # at 500 digits x stays at most 16, so M stays 64 and the cold
+    # 500-digit table (about 0.4 s) is built once
+    digits = draw(st.sampled_from([60, 200, 500]))
+    top = 16 if digits == 500 else 512
+    x = draw(st.fractions(min_value=-1, max_value=top, max_denominator=12)
+             .filter(lambda x: x > -1))
+    return digits, x
+
+
+@settings(max_examples=30, deadline=None)
+@given(_rs_relation_cases())
+@example((60, F(512)))
+@example((200, F(-999, 1000)))
+@example((500, F(100, 7)))
+def test_rs_engine_meets_the_exact_relation_product(case):
+    digits, x = case
+    res = eval_product(rs_relation(x), EvalOptions(precision=digits))
+    with mpmath.workdps(digits + 30):
+        exact = 1 + mpmath.mpf(x.numerator) / x.denominator
+        assert abs(res.value - exact) <= res.error_estimate
+        assert res.error_estimate < exact * mpmath.mpf(10) ** -digits
 
 
 @pytest.mark.parametrize("opts", [EvalOptions(rs_split_levels=6),
@@ -552,11 +590,11 @@ def fraction_series_engine_reference(spec, precision, automaton):
     need = (bits + math.log2(mass * (m + 1) * width / (width - 1))) / -math.log2(rho)
     j_max = min(len(table) - 1, max(1, math.ceil(need)))
     psums = [F(0)] * (j_max + 1)
-    for a, mult in r.offset_dict().items():
-        power = F(mult)
+    for f in r.factors:
+        power = F(f.multiplicity)
         for j in range(j_max + 1):
             psums[j] += power
-            power *= a
+            power *= f.offset
     step = m.bit_length() - 1 - fold
     acc = 0
     for j in range(1, j_max + 1):
