@@ -21,7 +21,7 @@ from typing import Optional
 import mpmath
 
 from . import symbolic
-from .errors import DigitprodError, InputError, ParseError
+from .errors import CapabilityError, DigitprodError, InputError, ParseError
 from .evaluator import (DEFAULT_RS_TERMS, DEFAULT_SPLIT_LEVELS,
                         DEFAULT_TM_TERMS, MAX_RS_TERMS, MAX_TM_TERMS,
                         EvalOptions, EvalResult, ProductSpec, eval_product,
@@ -112,13 +112,24 @@ def _to_csv(payload: dict) -> str:
 
 
 def _printed(value, estimate, digits: int) -> tuple:
-    """The value to ``digits`` significant digits, and its error estimate
-    plus half a unit in the last printed digit, rounded up to three
-    digits, so that the printed estimate covers the printed value."""
-    text = _nstr(value, digits)
-    last = Decimal(text).adjusted() - digits + 1
+    """The value to the most significant digits, at most ``digits``, that
+    its error estimate supports, and the estimate plus half a unit in the
+    last printed digit, rounded up to three digits, so that the printed
+    estimate covers the printed value.  The estimate supports a digit when
+    it is at most half a unit in it, so the printed value is within one
+    unit in its last digit.  Raises ``CapabilityError`` when it supports
+    none."""
     man, exp = estimate.man_exp
-    bound = man * Fraction(2) ** exp + Fraction(10) ** last / 2
+    error = man * Fraction(2) ** exp
+    for digits in range(digits, 0, -1):
+        text = _nstr(value, digits)
+        last = Decimal(text).adjusted() - digits + 1
+        if error <= Fraction(10) ** last / 2:
+            break
+    else:
+        raise CapabilityError(f"the error bound {_nstr(estimate, 3)} supports no digit "
+                              f"of {_nstr(value, 3)}; more terms or split levels would")
+    bound = error + Fraction(10) ** last / 2
     with workdps(digits + 5) as ctx:
         shown = Decimal(_nstr(ctx.convert(estimate) + ctx.mpf(10) ** last / 2, 3))
         if Fraction(shown) < bound:
@@ -235,13 +246,15 @@ def cmd_constants(args) -> int:
     opts = _options(args)
     fm = flajolet_martin(opts)
     digits = args.digits
-    value = {"g0": fm.g0.value, "fm-R": fm.ratio.value, "fm-phi": fm.phi}[args.name]
+    value, radius = {"g0": (fm.g0.value, fm.g0.error_estimate),
+                     "fm-R": (fm.ratio.value, fm.ratio.error_estimate),
+                     "fm-phi": (fm.phi, fm.phi_error)}[args.name]
     with workdps(working_dps(digits)) as ctx:
         check = ctx.convert(fm.ratio.value) * fm.g0.value
         agree = abs(ctx.convert(fm.phi) - fm.phi_via_g0)
     payload = {
         "name": args.name,
-        "value": _nstr(value, digits),
+        "value": _printed(value, radius, digits)[0],
         "cross_check_R_times_g0": _nstr(check, min(digits, 25)),
         "cross_check_error": _nstr(fm.cross_check_error, 3),
         "phi_formulas_agree_within": _nstr(agree, 3),
@@ -360,7 +373,10 @@ def _verify_arguments(p: argparse.ArgumentParser) -> None:
                    help="catalog entry name (default: all)")
     p.add_argument("--all", action="store_true")
     p.add_argument("--tolerance", type=float, default=None,
-                   help="absolute tolerance (default: 10x the error estimate)")
+                   help="pass when |computed - expected| <= TOLERANCE (default: "
+                        "within the error estimate plus the expected value's "
+                        "rounding bound, and the estimate within "
+                        "|expected| 10^-digits)")
     p.set_defaults(func=cmd_verify)
 
 

@@ -52,13 +52,15 @@ from typing import (TYPE_CHECKING, Dict, Iterable, Iterator, List, Optional,
                     Sequence, Tuple)
 
 import mpmath
+from mpmath import libmp
 
 from .errors import CapabilityError, ConsistencyError, InputError
 from .factored_rational import (FactoredRational, classify, dyadic_split,
-                                pole_check, positivity_check,
-                                rs_split_power_sums, rs_split_rational)
-from .numerics import (DEFAULT_PRECISION, constant, export, gamma, gamma_error,
-                       log_fraction, mpf_from_fraction, workdps, working_dps)
+                                pole_check, rs_split_power_sums,
+                                rs_split_rational, sign_check)
+from .numerics import (DEFAULT_PRECISION, ball, ball_prec, exp_ball, export,
+                       gamma_ball, midpoint_radius, rational_ball, upper,
+                       workdps, working_dps)
 from .sequences import ExponentKind
 
 if TYPE_CHECKING:
@@ -120,7 +122,7 @@ class ProductSpec:
         if n is not None:
             raise InputError(f"factor vanishes at n = {n} within the "
                              f"product range n >= {self.start}")
-        positivity_check(self.rational, self.start)
+        sign_check(self.rational, self.start)
 
 
 @dataclass(frozen=True)
@@ -172,9 +174,11 @@ class EvalOptions:
 class EvalResult:
     """Value with an error estimate and the work actually done.
 
-    The estimate is a derived bound for the scaled tail engine (every
-    +-1 evaluation without oracle options) and for plain products, and a
-    heuristic for the split and direct-sum oracles.
+    Every path builds its result as a ball (``numerics.exp_ball`` and
+    libmp's interval functions) from derived bounds: the value is a point
+    of the ball and the estimate a radius about it that covers the ball, a
+    bound on the error for the scaled tail engine, plain and 0/1 products
+    and both oracles alike.
     """
 
     value: mpmath.mpf
@@ -263,10 +267,12 @@ def _tm_tail_table(n0: int, terms: int, bits: int, j_max: int) -> Tuple[int, ...
 
 
 def _tm_log_sum(r: FactoredRational, start: int, terms: int,
-                precision: int) -> Tuple[Fraction, mpmath.mpf, mpmath.mpf]:
-    """Split sum_{n=start}^{terms} (-1)^{t_n} log R(n) into head and tail.
+                precision: int) -> Tuple[Fraction, tuple, tuple]:
+    """Split sum_{n>=start} (-1)^{t_n} log R(n) into an exact head, a tail
+    summed to n = terms and a bound on the rest.
 
-    Returns (head, tail, |last summand|).  The head, n < n0, is the exact
+    Returns (head, tail, radius), the tail and radius as raw mpfs: the sum
+    lies within radius of log head + tail.  The head, n < n0, is the exact
     rational prod R(n)^{(-1)^{t_n}}, left for the caller to fold into its
     own exact factor so that one logarithm covers both.  The tail expands
     log R(n) = sum_j c_j n^-j, c_j = (-1)^{j+1} p_j / j, from exact power
@@ -277,42 +283,76 @@ def _tm_log_sum(r: FactoredRational, start: int, terms: int,
     with T_j from ``_tm_tail_table``, so a call costs j_max coefficient
     roundings and products.  B = bits + g guard bits; each T_j is off by
     less than j * terms units and |c_j| n0^-j j <= mass (max_abs/n0)^j, so
-    with the coefficient roundings the tail is off by at most
-    (mass + j_max) * terms * 2^-B <= 2^-bits.  The last summand comes from
-    one Horner pass at n = terms.
+    with the coefficient roundings and the final floor the tail is off by
+    less than (mass + j_max) * terms * 2^-B + 2^-B <= 2^(1-bits), and the
+    series past j_max by less than ``_series_tail`` over n >= n0.
+
+    The rest, n > terms, is bounded by Abel summation against the partial
+    sums S(n) = sum_{k<=n} (-1)^{t_k}, which lie in {-1, 0, 1} and vanish
+    at odd n: from x = max(terms + 1, n0) on it is at most
+    (|S(x-1)| + 1) F(x) (``_majorant``), and each n in (terms, n0) adds
+    |log R(n)| <= |R(n) - 1| / min(R(n), 1).
     """
     max_abs = float(r.max_abs_offset())
     n0 = max(8, int(math.ceil(2 * max_abs)) + 1, start + 1)
     bits = int(math.ceil((precision + 12) * math.log2(10)))
 
-    head = Fraction(1)
     exact_hi = min(n0, terms + 1)
-    for n, value in zip(range(start, exact_hi), r.values_at(range(start, exact_hi))):
-        head = head / value if (n.bit_count() & 1) else head * value
-
-    if terms < n0:
-        last = r.value_at(exact_hi - 1)  # |log q| = log max(q, 1/q), with the same bits
-        return head, mpmath.mpf(0), log_fraction(max(last, 1 / last), precision)
+    head = _head(r, start, exact_hi, [-1 if n.bit_count() & 1 else 1 for n in range(exact_hi)])
 
     mass = sum(abs(m) for _, m in r.numerators)
     # series term j at n >= n0 is bounded by mass*(max_abs/n0)^j / j
     ratio = max(max_abs, 1e-9) / n0
     j_max = int(math.ceil((bits + math.log2(mass + 1) + 4)
                           / -math.log2(ratio))) + 2
+    psums = r.power_sums(j_max)
+    x = max(n0, terms + 1)
+    radius = libmp.mpf_shift(_majorant(psums, mass, r.max_abs_offset(), x), x & 1)
+    for q in r.values_at(range(terms + 1, n0)):
+        p, d = q.numerator, q.denominator
+        radius = libmp.mpf_add(radius, upper(abs(p - d), min(p, d)), 53, libmp.round_ceiling)
+    if terms < n0:
+        return head, libmp.fzero, radius
+
     # guard bits in steps of 32, so that similar rationals share one table
     guard = -(-((mass + j_max) * terms).bit_length() // 32) * 32
     table_bits = bits + guard
     table = _tm_tail_table(n0, terms, table_bits, j_max)
-    psums = r.power_sums(j_max)
     acc = 0
-    h = 0
     for j in range(j_max, 0, -1):
         c = psums[j] if j % 2 == 1 else -psums[j]
         acc += round(c * (1 << table_bits) / (j * n0 ** j)) * table[j - 1]
-        h = (h + round(c * (1 << bits) / j)) // terms
-    with workdps(working_dps(precision)) as ctx:
-        return (head, export(ctx.mpf(acc >> table_bits) / (1 << table_bits)),
-                export(abs(ctx.mpf(h)) / (1 << bits)))
+    rounding = libmp.mpf_add(
+        libmp.from_man_exp(1, 1 - bits),
+        _series_tail(mass, r.max_abs_offset() / n0, j_max, 1 + Fraction(n0, j_max)),
+        53, libmp.round_ceiling)
+    return (head, libmp.from_man_exp(acc >> table_bits, -table_bits),
+            libmp.mpf_add(radius, rounding, 53, libmp.round_ceiling))
+
+
+def _series_tail(mass: int, rho: Fraction, j: int, span: Fraction = Fraction(1)) -> tuple:
+    """mass rho^(j+1) span / ((j+1)(1-rho)), rounded up, for rho =
+    max|a_i| / x < 1.  With |c_k| <= mass max|a_i|^k / k, span 1 bounds
+    sum_{k>j} |c_k| x^-k at one point and span 1 + x/j the same sum over
+    every n >= x, as sum_{n>=x} n^-(j+1) <= x^-(j+1) (1 + x/j)."""
+    p, q = rho.numerator, rho.denominator
+    return upper(mass * p ** (j + 1) * q * span.numerator,
+                 (j + 1) * (q - p) * q ** (j + 1) * span.denominator)
+
+
+def _majorant(psums: Sequence[Fraction], mass: int, max_abs: Fraction, x: int) -> tuple:
+    """F(x) = sum_{j>=1} |p_j| / (j x^j), rounded up, for x >= 2 max|a_i|,
+    from the power sums p_1..p_J and ``_series_tail`` past them.  F(x)
+    bounds |log R(n)| at every n >= x and its total variation over
+    [x, oo), sum_j j |c_j| int_x^oo t^-(j+1) dt, so Abel summation against
+    partial sums within S bounds sum_{n>=x} x_n log R(n) by
+    (|S(x-1)| + S) F(x)."""
+    total = _series_tail(mass, max_abs / x, len(psums) - 1)
+    for j in range(1, len(psums)):
+        p = psums[j]
+        total = libmp.mpf_add(total, upper(abs(p.numerator), p.denominator * j * x ** j),
+                              53, libmp.round_ceiling)
+    return total
 
 
 def eval_pm_thue(spec: ProductSpec, opts: EvalOptions = EvalOptions()) -> EvalResult:
@@ -320,7 +360,7 @@ def eval_pm_thue(spec: ProductSpec, opts: EvalOptions = EvalOptions()) -> EvalRe
 
     After the first level the split rational starts at 1.  The product of
     the L boundaries and the head of ``_tm_log_sum`` is one exact rational,
-    taken through one logarithm.
+    taken through one logarithm, and the tail's radius is ``_tm_log_sum``'s.
     """
     if spec.kind is not ExponentKind.PM_THUE:
         raise InputError(f"eval_pm_thue expects kind pm-t, got {spec.kind.value}")
@@ -330,19 +370,15 @@ def eval_pm_thue(spec: ProductSpec, opts: EvalOptions = EvalOptions()) -> EvalRe
     spec.validate()
     levels = DEFAULT_SPLIT_LEVELS if opts.split_levels is None else opts.split_levels
     precision = opts.precision
-    wp = working_dps(precision)
 
     r, start, boundary = spec.rational, spec.start, Fraction(1)
     for _ in range(levels):
         r, b = dyadic_split(r, start)
         start = 1
         boundary *= b
-    head, tail, last = _tm_log_sum(r, start, terms, precision)
-    with workdps(wp) as ctx:
-        value = ctx.exp(ctx.convert(tail) + log_fraction(boundary * head, precision))
-        floor = ctx.mpf(10) ** (5 - precision)
-        err_log = ctx.convert(last) * terms / max(levels, 1) + floor
-        return EvalResult(export(value), export(value * err_log + floor), terms, levels)
+    head, tail, radius = _tm_log_sum(r, start, terms, precision)
+    value, estimate = exp_ball(boundary * head, tail, radius, ball_prec(precision))
+    return EvalResult(value, estimate, terms, levels)
 
 
 # ---------------------------------------------------------------------------
@@ -448,7 +484,7 @@ THUE_MORSE = _Automaton("Thue-Morse", ((0, 0),), ((1, -1),), 3, 1 << 9)
 #   4096   59 ms (5.7 ms) / 0.82 s (8.1 ms)        43 / 42 ms
 #
 # The engine gives every digit; the oracle gives 5.7 correct digits at
-# any precision, under an estimate of about 5e-6.  The cap, M = 2048
+# any precision, under a derived bound of about 6.5e-6.  The cap, M = 2048
 # (offsets up to 512), is the last M at which the engine's cold cost at
 # 60 digits is below the oracle's; there its 500-digit table is the
 # dearer of the two caps' tables.
@@ -744,7 +780,7 @@ def _engine(spec: ProductSpec, precision: int, automaton: _Automaton) -> EvalRes
 
     * truncation: for n >= M the series of log R(n) past j = J is below
       mass (max|a_i|/n)^(J+1) / ((J+1)(1-rho)), and summing over n gives
-      mass rho^(J+1) (1 + M/J) / ((J+1)(1-rho));
+      mass rho^(J+1) (1 + M/J) / ((J+1)(1-rho)) (``_series_tail``);
     * table rounding: row j is off by at most U (``_table_unit``) units of
       2^(Kj-B), which covers the floor sums of f_j and the Horner
       floors of its solve (less than 2^-32 of a unit), and is weighted by
@@ -754,27 +790,21 @@ def _engine(spec: ProductSpec, precision: int, automaton: _Automaton) -> EvalRes
       (``power_sum_numerators``) and floors each term
       S_j table[j] / (j D^j M^j) once, J units of 2^-B; a floor by the
       shift and then by j D^j is one floor, as floor(floor(x) / n) =
-      floor(x / n) for an integer n > 0;
-    * the head logarithm, taken at enough extra digits that its error
-      2 (bits of H's numerator and denominator + 2) 2^-prec is about 2 ulps;
-    * 10 ulps of the working precision, relative to 1 + |log H| + |tail|,
-      for the final sum, exp and a few operations on the value downstream.
+      floor(x / n) for an integer n > 0.
 
-    The value's estimate is value * err (1 + err).
+    H_J < 1 + bit_length(J), so the tail is a ball of radius truncation
+    plus (U mass (bit_length(J) + 1) + J) 2^-B, and ``exp_ball`` takes H
+    and the tail through one logarithm and one exponential.
     """
     r = spec.rational
-    wp = working_dps(precision)
     if r.is_one:
         return EvalResult(mpmath.mpf(1), mpmath.mpf(0), 0, 0)
     fold = automaton.fold
     m = _tail_start(r, fold)
-    prec = mpmath.libmp.dps_to_prec(wp)
+    prec = ball_prec(precision)
     bits = prec + TABLE_GUARD
     table, unit, signs = _scaled_table(automaton, m, bits)
-
     head = _head(r, spec.start, m, signs)
-    size = head.numerator.bit_length() + head.denominator.bit_length() + 2
-    head_digits = precision + len(str(size))
 
     mass = sum(abs(mult) for _, mult in r.numerators)
     rho = r.max_abs_offset() / m
@@ -790,21 +820,11 @@ def _engine(spec: ProductSpec, precision: int, automaton: _Automaton) -> EvalRes
         d_j *= d
         term = (sums[j] * table[j] >> step * j) // (j * d_j)
         acc += term if j & 1 else -term
-
-    with workdps(wp) as ctx:
-        log_head = ctx.convert(log_fraction(head, head_digits))
-        tail = ctx.ldexp(ctx.mpf(acc), -bits)
-        value = ctx.exp(log_head + tail)
-        rho_mp = ctx.mpf(rho.numerator) / rho.denominator
-        truncation = (mass * rho_mp ** (j_max + 1) * (1 + ctx.mpf(m) / j_max)
-                      / ((j_max + 1) * (1 - rho_mp)))
-        harmonic = math.fsum(1 / j for j in range(1, j_max + 1))
-        rounding = ctx.ldexp(unit * mass * harmonic + j_max, -bits)
-        head_prec = mpmath.libmp.dps_to_prec(working_dps(head_digits))
-        head_error = ctx.ldexp(2 * size, -head_prec)
-        ulps = ctx.ldexp(10 * (1 + abs(log_head) + abs(tail)), 1 - prec)
-        err_log = truncation + rounding + head_error + ulps
-        return EvalResult(export(value), export(value * err_log * (1 + err_log)), m, 0)
+    rounding = libmp.from_man_exp(unit * mass * (j_max.bit_length() + 1) + j_max, -bits)
+    radius = libmp.mpf_add(_series_tail(mass, rho, j_max, 1 + Fraction(m, j_max)),
+                           rounding, 53, libmp.round_ceiling)
+    value, estimate = exp_ball(head, libmp.from_man_exp(acc, -bits), radius, prec)
+    return EvalResult(value, estimate, m, 0)
 
 
 def _engine_automaton(spec: ProductSpec, opts: EvalOptions) -> Optional[_Automaton]:
@@ -859,28 +879,24 @@ def eval_plain(spec: ProductSpec, opts: EvalOptions = EvalOptions()) -> EvalResu
     """prod_{n>=s} prod_i (n+a_i)^{m_i} = prod_i Gamma(a_i + s)^{-m_i}.
 
     Exact telescoping; the only error is Gamma's own, so no truncation
-    parameters apply.  The estimate is sum_i |m_i| times ``gamma_error``
-    of each Gamma value, plus two rounding units per power and product.
+    parameters apply.  Each Gamma value is a ball of relative radius
+    ``gamma_error``, and the powers and products compose the balls.
     """
     if spec.kind is not ExponentKind.PLAIN:
         raise InputError(f"eval_plain expects kind plain, got {spec.kind.value}")
     spec.validate()
-    r = spec.rational
     precision = opts.precision
-    wp = working_dps(precision)
-    with workdps(wp) as ctx:
-        value = ctx.mpf(1)
-        rel = ctx.mpf(0)
-        for f in r.factors:
-            arg = f.offset + spec.start
-            if arg <= 0:
-                raise InputError(
-                    f"Gamma telescoping needs offset + start > 0; "
-                    f"factor offset {f.offset} with start {spec.start}")
-            value *= ctx.convert(gamma(arg, precision)) ** (-f.multiplicity)
-            rel += abs(f.multiplicity) * ctx.convert(gamma_error(arg, precision))
-        rel += ctx.ldexp(2 * len(r.numerators) + 1, 1 - mpmath.libmp.dps_to_prec(wp))
-        return EvalResult(export(value), export(value * rel), 0, 0)
+    prec = ball_prec(precision)
+    value = (libmp.fone, libmp.fone)
+    for f in spec.rational.factors:
+        arg = f.offset + spec.start
+        if arg <= 0:
+            raise InputError(
+                f"Gamma telescoping needs offset + start > 0; "
+                f"factor offset {f.offset} with start {spec.start}")
+        power = libmp.mpi_pow_int(gamma_ball(arg, precision, prec), -f.multiplicity, prec)
+        value = libmp.mpi_mul(value, power, prec)
+    return EvalResult(*midpoint_radius(value, prec), 0, 0)
 
 
 def eval_zero_one_thue(spec: ProductSpec, opts: EvalOptions = EvalOptions()) -> EvalResult:
@@ -892,20 +908,20 @@ def eval_zero_one_thue(spec: ProductSpec, opts: EvalOptions = EvalOptions()) -> 
 
 def _zero_one(spec: ProductSpec, pm_kind: ExponentKind,
               opts: EvalOptions) -> EvalResult:
-    """sqrt(plain / pm) for the +-1 kind ``pm_kind``: half of each relative
-    estimate, plus 10 rounding units of the working precision for the
-    quotient and the root."""
+    """sqrt(plain / pm) for the +-1 kind ``pm_kind``, from the two balls."""
     spec.validate()
     # the +-1 product first: it rejects a terms count before any Gamma work
     pm = _plus_minus(ProductSpec(spec.rational, pm_kind, spec.start), opts)
     plain = eval_plain(ProductSpec(spec.rational, ExponentKind.PLAIN, spec.start), opts)
-    wp = working_dps(opts.precision)
-    with workdps(wp) as ctx:
-        value = ctx.sqrt(ctx.convert(plain.value) / pm.value)
-        rel = (ctx.convert(plain.error_estimate) / plain.value
-               + ctx.convert(pm.error_estimate) / pm.value) / 2
-        rel += ctx.ldexp(10, 1 - mpmath.libmp.dps_to_prec(wp))
-        return replace(pm, value=export(value), error_estimate=export(value * rel))
+    prec = ball_prec(opts.precision)
+    quotient = libmp.mpi_div(_ball(plain, prec), _ball(pm, prec), prec)
+    value, estimate = midpoint_radius(libmp.mpi_sqrt(quotient, prec), prec)
+    return replace(pm, value=value, error_estimate=estimate)
+
+
+def _ball(result: EvalResult, prec: int) -> Tuple[tuple, tuple]:
+    """The ball of ``result``: its value within its error estimate."""
+    return ball(result.value._mpf_, result.error_estimate._mpf_, prec)
 
 
 # ---------------------------------------------------------------------------
@@ -981,36 +997,61 @@ def _exact_sum(blocks: Iterable[np.ndarray]) -> float:
     return float(total << shift) if shift >= 0 else total / (1 << -shift)
 
 
-def _rs_level_log_terms(r: FactoredRational, points: List[int]) -> List[float]:
-    """[log R(n) for n in points] as floats via exactly rounded summation.
+def _rs_level_log_terms(r: FactoredRational, points: Iterable[int]
+                        ) -> Tuple[List[float], float]:
+    """([log R(n) for n in points] as floats, a bound on their rounding).
 
     Multiplicities after several rs splits are huge and cancel, so each
-    term list is fed to math.fsum; the remaining error is the per-term
-    rounding, bounded by eps * sum_i |m_i * log|1 + a_i/n||.  R(n) > 0 and
-    the net degree is 0, so log R(n) = sum_i m_i log|1 + a_i/n| also at a
-    point n where some n + a_i < 0; there each such factor takes the log of
+    term list is fed to math.fsum, which rounds once.  R(n) > 0 and the
+    net degree is 0, so log R(n) = sum_i m_i log|1 + a_i/n| also at a point
+    n where some n + a_i < 0; there each such factor takes the log of
     |n D + u_i| / (n D), and the others still log1p(a_i/n).
+
+    With u = 2^-53, and log1p and log taken to be within one ulp (2u of
+    the value, an assumption about the platform's libm): a_i = u_i / D and
+    a_i / n round once each, which moves log1p by at most
+    2.02u |u_i| / (n D + u_i), and |n D + u_i| / (n D) rounds once, which
+    moves log by at most 1.01u; the product by m_i rounds once.  So a
+    factor's term t is off by less than u (4|t| + 3|m_i u_i| / (nD + u_i))
+    or u (4|t| + 2|m_i|), and the fsum adds u |log R(n)|.
     """
     d = r.denominator
     # int / int is correctly rounded, like float(Fraction(u, D))
     offs = [(u, u / d, m) for u, m in r.numerators]
-    return [math.fsum(m * (math.log1p(a / n) if n * d + u > 0
-                           else math.log(-(n * d + u) / (n * d)))
-                      for u, a, m in offs)
-            for n in points]
+    logs: List[float] = []
+    bounds: List[float] = []
+    for n in points:
+        nd = n * d
+        terms = [m * (math.log1p(a / n) if nd + u > 0 else math.log(-(nd + u) / nd))
+                 for u, a, m in offs]
+        logs.append(math.fsum(terms))
+        bounds += [4 * abs(t) for t in terms] + [abs(logs[-1])]
+        bounds += [abs(m) * (3 * abs(u) / (nd + u) if nd + u > 0 else 2) for u, _, m in offs]
+    return logs, math.ldexp(math.fsum(bounds), -53)
 
 
 def eval_pm_rs(spec: ProductSpec, opts: EvalOptions = EvalOptions()) -> EvalResult:
     """Evaluate prod R(n)^{(-1)^{v_n}} by direct compensated summation,
     after optionally applying the exact Rudin-Shapiro split to damp the
-    slow O(1/n) log-term component."""
+    slow O(1/n) log-term component.
+
+    The estimate is derived.  Past the summed terms, from x = max(terms + 1,
+    n0) on, Abel summation against s(n) = sum_{k<=n} r_k, with
+    |s(n)| <= sqrt(6n) (Brillhart and Morton, 1978), bounds the rest by
+    sqrt(6(x-1)) F(x) + sqrt(6) sum_j j |c_j| int_x^oo t^(-j-1/2) dt
+    <= 3 sqrt(6x) F(x) (``_majorant``); a point in (terms, n0) adds its
+    |log R(n)|.  The float64 terms add their rounding: the log-terms'
+    (``_rs_level_log_terms``), the tail's Horner steps, each term off by
+    at most (3 j_max + 2) u sum_j |q_j| n^-j <= (3 j_max + 2) u
+    sum_j |q_j| n0^-j with u = 2^-53, the series past j_max (``_series_tail``), and one rounding
+    u |.| for the exact tail sum and for the sum of the pieces.  The
+    margins in these counts cover the rounding of the bound's own float
+    arithmetic.
+    """
     if spec.kind is not ExponentKind.PM_RS:
         raise InputError(f"eval_pm_rs expects kind pm-v, got {spec.kind.value}")
     terms = opts.rs_terms()
     spec.validate()
-    precision = opts.precision
-    wp = working_dps(precision)
-
     r = spec.rational
     levels = opts.rs_split_levels
     if levels is None:
@@ -1020,46 +1061,51 @@ def eval_pm_rs(spec: ProductSpec, opts: EvalOptions = EvalOptions()) -> EvalResu
         return EvalResult(mpmath.mpf(1), mpmath.mpf(0), 0, levels)
 
     pieces: List[float] = []
+    rounding: List[float] = []
     exact_boundary = r.value_at(0) if spec.start == 0 else Fraction(1)
 
     for _ in range(levels):
-        pieces.extend(_rs_level_log_terms(r, [1]))
+        logs, bound = _rs_level_log_terms(r, [1])
+        pieces += logs
+        rounding.append(bound)
         r = rs_split_rational(r)
 
-    max_abs = float(r.max_abs_offset())
-    n0 = max(8, int(math.ceil(2 * max_abs)) + 1)
+    max_abs = r.max_abs_offset()
+    n0 = max(8, int(math.ceil(2 * float(max_abs))) + 1)
 
     small_lo = 1 if levels > 0 else max(spec.start, 1)
     small_hi = min(n0, terms + 1)
-    small_terms = _rs_level_log_terms(r, list(range(small_lo, small_hi)))
+    small_terms, bound = _rs_level_log_terms(r, range(small_lo, small_hi))
+    rounding.append(bound)
     pieces.extend(int(e) * t
                   for e, t in zip(_eps_v_array(small_lo, small_hi), small_terms))
 
+    mass = sum(abs(m) for _, m in r.numerators)
+    ratio = max(float(max_abs), 1e-9) / n0
+    j_max = max(4, int(math.ceil((46 + math.log2(mass + 1))
+                                 / -math.log2(ratio))) + 2)
+    psums = rs_split_power_sums(spec.rational, levels, j_max)
+    radius = libmp.fzero
     if terms >= n0:
-        mass = sum(abs(m) for _, m in r.numerators)
-        ratio = max(max_abs, 1e-9) / n0
-        j_max = max(4, int(math.ceil((46 + math.log2(mass + 1))
-                                     / -math.log2(ratio))) + 2)
-        psums = rs_split_power_sums(spec.rational, levels, j_max)
         q = [0.0] * (j_max + 1)
         for j in range(1, j_max + 1):
             q[j] = float(psums[j] / j) * (1 if j % 2 == 1 else -1)
         pieces.append(_exact_sum(_rs_tail_blocks(q, n0, terms)))
-    else:
-        psums = rs_split_power_sums(spec.rational, levels, 3)
-
+        horner = (3 * j_max + 2) * (terms - n0 + 1) * math.fsum(
+            abs(qj) / n0 ** j for j, qj in enumerate(q))
+        rounding.append(math.ldexp(abs(pieces[-1]) + horner, -53))
+        radius = _series_tail(mass, max_abs / n0, j_max, 1 + Fraction(n0, j_max))
+    gap, bound = _rs_level_log_terms(r, range(terms + 1, n0))
     log_sum = math.fsum(pieces)
-    p1, p2, p3 = (abs(float(p)) for p in psums[1:4])
-    sqrt_n = math.sqrt(terms)
-    local_var = p1 / terms ** 2 + 2 * (p2 + p3) / terms ** 3
-    abel_tail = 3 * (2 * p1 / sqrt_n + (p2 + p3) * terms ** -1.5)
-    err_log = 3 * sqrt_n * local_var + abel_tail + 1e-12 * (1 + abs(log_sum))
-
-    with workdps(wp) as ctx:
-        # log_fraction(1) is exactly 0
-        value = ctx.exp(ctx.mpf(log_sum) + log_fraction(exact_boundary, precision))
-        return EvalResult(export(value), export(value * ctx.mpf(err_log)
-                          + ctx.mpf(10) ** (5 - precision)), terms, levels)
+    rounding += [math.ldexp(abs(log_sum), -53), bound] + [abs(t) for t in gap]
+    x = max(terms + 1, n0)
+    abel = libmp.mpf_mul(libmp.mpf_sqrt(libmp.from_int(54 * x), 53, libmp.round_ceiling),
+                         _majorant(psums, mass, max_abs, x), 53, libmp.round_ceiling)
+    for part in (abel, libmp.from_float(math.fsum(rounding))):
+        radius = libmp.mpf_add(radius, part, 53, libmp.round_ceiling)
+    value, estimate = exp_ball(exact_boundary, libmp.from_float(log_sum), radius,
+                               ball_prec(opts.precision))
+    return EvalResult(value, estimate, terms, levels)
 
 
 def eval_zero_one_rs(spec: ProductSpec, opts: EvalOptions = EvalOptions()) -> EvalResult:
@@ -1114,10 +1160,10 @@ def g_value(x: Fraction, opts: EvalOptions = EvalOptions()) -> EvalResult:
     if x < 0:
         raise InputError(f"g is evaluated on x >= 0 (real-log domain), got {x}")
     f = f_value(x / 2, (x + 1) / 2, opts)
-    with workdps(working_dps(opts.precision)) as ctx:
-        denom = mpf_from_fraction(x + 1, opts.precision)
-        return replace(f, value=export(ctx.convert(f.value) / denom),
-                       error_estimate=export(ctx.convert(f.error_estimate) / denom))
+    prec = ball_prec(opts.precision)
+    g = libmp.mpi_div(_ball(f, prec), rational_ball(x + 1, prec), prec)
+    value, estimate = midpoint_radius(g, prec)
+    return replace(f, value=value, error_estimate=estimate)
 
 
 # ---------------------------------------------------------------------------
@@ -1131,6 +1177,7 @@ class FlajoletMartin:
     phi: mpmath.mpf              # 2^{-1/2} e^gamma (2/3) R
     phi_via_g0: mpmath.mpf       # 2^{-1/2} e^gamma / g(0)
     cross_check_error: mpmath.mpf  # |R g(0) - 3/2|
+    phi_error: mpmath.mpf        # the radius of phi's ball
 
 
 FM_RATIO_RATIONAL = FactoredRational.from_raw_factors(
@@ -1140,27 +1187,39 @@ FM_RATIO_RATIONAL = FactoredRational.from_raw_factors(
 def flajolet_martin(opts: EvalOptions = EvalOptions()) -> FlajoletMartin:
     """g(0), the product R, and the probabilistic-counting constant phi.
 
-    Raises ``ConsistencyError`` when |R g(0) - 3/2| exceeds
-    10 (e_R g(0) + e_g0 R), ten times the product's first-order error from
-    the two error estimates e_R and e_g0.  Reports phi both as
-    2^{-1/2} e^gamma (2/3) R and as 2^{-1/2} e^gamma / g(0).
+    Raises ``ConsistencyError`` unless 3/2 lies in the ball of R g(0), the
+    product of the two results' balls.  Reports phi both as
+    2^{-1/2} e^gamma (2/3) R, a ball whose radius is ``phi_error``, and as
+    2^{-1/2} e^gamma / g(0).  Both are composed ``FM_GUARD_BITS`` past the
+    working precision, so that each carries the relative error of R or
+    g(0) and, to within 2^-64 of it, nothing more.
     """
     precision = opts.precision
     g0 = g_value(Fraction(0), opts)
     ratio = _plus_minus(ProductSpec(FM_RATIO_RATIONAL, ExponentKind.PM_THUE, 1), opts)
+    prec = ball_prec(precision)
+    lo, hi = libmp.mpi_mul(_ball(ratio, prec), _ball(g0, prec), prec)
     with workdps(working_dps(precision)) as ctx:
-        e_gamma = ctx.exp(constant("euler_gamma", precision))
-        inv_sqrt2 = 1 / ctx.sqrt(ctx.mpf(2))
-        phi = inv_sqrt2 * e_gamma * ctx.mpf(2) / 3 * ratio.value
-        phi_alt = inv_sqrt2 * e_gamma / g0.value
-        check = ctx.convert(ratio.value) * g0.value
-        cross = abs(check - ctx.mpf(3) / 2)
-        combined = (ctx.convert(ratio.error_estimate) * g0.value
-                    + ctx.convert(g0.error_estimate) * ratio.value)
-        if cross > 10 * combined:
-            raise ConsistencyError(f"R*g(0) = {ctx.nstr(check, 25)} "
+        product = ctx.convert(ratio.value) * g0.value
+        cross = abs(product - ctx.mpf(3) / 2)
+        if not ctx.make_mpf(lo) <= 1.5 <= ctx.make_mpf(hi):
+            raise ConsistencyError(f"R*g(0) = {ctx.nstr(product, 25)} "
                                    f"deviates from 3/2 by {ctx.nstr(cross, 5)}")
-        return FlajoletMartin(g0, ratio, export(phi), export(phi_alt), export(cross))
+    fine = prec + FM_GUARD_BITS
+    euler = libmp.mpf_euler(fine, libmp.round_floor), libmp.mpf_euler(fine, libmp.round_ceiling)
+    two = libmp.from_int(2)
+    # e^gamma / sqrt(2)
+    c = libmp.mpi_div(libmp.mpi_exp(euler, fine), libmp.mpi_sqrt((two, two), fine), fine)
+    phi = libmp.mpi_mul(libmp.mpi_mul(c, rational_ball(Fraction(2, 3), fine), fine),
+                        _ball(ratio, fine), fine)
+    phi, phi_error = midpoint_radius(phi, fine)
+    phi_alt = midpoint_radius(libmp.mpi_div(c, _ball(g0, fine), fine), fine)[0]
+    return FlajoletMartin(g0, ratio, phi, phi_alt, export(cross), phi_error)
+
+
+# phi's guard bits: perfbench, and any reader of phi, takes phi's relative
+# error to be R's (|phi| est(R) / |R|)
+FM_GUARD_BITS = 64
 
 
 # ---------------------------------------------------------------------------

@@ -256,7 +256,8 @@ class _Parser:
     """
 
     def __init__(self, text: str):
-        text = text.replace("−", "-")
+        # whitespace may come before any token and after the last one
+        text = text.replace("−", "-").rstrip()
         self.tokens = []
         pos = 0
         while pos < len(text):
@@ -347,7 +348,8 @@ class _Parser:
                 # a zero base stays 0 for _parse to refuse: 0^-1 has no value
                 return c, d ** mult if d else d, 1
             return c, d, mult
-        raise ParseError(f"expected term, found {tok!r}", at)
+        raise ParseError(f"expected term, found {tok!r}" if tok is not None
+                         else "unexpected end of expression", at)
 
     def parse_term_sequence(self):
         terms = [self.parse_term()]
@@ -451,18 +453,24 @@ def pole_check(r: FactoredRational, start: int) -> Optional[int]:
 
 
 def positivity_check(r: FactoredRational, start: int) -> None:
-    """Raise EvaluationError unless R(n) > 0 for every integer n >= start.
-
-    With no factor vanishing at an integer n >= start, R keeps its sign
-    between consecutive roots -a_i, so the integers n >= start fall into
-    runs of one sign, each starting at ``start`` or at the first integer
-    past a root.  Checking those starts, at most one more than the number
-    of factors, finds the first n with R(n) <= 0, as a walk over every n
-    up to max(-a_i) would.
-    """
+    """Raise EvaluationError unless R(n) > 0 for every integer n >= start:
+    ``pole_check``, then ``sign_check``."""
     pole = pole_check(r, start)
     if pole is not None:
         raise EvaluationError(f"factor vanishes at n = {pole} (n >= {start})")
+    sign_check(r, start)
+
+
+def sign_check(r: FactoredRational, start: int) -> None:
+    """Raise EvaluationError if R(n) <= 0 at some integer n >= start, for
+    an R with no factor vanishing at an integer n >= start.
+
+    Such an R keeps its sign between consecutive roots -a_i, so the
+    integers n >= start fall into runs of one sign, each starting at
+    ``start`` or at the first integer past a root.  Checking those starts,
+    at most one more than the number of factors, finds the first n with
+    R(n) <= 0, as a walk over every n up to max(-a_i) would.
+    """
     d = r.denominator
     past_roots = {-u // d + 1 for u, _ in r.numerators}  # first integer past -u/d
     points = sorted({start} | {n for n in past_roots if n > start})

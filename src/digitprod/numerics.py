@@ -31,6 +31,7 @@ from functools import lru_cache
 from typing import Dict, Iterator, Optional, Tuple, Union
 
 import mpmath
+from mpmath import libmp
 
 from .errors import EvaluationError, InputError
 
@@ -82,7 +83,9 @@ def working_dps(precision: int) -> int:
 
 
 def mpf_from_fraction(q: Union[Fraction, int], precision: int) -> mpmath.mpf:
-    return Rat(Fraction(q)).eval(precision)
+    q = Fraction(q)
+    with workdps(working_dps(precision)) as ctx:
+        return export(ctx.mpf(q.numerator) / ctx.mpf(q.denominator))
 
 
 def log_fraction(q: Union[Fraction, int], precision: int) -> mpmath.mpf:
@@ -92,6 +95,75 @@ def log_fraction(q: Union[Fraction, int], precision: int) -> mpmath.mpf:
         raise EvaluationError(f"log of nonpositive rational {q}")
     with workdps(working_dps(precision)) as ctx:
         return export(ctx.log(ctx.mpf(q.numerator)) - ctx.log(ctx.mpf(q.denominator)))
+
+
+# ---------------------------------------------------------------------------
+# Balls: a value and its error bound, composed by libmp's interval functions
+# ---------------------------------------------------------------------------
+#
+# A ball is a libmp interval (lo, hi) of raw mpfs that holds the exact
+# value.  Paths compose balls with libmp's mpi_* functions, which take the
+# precision as an argument and read no context, and report the midpoint
+# and radius: midpoint-radius arithmetic as in Arb (F. Johansson, "Arb:
+# efficient arbitrary-precision midpoint-radius interval arithmetic", IEEE
+# Trans. Computers 66 (2017)).  Each end is rounded outward.  That libmp
+# rounds exp, log, sqrt and integer powers in the direction asked is
+# assumed, not proved, as the Gamma bounds assume their own roundings.
+
+def ball_prec(precision: int) -> int:
+    """The bits of ``precision``'s working digits, at which balls are composed."""
+    return mpmath.libmp.dps_to_prec(working_dps(precision))
+
+
+def ball(mid: tuple, radius: tuple, prec: int) -> Tuple[tuple, tuple]:
+    """[mid - radius, mid + radius] for raw mpfs, rounded outward to ``prec`` bits."""
+    return (libmp.mpf_sub(mid, radius, prec, libmp.round_floor),
+            libmp.mpf_add(mid, radius, prec, libmp.round_ceiling))
+
+
+def rational_ball(q: Fraction, prec: int) -> Tuple[tuple, tuple]:
+    """The exact rational q between its roundings down and up to ``prec`` bits."""
+    p, d = q.numerator, q.denominator
+    return (libmp.from_rational(p, d, prec, libmp.round_floor),
+            libmp.from_rational(p, d, prec, libmp.round_ceiling))
+
+
+def upper(p: int, q: int) -> tuple:
+    """p/q rounded up to 53 bits: a radius from an exact rational bound."""
+    return libmp.from_rational(p, q, 53, libmp.round_ceiling)
+
+
+def gamma_ball(x: Fraction, precision: int, prec: int) -> Tuple[tuple, tuple]:
+    """Gamma(x) within ``gamma_error`` of ``gamma(x, precision)``."""
+    value = gamma(x, precision)._mpf_
+    radius = libmp.mpf_mul(value, gamma_error(x, precision)._mpf_, prec, libmp.round_ceiling)
+    return ball(value, radius, prec)
+
+
+def midpoint_radius(interval: Tuple[tuple, tuple], prec: int,
+                    mid: Optional[tuple] = None) -> Tuple[mpmath.mpf, mpmath.mpf]:
+    """(m, r) as plain mpfs with the interval inside [m - r, m + r]: m is
+    ``mid``, by default the interval's midpoint rounded to ``prec`` bits,
+    and r is rounded up."""
+    lo, hi = interval
+    if mid is None:
+        mid = libmp.mpf_shift(libmp.mpf_add(lo, hi, prec, libmp.round_nearest), -1)
+    below = libmp.mpf_abs(libmp.mpf_sub(mid, lo, prec, libmp.round_ceiling))
+    above = libmp.mpf_abs(libmp.mpf_sub(hi, mid, prec, libmp.round_ceiling))
+    radius = above if libmp.mpf_cmp(above, below) >= 0 else below
+    return mpmath.mp.make_mpf(mid), mpmath.mp.make_mpf(radius)
+
+
+def exp_ball(q: Fraction, log_mid: tuple, log_radius: tuple, prec: int
+             ) -> Tuple[mpmath.mpf, mpmath.mpf]:
+    """(value, radius) of q exp(y) for a positive exact rational q and y
+    within ``log_radius`` of ``log_mid``: one ball through log and exp.
+    The value is the geometric midpoint of the ball's ends, q exp(log_mid)
+    to within rounding, so that a wide ball keeps its point value."""
+    y = libmp.mpi_add(libmp.mpi_log(rational_ball(q, prec), prec),
+                      ball(log_mid, log_radius, prec), prec)
+    lo, hi = libmp.mpi_exp(y, prec)
+    return midpoint_radius((lo, hi), prec, libmp.mpf_sqrt(libmp.mpf_mul(lo, hi), prec))
 
 
 # ---------------------------------------------------------------------------
@@ -287,10 +359,15 @@ class ClosedForm:
     """Expression tree over rationals, pi and Gamma(1/4)."""
 
     def eval(self, precision: int = DEFAULT_PRECISION) -> mpmath.mpf:
-        with workdps(working_dps(precision)) as ctx:
-            return export(self._eval(ctx, precision))
+        """The midpoint of ``ball``."""
+        prec = ball_prec(precision)
+        return midpoint_radius(self.ball(precision), prec)[0]
 
-    def _eval(self, ctx: mpmath.MPContext, precision: int) -> mpmath.mpf:
+    def ball(self, precision: int = DEFAULT_PRECISION) -> Tuple[tuple, tuple]:
+        """A ball that holds the value, composed at ``ball_prec(precision)``."""
+        return self._ball(precision, ball_prec(precision))
+
+    def _ball(self, precision: int, prec: int) -> Tuple[tuple, tuple]:
         raise NotImplementedError
 
     def render(self) -> str:
@@ -304,8 +381,8 @@ class ClosedForm:
 class Rat(ClosedForm):
     value: Fraction
 
-    def _eval(self, ctx, precision):
-        return ctx.mpf(self.value.numerator) / ctx.mpf(self.value.denominator)
+    def _ball(self, precision, prec):
+        return rational_ball(self.value, prec)
 
     def render(self):
         return str(self.value)
@@ -318,8 +395,11 @@ class Rat(ClosedForm):
 class Const(ClosedForm):
     name: str  # pi | gamma_quarter; any name ``constant`` knows
 
-    def _eval(self, ctx, precision):
-        return ctx.convert(constant(self.name, precision))
+    def _ball(self, precision, prec):
+        if self.name == "gamma_quarter":
+            return gamma_ball(Fraction(1, 4), precision, prec)
+        value = {"pi": libmp.mpf_pi, "euler_gamma": libmp.mpf_euler}[self.name]
+        return value(prec, libmp.round_floor), value(prec, libmp.round_ceiling)
 
     def render(self):
         return self.name
@@ -333,14 +413,16 @@ class Pow(ClosedForm):
     base: ClosedForm
     exponent: Fraction
 
-    def _eval(self, ctx, precision):
-        b = self.base._eval(ctx, precision)
+    def _ball(self, precision, prec):
+        b = self.base._ball(precision, prec)
         e = self.exponent
         if e.denominator == 1:
-            return b ** int(e)
-        if b <= 0:
-            raise EvaluationError(f"fractional power of nonpositive base {ctx.nstr(b, 8)}")
-        return ctx.exp(ctx.log(b) * ctx.mpf(e.numerator) / e.denominator)
+            return libmp.mpi_pow_int(b, int(e), prec)
+        if libmp.mpf_sign(b[0]) <= 0:
+            raise EvaluationError(
+                f"fractional power of nonpositive base {libmp.to_str(b[0], 8)}")
+        log = libmp.mpi_log(b, prec)
+        return libmp.mpi_exp(libmp.mpi_mul(log, rational_ball(e, prec), prec), prec)
 
     def render(self):
         e = self.exponent
@@ -355,10 +437,10 @@ class Pow(ClosedForm):
 class Mul(ClosedForm):
     factors: Tuple[ClosedForm, ...]
 
-    def _eval(self, ctx, precision):
-        out = ctx.mpf(1)
+    def _ball(self, precision, prec):
+        out = (libmp.fone, libmp.fone)
         for f in self.factors:
-            out *= f._eval(ctx, precision)
+            out = libmp.mpi_mul(out, f._ball(precision, prec), prec)
         return out
 
     def render(self):
@@ -373,8 +455,9 @@ class Sub(ClosedForm):
     left: ClosedForm
     right: ClosedForm
 
-    def _eval(self, ctx, precision):
-        return self.left._eval(ctx, precision) - self.right._eval(ctx, precision)
+    def _ball(self, precision, prec):
+        return libmp.mpi_sub(self.left._ball(precision, prec),
+                             self.right._ball(precision, prec), prec)
 
     def render(self):
         return f"{_wrap(self.left)}-{_wrap(self.right)}"

@@ -33,9 +33,9 @@ from .errors import CapabilityError, ConsistencyError, InputError
 from .evaluator import EvalOptions, ProductSpec, eval_product
 from .factored_rational import FactoredRational
 from .numerics import (ClosedForm, Rat, Sub, cf_mul, cf_pow, cf_rat,
-                       CF_PI, CF_GAMMA_QUARTER, eval_closed_form,
-                       export, power_product_exponents, power_product_form,
-                       workdps, working_dps)
+                       CF_PI, CF_GAMMA_QUARTER, ball_prec, export,
+                       midpoint_radius, power_product_exponents,
+                       power_product_form, workdps, working_dps)
 from .sequences import ExponentKind
 
 DEFAULT_REDUCE_DEPTH = 6
@@ -442,20 +442,29 @@ def verify(identity: Identity, opts: EvalOptions = EvalOptions(),
            tolerance: Optional[float] = None) -> VerifyReport:
     """Numerically verify one identity, and symbolically when possible.
 
-    Pass criterion: |computed - expected| <= max(tolerance, combined
-    error estimates), with the tolerance defaulting to ten times the
-    combined estimate.  For +-1 Thue-Morse entries whose constant is a
-    rational power product, the reduction engine must also recover the
-    constant exactly.
+    Pass criterion: |computed - expected| is at most the computed value's
+    error estimate plus the expected value's own rounding bound (the
+    radius of the closed form's ball), and the estimate is at most
+    |expected| 10^-digits, so every digit asked for is verified.  A
+    tolerance, when given, replaces both: |computed - expected| <=
+    tolerance.  For +-1 Thue-Morse entries whose constant is a rational
+    power product, the reduction engine must also recover the constant
+    exactly.
     """
     result = eval_product(identity.spec, opts)
-    expected = eval_closed_form(identity.closed_form, opts.precision)
-    with workdps(working_dps(opts.precision)) as ctx:
-        abs_error = abs(ctx.convert(result.value) - expected)
-        combined = (ctx.convert(result.error_estimate) + abs(ctx.convert(expected))
-                    * ctx.mpf(10) ** (-opts.precision + 2))
-        tol = ctx.mpf(tolerance) if tolerance is not None else 10 * combined
-        passed = bool(abs_error <= max(tol, combined))
+    precision = opts.precision
+    expected, rounding = midpoint_radius(identity.closed_form.ball(precision),
+                                         ball_prec(precision))
+    with workdps(working_dps(precision)) as ctx:
+        # exact difference and sum: the comparison rounds nothing
+        abs_error = abs(ctx.fsub(result.value, expected, exact=True))
+        if tolerance is None:
+            tol = ctx.fadd(result.error_estimate, rounding, exact=True)
+            passed = bool(abs_error <= tol and result.error_estimate
+                          <= abs(expected) * ctx.mpf(10) ** -precision)
+        else:
+            tol = ctx.mpf(tolerance)
+            passed = bool(abs_error <= tol)
 
     symbolic_match: Optional[bool] = None
     if identity.spec.kind is ExponentKind.PM_THUE:

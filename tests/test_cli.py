@@ -13,7 +13,7 @@ import pytest
 from conftest import fm_phi_reference, forbid_engine_and_oracles, record_oracle_calls
 
 import digitprod
-from digitprod import cli, evaluator, symbolic
+from digitprod import CapabilityError, cli, evaluator, symbolic
 from digitprod.cli import _printed, build_parser, main
 from digitprod.evaluator import MAX_RS_TERMS, MAX_TM_TERMS
 from digitprod.symbolic import MAX_REDUCE_DEPTH
@@ -225,13 +225,23 @@ def test_no_input_ends_in_a_traceback(capsys, argv):
     ("0.5", "1e-70"), ("0.5", "0"), ("0.7071", "5.2449e-5"),
     ("1.25", "1.7851"), ("3.0", "9.996e-5"), ("0.5", "0.3525")])
 def test_printed_estimate_covers_the_printed_value(value, estimate):
-    # estimate + half a unit in the last printed digit, rounded up to three
-    # digits: at least the bound and less than one third-digit unit above it
-    digits = 20
-    text, shown = _printed(mpmath.mpf(value), mpmath.mpf(estimate), digits)
-    half = Fraction(10) ** (Decimal(text).adjusted() - digits + 1) / 2
+    # the value to the most digits, at most 20, whose last one the estimate
+    # supports: the estimate is at most half a unit in it, and one more
+    # digit would not be supported; the printed estimate, estimate + half a
+    # unit in the last printed digit rounded up to three digits, is at
+    # least the bound and less than one third-digit unit above it; with no
+    # digit supported, CapabilityError (exit 3)
     man, exp = mpmath.mpf(estimate).man_exp
-    bound = man * Fraction(2) ** exp + half
+    error = man * Fraction(2) ** exp
+    if error > Fraction(10) ** Decimal(value).adjusted() / 2:
+        with pytest.raises(CapabilityError, match="supports no digit"):
+            _printed(mpmath.mpf(value), mpmath.mpf(estimate), 20)
+        return
+    text, shown = _printed(mpmath.mpf(value), mpmath.mpf(estimate), 20)
+    digits = len(Decimal(text).as_tuple().digits)
+    half = Fraction(10) ** (Decimal(text).adjusted() - digits + 1) / 2
+    assert error <= half and (digits == 20 or error > half / 10)
+    bound = error + half
     printed = Fraction(Decimal(shown))
     assert bound <= printed
     assert printed - bound < Fraction(10) ** (Decimal(shown).adjusted() - 2)
@@ -250,10 +260,14 @@ def test_eval_deterministic_output(capsys):
 # ---------------------------------------------------------------------------
 
 def test_verify_single_entry(capsys):
-    code, out, _ = run(capsys, "verify", "WR", "--digits", "30",
-                       "--split-levels", "6", "--terms", "1024")
+    # 6 levels and 1024 terms leave a tail of about 3e-27, under a bound of
+    # 4.5e-27: 25 digits verify and 30 cannot
+    argv = ("verify", "WR", "--split-levels", "6", "--terms", "1024")
+    code, out, _ = run(capsys, *argv, "--digits", "25")
     assert code == 0
     assert "WR" in out and "PASS" in out
+    code, out, _ = run(capsys, *argv, "--digits", "30")
+    assert code == 3 and "FAIL" in out
 
 
 def test_verify_t5a_expected_constant(capsys):

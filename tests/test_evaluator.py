@@ -227,16 +227,17 @@ def test_public_results_are_plain_mpf():
 
 
 def test_pm_thue_takes_one_exact_log(monkeypatch):
-    # the exact head terms fold into the split boundary: one log in all
+    # the exact head terms fold into the split boundary: one log in all,
+    # taken by the one ball through log and exp
     from digitprod import evaluator
     logged = []
-    original = evaluator.log_fraction
+    original = evaluator.exp_ball
 
-    def counting(q, precision):
+    def counting(q, *args):
         logged.append(q)
-        return original(q, precision)
+        return original(q, *args)
 
-    monkeypatch.setattr(evaluator, "log_fraction", counting)
+    monkeypatch.setattr(evaluator, "exp_ball", counting)
     eval_pm_thue(WR_SPEC, LIGHT)
     assert len(logged) == 1
 
@@ -253,7 +254,8 @@ def tail_parameters(r, start, precision):
 
 
 def horner_log_sum(r, start, terms, precision):
-    """Reference for ``_tm_log_sum``: one fixed-point Horner pass per n."""
+    """Reference for ``_tm_log_sum``'s head and tail: one fixed-point
+    Horner pass per n."""
     n0, bits, j_max = tail_parameters(r, start, precision)
     head = F(1)
     exact_hi = min(n0, terms + 1)
@@ -261,8 +263,7 @@ def horner_log_sum(r, start, terms, precision):
         value = r.value_at(n)
         head = head / value if (n.bit_count() & 1) else head * value
     if terms < n0:
-        with mpmath.workdps(working_dps(precision)):
-            return head, mpmath.mpf(0), abs(log_term(r, exact_hi - 1, precision))
+        return head, mpmath.mpf(0)
     psums = r.power_sums(j_max)
     scale = 1 << bits
     q = [0] * (j_max + 1)
@@ -275,7 +276,7 @@ def horner_log_sum(r, start, terms, precision):
             h = (h + q[j]) // n
         acc += -h if (n.bit_count() & 1) else h
     with mpmath.workdps(working_dps(precision)):
-        return head, mpmath.mpf(acc) / scale, abs(mpmath.mpf(h)) / scale
+        return head, mpmath.mpf(acc) / scale
 
 
 def series_tail(r, n0, terms, j_max, dps):
@@ -306,9 +307,10 @@ def test_tm_log_sum_matches_horner_reference(seed, start, levels, past_n0,
                    for i in range(1 << levels)])
     n0, bits, j_max = tail_parameters(r, start, precision)
     terms = n0 + past_n0
-    head, tail, last = _tm_log_sum(r, start, terms, precision)
-    ref_head, ref_tail, ref_last = horner_log_sum(r, start, terms, precision)
-    assert head == ref_head and last == ref_last
+    head, tail, _ = _tm_log_sum(r, start, terms, precision)
+    tail = mpmath.mp.make_mpf(tail)
+    ref_head, ref_tail = horner_log_sum(r, start, terms, precision)
+    assert head == ref_head
     with mpmath.workdps(working_dps(precision)):
         rounding = mpmath.eps * (abs(tail) + abs(ref_tail))
     exact = series_tail(r, n0, terms, j_max, precision + 40)
@@ -388,12 +390,12 @@ def test_split_oracle_applies_dyadic_split_once_per_level(monkeypatch, start, le
     # prod_{1<=i<2^L} R(i)^{(-1)^{t_i}} is an exact head
     maps = [(1 << levels, i, -1 if i.bit_count() & 1 else 1)
             for i in range(1 << levels)]
-    head, tail, _ = _tm_log_sum(spec.rational.regroup(maps), start, 1024, 40)
+    head, tail, radius = _tm_log_sum(spec.rational.regroup(maps), start, 1024, 40)
     if start == 1:
         head *= evaluator._head(spec.rational, 1, 1 << levels,
                                 [w for _, _, w in maps])
-    with mpmath.workdps(working_dps(40)):
-        assert result.value == mpmath.exp(tail + log_fraction(head, 40))
+    assert ((result.value, result.error_estimate)
+            == numerics.exp_ball(head, tail, radius, numerics.ball_prec(40)))
 
 
 def test_pm_thue_rejects_divergent():
@@ -767,21 +769,28 @@ def test_flajolet_martin_record():
 
 
 @pytest.mark.parametrize("digits", [40, 60, 100])
-def test_flajolet_martin_cross_check_within_ten_combined_bounds(digits):
+def test_flajolet_martin_cross_check_within_the_product_ball(digits):
+    # 3/2 lies in the ball of R g(0): |R g(0) - 3/2| is at most
+    # e_R g(0) + e_g0 R + e_R e_g0, with no factor and no floor; phi's own
+    # ball holds the reference phi
     fm = flajolet_martin(EvalOptions(precision=digits))
-    with mp(digits + 20):
-        combined = (fm.ratio.error_estimate * fm.g0.value
-                    + fm.g0.error_estimate * fm.ratio.value)
-        assert fm.cross_check_error <= 10 * combined
+    with mp(digits + 40):
+        radius = (fm.ratio.error_estimate * fm.g0.value
+                  + fm.g0.error_estimate * fm.ratio.value
+                  + fm.ratio.error_estimate * fm.g0.error_estimate)
+        assert abs(fm.ratio.value * fm.g0.value - mpmath.mpf(3) / 2) <= radius
+        assert abs(fm.phi - fm_phi_reference()) <= fm.phi_error
+        assert fm.phi_error < fm.phi * mpmath.mpf(10) ** -digits
 
 
-def test_flajolet_martin_rejects_a_ratio_off_by_100_bounds(monkeypatch):
-    # the tolerance is 10 combined bounds, with no floor of its own
+def test_flajolet_martin_rejects_a_ratio_just_outside_the_product_ball(monkeypatch):
+    # R moved by twice the product ball's radius, over g(0): the ball of
+    # R g(0) no longer holds 3/2
     opts = EvalOptions(precision=60)
     fm = flajolet_martin(opts)
     with mp(90):
-        shift = 100 * (fm.ratio.error_estimate
-                       + fm.g0.error_estimate * fm.ratio.value / fm.g0.value)
+        shift = 2 * (fm.ratio.error_estimate
+                     + fm.g0.error_estimate * fm.ratio.value / fm.g0.value)
     engine = evaluator._plus_minus
 
     def perturbed(spec, options):

@@ -552,7 +552,11 @@ def test_verify_woods_robbins():
 
 
 def test_verify_c3f_close_to_one():
-    report = verify(catalog_entry("C3f"), LIGHT)
+    # LIGHT's 6 levels and 1024 terms leave a tail of some 1e-27: verified
+    # to 25 digits, not to LIGHT's 30
+    assert not verify(catalog_entry("C3f"), LIGHT).passed
+    report = verify(catalog_entry("C3f"), EvalOptions(precision=25, split_levels=6,
+                                                      terms=1024))
     assert report.passed
     with mpmath.workdps(40):
         assert abs(report.computed - 1) < mpmath.mpf("1e-20")
@@ -573,10 +577,10 @@ def test_verify_detects_wrong_constant():
 
 
 def test_verify_all_passes():
-    reports = verify_all(LIGHT)
+    # on the engine at 30 digits; an oracle's bound supports fewer (LIGHT's
+    # Rudin-Shapiro sums of 1024 terms about 4)
+    reports = verify_all(EvalOptions(precision=30))
     assert len(reports) == 18
-    slow = {"T6a", "T6b", "GS"}
     for report in reports:
         assert report.passed, report.name
-        if report.name not in slow:
-            assert float(report.abs_error) < 1e-12
+        assert float(report.abs_error) < 1e-30

@@ -19,10 +19,10 @@ from conftest import (forbid_engine_and_oracles, random_fully_convergent,
 from digitprod import (CapabilityError, EvalOptions, EvaluationError,
                        ExponentKind, FactoredRational, InputError, ProductSpec,
                        catalog_entry, eval_pm_rs, eval_pm_thue, eval_product,
-                       f_value, monotonicity_scan)
-from digitprod import evaluator
+                       f_value, family, monotonicity_scan)
+from digitprod import evaluator, numerics
 from digitprod.cli import main
-from digitprod.numerics import log_fraction, working_dps
+from digitprod.numerics import working_dps
 
 
 def _closed_forms():
@@ -582,8 +582,6 @@ def fraction_series_engine_reference(spec, precision, automaton):
     bits = prec + evaluator.TABLE_GUARD
     table, unit, signs = evaluator._scaled_table(automaton, m, bits)
     head = evaluator._head(r, spec.start, m, signs)
-    size = head.numerator.bit_length() + head.denominator.bit_length() + 2
-    head_digits = precision + len(str(size))
     mass = sum(abs(mult) for _, mult in r.numerators)
     rho = r.max_abs_offset() / m
     width = 1 << fold
@@ -601,20 +599,12 @@ def fraction_series_engine_reference(spec, precision, automaton):
         p = psums[j]
         term = (p.numerator * table[j] >> step * j) // (j * p.denominator)
         acc += term if j & 1 else -term
-    with mpmath.workdps(wp):
-        log_head = log_fraction(head, head_digits)
-        tail = mpmath.ldexp(mpmath.mpf(acc), -bits)
-        value = mpmath.exp(log_head + tail)
-        rho_mp = mpmath.mpf(rho.numerator) / rho.denominator
-        truncation = (mass * rho_mp ** (j_max + 1) * (1 + mpmath.mpf(m) / j_max)
-                      / ((j_max + 1) * (1 - rho_mp)))
-        harmonic = math.fsum(1 / j for j in range(1, j_max + 1))
-        rounding = mpmath.ldexp(unit * mass * harmonic + j_max, -bits)
-        head_prec = mpmath.libmp.dps_to_prec(working_dps(head_digits))
-        head_error = mpmath.ldexp(2 * size, -head_prec)
-        ulps = mpmath.ldexp(10 * (1 + abs(log_head) + abs(tail)), 1 - prec)
-        err_log = truncation + rounding + head_error + ulps
-        return value, value * err_log * (1 + err_log)
+    # the same ball: truncation and rounding radii, then one log and exp
+    libmp = mpmath.libmp
+    truncation = evaluator._series_tail(mass, rho, j_max, 1 + F(m, j_max))
+    rounding = libmp.from_man_exp(unit * mass * (j_max.bit_length() + 1) + j_max, -bits)
+    radius = libmp.mpf_add(truncation, rounding, 53, libmp.round_ceiling)
+    return numerics.exp_ball(head, libmp.from_man_exp(acc, -bits), radius, prec)
 
 
 def _random_valid_pm_spec(rng, kind):
@@ -649,3 +639,38 @@ def test_engine_series_sum_matches_the_fraction_reference_bit_for_bit(seed, kind
     res = evaluator._engine(spec, digits, automaton)
     value, estimate = fraction_series_engine_reference(spec, digits, automaton)
     assert (res.value._mpf_, res.error_estimate._mpf_) == (value._mpf_, estimate._mpf_)
+
+
+# ---------------------------------------------------------------------------
+# The oracles' derived radii against exact references
+# ---------------------------------------------------------------------------
+
+@settings(max_examples=20, deadline=None)
+@given(st.fractions(min_value=0, max_value=20, max_denominator=8),
+       st.fractions(min_value=0, max_value=20, max_denominator=8),
+       st.sampled_from([(2, 64), (6, 1024)]))
+def test_split_oracle_radius_covers_the_exact_family_value(a, b, setting):
+    # family (i) is exactly (b+1)/(a+1); at 2 levels and 64 terms the
+    # dropped tail dominates the radius, at 6 and 1024 it is some 1e-20
+    levels, terms = setting
+    identity = family("i", a, b)
+    res = eval_pm_thue(identity.spec, EvalOptions(precision=30, split_levels=levels,
+                                                  terms=terms))
+    exact = identity.closed_form.value
+    with mpmath.workdps(60):
+        assert abs(res.value - mpmath.mpf(exact.numerator) / exact.denominator) \
+            <= res.error_estimate
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.fractions(min_value=-1, max_value=16, max_denominator=12).filter(lambda x: x > -1),
+       st.sampled_from([(0, 4096), (3, 1 << 14)]))
+def test_direct_sum_oracle_radius_covers_the_exact_relation_product(x, setting):
+    # the relation product is exactly 1 + x; its log-terms decay like 1/n,
+    # so the Abel bound, 3 sqrt(6N) |c_1| / N, dominates the radius
+    levels, terms = setting
+    res = eval_pm_rs(rs_relation(x), EvalOptions(precision=30, rs_split_levels=levels,
+                                                terms=terms))
+    with mpmath.workdps(60):
+        assert abs(res.value - (1 + mpmath.mpf(x.numerator) / x.denominator)) \
+            <= res.error_estimate
