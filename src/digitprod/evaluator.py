@@ -1013,11 +1013,14 @@ def _rs_level_log_terms(r: FactoredRational, points: Iterable[int]
     2.02u |u_i| / (n D + u_i), and |n D + u_i| / (n D) rounds once, which
     moves log by at most 1.01u; the product by m_i rounds once.  So a
     factor's term t is off by less than u (4|t| + 3|m_i u_i| / (nD + u_i))
-    or u (4|t| + 2|m_i|), and the fsum adds u |log R(n)|.
+    or u (4|t| + 2|m_i|), and the fsum adds u |log R(n)|.  For u_i >= 0,
+    u_i / (nD + u_i) = x/(1+x) <= log1p(x) = |t / m_i|, so 7u|t| covers
+    both; only the negative offsets need the second term.
     """
     d = r.denominator
     # int / int is correctly rounded, like float(Fraction(u, D))
     offs = [(u, u / d, m) for u, m in r.numerators]
+    negative = [(u, m) for u, m in r.numerators if u < 0]
     logs: List[float] = []
     bounds: List[float] = []
     for n in points:
@@ -1025,8 +1028,8 @@ def _rs_level_log_terms(r: FactoredRational, points: Iterable[int]
         terms = [m * (math.log1p(a / n) if nd + u > 0 else math.log(-(nd + u) / nd))
                  for u, a, m in offs]
         logs.append(math.fsum(terms))
-        bounds += [4 * abs(t) for t in terms] + [abs(logs[-1])]
-        bounds += [abs(m) * (3 * abs(u) / (nd + u) if nd + u > 0 else 2) for u, _, m in offs]
+        bounds += [7 * math.fsum(map(abs, terms)), abs(logs[-1])]
+        bounds += [abs(m) * (-3 * u / (nd + u) if nd + u > 0 else 2) for u, m in negative]
     return logs, math.ldexp(math.fsum(bounds), -53)
 
 
@@ -1184,6 +1187,11 @@ FM_RATIO_RATIONAL = FactoredRational.from_raw_factors(
     [(4, 1, 1), (4, 2, 1), (4, 0, -1), (4, 3, -1)])
 
 
+# phi's guard bits: perfbench, and any reader of phi, takes phi's relative
+# error to be R's (|phi| est(R) / |R|)
+FM_GUARD_BITS = 64
+
+
 def flajolet_martin(opts: EvalOptions = EvalOptions()) -> FlajoletMartin:
     """g(0), the product R, and the probabilistic-counting constant phi.
 
@@ -1215,11 +1223,6 @@ def flajolet_martin(opts: EvalOptions = EvalOptions()) -> FlajoletMartin:
     phi, phi_error = midpoint_radius(phi, fine)
     phi_alt = midpoint_radius(libmp.mpi_div(c, _ball(g0, fine), fine), fine)[0]
     return FlajoletMartin(g0, ratio, phi, phi_alt, export(cross), phi_error)
-
-
-# phi's guard bits: perfbench, and any reader of phi, takes phi's relative
-# error to be R's (|phi| est(R) / |R|)
-FM_GUARD_BITS = 64
 
 
 # ---------------------------------------------------------------------------

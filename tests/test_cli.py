@@ -102,6 +102,14 @@ def test_module_entry_point_exit_codes(argv, code):
     assert bool(done.stdout) == (code == 0)
 
 
+def test_eval_accepts_trailing_whitespace_and_names_a_cut_expression(capsys):
+    code, out, _ = run(capsys, "eval", "(2n+1)/(2n+2) ", "--digits", "20")
+    assert code == 0 and out.startswith("0.70710678118654752440")
+    code, out, err = run(capsys, "eval", "(n+1)/")
+    assert code == 2 and out == ""
+    assert err == "parse error: unexpected end of expression (at position 6)\n"
+
+
 def test_eval_zero_denominator_exits_three(capsys):
     code, out, err = run(capsys, "eval", "(n+1)/0")
     assert code == 3 and out == ""

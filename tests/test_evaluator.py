@@ -412,6 +412,23 @@ def test_pm_thue_rejects_pole():
         eval_pm_thue(spec)
 
 
+@pytest.mark.parametrize("text", ["(n+1)/(n-2)", "(2n+1)/(2n+2)", "(n-3/2)/(n+1)"])
+def test_validate_looks_for_poles_once(monkeypatch, text):
+    # a pole, no pole, and a negative value: one pole_check whatever follows
+    from digitprod import factored_rational
+    calls = []
+    original = factored_rational.pole_check
+
+    def counted(r, start):
+        calls.append(start)
+        return original(r, start)
+    monkeypatch.setattr(evaluator, "pole_check", counted)
+    monkeypatch.setattr(factored_rational, "pole_check", counted)
+    with contextlib.suppress(InputError, EvaluationError):
+        ProductSpec(FactoredRational.parse(text), ExponentKind.PM_THUE, 1).validate()
+    assert calls == [1]
+
+
 def test_pm_thue_negative_value_rejected():
     # (n - 3/2) is negative at n = 1: no real logarithm
     spec = ProductSpec(FactoredRational.parse("(2n-3)/(2n+3)"),

@@ -162,6 +162,19 @@ def test_parse_reports_position():
     assert info.value.position > 0
 
 
+@pytest.mark.parametrize("text", ["(2n+1)/(2n+2) ", " (2n+1)/(2n+2)\t\n", "(2n+1) / (2n+2)"])
+def test_parse_ignores_whitespace_at_either_end(text):
+    assert FactoredRational.parse(text) == FactoredRational.parse("(2n+1)/(2n+2)")
+
+
+@pytest.mark.parametrize("text", ["(n+1)/", "(n+1)/ ", "(n+1)(n+2)/"])
+def test_parse_names_the_end_of_an_expression_cut_after_slash(text):
+    with pytest.raises(ParseError) as info:
+        FactoredRational.parse(text)
+    position = len(text.rstrip())
+    assert str(info.value) == f"unexpected end of expression (at position {position})"
+
+
 def test_render_round_trip_catalog():
     from digitprod import catalog
     for identity in catalog():
