@@ -12,6 +12,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import sys
 from decimal import Decimal
@@ -118,19 +119,41 @@ def _printed(value, estimate, digits: int) -> tuple:
     estimate covers the printed value.  The estimate supports a digit when
     it is at most half a unit in it, so the printed value is within one
     unit in its last digit.  Raises ``CapabilityError`` when it supports
-    none."""
+    none.
+
+    An estimate that supports n digits supports every count below n, so
+    the count is found by a walk from a first guess,
+    log10(|value| / estimate) + 1 from the binary magnitudes, which is
+    within a few digits of it: up while one more digit is supported, down
+    while none is.  That is the same count as a walk down from ``digits``
+    one digit at a time, in a few formatting calls rather than hundreds."""
     man, exp = estimate.man_exp
     error = man * Fraction(2) ** exp
-    for digits in range(digits, 0, -1):
-        text = _nstr(value, digits)
-        last = Decimal(text).adjusted() - digits + 1
-        if error <= Fraction(10) ** last / 2:
+
+    def supported(n: int) -> Optional[tuple]:  # (text, last) if n digits are
+        text = _nstr(value, n)
+        last = Decimal(text).adjusted() - n + 1
+        return (text, last) if error <= Fraction(10) ** last / 2 else None
+
+    n = digits
+    if value and man:
+        guess = int((mpmath.mag(value) - mpmath.mag(estimate)) * math.log10(2)) + 1
+        n = min(digits, max(1, guess))
+    found = supported(n)
+    while found and n < digits:
+        more = supported(n + 1)
+        if not more:
             break
-    else:
+        n, found = n + 1, more
+    while not found and n > 1:
+        n -= 1
+        found = supported(n)
+    if not found:
         raise CapabilityError(f"the error bound {_nstr(estimate, 3)} supports no digit "
                               f"of {_nstr(value, 3)}; more terms or split levels would")
+    text, last = found
     bound = error + Fraction(10) ** last / 2
-    with workdps(digits + 5) as ctx:
+    with workdps(n + 5) as ctx:
         shown = Decimal(_nstr(ctx.convert(estimate) + ctx.mpf(10) ** last / 2, 3))
         if Fraction(shown) < bound:
             # one unit in the third digit up from a value that rounded down

@@ -4,13 +4,14 @@ Every default +-1 evaluation, Thue-Morse or Rudin-Shapiro, goes through
 one scaled tail engine.  The exponent x_n[0] comes from a signed binary
 automaton (``_Automaton``): one state for (-1)^{t_n}, and the pair
 (r_n, u_n) = ((-1)^{v_n}, (-1)^n (-1)^{v_n}) for Rudin-Shapiro.  With
-E(s) = M^s sum_{n>=M} x_n[0] n^-s,
+a centre h (1/2 for Thue-Morse, 0 for Rudin-Shapiro) and
+E(s) = M^s sum_{n>=M} x_n[0] (n+h)^-s,
 
     sum_{n>=start} x_n[0] log R(n)
         = log prod_{start<=n<M} R(n)^{x_n[0]}
           + sum_j (-1)^(j+1) p_j / (j M^j) E(j),
 
-where p_j are the exact power sums of R's offsets.  The head is one exact
+where p_j are the exact power sums of R's offsets less h.  The head is one exact
 rational taken through one logarithm.  The table E(1..) does not depend on
 R: it is built once per automaton and precision in integers from the
 2^K-fold recursion of the automaton (Allouche & Cohen, "Dirichlet series
@@ -18,9 +19,9 @@ and curious infinite products", Bull. LMS 1985) and shared by every
 evaluation (a bounded memo of a pure function, like ``gamma``).  The
 engine sums the whole tail, so its digits are real and its error estimate
 is a derived bound.  M grows with the largest offset and the table's cost
-with M, so the engine refuses valid input whose offsets would need a tail
-start above the automaton's ``max_tail_start`` (``CapabilityError``)
-before any head, table or oracle work.
+with M, so the engine refuses valid input whose offsets lie past the
+automaton's ``max_offset`` (``CapabilityError``) before any head, table
+or oracle work.
 
 Only when the caller fixes ``split_levels`` or ``terms`` does
 ``eval_pm_thue`` run instead: ``dyadic_split`` applied L times, whose
@@ -132,9 +133,8 @@ class EvalOptions:
     With ``split_levels`` (Thue-Morse) or ``rs_split_levels``
     (Rudin-Shapiro) and ``terms`` all None, +-1 products go through the
     scaled tail engine, which raises ``CapabilityError`` for an offset
-    that would need a tail start above the automaton's
-    ``max_tail_start``.  Fixing either selects the kind's oracle.
-    ``eval_pm_thue`` reads None as ``DEFAULT_SPLIT_LEVELS`` levels and 4096
+    above the automaton's ``max_offset``.  Fixing either selects the
+    kind's oracle.  ``eval_pm_thue`` reads None as ``DEFAULT_SPLIT_LEVELS`` levels and 4096
     terms and refuses offsets above ``MAX_TM_OFFSET``; ``eval_pm_rs`` reads
     ``terms`` None as 10^6, and ``rs_split_levels`` None as 0 for fully
     convergent rationals and 10 otherwise.  ``tm_terms`` and ``rs_terms``
@@ -255,9 +255,10 @@ def _tm_tail_table(n0: int, terms: int, bits: int, j_max: int) -> Tuple[int, ...
     """(T_1, ..., T_{j_max}), T_j = sum_{n0<=n<=terms} (-1)^{t_n} y_{n,j},
     with y_{n,j} from ``_floor_sums`` at c = n0 over every n of
     range(n0, terms + 1), whose first ratio n0/n0 = 1 keeps it member by
-    member: 2^bits (n0/n)^j rounded down by less than j units.  The engine
-    folds the even n of its block onto the octave below (``_block_sums``);
-    this table does not, so it stays an independent check.  The table does
+    member: 2^bits (n0/n)^j rounded down by less than j units.  The
+    engine's Thue-Morse table is centred at n + 1/2 and solved from a
+    recursion (``_scaled_table``); this one sums every n of its range
+    directly, so it stays an independent check.  The table does
     not depend on the rational, so every Thue-Morse evaluation at one
     precision shares it.
     """
@@ -387,22 +388,48 @@ def eval_pm_thue(spec: ProductSpec, opts: EvalOptions = EvalOptions()) -> EvalRe
 
 @dataclass(frozen=True, eq=False)
 class _Automaton:
-    """A signed binary automaton, and the table fold K of its engine.
+    """A signed binary automaton, and the shape of its engine's table.
 
     Its sequence is a vector x_n with one entry per state: x_0 = 1 in
     every state and x_{2n+d}[q] = sign[q][d] x_n[next_state[q][d]].  A
     product's exponent is x_n[0].  Reading the K low digits of
     n = 2^K n' + i, least significant first, gives x_n = A_i x_n', where
     row q of A_i holds one sign, in the column of the state the digits of
-    i lead q to.  ``max_tail_start`` bounds the engine's work: offsets
-    that would need a larger tail start are refused.
+    i lead q to.  K is ``fold``.  A ``centred`` table expands about
+    n + 1/2 rather than n (``_scaled_table``).  The tail start M is
+    ``tail_start``, or the next power of two that keeps
+    max|a_i - h| <= M / 2^K, h = 1/2 for a centred table and 0 otherwise,
+    so that each term of the tail series is at least 2^K times smaller
+    than the one before; every larger M has its own table.  Offsets
+    |a_i| above ``max_offset`` are refused: that bounds the engine's work.
     """
 
     name: str
     next_state: Tuple[Tuple[int, int], ...]
     sign: Tuple[Tuple[int, int], ...]
     fold: int
-    max_tail_start: int
+    max_offset: int
+    tail_start: int
+    centred: bool
+
+    def start(self, reach: Fraction) -> int:
+        """M for offsets with max|a_i - h| = ``reach``."""
+        m = self.tail_start
+        while reach * (1 << self.fold) > m:
+            m <<= 1
+        return m
+
+    def reach(self, r: FactoredRational) -> Fraction:
+        """max_i |a_i - h|, h the table's centre, 0 without factors."""
+        if not self.centred:
+            return r.max_abs_offset()
+        d = r.denominator
+        return Fraction(max((abs(2 * u - d) for u, _ in r.numerators), default=0), 2 * d)
+
+    @property
+    def max_tail_start(self) -> int:
+        """The largest M of an accepted input: that of the offset -max_offset."""
+        return self.start(self.max_offset + Fraction(self.centred, 2))
 
     def vectors(self, hi: int) -> Tuple[List[Tuple[int, ...]], List[int]]:
         """(values, ids) with x_n = values[ids[n]] for n < hi.
@@ -440,36 +467,35 @@ class _Automaton:
         return rows
 
 
-# The tail starts at M = 64, or at the next power of two that keeps
-# max|a_i| <= M / 2^K, so that each term of the tail series is at least
-# 2^K times smaller than the one before; every larger M has its own table.
-TAIL_START = 64
-
-# Each automaton's cap on M, the bound on the engine's work: the floor
-# sums loop over 2^(K-1) M values of n and the solve over rows whose
-# series grow with M, so past a few hundred the table's cost doubles with
-# M; both caps keep the cold 500-digit table under about 0.4 s.  Up to
-# both caps the pair divisors of ``_floor_sums`` fit in one 30-bit limb
-# (2^K n < 2^15); past them they take two, and the pairs save little or
-# nothing.  Offsets that would need a larger M are refused (exit 3), and
-# the kind's oracle runs only when its options are given.  Cold times are
-# first calls in a fresh interpreter, three runs each unless noted,
-# 2-vCPU AMD EPYC, Python 3.11.
+# Each automaton's cap on its offsets, the bound on the engine's work: the
+# floor sums loop over 3M odd N (centred) or 2M values of n (folded), and
+# the solve over rows whose series grow with M, so past a few hundred the
+# table's cost doubles with M; both caps keep the cold 500-digit table
+# under about 0.4 s.  Up to both caps the pair divisors of ``_floor_sums``
+# fit in one 30-bit limb (16 N1 N2 < 2^28 at M = 512, 16 n1 n2 < 2^30 at
+# M = 2048); past them they take two, and the pairs save little.  Larger
+# offsets are refused (exit 3), and the kind's oracle runs only when its
+# options are given.  Cold times are first calls in a fresh interpreter,
+# three runs each unless noted, 2-vCPU AMD EPYC, Python 3.11.
 #
-# (-1)^{t_n}: one state, whose sign flips at every 1 digit.  Cold g(x),
-# engine against the split oracle at its defaults, 60 / 500 digits:
+# (-1)^{t_n}: one state, whose sign flips at every 1 digit; its table is
+# centred at n + 1/2, where the moments vanish at every odd k, at fold
+# K = 2 and tail start 32.  Cold g(x), engine (``_engine`` called
+# directly past the cap) against the split oracle at its defaults,
+# 60 / 500 digits:
 #
 #   M                  engine                       split oracle
-#   512 (x = 100)      0.008-0.014 / 0.12-0.13 s    0.019 / 0.28-0.29 s
-#   1024 (x = 200)     0.018 / 0.26-0.27 s          0.019 / 0.30-0.31 s
-#   4096 (x = 1000)    0.086 / 1.23 s (one run)     0.026 / 0.58 s (one run)
-#   65536 (x = 10^4)   3.1 s at 60 (one run)        0.05 s at 60 (one run)
+#   32 (x = 10)        0.002-0.003 / 0.062-0.065 s  0.034-0.047 / 0.56-0.70 s
+#   256 (x = 100)      0.009-0.026 / 0.14-0.23 s    0.035-0.061 / 0.97-1.01 s
+#   512 (x = 200)      0.017-0.032 / 0.25-0.43 s    0.039-0.050 / 0.70-0.96 s
+#   2048 (x = 1000)    0.13-0.16 / 1.31 s (one run) 0.049-0.066 / 1.51-1.97 s
 #
-# The cap, M = 512 (offsets up to 64), was set as the last M at which the
-# engine was no dearer than the oracle.  Since the even n of F(s) fold
-# onto the octave below, M = 1024 is no dearer either; the cap has not
-# moved.
-THUE_MORSE = _Automaton("Thue-Morse", ((0, 0),), ((1, -1),), 3, 1 << 9)
+# The cap, offsets up to 64, was set when the table was uncentred at
+# K = 3, as the last M (512) at which the engine was no dearer than the
+# oracle; it has not moved, though the centred engine is still cheaper at
+# x = 200 (offsets up to 100).  g(x) takes M = 256 at x = 127; an offset
+# within 1/2 of -64 needs M = 512.
+THUE_MORSE = _Automaton("Thue-Morse", ((0, 0),), ((1, -1),), 2, 64, 32, True)
 # (r_n, u_n) = ((-1)^{v_n}, (-1)^n (-1)^{v_n}): r_2n = r_n, r_2n+1 = u_n,
 # u_2n = r_n and u_2n+1 = -u_n.  Engine on (n+M/4-1)/(n+M/4), the largest
 # offset at M, against the direct-sum oracle at its defaults on
@@ -484,12 +510,12 @@ THUE_MORSE = _Automaton("Thue-Morse", ((0, 0),), ((1, -1),), 3, 1 << 9)
 #   4096   59 ms (5.7 ms) / 0.82 s (8.1 ms)        43 / 42 ms
 #
 # The engine gives every digit; the oracle gives 5.7 correct digits at
-# any precision, under a derived bound of about 6.5e-6.  The cap, M = 2048
-# (offsets up to 512), is the last M at which the engine's cold cost at
+# any precision, under a derived bound of about 6.5e-6.  The cap, offsets
+# up to 512 (M = 2048), is the last M at which the engine's cold cost at
 # 60 digits is below the oracle's; there its 500-digit table is the
 # dearer of the two caps' tables.
 RUDIN_SHAPIRO = _Automaton("Rudin-Shapiro", ((0, 1), (0, 1)), ((1, 1), (1, -1)),
-                           2, 1 << 11)
+                           2, 512, 64, False)
 
 # Table bits beyond the working precision.
 TABLE_GUARD = 32
@@ -521,27 +547,33 @@ def _head(r: FactoredRational, lo: int, hi: int, signs: Sequence[int]) -> Fracti
 
 def _moments(automaton: _Automaton,
              top: int) -> Tuple[int, Dict[Tuple[int, int], List[int]]]:
-    """(c_0, {(q, t): [P_0[q][t], ..., P_top[q][t]]}) with
-    P_k = sum_{i<2^K} i^k A_i and P_0 = c_0 I; entries that are 0 for
-    every k are left out.
+    """(c_0, {(q, t): [Q_0[q][t], ..., Q_top[q][t]]}) with
+    Q_k = sum_{i<2^K} delta_i^k A_i and Q_0 = c_0 I, where delta_i = i for
+    an uncentred table and 2i + 1 - 2^K for a centred one
+    (``_scaled_table``); entries that are 0 for every k are left out.
 
-    The table's solve needs P_0 to be a multiple of I: Thue-Morse has
-    P_0 = 0, and Rudin-Shapiro at even K has P_0 = S^K = 2^(K/2) I with
-    S = A_0 + A_1 = [[1, 1], [1, -1]].
+    The table's solve needs Q_0 to be a multiple of I: Thue-Morse has
+    Q_0 = 0, and Rudin-Shapiro at even K has Q_0 = S^K = 2^(K/2) I with
+    S = A_0 + A_1 = [[1, 1], [1, -1]].  Centred at even K, Thue-Morse's
+    Q_k is 0 at every odd k: the complement 2^K - 1 - i of i has
+    K - t_i ones, so A_i and its A carry the same sign, while their
+    delta_i are opposite.
     """
     moments: Dict[Tuple[int, int], List[int]] = {}
-    for i in range(1 << automaton.fold):
+    width = 1 << automaton.fold
+    for i in range(width):
+        delta = 2 * i + 1 - width if automaton.centred else i
         for q, (t, sign) in enumerate(automaton.residue_map(i)):
             column = moments.setdefault((q, t), [0] * (top + 1))
             power = sign
             for k in range(top + 1):
                 column[k] += power
-                power *= i
+                power *= delta
     states = range(len(automaton.sign))
     c0 = moments.get((0, 0), [0])[0]
     if any(moments.get((q, t), [0])[0] != (c0 if q == t else 0)
            for q in states for t in states):
-        raise ValueError(f"{automaton.name}: P_0 is not a multiple of I")
+        raise ValueError(f"{automaton.name}: Q_0 is not a multiple of I")
     return c0, {key: column for key, column in moments.items() if any(column)}
 
 
@@ -549,25 +581,32 @@ def _block_sums(automaton: _Automaton, m: int, bits: int
                 ) -> Tuple[List[Tuple[int, ...]], List[int], List[List[int]]]:
     """(values, ids, sums): x_n = values[ids[n]] for n < 2^K m
     (``_Automaton.vectors``), and sums[g][s], the sum over m <= n < 2^K m
-    with ids[n] = g of 2^bits (m / (2^K n))^s, rounded down, for
-    1 <= s <= bits/K (sums[g][0] = 0).
+    with ids[n] = g of 2^bits (c / (2^K N_n))^s, rounded down, for
+    1 <= s <= bits/K (sums[g][0] = 0): the class rows of ``_scaled_table``'s
+    f_s, with N_n = 2n + 1 and c = 2m for a centred table, N_n = n and
+    c = m otherwise.
 
-    The block [m, 2^K m) is K octaves [2^j m, 2^(j+1) m).  An even n = 2n'
-    of octave j >= 1 has x_n = A_0 x_n' and (m / (2^K n))^s =
+    A centred table takes one ``_floor_sums`` over the (2^K - 1) m odd N
+    in [2m, 2^(K+1) m), ratios c / (2^K N) < 2^-K: 96 members at K = 2 and
+    m = 32.  Every floor drops, so each class row is at most its exact
+    sum, and below it by less than b = 2^K / (2^K - 1) for each member
+    summed alone and b^2 for each pair.
+
+    An uncentred block [m, 2^K m) is K octaves [2^j m, 2^(j+1) m).  An
+    even n = 2n' of octave j >= 1 has x_n = A_0 x_n' and (m / (2^K n))^s =
     2^-s (m / (2^K n'))^s, so octave j's class sums are ``_floor_sums``
     over its odd n plus octave j-1's class sums shifted right by s bits
     and relabelled through double[ids[n']] = ids[2n'].  The floor sums
     take the m n of octave 0 and the 2^(j-1) m odd n of each later octave,
-    2^(K-1) m in all: 4m in place of 7m for Thue-Morse (K = 3) and 2m in
-    place of 3m for Rudin-Shapiro (K = 2).
+    2^(K-1) m in all: 2m in place of 3m for Rudin-Shapiro (K = 2).
 
     Every floor drops, so each class row is at most its exact sum.  An n
-    that ``_floor_sums`` takes is off by less than b = 2^K / (2^K - 1) (a
-    pair by less than b^2 <= 2b), and its error reaches the class of
-    2^i n shifted right by at least i bits; each shift floors once more,
-    less than 1 unit, once per class and octave j >= 1, and that floor
-    reaches the later octaves halved at least, weight below 2.  So class
-    g's row is below its exact sum by less than
+    that ``_floor_sums`` takes is off by less than b (a pair by less than
+    b^2 <= 2b), and its error reaches the class of 2^i n shifted right by
+    at least i bits; each shift floors once more, less than 1 unit, once
+    per class and octave j >= 1, and that floor reaches the later octaves
+    halved at least, weight below 2.  So class g's row is below its exact
+    sum by less than
 
         b sum_{ids[n] = g} 2^-i(n) + 2 (K - 1) G,
 
@@ -579,6 +618,11 @@ def _block_sums(automaton: _Automaton, m: int, bits: int
     top = bits // fold
     values, ids = automaton.vectors(m << fold)
     groups = len(values)
+    if automaton.centred:
+        odd = [0] * (m << fold + 1)  # odd[2n+1] = ids[n]
+        odd[1::2] = ids
+        members = range(2 * m + 1, m << fold + 1, 2)
+        return values, ids, _floor_sums(odd, groups, members, 2 * m, fold, bits, top)
     double = dict(zip(ids[m:m << (fold - 1)], ids[2 * m::2]))
     shifts = range(top + 1)
     octave = _floor_sums(ids, groups, range(m, 2 * m), m, fold, bits, top)
@@ -592,19 +636,20 @@ def _block_sums(automaton: _Automaton, m: int, bits: int
     return values, ids, sums
 
 
-def _last_solved_row(fold: int, m: int, c0: int, bits: int) -> int:
+def _last_solved_row(fold: int, c: int, c0: int, bits: int) -> int:
     """s0 of ``_scaled_table``: the last row s with B(s) >= 1/2, where
-    B(s) = (m+1) 2^(bits - 2Ks) (2^K ((1 - (2^K-1)/(2^K m))^-s - 1) + |c_0|)
-    falls with s.  The walk starts at s = max(1, bits/(2K)), where
-    B(s) >= 1/2 (see ``_scaled_table``), and takes a few rows."""
+    B(s) = (c+1) 2^(bits - 2Ks) (2^K ((1 - (2^K-1)/(2^K c))^-s - 1) + |c_0|)
+    falls with s and c is the table's scale.  The walk starts at
+    s = max(1, bits/(2K)), where B(s) >= 1/2 (see ``_scaled_table``), and
+    takes a few rows."""
     width = 1 << fold
-    num, den = width * m, width * m - width + 1  # (1 - (2^K-1)/(2^K m))^-1
+    num, den = width * c, width * c - width + 1  # (1 - (2^K-1)/(2^K c))^-1
     s = max(1, bits // (2 * fold))
     p, q = num ** (s + 1), den ** (s + 1)
     while True:
-        # B(s+1) < 1/2 <=> 2 (m+1) (2^K (p - q) + |c_0| q) 2^(bits - 2K(s+1)) < q
+        # B(s+1) < 1/2 <=> 2 (c+1) (2^K (p - q) + |c_0| q) 2^(bits - 2K(s+1)) < q
         shift = bits - 2 * fold * (s + 1)
-        lhs = 2 * (m + 1) * (width * (p - q) + abs(c0) * q)
+        lhs = 2 * (c + 1) * (width * (p - q) + abs(c0) * q)
         if lhs << max(shift, 0) < q << max(-shift, 0):
             return s
         s, p, q = s + 1, p * num, q * den
@@ -614,64 +659,74 @@ def _last_solved_row(fold: int, m: int, c0: int, bits: int) -> int:
 def _scaled_table(automaton: _Automaton, m: int,
                   bits: int) -> Tuple[Tuple[int, ...], int, Tuple[int, ...]]:
     """(table, unit, signs): table = (e_0, ..., e_top) with
-    e_s = E(s) 2^(bits - K s), E(s) = sum_{n>=m} x_n[0] (m/n)^s, to within
-    unit = ``_table_unit(automaton, m)`` units, and signs = (x_0[0], ...,
-    x_{m-1}[0]), the exponents of the head's terms (``_head``).
+    e_s = E(s) 2^(bits - K s) to within unit = ``_table_unit(automaton, m)``
+    units, and signs = (x_0[0], ..., x_{m-1}[0]), the exponents of the
+    head's terms (``_head``).  E(s) = sum_{n>=m} x_n[0] (c/N_n)^s with
+    N_n = n and scale c = m for an uncentred table, and N_n = 2n + 1 and
+    c = 2m for a table centred at n + 1/2, whose E(s) is
+    sum_{n>=m} x_n[0] (m/(n+1/2))^s.
 
-    Writing n >= 2^K m as 2^K n' + i with i < 2^K gives x_n = A_i x_n',
-    and expanding (1 + i / (2^K n'))^-s gives, for the vector E(s) over
-    all states,
+    Writing n >= 2^K m as 2^K n' + i with i < 2^K gives x_n = A_i x_n' and
+    N_n = 2^K N_n' + delta_i, with delta_i = i uncentred and 2i + 1 - 2^K
+    centred (2n + 1 = 2^K (2n' + 1) + 2i + 1 - 2^K).  Expanding
+    (1 + delta_i / (2^K N_n'))^-s gives, for the vector E(s) over all
+    states,
 
-        E(s) = F(s) + 2^(-Ks) sum_{k>=0} C(-s,k) m^-k (P_k / 2^(Kk)) E(s+k),
+        E(s) = F(s) + 2^(-Ks) sum_{k>=0} C(-s,k) c^-k (Q_k / 2^(Kk)) E(s+k),
 
-    with F(s) = sum_{m<=n<2^K m} x_n (m/n)^s and the moments
-    P_k = sum_{i<2^K} i^k A_i (``_moments``).  At the row scales the
-    2^(Kk) cancels, and with P_0 = c_0 I:
+    with F(s) = sum_{m<=n<2^K m} x_n (c/N_n)^s and the moments
+    Q_k = sum_{i<2^K} delta_i^k A_i (``_moments``).  At the row scales the
+    2^(Kk) cancels, and with Q_0 = c_0 I:
 
-        (1 - c_0 2^(-Ks)) e_s = f_s + 2^(-Ks) sum_{k>=1} c_k P_k e_{s+k},
-        c_k = C(-s,k) m^-k,
+        (1 - c_0 2^(-Ks)) e_s = f_s + 2^(-Ks) sum_{k>=1} c_k Q_k e_{s+k},
+        c_k = C(-s,k) c^-k,
 
     so each row carries K bits less than the one before, rows past bits/K
     are 0, and the rows are filled from the top down.  For Thue-Morse the
-    Prouhet moments P_k vanish for k < K and c_0 = 0.  f_s comes from
-    ``_block_sums``: one sum per value of x_n, with the even n of each
-    octave folded onto the octave below.
+    Prouhet moments Q_k vanish for k < K and c_0 = 0; centred at K = 2 its
+    Q_k vanish at every odd k too, and |delta_i| / c is at most 3/(2m)
+    rather than the 7/m of the uncentred table at K = 3.  f_s comes from
+    ``_block_sums``: one sum per value of x_n.
 
     Rows above s0 >= 1 (``_last_solved_row``) take no solve: e_s = f_s.
-    For s >= 2, |E_t(s)| <= sum_{n>=m} (m/n)^s <= 1 + m/(s-1) <= m + 1;
-    the largest row sum of |P_k| is at most sum_{i<2^K} i^k
-    < 2^K (2^K - 1)^k; and sum_{k>=1} C(s+k-1,k) x^k = (1-x)^-s - 1.  So
-    with a = (2^K-1)/(2^K m) the exact correction of row s is below
-    (m+1) 2^(bits - 2Ks) 2^K ((1 - a)^-s - 1) units, and the c_0 division
-    moves the exact row by |c_0| 2^(-Ks) |e_s| <= |c_0| (m+1) 2^(bits - 2Ks).
+    For s >= 2, |E_t(s)| <= sum_{n>=m} (m/n)^s <= 1 + m/(s-1) <= c + 1,
+    as c/N_n <= m/n; the largest row sum of |Q_k| is at most
+    sum_{i<2^K} |delta_i|^k < 2^K (2^K - 1)^k; and
+    sum_{k>=1} C(s+k-1,k) x^k = (1-x)^-s - 1.  So with
+    a = (2^K-1)/(2^K c) the exact correction of row s is below
+    (c+1) 2^(bits - 2Ks) 2^K ((1 - a)^-s - 1) units, and the c_0 division
+    moves the exact row by |c_0| 2^(-Ks) |e_s| <= |c_0| (c+1) 2^(bits - 2Ks).
     Their sum B(s) falls with s, by a factor at most (1 + R) 2^(-2K) < 1
     per row with R = (1 - a)^-1 < 2, so every row above the last with
     B(s) >= 1/2 moves by less than half a unit without its solve.  No row
     s <= bits/(2K) is skipped: there 2^(bits - 2Ks) >= 1 and
-    (m+1) 2^K ((1 - a)^-s - 1) >= (m+1) 2^K s a = s (2^K - 1) (m+1)/m >= 1.
+    (c+1) 2^K ((1 - a)^-s - 1) >= (c+1) 2^K s a = s (2^K - 1) (c+1)/c >= 1.
 
-    The correction is a Horner sum: with v_k = sum_t P_k[q][t] e_t[s+k]
-    and g = 32 guard bits,
+    The correction is a Horner sum over k = d, 2d, ..., k_max, with d = 2
+    when every odd moment is 0 (centred Thue-Morse) and d = 1 otherwise.
+    With v_k = sum_t Q_k[q][t] e_t[s+k], g = 32 guard bits and
+    c_k / c_(k-d) = mu_k / nu_k, that is -(s+k-1) / (k c) for d = 1 and
+    (s+k-2)(s+k-1) / ((k-1) k c^2) for d = 2,
 
-        h <- floor((2^g v_k + h) (-(s+k-1)) / (k m)),  k = k_max, ..., 1,
+        h <- floor((2^g v_k + h) mu_k / nu_k),  k = k_max, k_max - d, ..., d,
 
     ends at h = 2^g sum_k c_k v_k, and e_s gains floor(h / 2^(Ks+g)), so
-    each term costs one moment x row product and two single-limb
-    operations; a zero moment (Thue-Morse's P_1 = P_2 = 0) multiplies as
-    0.  The floor at k is carried into h by |c_(k-1)| <= C(s+k-2,k-1)
-    m^-(k-1), so together they are off by less than
-    sum_k C(s+k-1,k) m^-k = (1-1/m)^-s units of h, below 2^-g of a row
-    unit since (1-1/m)^-1 < 2^K.  The sum keeps the terms with
-    2^scale |c_k| >= 1, scale covering the row's bits above 2^(Ks) and 40
-    guard bits; in k that weight rises while (s+k) > (k+1) m and then
-    falls, so the kept terms are k = 1, ..., k_max, found from log2 k! by
-    a walk from the row above's k_max.  The table does not depend on the
-    rational, so every evaluation of the automaton at one precision shares
-    this one memo entry, unit and signs included.
+    each term costs one moment x row product, one small multiplication
+    and one small division, and two coefficients share one floor at
+    d = 2.  The floor at k is carried into h by |c_(k-d)|, so together
+    they are off by less than sum_k C(s+k-1,k) c^-k = (1-1/c)^-s units of
+    h, below 2^-g of a row unit since (1-1/c)^-1 < 2^K.  The sum keeps
+    the terms with 2^scale |c_k| >= 1, scale covering the row's bits above
+    2^(Ks) and 40 guard bits; in k that weight rises while
+    (s+k) > (k+1) c and then falls, so the kept terms are k = d, ..., k_max,
+    found from log2 k! by a walk from the row above's k_max.  The table
+    does not depend on the rational, so every evaluation of the automaton
+    at one precision shares this one memo entry, unit and signs included.
     """
     fold = automaton.fold
     top = bits // fold
     states = len(automaton.sign)
+    c = m << automaton.centred
     values, ids, sums = _block_sums(automaton, m, bits)
     # e[q][s]: row s of state q
     e = [[0] * (top + 1) for _ in range(states)]
@@ -679,35 +734,45 @@ def _scaled_table(automaton: _Automaton, m: int,
         for q in range(states):
             e[q] = list(map(add if x[q] > 0 else sub, e[q], row))
     c0, moments = _moments(automaton, top)
+    odd = any(column[k] for column in moments.values() for k in range(1, top + 1, 2))
+    step = 1 if odd else 2
     guard = 32  # the Horner sums' bits below the row's unit
-    columns = [(q, t, [p << guard for p in column[1:]])
+    # column[j] = 2^g Q_k for k = step (j + 1)
+    columns = [(q, t, [p << guard for p in column[step::step]])
                for (q, t), column in moments.items()]
+    # the Horner multipliers c_k / c_(k-step) = mu[s+k] / nu[k]
+    if step == 1:
+        mu = [1 - j for j in range(top + 1)]
+        nu = [k * c for k in range(top + 1)]
+    else:
+        mu = [(j - 2) * (j - 1) for j in range(top + 1)]
+        nu = [(k - 1) * k * c * c for k in range(top + 1)]
     log_fact = list(accumulate(map(math.log2, range(1, top)), initial=0.0))
-    log_m = math.log2(m)
+    log_c = math.log2(c)
 
-    def kept(s: int, k: int, scale: int) -> bool:  # 2^scale C(s+k-1,k) m^-k >= 1
-        return scale + log_fact[s + k - 1] - log_fact[s - 1] - log_fact[k] >= k * log_m
+    def kept(s: int, k: int, scale: int) -> bool:  # 2^scale C(s+k-1,k) c^-k >= 1
+        return scale + log_fact[s + k - 1] - log_fact[s - 1] - log_fact[k] >= k * log_c
 
-    k_max = 1
-    for s in range(min(top - 1, _last_solved_row(fold, m, c0, bits)), 0, -1):
+    k_max = step
+    for s in range(min(top - step, _last_solved_row(fold, c, c0, bits)), 0, -1):
         # 40 guard bits, plus one per 32 rows for the growth of
-        # C(s+k-1, k) m^-k <= (1-1/m)^-s; k = 1 is always kept
+        # C(s+k-1, k) c^-k <= (1-1/c)^-s; k = step is always kept
         scale = max(0, bits - 2 * fold * s) + 40 + s // 32
-        k_max = min(k_max, top - s)
-        while k_max < top - s and kept(s, k_max + 1, scale):
-            k_max += 1
-        while k_max > 1 and not kept(s, k_max, scale):
-            k_max -= 1
-        # v[q][k_max - k] = 2^g sum_t P_k[q][t] e_t[s+k]
+        k_max = min(k_max, top - s - (top - s) % step)
+        while k_max + step <= top - s and kept(s, k_max + step, scale):
+            k_max += step
+        while k_max > step and not kept(s, k_max, scale):
+            k_max -= step
+        # v[q][j] = 2^g sum_t Q_k[q][t] e_t[s+k] for k = k_max - step j
         v: List[Optional[List[int]]] = [None] * states
         for q, t, column in columns:
-            terms = map(mul, column[k_max - 1::-1], e[t][s + k_max:s:-1])
+            terms = map(mul, column[k_max // step - 1::-1], e[t][s + k_max:s:-step])
             v[q] = list(terms if v[q] is None else map(add, v[q], terms))
+        mus, nus = mu[s + k_max:s:-step], nu[k_max:0:-step]
         den = (1 << fold * s) - c0
         for q in range(states):
             h = 0
-            for x, num, d in zip(v[q], range(1 - s - k_max, 1 - s),
-                                 range(k_max * m, 0, -m)):
+            for x, num, d in zip(v[q], mus, nus):
                 h = (x + h) * num // d
             rhs = e[q][s] + (h >> (fold * s + guard))
             e[q][s] = rhs + rhs * c0 // den
@@ -719,78 +784,91 @@ def _table_unit(automaton: _Automaton, m: int) -> int:
     """U: every row of ``_scaled_table(automaton, m, ·)``'s table is off
     by at most U units.
 
-    Before the solve a row is off by less than 2^K m + 8 units:
+    Before the low moments and the c_0 division, a row is off by less than
+    f + 1/2 + 8 units:
 
-    * f_s, from ``_block_sums``: an n that ``_floor_sums`` takes is off by
-      less than b = 2^K / (2^K - 1), with weight 2^-i for the i octaves it
-      is folded through.  For Thue-Morse the m n of octave 0 weigh
-      1 + 1/2 + 1/4, the m odd n of octave 1 1 + 1/2 and the 2m odd n of
-      octave 2 1, so (21/4) m b = 6m units; for Rudin-Shapiro the m n of
-      octave 0 weigh 1 + 1/2 and the m odd n of octave 1 1, so
-      (5/2) m b = (10/3) m.  The K - 1 shift floors per class add less
-      than 2 (K - 1) G, 8 for both (G = 2 classes at K = 3, G = 4 at
-      K = 2).  So f_s is off by less than 6m + 8 and (10/3) m + 8, below
-      2^K m - 1/2 for m >= 64.
+    * f bounds the floors of f_s, from ``_block_sums``, with
+      b = 2^K / (2^K - 1).  Centred, each of the (2^K - 1) m members is
+      off by less than b alone and a pair by less than b^2, so
+      f = (2^K - 1) m b^2 / 2 + G b, with G = len(values) classes that may
+      each leave one member alone: 8m/3 + 8/3 for Thue-Morse (K = 2,
+      G = 2); no octave is folded, so no weight or shift floor enters.
+      Uncentred, an n is off by less than b with weight 2^-i for the i
+      octaves it is folded through; for Rudin-Shapiro the m n of octave 0
+      weigh 1 + 1/2 and the m odd n of octave 1 1, so (5/2) m b =
+      (10/3) m, and the K - 1 shift floors per class add less than
+      2 (K - 1) G = 8 (G = 4 at K = 2): below f = 2^K m - 1/2 for m >= 64.
     * Rows above s0 take no solve, which moves them by less than 1/2
-      (``_scaled_table``), so they are off by less than 2^K m.
+      (``_scaled_table``).
     * Rows up to s0: the floors of the correction and of the solve, the
       Horner floors (less than 2^-g, g = 32; see ``_scaled_table``), the
       terms past the cut (2^scale |c_k| < 1 with scale >= bits - 2Ks + 40,
-      |P_k| < 2^K (2^K - 1)^k and |e_(s+k)| <= (m+1) 2^(bits - K(s+k)), so
-      less than 2^(2K-40) (m+1) in all), the rows cut at the top and the
-      errors of later rows carried by the moments k >= K (weighted by less
-      than 2^-10 for m >= 64) add less than 8 more.
+      |Q_k| < 2^K (2^K - 1)^k and |e_(s+k)| <= (c+1) 2^(bits - K(s+k)), so
+      less than 2^(2K-40) (c+1) in all), the rows cut at the top and the
+      errors of later rows carried by the moments k >= K add less than 8.
+      Those moments weigh 2^(-Ks) sum_(k>=K) C(s+k-1,k) c^-k |Q_k|, largest
+      at s = 1: below 2^-10 for the uncentred table at c = m >= 64, and for
+      centred Thue-Morse, whose Q_k are 2 (3^k - 1) at even k, below
+      (x^2 / 2) / (1 - x^2) with x = 3/c, which times U is below 1/8 for
+      m >= 32.
 
     The solve multiplies by 1 / (1 - c_0 2^(-Ks)) <= inv = 2^K / (2^K - c_0),
     and the low moments 1 <= k < K carry later rows' errors with weight
-    w_s = 2^(-Ks) sum_k C(s+k-1,k) m^-k |P_k| (|.| the largest row sum of
+    w_s = 2^(-Ks) sum_k C(s+k-1,k) c^-k |Q_k| (|.| the largest row sum of
     absolute values), largest at s = 1.  If every later row is within U,
-    a row is within inv (2^K m + 8 + w_1 U), so
-    U = inv (2^K m + 8) / (1 - inv w_1) holds for all rows.  For
-    Thue-Morse c_0 = 0 and no low moment is left, so U = 2^K m + 8.
+    a row is within inv (f + 17/2 + w_1 U), so
+    U = inv (f + 17/2) / (1 - inv w_1) holds for all rows: 2^K m + 8 for
+    the uncentred table at c_0 = 0 with no low moment.  For Thue-Morse
+    c_0 = 0 and no low moment is left (Q_1 = 0), so U = f + 17/2:
+    8m/3 + 67/6, 97 units at m = 32.
     """
     fold = automaton.fold
+    width = 1 << fold
     c0, moments = _moments(automaton, fold - 1)
     states = range(len(automaton.sign))
+    if automaton.centred:
+        b = Fraction(width, width - 1)
+        f = (width - 1) * m * b * b / 2 + len(automaton.vectors(1)[0]) * b
+    else:
+        f = width * m - Fraction(1, 2)
+    c = m << automaton.centred
 
-    def norm(k: int) -> int:  # |P_k|
+    def norm(k: int) -> int:  # |Q_k|
         return max(sum(abs(moments.get((q, t), [0] * fold)[k]) for t in states)
                    for q in states)
-    w = sum(Fraction(norm(k), m ** k) for k in range(1, fold)) / (1 << fold)
-    inv = Fraction(1 << fold, (1 << fold) - c0)
-    return math.ceil(inv * ((m << fold) + 8) / (1 - inv * w))
-
-
-def _tail_start(r: FactoredRational, fold: int) -> int:
-    """M: TAIL_START, or the next power of two with max|a_i| <= M / 2^K."""
-    max_abs = r.max_abs_offset()
-    m = TAIL_START
-    while max_abs * (1 << fold) > m:
-        m <<= 1
-    return m
+    w = sum(Fraction(norm(k), c ** k) for k in range(1, fold)) / width
+    inv = Fraction(width, width - c0)
+    return math.ceil(inv * (f + Fraction(17, 2)) / (1 - inv * w))
 
 
 def _engine(spec: ProductSpec, precision: int, automaton: _Automaton) -> EvalResult:
     """prod_{n>=start} R(n)^{x_n[0]} from an exact head and the scaled tail.
 
-    log prod = log H + sum_{j<=J} (-1)^(j+1) p_j / (j M^j) E(j), with the
-    exact head H = prod_{start<=n<M} R(n)^{x_n[0]} and E(j) from
-    ``_scaled_table`` at B = working bits + 32.  With rho = max|a_i| / M
-    <= 2^-K and mass = sum |m_i|, the error of the log is bounded by
+    With h the table's centre (1/2 centred, else 0) and the power sums
+    p_j = sum_i m_i (a_i - h)^j, a rational of scale 1 and net degree 0
+    has log R(n) = sum_j (-1)^(j+1) p_j / (j (n+h)^j), so
+
+        log prod = log H + sum_{j<=J} (-1)^(j+1) p_j / (j M^j) E(j),
+
+    with the exact head H = prod_{start<=n<M} R(n)^{x_n[0]} and
+    E(j) = sum_{n>=M} x_n[0] (M/(n+h))^j from ``_scaled_table`` at
+    B = working bits + 32.  With rho = max|a_i - h| / M <= 2^-K and
+    mass = sum |m_i|, the error of the log is bounded by
 
     * truncation: for n >= M the series of log R(n) past j = J is below
-      mass (max|a_i|/n)^(J+1) / ((J+1)(1-rho)), and summing over n gives
-      mass rho^(J+1) (1 + M/J) / ((J+1)(1-rho)) (``_series_tail``);
+      mass (max|a_i - h|/(n+h))^(J+1) / ((J+1)(1-rho)), and summing over
+      n gives at most mass rho^(J+1) (1 + M/J) / ((J+1)(1-rho))
+      (``_series_tail``), as n + h >= n;
     * table rounding: row j is off by at most U (``_table_unit``) units of
       2^(Kj-B), which covers the floor sums of f_j and the Horner
       floors of its solve (less than 2^-32 of a unit), and is weighted by
       |p_j| / (j M^j) <= mass 2^(-Kj) / j, so at most U mass H_J 2^-B
       (H_J the harmonic number);
-    * coefficient rounding: the sum below reads p_j as S_j / D^j
-      (``power_sum_numerators``) and floors each term
-      S_j table[j] / (j D^j M^j) once, J units of 2^-B; a floor by the
-      shift and then by j D^j is one floor, as floor(floor(x) / n) =
-      floor(x / n) for an integer n > 0.
+    * coefficient rounding: the sum below reads p_j as S_j / (2^(2h) D)^j
+      (``power_sum_numerators``; S_j sums powers of 2 u_i - D when
+      centred) and floors each term S_j table[j] / (j D^j M^j 2^(2hj))
+      once, J units of 2^-B; a floor by the shift and then by j D^j is one
+      floor, as floor(floor(x) / n) = floor(x / n) for an integer n > 0.
 
     H_J < 1 + bit_length(J), so the tail is a ball of radius truncation
     plus (U mass (bit_length(J) + 1) + J) 2^-B, and ``exp_ball`` takes H
@@ -800,20 +878,21 @@ def _engine(spec: ProductSpec, precision: int, automaton: _Automaton) -> EvalRes
     if r.is_one:
         return EvalResult(mpmath.mpf(1), mpmath.mpf(0), 0, 0)
     fold = automaton.fold
-    m = _tail_start(r, fold)
+    reach = automaton.reach(r)
+    m = automaton.start(reach)
     prec = ball_prec(precision)
     bits = prec + TABLE_GUARD
     table, unit, signs = _scaled_table(automaton, m, bits)
     head = _head(r, spec.start, m, signs)
 
     mass = sum(abs(mult) for _, mult in r.numerators)
-    rho = r.max_abs_offset() / m
+    rho = reach / m
     width = 1 << fold
     need = (bits + math.log2(mass * (m + 1) * width / (width - 1))) / -math.log2(rho)
     j_max = min(len(table) - 1, max(1, math.ceil(need)))
-    sums = r.power_sum_numerators(j_max)
-    # p_j 2^(Kj) / (j M^j) = S_j / (j D^j 2^(step j)) for M = 2^(K + step)
-    step = m.bit_length() - 1 - fold
+    sums = r.power_sum_numerators(j_max, automaton.centred)
+    # p_j 2^(Kj) / (j M^j) = S_j / (j D^j 2^(step j)) for M = 2^(K + step - 2h)
+    step = m.bit_length() - 1 - fold + automaton.centred
     d, d_j = r.denominator, 1
     acc = 0
     for j in range(1, j_max + 1):
@@ -832,9 +911,9 @@ def _engine_automaton(spec: ProductSpec, opts: EvalOptions) -> Optional[_Automat
     None when ``opts`` fix the split levels or the terms, which select the
     kind's oracle.
 
-    For the engine, ``spec`` is validated, and offsets that would need a
-    tail start above the automaton's ``max_tail_start`` raise
-    ``CapabilityError``; neither check does head, table or oracle work.
+    For the engine, ``spec`` is validated, and offsets |a_i| above the
+    automaton's ``max_offset`` raise ``CapabilityError``; neither check
+    does head, table or oracle work.
     """
     if spec.kind is ExponentKind.PM_THUE:
         automaton, levels = THUE_MORSE, opts.split_levels
@@ -847,11 +926,10 @@ def _engine_automaton(spec: ProductSpec, opts: EvalOptions) -> Optional[_Automat
     if levels is not None or opts.terms is not None:
         return None
     spec.validate()
-    if _tail_start(spec.rational, automaton.fold) > automaton.max_tail_start:
+    if spec.rational.max_abs_offset() > automaton.max_offset:
         raise CapabilityError(
-            f"offsets |a_i| above {automaton.max_tail_start >> automaton.fold} need "
-            f"a {automaton.name} tail start above {automaton.max_tail_start}, the "
-            f"engine's cap; {oracle}")
+            f"offsets |a_i| above {automaton.max_offset} are past the {automaton.name} "
+            f"engine's cap (tail start {automaton.max_tail_start}); {oracle}")
     return automaton
 
 

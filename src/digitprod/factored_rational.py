@@ -106,12 +106,15 @@ class FactoredRational:
         """Net degree (numerator degree minus denominator degree)."""
         return sum(m for _, m in self.numerators)
 
-    def power_sum_numerators(self, j_max: int) -> List[int]:
+    def power_sum_numerators(self, j_max: int, centred: bool = False) -> List[int]:
         """[S_0, ..., S_{j_max}], S_j = sum_i m_i * u_i^j, so that the power
-        sum p_j = sum_i m_i * a_i^j is S_j / D^j."""
+        sum p_j = sum_i m_i * a_i^j is S_j / D^j.  With ``centred``,
+        S_j = sum_i m_i * (2 u_i - D)^j, so that the power sum of the
+        offsets less 1/2, sum_i m_i * (a_i - 1/2)^j, is S_j / (2D)^j."""
         sums = [0] * (j_max + 1)
         for u, m in self.numerators:
-            sums = list(map(add, sums, accumulate(repeat(u, j_max), mul, initial=m)))
+            base = 2 * u - self.denominator if centred else u
+            sums = list(map(add, sums, accumulate(repeat(base, j_max), mul, initial=m)))
         return sums
 
     def power_sums(self, j_max: int) -> List[Fraction]:

@@ -135,13 +135,13 @@ def test_eval_json_format(capsys):
 
 
 def test_eval_json_format_engine(capsys):
-    # the default path: the scaled tail engine, tail start M = 64, no split
+    # the default path: the scaled tail engine, tail start M = 32, no split
     code, out, _ = run(capsys, "eval", "(4n+1)/(4n+3)", "--kind", "pm-t",
                        "--digits", "20", "--format", "json")
     assert code == 0
     payload = json.loads(out)
     assert payload["value"] == "0.50000000000000000000"
-    assert payload["terms_used"] == 64
+    assert payload["terms_used"] == 32
     assert payload["split_levels"] == 0
 
 
@@ -253,6 +253,43 @@ def test_printed_estimate_covers_the_printed_value(value, estimate):
     printed = Fraction(Decimal(shown))
     assert bound <= printed
     assert printed - bound < Fraction(10) ** (Decimal(shown).adjusted() - 2)
+
+
+def _supported_text(value, estimate, digits):
+    """The value as ``_printed`` must print it, found one count at a time:
+    from ``digits`` down, the first count whose last digit the estimate
+    supports; None when it supports none."""
+    man, exp = estimate.man_exp
+    error = man * Fraction(2) ** exp
+    for n in range(digits, 0, -1):
+        text = mpmath.nstr(value, n, strip_zeros=False)
+        if error <= Fraction(10) ** (Decimal(text).adjusted() - n + 1) / 2:
+            return text
+    return None
+
+
+def test_printed_digit_count_matches_the_one_at_a_time_search():
+    # values with carries (9.99..., 1 - 10^-30), tiny and large magnitudes
+    # and an exact 0.5; estimates from 0 to above the value, at and around
+    # half a unit in a digit; every count the CLI takes, up to 500
+    with mpmath.workdps(530):
+        values = [1 / mpmath.sqrt(2), mpmath.pi * mpmath.mpf(10) ** -300,
+                  mpmath.pi * 10 ** 5, 10 - mpmath.mpf(10) ** -40,
+                  1 - mpmath.mpf(10) ** -30, mpmath.mpf(1) / 2]
+        estimates = [mpmath.mpf(0)] + [
+            c * mpmath.mpf(10) ** -k for k in (0, 1, 3, 10, 59, 60, 61, 200, 499, 500, 501)
+            for c in (1, 5, mpmath.mpf("5.0001"))]
+    for value in values:
+        for estimate in estimates:
+            estimate = estimate * abs(value) if estimate else estimate
+            for digits in (1, 20, 60, 500):
+                expected = _supported_text(value, estimate, digits)
+                if expected is None:
+                    with pytest.raises(CapabilityError, match="supports no digit"):
+                        _printed(value, estimate, digits)
+                else:
+                    assert _printed(value, estimate, digits)[0] == expected, (
+                        value, estimate, digits)
 
 
 def test_eval_deterministic_output(capsys):

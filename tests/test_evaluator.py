@@ -801,13 +801,16 @@ def test_flajolet_martin_cross_check_within_the_product_ball(digits):
 
 
 def test_flajolet_martin_rejects_a_ratio_just_outside_the_product_ball(monkeypatch):
-    # R moved by twice the product ball's radius, over g(0): the ball of
-    # R g(0) no longer holds 3/2
+    # R moved so that R g(0) lies twice the product ball's radius above
+    # 3/2, measured from 3/2 rather than from R g(0), which may sit anywhere
+    # in its ball: the ball of R g(0), outward rounding included, no
+    # longer holds 3/2
     opts = EvalOptions(precision=60)
     fm = flajolet_martin(opts)
     with mp(90):
-        shift = 2 * (fm.ratio.error_estimate
-                     + fm.g0.error_estimate * fm.ratio.value / fm.g0.value)
+        radius = (fm.ratio.error_estimate * fm.g0.value
+                  + fm.g0.error_estimate * fm.ratio.value)
+        shift = (mpmath.mpf(3) / 2 + 2 * radius) / fm.g0.value - fm.ratio.value
     engine = evaluator._plus_minus
 
     def perturbed(spec, options):

@@ -45,7 +45,7 @@ CASES = {
     "eval-plain-big-offset": ["eval", "(n+1000000)(n+1000003)/((n+1000001)(n+1000002))",
                               "--kind", "plain"],
     "g-3-4": ["g", "--x", "3/4"],
-    # max|a| = 64: Thue-Morse at its cap, M = 512
+    # max|a| = 64: Thue-Morse at its offset cap, M = 256
     "g-127-500": ["g", "--x", "127", "--digits", "500"],
     # D = 8: the engine's series runs to 477 terms at 500 digits
     "g-37-4-500": ["g", "--x", "37/4", "--digits", "500"],
@@ -64,7 +64,7 @@ CASES = {
     # value of 0.72 that supports no digit, so it exits 3 and prints nothing
     "eval-rs-short-sum": ["eval", "(n+20)/(n+21)", "--kind", "pm-v",
                           "--rs-split-levels", "1", "--terms", "16"],
-    # the default engine at tail start M = 64 (terms_used 64, no split)
+    # the default engine at tail start M = 32 (terms_used 32, no split)
     "eval-n1-n2": ["eval", "(n+1)/(n+2)"],
     # max|a| = 512: Rudin-Shapiro at its cap, M = 2048
     "eval-rs-cap-200": ["eval", "(n+511)/(n+512)", "--kind", "pm-v",

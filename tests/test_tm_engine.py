@@ -5,8 +5,10 @@ the direct-sum oracle ``eval_pm_rs`` at its largest N, and the engine
 itself at a second tail start M.
 """
 
+import json
 import math
 import random
+from dataclasses import replace
 from fractions import Fraction as F
 
 import mpmath
@@ -57,7 +59,7 @@ def test_engine_full_digits_on_closed_forms(digits):
     refs = _references(digits)
     for name in NAMES:
         res = eval_product(catalog_entry(name).spec, EvalOptions(precision=digits))
-        assert (res.terms_used, res.split_levels) == (64, 0)
+        assert (res.terms_used, res.split_levels) == (32 if name in TM_NAMES else 64, 0)
         with mpmath.workdps(digits + 30):
             error = abs(res.value - refs[name])
             assert error <= res.error_estimate, name
@@ -95,7 +97,8 @@ def test_engine_matches_split_oracle_at_high_levels(spec):
 @pytest.mark.parametrize("digits", [60, 200])
 def test_engine_second_tail_start(monkeypatch, digits):
     # M = 128 builds its own table; both starts hit the closed forms
-    monkeypatch.setattr(evaluator, "TAIL_START", 128)
+    for name in ("THUE_MORSE", "RUDIN_SHAPIRO"):
+        monkeypatch.setattr(evaluator, name, replace(getattr(evaluator, name), tail_start=128))
     refs = _references(digits)
     for name in ["WR", "C3k", "T5a", "GS", "T6a", "T6b"]:
         res = eval_product(catalog_entry(name).spec, EvalOptions(precision=digits))
@@ -105,18 +108,18 @@ def test_engine_second_tail_start(monkeypatch, digits):
 
 
 def test_engine_large_offsets_take_a_larger_tail_start():
-    # max|a| = 33/2 needs M >= 8 * 33/2, so M = 256
+    # max|a - 1/2| = 16 needs M >= 4 * 16, so M = 64
     a, b = F(33, 2), F(16)
     res = f_value(a, b)
-    assert res.terms_used == 256
+    assert res.terms_used == 64
     oracle = f_value(a, b, EvalOptions(split_levels=12, terms=1 << 16))
     with mpmath.workdps(80):
         assert abs(oracle.value - res.value) < mpmath.mpf(10) ** -55
 
 
 @pytest.mark.parametrize("x, tail_start", [
-    (F(127), evaluator.THUE_MORSE.max_tail_start),  # max|a| = 64: M = 512, the cap
-    (F(128), None),                         # max|a| = 129/2 would need 1024
+    (F(127), 256),             # max|a| = 64, the cap; max|a - 1/2| = 127/2: M = 256
+    (F(128), None),            # max|a| = 129/2, past the cap
     (F(10 ** 4), None),                     # max|a| = (10^4 + 1)/2: 2^16
 ])
 def test_offsets_above_the_tail_start_cap_take_the_split_oracle(
@@ -343,9 +346,7 @@ def test_rs_automaton_gives_the_rudin_shapiro_signs():
 
 def test_rs_engine_second_fold_agrees():
     # K = 4 has P_0 = S^4 = 4 I: another scalar solve, another table
-    rs = evaluator.RUDIN_SHAPIRO
-    fold4 = evaluator._Automaton("Rudin-Shapiro, K = 4", rs.next_state, rs.sign, 4,
-                                 rs.max_tail_start)
+    fold4 = replace(evaluator.RUDIN_SHAPIRO, name="Rudin-Shapiro, K = 4", fold=4)
     for name in ["GS", "T6a"]:
         spec = catalog_entry(name).spec
         default = eval_product(spec, EvalOptions(precision=60))
@@ -368,26 +369,29 @@ def unsolved_rows(automaton, m, bits):
 def chain_table_reference(automaton, m, bits, every_row=False):
     """``_scaled_table``'s table from the same f_s (``_block_sums``),
     moments and first solved row s0 (``_last_solved_row``), with the
-    solve's series summed term by term: each row's coefficients
-    c_k = C(-s,k) m^-k follow c_k = c_{k-1} (-(s+k-1)) / (k m) by floor
-    division at 2^scale, the chain stops at the first c_k that is 0, and
-    every term costs two products, c_k P_k and that by e_{s+k}.  The
-    Horner sum of the builder must give the same rows.  With
-    ``every_row`` the solve runs over every row below the top instead."""
+    solve's series summed term by term over every k: each row's
+    coefficients c_k = C(-s,k) w^-k, w the table's scale (m, or 2m
+    centred), follow c_k = c_{k-1} (-(s+k-1)) / (k w) by floor division
+    at 2^scale, the chain stops at the first c_k that is 0, and every term
+    costs two products, c_k Q_k and that by e_{s+k}.  The Horner sum of
+    the builder, which skips the k whose moments are all 0, must give the
+    same rows.  With ``every_row`` the solve runs over every row below the
+    top instead."""
     fold = automaton.fold
     top = bits // fold
     states = len(automaton.sign)
+    w = m << automaton.centred
     e = unsolved_rows(automaton, m, bits)
     c0, moments = evaluator._moments(automaton, top)
     first = top - 1
     if not every_row:
-        first = min(first, evaluator._last_solved_row(fold, m, c0, bits))
+        first = min(first, evaluator._last_solved_row(fold, w, c0, bits))
     for s in range(first, 0, -1):
         scale = max(0, bits - 2 * fold * s) + 40 + s // 32
         c = 1 << scale
         cs = []
         for k in range(1, top - s + 1):
-            c = c * -(s + k - 1) // (k * m)
+            c = c * -(s + k - 1) // (k * w)
             if not c:
                 break
             cs.append(c)
@@ -431,7 +435,7 @@ def test_rows_above_the_last_solved_row_take_no_solve(automaton, m, digits):
     bits = _table_bits(digits)
     table, _, _ = evaluator._scaled_table(automaton, m, bits)
     c0, _ = evaluator._moments(automaton, 1)
-    s0 = evaluator._last_solved_row(automaton.fold, m, c0, bits)
+    s0 = evaluator._last_solved_row(automaton.fold, m << automaton.centred, c0, bits)
     assert bits // (2 * automaton.fold) <= s0 < len(table) - 1
     solved = chain_table_reference(automaton, m, bits, every_row=True)
     f = unsolved_rows(automaton, m, bits)[0]
@@ -490,6 +494,146 @@ def test_table_rows_within_their_unit_bound_at_the_caps(automaton, m):
     _assert_rows_within_their_unit(automaton, m, _table_bits(60))
 
 
+@pytest.mark.parametrize("digits", [20, 60, 500])
+def test_thue_morse_centred_moments_vanish_at_every_odd_k(digits):
+    # the solve's Horner sum visits only the even k, two coefficients to a
+    # floor, because Q_k = sum_i (2i-3)^k (-1)^(t_i) = 2 (3^k - 1) at even
+    # k and 0 at odd k; if an odd moment stopped vanishing, the builder
+    # would have to visit every k
+    automaton = evaluator.THUE_MORSE
+    assert automaton.centred and automaton.fold == 2
+    top = _table_bits(digits) // automaton.fold
+    c0, moments = evaluator._moments(automaton, top)
+    assert c0 == 0 and list(moments) == [(0, 0)]
+    column = moments[(0, 0)]
+    assert len(column) == top + 1
+    assert [k for k in range(1, top + 1, 2) if column[k]] == []
+    assert [k for k in range(2, top + 1, 2) if column[k] != 2 * (3 ** k - 1)] == []
+
+
+def exact_table_reference(automaton, m, bits, guard=64):
+    """The rows E(s) 2^(bits - K s) of state 0 for 1 <= s <= bits/K, at
+    2^guard units per row unit, built apart from the engine's code: f_s
+    from the exact floor of each member's 2^(bits+guard) (w / (2^K N))^s,
+    w the table's scale, and every row s solved, up to rows far past the
+    table's top, from the moments Q_k = sum_i delta_i^k A_i with exact
+    binomials and a single floor per row.  A term of the solve is dropped
+    only past its peak and once below 2^-40 units, so each row is within
+    a few units per member and row, all far below 2^guard."""
+    fold, width = automaton.fold, 1 << automaton.fold
+    w = m << automaton.centred
+    log_w = w.bit_length() - 1
+    assert w == 1 << log_w
+    big = bits + guard
+    rows = (big + 40 + (w + 1).bit_length()) // fold + 1
+    values, ids = automaton.vectors(m << fold)
+    states = len(automaton.sign)
+    f = [[0] * (rows + 1) for _ in range(states)]
+    for n in range(m, m << fold):
+        x = values[ids[n]]
+        d = width * (2 * n + 1 if automaton.centred else n)
+        for s in range(1, rows + 1):
+            y = (w ** s << big) // d ** s
+            if not y:
+                break
+            for q in range(states):
+                f[q][s] += x[q] * y
+    moments = {}
+    for i in range(width):
+        delta = 2 * i + 1 - width if automaton.centred else i
+        for q, (t, sign) in enumerate(automaton.residue_map(i)):
+            column = moments.setdefault((q, t), [0] * (rows + 1))
+            for k in range(rows + 1):
+                column[k] += sign * delta ** k
+    c0 = moments[(0, 0)][0]
+    y = [[0] * (rows + 2) for _ in range(states)]
+    for s in range(rows, 0, -1):
+        acc = [0] * states
+        binom = 1
+        # log2 of a bound on term k in units of 2^-guard
+        size = big - 2 * fold * s + fold + math.log2(w + 1)
+        for k in range(1, rows - s + 1):
+            binom = binom * (s + k - 1) // k
+            size += math.log2((s + k - 1) / k * (width - 1) / (width * w))
+            if size < -40 and (s + k) * (width - 1) < (k + 1) * w * width / 2:
+                break
+            for (q, t), column in moments.items():
+                if column[k]:
+                    term = binom * column[k] * y[t][s + k] << log_w * (rows - s - k)
+                    acc[q] += -term if k & 1 else term
+        shift = log_w * (rows - s)
+        for q in range(states):
+            y[q][s] = (((f[q][s] << fold * s + shift) + acc[q])
+                       // (((1 << fold * s) - c0) << shift))
+    return y[0][:bits // fold + 1], (1 << fold) * m + rows
+
+
+@pytest.mark.parametrize("automaton, m, digits", [
+    *((evaluator.THUE_MORSE, m, d) for m in (32, 64, 256, 512) for d in (20, 60)),
+    (evaluator.THUE_MORSE, 32, 500),
+    (evaluator.RUDIN_SHAPIRO, 64, 20),
+    (evaluator.RUDIN_SHAPIRO, 64, 60),
+])
+def test_table_rows_within_their_unit_of_an_exact_solve(automaton, m, digits):
+    bits = _table_bits(digits)
+    guard = 64
+    table, unit, _ = evaluator._scaled_table(automaton, m, bits)
+    exact, slack = exact_table_reference(automaton, m, bits, guard)
+    assert len(exact) == len(table)
+    for s in range(1, len(table)):
+        assert abs((table[s] << guard) - exact[s]) <= (unit << guard) + 4 * slack, s
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.sampled_from(["32", "64", "cap"]), st.integers(0, 200))
+def test_centred_class_rows_stay_below_the_exact_sums(m, bits):
+    # the centred table's f_s: each class row is at most the exact sum over
+    # its odd N = 2n+1 in [2m, 8m) of 2^bits (2m / (4N))^s, and below it by
+    # less than b^2 per pair and b per member left alone, b = 4/3
+    automaton = evaluator.THUE_MORSE
+    m = automaton.max_tail_start if m == "cap" else int(m)
+    values, ids, sums = evaluator._block_sums(automaton, m, bits)
+    top = bits // automaton.fold
+    b = F(4, 3)
+    guard = 64
+    assert len(sums) == len(values) == 2
+    for g, row in enumerate(sums):
+        members = [2 * n + 1 for n in range(m, 4 * m) if ids[n] == g]
+        bound = len(members) // 2 * b ** 2 + len(members) % 2 * b
+        assert row[0] == 0
+        for s in range(1, top + 1):
+            # 2^guard times the exact sum is in [floors, floors + len(members))
+            floors = sum(((2 * m) ** s << bits + guard) // (4 * n) ** s for n in members)
+            scaled = row[s] << guard
+            assert scaled < floors + len(members), (g, s)
+            assert floors - scaled < bound * (1 << guard), (g, s)
+
+
+def test_thue_morse_cap_edges(monkeypatch, capsys):
+    # the cap is on the offsets, max|a_i| <= 64, as for the uncentred
+    # table; the tail start follows max|a_i - 1/2|
+    calls = record_oracle_calls(monkeypatch, "eval_pm_thue", "eval_pm_rs")
+    assert main(["g", "--x", "127", "--digits", "30", "--format", "json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert (payload["terms_used"], payload["split_levels"]) == (256, 0)
+    assert len(payload["value"].lstrip("0.")) == 30 and calls == []
+    assert main(["g", "--x", "128"]) == 3
+    # -255/4 is within 1/2 of -64: max|a - 1/2| = 257/4 needs M = 512
+    spec = ProductSpec(FactoredRational.parse("(n-255/4)/(n-253/4)"), ExponentKind.PM_THUE, 1)
+    engine = eval_product(spec, EvalOptions(precision=30))
+    assert (engine.terms_used, engine.split_levels) == (512, 0) and calls == []
+    oracle = eval_pm_thue(spec, EvalOptions(precision=30, split_levels=12, terms=1 << 16))
+    with mpmath.workdps(60):
+        assert abs(engine.value - oracle.value) <= engine.error_estimate + oracle.error_estimate
+    # -129/2 is past the cap, though max|a - 1/2| = 65 would fit M = 512
+    forbid_engine_and_oracles(monkeypatch)
+    assert main(["eval", "(n-129/2)/(n-257/4)"]) == 3
+    with pytest.raises(CapabilityError, match="--split-levels"):
+        eval_product(ProductSpec(FactoredRational.parse("(n-129/2)/(n-257/4)"),
+                                 ExponentKind.PM_THUE, 1))
+    capsys.readouterr()
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 200), st.sampled_from([8, 16, 32, 64]), st.sampled_from([2, 3]),
        st.integers(1, 4), st.integers(0, 2 ** 32))
@@ -530,11 +674,11 @@ def _fold_depth(n, m):
 
 
 @settings(max_examples=20, deadline=None)
-@given(st.sampled_from([evaluator.THUE_MORSE, evaluator.RUDIN_SHAPIRO]),
+@given(st.just(evaluator.RUDIN_SHAPIRO),
        st.sampled_from(["64", "128", "cap"]), st.integers(0, 200))
 def test_folded_class_rows_stay_below_the_exact_sums(automaton, m, bits):
-    # each class row of the folded sums is at most the exact sum over its
-    # n in [m, 2^K m) and below it by less than
+    # each class row of the folded (uncentred) sums is at most the exact
+    # sum over its n in [m, 2^K m) and below it by less than
     # b sum 2^-i(n) + 2 (K - 1) G, b = 2^K / (2^K - 1)
     m = automaton.max_tail_start if m == "cap" else int(m)
     fold = automaton.fold
@@ -569,21 +713,23 @@ def test_folded_class_rows_stay_below_the_exact_sums(automaton, m, bits):
 
 def fraction_series_engine_reference(spec, precision, automaton):
     """``_engine``'s (value, error_estimate) with the series summed from
-    reduced Fraction power sums p_j = N_j / Q_j, built here from the
-    offsets as Fractions: each term
+    reduced Fraction power sums p_j = N_j / Q_j of the offsets less the
+    table's centre h, built here from the offsets as Fractions: each term
     floor(floor(N_j table[j] / 2^(step j)) / (j Q_j)), one gcd per j.
-    The engine reads p_j as S_j / D^j instead; both floor the same
-    rational once, so they must give the same bits."""
+    The engine reads p_j as S_j / (2^(2h) D)^j instead; both floor the
+    same rational once, so they must give the same bits."""
     r = spec.rational
     wp = working_dps(precision)
     fold = automaton.fold
-    m = evaluator._tail_start(r, fold)
+    centre = F(automaton.centred, 2)
+    reach = max(abs(f.offset - centre) for f in r.factors)
+    m = automaton.start(reach)
     prec = mpmath.libmp.dps_to_prec(wp)
     bits = prec + evaluator.TABLE_GUARD
     table, unit, signs = evaluator._scaled_table(automaton, m, bits)
     head = evaluator._head(r, spec.start, m, signs)
     mass = sum(abs(mult) for _, mult in r.numerators)
-    rho = r.max_abs_offset() / m
+    rho = reach / m
     width = 1 << fold
     need = (bits + math.log2(mass * (m + 1) * width / (width - 1))) / -math.log2(rho)
     j_max = min(len(table) - 1, max(1, math.ceil(need)))
@@ -592,7 +738,7 @@ def fraction_series_engine_reference(spec, precision, automaton):
         power = F(f.multiplicity)
         for j in range(j_max + 1):
             psums[j] += power
-            power *= f.offset
+            power *= f.offset - centre
     step = m.bit_length() - 1 - fold
     acc = 0
     for j in range(1, j_max + 1):
