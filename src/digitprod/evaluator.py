@@ -11,12 +11,13 @@ E(s) = M^s sum_{n>=M} x_n[0] (n+h)^-s,
         = log prod_{start<=n<M} R(n)^{x_n[0]}
           + sum_j (-1)^(j+1) p_j / (j M^j) E(j),
 
-where p_j are the exact power sums of R's offsets less h.  The head is one exact
-rational taken through one logarithm.  The table E(1..) does not depend on
-R: it is built once per automaton and precision in integers from the
-2^K-fold recursion of the automaton (Allouche & Cohen, "Dirichlet series
-and curious infinite products", Bull. LMS 1985) and shared by every
-evaluation (a bounded memo of a pure function, like ``gamma``).  The
+where p_j are the exact power sums of R's offsets less h.  The head is
+one exact rational taken through one logarithm.  The table E(1..) does
+not depend on R: it is built once per automaton and precision in
+integers from the 2^K-fold recursion of the automaton (Allouche & Cohen,
+"Dirichlet series and curious infinite products", Bull. LMS 1985) and
+shared by every evaluation (a bounded memo of a pure function, like
+``gamma``).  The
 engine sums the whole tail, so its digits are real and its error estimate
 is a derived bound.  M grows with the largest offset and the table's cost
 with M, so the engine refuses valid input whose offsets lie past the
@@ -134,8 +135,9 @@ class EvalOptions:
     (Rudin-Shapiro) and ``terms`` all None, +-1 products go through the
     scaled tail engine, which raises ``CapabilityError`` for an offset
     above the automaton's ``max_offset``.  Fixing either selects the
-    kind's oracle.  ``eval_pm_thue`` reads None as ``DEFAULT_SPLIT_LEVELS`` levels and 4096
-    terms and refuses offsets above ``MAX_TM_OFFSET``; ``eval_pm_rs`` reads
+    kind's oracle.  ``eval_pm_thue`` reads None as
+    ``DEFAULT_SPLIT_LEVELS`` levels and 4096 terms and refuses offsets
+    above ``MAX_TM_OFFSET``; ``eval_pm_rs`` reads
     ``terms`` None as 10^6, and ``rs_split_levels`` None as 0 for fully
     convergent rationals and 10 otherwise.  ``tm_terms`` and ``rs_terms``
     reject counts above ``MAX_TM_TERMS`` and ``MAX_RS_TERMS``.
@@ -424,7 +426,8 @@ class _Automaton:
         if not self.centred:
             return r.max_abs_offset()
         d = r.denominator
-        return Fraction(max((abs(2 * u - d) for u, _ in r.numerators), default=0), 2 * d)
+        reach = max((abs(2 * u - d) for u, _ in r.numerators), default=0)
+        return Fraction(reach, 2 * d)
 
     @property
     def max_tail_start(self) -> int:
@@ -866,7 +869,7 @@ def _engine(spec: ProductSpec, precision: int, automaton: _Automaton) -> EvalRes
       (H_J the harmonic number);
     * coefficient rounding: the sum below reads p_j as S_j / (2^(2h) D)^j
       (``power_sum_numerators``; S_j sums powers of 2 u_i - D when
-      centred) and floors each term S_j table[j] / (j D^j M^j 2^(2hj))
+      centred) and floors each term S_j table[j] 2^(Kj) / (j (2^(2h) D)^j M^j)
       once, J units of 2^-B; a floor by the shift and then by j D^j is one
       floor, as floor(floor(x) / n) = floor(x / n) for an integer n > 0.
 

@@ -149,6 +149,8 @@ def test_eval_json_format_engine(capsys):
     ("g", "--x", "128"),
     ("eval", "(n+513)/(n+514)", "--kind", "pm-v"),
     ("eval", "(n+600)^2/((n+599)(n+601))", "--kind", "v"),
+    # |a| = 129/2 > 64, though max|a - 1/2| = 65 would fit a tail start of 512
+    ("eval", "(n-129/2)/(n-257/4)"),
 ])
 def test_offsets_past_the_engine_cap_exit_three_before_any_work(
         capsys, monkeypatch, argv):

@@ -5,7 +5,6 @@ the direct-sum oracle ``eval_pm_rs`` at its largest N, and the engine
 itself at a second tail start M.
 """
 
-import json
 import math
 import random
 from dataclasses import replace
@@ -609,29 +608,18 @@ def test_centred_class_rows_stay_below_the_exact_sums(m, bits):
             assert floors - scaled < bound * (1 << guard), (g, s)
 
 
-def test_thue_morse_cap_edges(monkeypatch, capsys):
-    # the cap is on the offsets, max|a_i| <= 64, as for the uncentred
-    # table; the tail start follows max|a_i - 1/2|
+def test_an_offset_within_half_of_minus_64_takes_the_largest_tail_start(monkeypatch):
+    # the cap is on the offsets, max|a_i| <= 64, and the tail start follows
+    # max|a_i - 1/2|: -255/4 needs M >= 4 * 257/4, so M = 512, the largest
+    # (g(127) takes 256, and -129/2 is refused: test_cli)
     calls = record_oracle_calls(monkeypatch, "eval_pm_thue", "eval_pm_rs")
-    assert main(["g", "--x", "127", "--digits", "30", "--format", "json"]) == 0
-    payload = json.loads(capsys.readouterr().out)
-    assert (payload["terms_used"], payload["split_levels"]) == (256, 0)
-    assert len(payload["value"].lstrip("0.")) == 30 and calls == []
-    assert main(["g", "--x", "128"]) == 3
-    # -255/4 is within 1/2 of -64: max|a - 1/2| = 257/4 needs M = 512
     spec = ProductSpec(FactoredRational.parse("(n-255/4)/(n-253/4)"), ExponentKind.PM_THUE, 1)
     engine = eval_product(spec, EvalOptions(precision=30))
     assert (engine.terms_used, engine.split_levels) == (512, 0) and calls == []
+    assert engine.terms_used == evaluator.THUE_MORSE.max_tail_start
     oracle = eval_pm_thue(spec, EvalOptions(precision=30, split_levels=12, terms=1 << 16))
     with mpmath.workdps(60):
         assert abs(engine.value - oracle.value) <= engine.error_estimate + oracle.error_estimate
-    # -129/2 is past the cap, though max|a - 1/2| = 65 would fit M = 512
-    forbid_engine_and_oracles(monkeypatch)
-    assert main(["eval", "(n-129/2)/(n-257/4)"]) == 3
-    with pytest.raises(CapabilityError, match="--split-levels"):
-        eval_product(ProductSpec(FactoredRational.parse("(n-129/2)/(n-257/4)"),
-                                 ExponentKind.PM_THUE, 1))
-    capsys.readouterr()
 
 
 @settings(max_examples=40, deadline=None)
