@@ -196,6 +196,37 @@ def test_engine_two_precisions_agree_to_the_lower(seed, start, kind, low, extra)
         assert gap <= abs(fine.value) * mpmath.mpf(10) ** -low
 
 
+@st.composite
+def _tm_family_cases(draw):
+    # family (i) has offsets a, a/2, (a+1)/2, b, b/2 and (b+1)/2, so
+    # a, b in (-1, 64] stay within the cap and reach M = 256; at 500 digits
+    # they stay at most 8, so M stays 32 and the cold 500-digit table is
+    # built once
+    digits = draw(st.sampled_from([60, 200, 500]))
+    top = 8 if digits == 500 else 64
+    values = st.fractions(min_value=-1, max_value=top, max_denominator=12)
+    a = draw(values.filter(lambda x: x > -1))
+    b = draw(values.filter(lambda x: x > -1 and x != a))
+    return digits, a, b
+
+
+@settings(max_examples=30, deadline=None)
+@given(_tm_family_cases())
+@example((60, F(64), F(-1, 2)))
+@example((200, F(127, 2), F(64)))
+@example((500, F(-11, 12), F(8)))
+def test_tm_engine_meets_the_exact_family_value(case):
+    # family (i) is exactly (b+1)/(a+1) at any offsets
+    digits, a, b = case
+    identity = family("i", a, b)
+    res = eval_product(identity.spec, EvalOptions(precision=digits))
+    exact = identity.closed_form.value
+    with mpmath.workdps(digits + 30):
+        reference = mpmath.mpf(exact.numerator) / exact.denominator
+        assert abs(res.value - reference) <= res.error_estimate
+        assert res.error_estimate < reference * mpmath.mpf(10) ** -digits
+
+
 def test_fixing_split_levels_or_terms_selects_the_oracle():
     spec = catalog_entry("WR").spec
     for opts in (EvalOptions(split_levels=6), EvalOptions(terms=1024)):
