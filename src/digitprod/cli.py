@@ -9,7 +9,6 @@ output is schema-stable and byte-identical for identical inputs.
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import json
 import math
@@ -98,6 +97,7 @@ def _emit(args, payload: dict, text: str) -> None:
 
 
 def _to_csv(payload: dict) -> str:
+    import csv  # off the import path of the other formats
     rows = payload.get("rows")
     buffer = io.StringIO()
     if rows:

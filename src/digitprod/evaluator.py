@@ -45,7 +45,6 @@ Plain products telescope into Gamma values.  The 0/1-exponent kinds use
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
@@ -56,6 +55,7 @@ from typing import (TYPE_CHECKING, Dict, Iterable, Iterator, List, Optional,
 import mpmath
 from mpmath import libmp
 
+from ._record import Record
 from .errors import CapabilityError, ConsistencyError, InputError
 from .factored_rational import (FactoredRational, classify, dyadic_split,
                                 pole_check, rs_split_power_sums,
@@ -96,13 +96,13 @@ MAX_RS_SPLIT_LEVELS = 12
 MAX_PROBE_GRID = 1 << 23
 
 
-@dataclass(frozen=True)
-class ProductSpec:
+class ProductSpec(Record):
     """An infinite product: rational function, exponent kind, start index."""
 
-    rational: FactoredRational
-    kind: ExponentKind
-    start: int
+    __slots__ = ("rational", "kind", "start")
+
+    def __init__(self, rational: FactoredRational, kind: ExponentKind, start: int):
+        self._set(rational, kind, start)
 
     def validate(self) -> None:
         """Raise unless the product converges for its kind and R(n) > 0 for
@@ -127,8 +127,7 @@ class ProductSpec:
         sign_check(self.rational, self.start)
 
 
-@dataclass(frozen=True)
-class EvalOptions:
+class EvalOptions(Record):
     """Work parameters: decimal precision, split levels, term counts.
 
     With ``split_levels`` (Thue-Morse) or ``rs_split_levels``
@@ -143,20 +142,20 @@ class EvalOptions:
     reject counts above ``MAX_TM_TERMS`` and ``MAX_RS_TERMS``.
     """
 
-    precision: int = DEFAULT_PRECISION
-    split_levels: Optional[int] = None
-    terms: Optional[int] = None
-    rs_split_levels: Optional[int] = None
+    __slots__ = ("precision", "split_levels", "terms", "rs_split_levels")
 
-    def __post_init__(self):
-        if self.precision < 1:
+    def __init__(self, precision: int = DEFAULT_PRECISION,
+                 split_levels: Optional[int] = None, terms: Optional[int] = None,
+                 rs_split_levels: Optional[int] = None):
+        if precision < 1:
             raise InputError("precision must be at least 1 digit")
-        if not 0 <= (self.split_levels or 0) <= MAX_SPLIT_LEVELS:
+        if not 0 <= (split_levels or 0) <= MAX_SPLIT_LEVELS:
             raise InputError(f"split levels must be in 0..{MAX_SPLIT_LEVELS}")
-        if self.terms is not None and self.terms < 16:
+        if terms is not None and terms < 16:
             raise InputError("terms must be >= 16")
-        if not 0 <= (self.rs_split_levels or 0) <= MAX_RS_SPLIT_LEVELS:
+        if not 0 <= (rs_split_levels or 0) <= MAX_RS_SPLIT_LEVELS:
             raise InputError(f"rs split levels must be in 0..{MAX_RS_SPLIT_LEVELS}")
+        self._set(precision, split_levels, terms, rs_split_levels)
 
     def tm_terms(self) -> int:
         return self._terms(DEFAULT_TM_TERMS, MAX_TM_TERMS, "Thue-Morse")
@@ -172,8 +171,7 @@ class EvalOptions:
         return self.terms
 
 
-@dataclass(frozen=True)
-class EvalResult:
+class EvalResult(Record):
     """Value with an error estimate and the work actually done.
 
     Every path builds its result as a ball (``numerics.exp_ball`` and
@@ -183,10 +181,11 @@ class EvalResult:
     and both oracles alike.
     """
 
-    value: mpmath.mpf
-    error_estimate: mpmath.mpf
-    terms_used: int
-    split_levels: int
+    __slots__ = ("value", "error_estimate", "terms_used", "split_levels")
+
+    def __init__(self, value: mpmath.mpf, error_estimate: mpmath.mpf,
+                 terms_used: int, split_levels: int):
+        self._set(value, error_estimate, terms_used, split_levels)
 
 
 # ---------------------------------------------------------------------------
@@ -345,17 +344,22 @@ def _series_tail(mass: int, rho: Fraction, j: int, span: Fraction = Fraction(1))
 
 def _majorant(psums: Sequence[Fraction], mass: int, max_abs: Fraction, x: int) -> tuple:
     """F(x) = sum_{j>=1} |p_j| / (j x^j), rounded up, for x >= 2 max|a_i|,
-    from the power sums p_1..p_J and ``_series_tail`` past them.  F(x)
-    bounds |log R(n)| at every n >= x and its total variation over
-    [x, oo), sum_j j |c_j| int_x^oo t^-(j+1) dt, so Abel summation against
-    partial sums within S bounds sum_{n>=x} x_n log R(n) by
-    (|S(x-1)| + S) F(x)."""
-    total = _series_tail(mass, max_abs / x, len(psums) - 1)
+    from the power sums p_1..p_j and ``_series_tail`` past them, where j
+    is the first index whose tail is below 2^-60 of the sum so far, or J =
+    len(psums) - 1.  The terms are rounded up to 53 bits and summed at 64,
+    so F(x) is within about 2^-51 of the exact sum.  F(x) bounds
+    |log R(n)| at every n >= x and its total variation over [x, oo),
+    sum_j j |c_j| int_x^oo t^-(j+1) dt, so Abel summation against partial
+    sums within S bounds sum_{n>=x} x_n log R(n) by (|S(x-1)| + S) F(x)."""
+    rho = float(max_abs) / x
+    total = libmp.fzero
     for j in range(1, len(psums)):
         p = psums[j]
         total = libmp.mpf_add(total, upper(abs(p.numerator), p.denominator * j * x ** j),
-                              53, libmp.round_ceiling)
-    return total
+                              64, libmp.round_ceiling)
+        if mass * rho ** (j + 1) < (j + 1) * (1 - rho) * libmp.to_float(total) * 2.0 ** -60:
+            break
+    return libmp.mpf_add(total, _series_tail(mass, max_abs / x, j), 53, libmp.round_ceiling)
 
 
 def eval_pm_thue(spec: ProductSpec, opts: EvalOptions = EvalOptions()) -> EvalResult:
@@ -388,8 +392,7 @@ def eval_pm_thue(spec: ProductSpec, opts: EvalOptions = EvalOptions()) -> EvalRe
 # +-1 products: the scaled tail engine over a signed automaton
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, eq=False)
-class _Automaton:
+class _Automaton(Record):
     """A signed binary automaton, and the shape of its engine's table.
 
     Its sequence is a vector x_n with one entry per state: x_0 = 1 in
@@ -406,13 +409,15 @@ class _Automaton:
     |a_i| above ``max_offset`` are refused: that bounds the engine's work.
     """
 
-    name: str
-    next_state: Tuple[Tuple[int, int], ...]
-    sign: Tuple[Tuple[int, int], ...]
-    fold: int
-    max_offset: int
-    tail_start: int
-    centred: bool
+    __slots__ = ("name", "next_state", "sign", "fold", "max_offset",
+                 "tail_start", "centred")
+    __eq__ = object.__eq__  # by identity: ``_scaled_table``'s memo is keyed on it
+    __hash__ = object.__hash__
+
+    def __init__(self, name: str, next_state: Tuple[Tuple[int, int], ...],
+                 sign: Tuple[Tuple[int, int], ...], fold: int, max_offset: int,
+                 tail_start: int, centred: bool):
+        self._set(name, next_state, sign, fold, max_offset, tail_start, centred)
 
     def start(self, reach: Fraction) -> int:
         """M for offsets with max|a_i - h| = ``reach``."""
@@ -997,7 +1002,7 @@ def _zero_one(spec: ProductSpec, pm_kind: ExponentKind,
     prec = ball_prec(opts.precision)
     quotient = libmp.mpi_div(_ball(plain, prec), _ball(pm, prec), prec)
     value, estimate = midpoint_radius(libmp.mpi_sqrt(quotient, prec), prec)
-    return replace(pm, value=value, error_estimate=estimate)
+    return EvalResult(value, estimate, pm.terms_used, pm.split_levels)
 
 
 def _ball(result: EvalResult, prec: int) -> Tuple[tuple, tuple]:
@@ -1247,21 +1252,23 @@ def g_value(x: Fraction, opts: EvalOptions = EvalOptions()) -> EvalResult:
     prec = ball_prec(opts.precision)
     g = libmp.mpi_div(_ball(f, prec), rational_ball(x + 1, prec), prec)
     value, estimate = midpoint_radius(g, prec)
-    return replace(f, value=value, error_estimate=estimate)
+    return EvalResult(value, estimate, f.terms_used, f.split_levels)
 
 
 # ---------------------------------------------------------------------------
 # Flajolet-Martin constants
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class FlajoletMartin:
-    g0: EvalResult
-    ratio: EvalResult            # R = prod ((4n+1)(4n+2)/(4n(4n+3)))^{(-1)^{t_n}}
-    phi: mpmath.mpf              # 2^{-1/2} e^gamma (2/3) R
-    phi_via_g0: mpmath.mpf       # 2^{-1/2} e^gamma / g(0)
-    cross_check_error: mpmath.mpf  # |R g(0) - 3/2|
-    phi_error: mpmath.mpf        # the radius of phi's ball
+class FlajoletMartin(Record):
+    __slots__ = ("g0", "ratio", "phi", "phi_via_g0", "cross_check_error", "phi_error")
+
+    def __init__(self, g0: EvalResult,
+                 ratio: EvalResult,  # R = prod ((4n+1)(4n+2)/(4n(4n+3)))^{(-1)^{t_n}}
+                 phi: mpmath.mpf,  # 2^{-1/2} e^gamma (2/3) R
+                 phi_via_g0: mpmath.mpf,  # 2^{-1/2} e^gamma / g(0)
+                 cross_check_error: mpmath.mpf,  # |R g(0) - 3/2|
+                 phi_error: mpmath.mpf):  # the radius of phi's ball
+        self._set(g0, ratio, phi, phi_via_g0, cross_check_error, phi_error)
 
 
 FM_RATIO_RATIONAL = FactoredRational.from_raw_factors(
@@ -1310,11 +1317,11 @@ def flajolet_martin(opts: EvalOptions = EvalOptions()) -> FlajoletMartin:
 # Remainder sign probe (difference operator T G(x) = G(2x) - G(2x+1))
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SignProbeRow:
-    n: int
-    sign: int
-    expected: int
+class SignProbeRow(Record):
+    __slots__ = ("n", "sign", "expected")
+
+    def __init__(self, n: int, sign: int, expected: int):
+        self._set(n, sign, expected)
 
     @property
     def matches(self) -> bool:
@@ -1372,17 +1379,19 @@ def remainder_sign_probe(a: Fraction, b: Fraction, k: int, n_max: int,
 # Monotonicity scan of h(x) = f(x/2, (x+1)/2)
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ScanPoint:
-    x: Fraction
-    value: mpmath.mpf
-    error_estimate: mpmath.mpf
+class ScanPoint(Record):
+    __slots__ = ("x", "value", "error_estimate")
+
+    def __init__(self, x: Fraction, value: mpmath.mpf, error_estimate: mpmath.mpf):
+        self._set(x, value, error_estimate)
 
 
-@dataclass(frozen=True)
-class ScanReport:
-    points: List[ScanPoint]
-    violations: List[Tuple[Fraction, Fraction]]  # adjacent pairs not decreasing
+class ScanReport(Record):
+    __slots__ = ("points", "violations")
+
+    def __init__(self, points: List[ScanPoint],
+                 violations: List[Tuple[Fraction, Fraction]]):  # adjacent pairs not decreasing
+        self._set(points, violations)
 
     @property
     def strictly_decreasing(self) -> bool:

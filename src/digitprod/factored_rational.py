@@ -28,40 +28,40 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from itertools import accumulate, repeat
 from operator import add, mul
 from typing import Iterable, List, Optional, Tuple, Union
 
+from ._record import Record
 from .errors import EvaluationError, InputError, ParseError
 from .numerics import log_fraction
 
 RationalLike = Union[int, Fraction]
 
 
-@dataclass(frozen=True)
-class AffineFactor:
+class AffineFactor(Record):
     """One monic factor (n + offset)^multiplicity."""
 
-    offset: Fraction
-    multiplicity: int
+    __slots__ = ("offset", "multiplicity")
+
+    def __init__(self, offset: Fraction, multiplicity: int):
+        self._set(offset, multiplicity)
 
 
-@dataclass(frozen=True)
-class FactoredRational:
+class FactoredRational(Record):
     """Canonical product s * prod (n + u_i/D)^{m_i}: ``denominator`` D is the
     least common denominator of the reduced offsets (1 without factors) and
     ``numerators`` the pairs (u_i, m_i), u_i strictly increasing, m_i nonzero."""
 
-    scale: Fraction
-    denominator: int
-    numerators: Tuple[Tuple[int, int], ...]
+    __slots__ = ("scale", "denominator", "numerators")
 
-    def __post_init__(self):
-        if self.scale <= 0:
-            raise InputError(f"scale must be positive, got {self.scale}")
+    def __init__(self, scale: Fraction, denominator: int,
+                 numerators: Tuple[Tuple[int, int], ...]):
+        if scale <= 0:
+            raise InputError(f"scale must be positive, got {scale}")
+        self._set(scale, denominator, numerators)
 
     # -- construction -------------------------------------------------
 
@@ -406,10 +406,11 @@ class ConvergenceTag(Enum):
     FULLY_CONVERGENT = "fully-convergent"
 
 
-@dataclass(frozen=True)
-class ConvergenceClass:
-    tag: ConvergenceTag
-    detail: str
+class ConvergenceClass(Record):
+    __slots__ = ("tag", "detail")
+
+    def __init__(self, tag: ConvergenceTag, detail: str):
+        self._set(tag, detail)
 
     @property
     def at_least_pm(self) -> bool:

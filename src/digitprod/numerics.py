@@ -25,7 +25,6 @@ from __future__ import annotations
 import math
 import threading
 from contextlib import contextmanager
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Dict, Iterator, Optional, Tuple, Union
@@ -33,6 +32,7 @@ from typing import Dict, Iterator, Optional, Tuple, Union
 import mpmath
 from mpmath import libmp
 
+from ._record import Record
 from .errors import EvaluationError, InputError
 
 GUARD_DIGITS = 10
@@ -358,6 +358,8 @@ def constant(name: str, precision: int = DEFAULT_PRECISION) -> mpmath.mpf:
 class ClosedForm:
     """Expression tree over rationals, pi and Gamma(1/4)."""
 
+    __slots__ = ()
+
     def eval(self, precision: int = DEFAULT_PRECISION) -> mpmath.mpf:
         """The midpoint of ``ball``."""
         prec = ball_prec(precision)
@@ -377,9 +379,11 @@ class ClosedForm:
         raise NotImplementedError
 
 
-@dataclass(frozen=True)
-class Rat(ClosedForm):
-    value: Fraction
+class Rat(ClosedForm, Record):
+    __slots__ = ("value",)
+
+    def __init__(self, value: Fraction):
+        self._set(value)
 
     def _ball(self, precision, prec):
         return rational_ball(self.value, prec)
@@ -391,9 +395,11 @@ class Rat(ClosedForm):
         return {"type": "rational", "value": str(self.value)}
 
 
-@dataclass(frozen=True)
-class Const(ClosedForm):
-    name: str  # pi | gamma_quarter; any name ``constant`` knows
+class Const(ClosedForm, Record):
+    __slots__ = ("name",)
+
+    def __init__(self, name: str):  # pi | gamma_quarter; any name ``constant`` knows
+        self._set(name)
 
     def _ball(self, precision, prec):
         if self.name == "gamma_quarter":
@@ -408,10 +414,11 @@ class Const(ClosedForm):
         return {"type": "const", "name": self.name}
 
 
-@dataclass(frozen=True)
-class Pow(ClosedForm):
-    base: ClosedForm
-    exponent: Fraction
+class Pow(ClosedForm, Record):
+    __slots__ = ("base", "exponent")
+
+    def __init__(self, base: ClosedForm, exponent: Fraction):
+        self._set(base, exponent)
 
     def _ball(self, precision, prec):
         b = self.base._ball(precision, prec)
@@ -433,9 +440,11 @@ class Pow(ClosedForm):
         return {"type": "pow", "base": self.base.to_json(), "exponent": str(self.exponent)}
 
 
-@dataclass(frozen=True)
-class Mul(ClosedForm):
-    factors: Tuple[ClosedForm, ...]
+class Mul(ClosedForm, Record):
+    __slots__ = ("factors",)
+
+    def __init__(self, factors: Tuple[ClosedForm, ...]):
+        self._set(factors)
 
     def _ball(self, precision, prec):
         out = (libmp.fone, libmp.fone)
@@ -450,10 +459,11 @@ class Mul(ClosedForm):
         return {"type": "mul", "factors": [f.to_json() for f in self.factors]}
 
 
-@dataclass(frozen=True)
-class Sub(ClosedForm):
-    left: ClosedForm
-    right: ClosedForm
+class Sub(ClosedForm, Record):
+    __slots__ = ("left", "right")
+
+    def __init__(self, left: ClosedForm, right: ClosedForm):
+        self._set(left, right)
 
     def _ball(self, precision, prec):
         return libmp.mpi_sub(self.left._ball(precision, prec),

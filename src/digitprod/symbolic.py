@@ -23,12 +23,12 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Tuple
 
 import mpmath
 
+from ._record import Record
 from .errors import CapabilityError, ConsistencyError, InputError
 from .evaluator import EvalOptions, ProductSpec, eval_product
 from .factored_rational import FactoredRational
@@ -54,16 +54,18 @@ def _clean(d: Dict[Fraction, Fraction]) -> Dict[Fraction, Fraction]:
     return {k: v for k, v in d.items() if v}
 
 
-@dataclass(frozen=True)
-class GExpression:
+class GExpression(Record):
     """Rational combination of symbols G(x) plus a formal log-constant part.
 
     ``terms`` maps points x to coefficients; ``log_const`` maps positive
     rationals q to coefficients, denoting sum c_q log q.
     """
 
-    terms: Tuple[Tuple[Fraction, Fraction], ...] = ()
-    log_const: Tuple[Tuple[Fraction, Fraction], ...] = ()
+    __slots__ = ("terms", "log_const")
+
+    def __init__(self, terms: Tuple[Tuple[Fraction, Fraction], ...] = (),
+                 log_const: Tuple[Tuple[Fraction, Fraction], ...] = ()):
+        self._set(terms, log_const)
 
     @staticmethod
     def build(terms: Dict[Fraction, Fraction],
@@ -102,9 +104,8 @@ def expr_from_spec(spec: ProductSpec) -> GExpression:
 # Reduction over the relation lattice
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ReduceResult:
-    """Outcome of a reduction attempt.
+class ReduceResult(Record):
+    """Outcome of a reduction attempt, ``status`` "reduced" or "irreducible".
 
     ``reduced`` carries the closed form plus its prime-exponent map and
     the certificate (coefficients of the relation vectors r_x).  An
@@ -112,12 +113,14 @@ class ReduceResult:
     combination exists within the searched depth.
     """
 
-    status: str  # "reduced" | "irreducible"
-    depth: int
-    closed_form: Optional[ClosedForm] = None
-    exponents: Optional[Dict[int, Fraction]] = None
-    certificate: Dict[Fraction, Fraction] = field(default_factory=dict)
-    residual: Optional[GExpression] = None
+    __slots__ = ("status", "depth", "closed_form", "exponents", "certificate", "residual")
+
+    def __init__(self, status: str, depth: int, closed_form: Optional[ClosedForm] = None,
+                 exponents: Optional[Dict[int, Fraction]] = None,
+                 certificate: Optional[Dict[Fraction, Fraction]] = None,
+                 residual: Optional[GExpression] = None):
+        self._set(status, depth, closed_form, exponents,
+                  {} if certificate is None else certificate, residual)
 
     @property
     def reduced(self) -> bool:
@@ -266,12 +269,12 @@ def reduce(expr: GExpression, depth: int = DEFAULT_REDUCE_DEPTH) -> ReduceResult
 # Identity families
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Identity:
-    name: str
-    spec: ProductSpec
-    closed_form: ClosedForm
-    provenance: str
+class Identity(Record):
+    __slots__ = ("name", "spec", "closed_form", "provenance")
+
+    def __init__(self, name: str, spec: ProductSpec, closed_form: ClosedForm,
+                 provenance: str):
+        self._set(name, spec, closed_form, provenance)
 
 
 def _not_negative_integer(name: str, x: Fraction) -> None:
@@ -426,16 +429,16 @@ def catalog_entry(name: str) -> Identity:
 # Verification
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class VerifyReport:
-    name: str
-    computed: mpmath.mpf
-    expected: mpmath.mpf
-    abs_error: mpmath.mpf
-    passed: bool
-    tolerance: mpmath.mpf
-    error_estimate: mpmath.mpf
-    symbolic_match: Optional[bool]  # None when no symbolic route applies
+class VerifyReport(Record):
+    __slots__ = ("name", "computed", "expected", "abs_error", "passed",
+                 "tolerance", "error_estimate", "symbolic_match")
+
+    def __init__(self, name: str, computed: mpmath.mpf, expected: mpmath.mpf,
+                 abs_error: mpmath.mpf, passed: bool, tolerance: mpmath.mpf,
+                 error_estimate: mpmath.mpf,
+                 symbolic_match: Optional[bool]):  # None when no symbolic route applies
+        self._set(name, computed, expected, abs_error, passed, tolerance,
+                  error_estimate, symbolic_match)
 
 
 def verify(identity: Identity, opts: EvalOptions = EvalOptions(),

@@ -320,6 +320,46 @@ def test_tm_log_sum_matches_horner_reference(seed, start, levels, past_n0,
         assert abs(tail - ref_tail) <= 2 * terms * unit + rounding
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2 ** 32), st.booleans(), st.integers(0, 8),
+       st.integers(0, 5000), st.integers(15, 500))
+def test_majorant_bounds_the_exact_sum_closely(seed, fully, levels, past_n0, precision):
+    # F(x) sums its terms only until the rest is settled and bounds the
+    # rest by the series tail: it stays at least the exact sum of all
+    # j_max terms, and within 2^-50 of it
+    rng = random.Random(seed)
+    r = random_fully_convergent(rng) if fully else random_pm_convergent(rng)
+    r = r.regroup([(1 << levels, i, -1 if i.bit_count() & 1 else 1)
+                   for i in range(1 << levels)])
+    n0, _, j_max = tail_parameters(r, 1, precision)
+    x = n0 + past_n0
+    psums = r.power_sums(j_max)
+    mass = sum(abs(m) for _, m in r.numerators)
+    bound = F(*mpmath.libmp.to_rational(
+        evaluator._majorant(psums, mass, r.max_abs_offset(), x)))
+    exact = sum(F(abs(p), j * x ** j) for j, p in enumerate(psums) if j)
+    assert exact <= bound <= exact * (1 + F(1, 2 ** 50))
+
+
+def test_majorant_of_g_100_at_500_digits_stops_early(monkeypatch):
+    # g(100) at 500 digits: 8 levels, 4096 terms and 628 power sums, of
+    # which under two dozen settle F(4097) to 2^-60
+    r = FactoredRational.from_offsets({F(50): 1, F(101, 2): -1})
+    r = r.regroup([(256, i, -1 if i.bit_count() & 1 else 1) for i in range(256)])
+    n0, _, j_max = tail_parameters(r, 1, 500)
+    x = max(n0, 4097)
+    psums = r.power_sums(j_max)
+    mass = sum(abs(m) for _, m in r.numerators)
+    calls = []
+    monkeypatch.setattr(evaluator, "upper",
+                        lambda p, q: calls.append(q) or numerics.upper(p, q))
+    bound = F(*mpmath.libmp.to_rational(
+        evaluator._majorant(psums, mass, r.max_abs_offset(), x)))
+    exact = sum(F(abs(p), j * x ** j) for j, p in enumerate(psums) if j)
+    assert exact <= bound <= exact * (1 + F(1, 2 ** 50))
+    assert len(calls) < 100 < j_max
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.integers(1, 12), st.integers(0, 40), st.integers(0, 24),
        st.integers(1, 12))

@@ -7,7 +7,6 @@ itself at a second tail start M.
 
 import math
 import random
-from dataclasses import replace
 from fractions import Fraction as F
 
 import mpmath
@@ -97,7 +96,9 @@ def test_engine_matches_split_oracle_at_high_levels(spec):
 def test_engine_second_tail_start(monkeypatch, digits):
     # M = 128 builds its own table; both starts hit the closed forms
     for name in ("THUE_MORSE", "RUDIN_SHAPIRO"):
-        monkeypatch.setattr(evaluator, name, replace(getattr(evaluator, name), tail_start=128))
+        a = getattr(evaluator, name)
+        monkeypatch.setattr(evaluator, name, evaluator._Automaton(
+            a.name, a.next_state, a.sign, a.fold, a.max_offset, 128, a.centred))
     refs = _references(digits)
     for name in ["WR", "C3k", "T5a", "GS", "T6a", "T6b"]:
         res = eval_product(catalog_entry(name).spec, EvalOptions(precision=digits))
@@ -376,7 +377,9 @@ def test_rs_automaton_gives_the_rudin_shapiro_signs():
 
 def test_rs_engine_second_fold_agrees():
     # K = 4 has P_0 = S^4 = 4 I: another scalar solve, another table
-    fold4 = replace(evaluator.RUDIN_SHAPIRO, name="Rudin-Shapiro, K = 4", fold=4)
+    rs = evaluator.RUDIN_SHAPIRO
+    fold4 = evaluator._Automaton("Rudin-Shapiro, K = 4", rs.next_state, rs.sign, 4,
+                                 rs.max_offset, rs.tail_start, rs.centred)
     for name in ["GS", "T6a"]:
         spec = catalog_entry(name).spec
         default = eval_product(spec, EvalOptions(precision=60))
