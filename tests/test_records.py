@@ -152,10 +152,6 @@ def test_record_checks_run_in_init():
         fr.FactoredRational(F(0), 1, ())
 
 
-def test_factored_rational_hash_is_its_field_tuple():
-    assert hash(WR) == hash((WR.scale, WR.denominator, WR.numerators))
-
-
 def test_reduce_result_certificates_are_not_shared():
     a = symbolic.ReduceResult("irreducible", 1)
     b = symbolic.ReduceResult("irreducible", 1)
