@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import io
 import json
-import math
 import os
 import sys
 from decimal import Decimal
@@ -121,37 +120,37 @@ def _printed(value, estimate, digits: int) -> tuple:
     unit in its last digit.  Raises ``CapabilityError`` when it supports
     none.
 
-    An estimate that supports n digits supports every count below n, so
-    the count is found by a walk from a first guess,
-    log10(|value| / estimate) + 1 from the binary magnitudes, which is
-    within a few digits of it: up while one more digit is supported, down
-    while none is.  That is the same count as a walk down from ``digits``
-    one digit at a time, in a few formatting calls rather than hundreds."""
+    The count is found by a walk down from max(1, g), g = floor(k c) + 1,
+    with k = mag(value) - mag(estimate) and c = 30103/100000 > log10 2:
+    the same count as a walk down from ``digits``, in a few formatting
+    calls rather than hundreds, as no count above it is supported.  Proof,
+    with v the value and e the estimate: mag(x) = floor(log2|x|) + 1, so
+    k log10 2 > y = log10(|v|/e) - log10 2.  n digits whose text leads at
+    10^E are supported when n <= E + 1 - log10(2e).  nstr rounds half up
+    from n + 3 digits that truncate |v| toward zero (to 10^-(n+5)), so
+    E <= log10|v| + t, where t = 0 unless the text is 10^E, and
+    t < 2.2 10^-(n+1) for n >= 2 (0.03 at n = 1).  So n <= y + 1 + t.  For
+    k <= 0 that leaves n = 1.  For k >= 1, k log10 2 is not an integer, so
+    n <= g, or N = n - 1 lies in (k log10 2, k log10 2 + t), that is,
+    0 < N ln 10 - k ln 2 < 7.4 10^-(N+2) ln 2.  No N < 2519 does
+    (``test_printed_guess_needs_no_walk_up`` checks), nor any larger N:
+    log(N ln 10 - k ln 2) >= -25.2 ln 10 max(ln(2.45 N) + 0.38, 10)^2 by
+    Laurent's bound for linear forms in two logarithms (Acta Arith. 133
+    (2008), Corollary 2)."""
     man, exp = estimate.man_exp
     error = man * Fraction(2) ** exp
-
-    def supported(n: int) -> Optional[tuple]:  # (text, last) if n digits are
+    top = digits
+    if value and man:
+        guess = (mpmath.mag(value) - mpmath.mag(estimate)) * 30103 // 100000 + 1
+        top = min(digits, max(1, guess))
+    for n in range(top, 0, -1):
         text = _nstr(value, n)
         last = Decimal(text).adjusted() - n + 1
-        return (text, last) if error <= Fraction(10) ** last / 2 else None
-
-    n = digits
-    if value and man:
-        guess = int((mpmath.mag(value) - mpmath.mag(estimate)) * math.log10(2)) + 1
-        n = min(digits, max(1, guess))
-    found = supported(n)
-    while found and n < digits:
-        more = supported(n + 1)
-        if not more:
+        if error <= Fraction(10) ** last / 2:
             break
-        n, found = n + 1, more
-    while not found and n > 1:
-        n -= 1
-        found = supported(n)
-    if not found:
+    else:
         raise CapabilityError(f"the error bound {_nstr(estimate, 3)} supports no digit "
                               f"of {_nstr(value, 3)}; more terms or split levels would")
-    text, last = found
     bound = error + Fraction(10) ** last / 2
     with workdps(n + 5) as ctx:
         shown = Decimal(_nstr(ctx.convert(estimate) + ctx.mpf(10) ** last / 2, 3))
@@ -441,8 +440,7 @@ def _reduce_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--a", type=_fraction, default=None)
     p.add_argument("--b", type=_fraction, default=None)
     p.add_argument("--start", type=int, choices=(0, 1), default=1)
-    p.add_argument("--depth", type=_positive_int,
-                   default=symbolic.DEFAULT_REDUCE_DEPTH)
+    p.add_argument("--depth", type=int, default=symbolic.DEFAULT_REDUCE_DEPTH)
     p.set_defaults(func=cmd_reduce)
 
 

@@ -1226,17 +1226,12 @@ def eval_product(spec: ProductSpec, opts: EvalOptions = EvalOptions()) -> EvalRe
 # The f and g functions
 # ---------------------------------------------------------------------------
 
-def _check_f_parameter(name: str, x: Fraction) -> None:
-    if x.denominator == 1 and x <= -1:
-        raise InputError(f"{name} = {x} is a negative integer; f is undefined there")
-
-
 def f_value(a: Fraction, b: Fraction, opts: EvalOptions = EvalOptions()) -> EvalResult:
     """f(a, b) = prod_{n>=1} ((n+a)/(n+b))^{(-1)^{t_n}}."""
     a, b = Fraction(a), Fraction(b)
-    _check_f_parameter("a", a)
-    _check_f_parameter("b", b)
     if a == b:
+        if a.denominator == 1 and a < 0:  # 0/0 at n = -a, which validation never sees
+            raise InputError(f"factor vanishes at n = {-a} within the product range n >= 1")
         return EvalResult(mpmath.mpf(1), mpmath.mpf(0), 0, 0)
     rational = FactoredRational.from_offsets({a: 1, b: -1})
     spec = ProductSpec(rational, ExponentKind.PM_THUE, 1)

@@ -456,15 +456,6 @@ def pole_check(r: FactoredRational, start: int) -> Optional[int]:
     return min(hits) if hits else None
 
 
-def positivity_check(r: FactoredRational, start: int) -> None:
-    """Raise EvaluationError unless R(n) > 0 for every integer n >= start:
-    ``pole_check``, then ``sign_check``."""
-    pole = pole_check(r, start)
-    if pole is not None:
-        raise EvaluationError(f"factor vanishes at n = {pole} (n >= {start})")
-    sign_check(r, start)
-
-
 def sign_check(r: FactoredRational, start: int) -> None:
     """Raise EvaluationError if R(n) <= 0 at some integer n >= start, for
     an R with no factor vanishing at an integer n >= start.

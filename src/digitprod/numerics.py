@@ -82,12 +82,6 @@ def working_dps(precision: int) -> int:
     return precision + GUARD_DIGITS
 
 
-def mpf_from_fraction(q: Union[Fraction, int], precision: int) -> mpmath.mpf:
-    q = Fraction(q)
-    with workdps(working_dps(precision)) as ctx:
-        return export(ctx.mpf(q.numerator) / ctx.mpf(q.denominator))
-
-
 def log_fraction(q: Union[Fraction, int], precision: int) -> mpmath.mpf:
     """log of a positive exact rational."""
     q = Fraction(q)
@@ -306,7 +300,7 @@ def _stirling_gamma(x: Fraction, shift: int, precision: int) -> Tuple[mpmath.mpf
         0, math.ceil((log_z + math.log(log_z)) / math.log(10)) - GUARD_DIGITS)
     wp = working_dps(digits)
     with workdps(wp) as ctx:
-        z = ctx.convert(mpf_from_fraction(x, wp)) + shift
+        z = ctx.mpf(x.numerator + shift * x.denominator) / x.denominator
         # ln Gamma(z) = (z - 1/2) ln z - z + ln(2 pi)/2 + sum B_2j / (2j (2j-1) z^(2j-1))
         s = (z - ctx.mpf(1) / 2) * ctx.log(z) - z + ctx.log(2 * ctx.pi) / 2
         zpow = z

@@ -124,9 +124,4 @@ def prefix_signed_sum(kind: ExponentKind, count: int) -> int:
         raise InputError(f"prefix_signed_sum requires a pm kind, got {kind}")
     if count <= 0:
         raise InputError(f"count must be positive, got {count}")
-    if kind is ExponentKind.PM_THUE:
-        total = count - 2 * sum(n.bit_count() & 1 for n in range(count))
-    else:
-        total = count - 2 * sum((n & (n >> 1)).bit_count() & 1
-                                for n in range(count))
-    return total
+    return sum(exponent(kind, n) for n in range(count))

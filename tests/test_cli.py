@@ -9,6 +9,7 @@ from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import fm_phi_reference, forbid_engine_and_oracles, record_oracle_calls
 
@@ -257,17 +258,62 @@ def test_printed_estimate_covers_the_printed_value(value, estimate):
     assert printed - bound < Fraction(10) ** (Decimal(shown).adjusted() - 2)
 
 
-def _supported_text(value, estimate, digits):
-    """The value as ``_printed`` must print it, found one count at a time:
-    from ``digits`` down, the first count whose last digit the estimate
-    supports; None when it supports none."""
+def _walked_down(value, estimate, digits):
+    """``_printed`` by its definition: the first count, from ``digits`` down
+    one at a time, whose last digit the estimate supports, and the estimate
+    plus half a unit in that digit, rounded up to three significant digits
+    exactly; None when no count is supported."""
     man, exp = estimate.man_exp
     error = man * Fraction(2) ** exp
     for n in range(digits, 0, -1):
         text = mpmath.nstr(value, n, strip_zeros=False)
-        if error <= Fraction(10) ** (Decimal(text).adjusted() - n + 1) / 2:
-            return text
-    return None
+        last = Decimal(text).adjusted() - n + 1
+        if error <= Fraction(10) ** last / 2:
+            break
+    else:
+        return None
+    bound = error + Fraction(10) ** last / 2
+    k = Decimal(bound.numerator).adjusted() - Decimal(bound.denominator).adjusted()
+    if Fraction(10) ** k > bound:
+        k -= 1  # now 10^k <= bound < 10^(k+1)
+    units = -(-bound // Fraction(10) ** (k - 2))
+    shown = Decimal(units).scaleb(k - 2)
+    return text, mpmath.nstr(mpmath.mpf(str(shown)), 3, strip_zeros=False)
+
+
+def _check_printed(value, estimate, digits):
+    expected = _walked_down(value, estimate, digits)
+    if expected is None:
+        with pytest.raises(CapabilityError, match="supports no digit"):
+            _printed(value, estimate, digits)
+    else:
+        assert _printed(value, estimate, digits) == expected, (value, estimate, digits)
+
+
+@st.composite
+def _printed_cases(draw):
+    """(value, estimate, digits): a random binary value, or one just below a
+    power of ten; an estimate that is an exact power of two or a random one,
+    from above the value to far below it."""
+    sign = draw(st.sampled_from([1, -1]))
+    with mpmath.workprec(600):
+        if draw(st.booleans()):
+            value = mpmath.mpf(draw(st.integers(1, 2 ** 200))) * mpmath.mpf(2) ** draw(
+                st.integers(-900, 300))
+        else:
+            # 10^k (1 - f 10^-j), f in (0, 1]: near the text 10^k at about j digits
+            k, j = draw(st.integers(-40, 40)), draw(st.integers(0, 120))
+            f = Fraction(draw(st.integers(1, 10 ** 6)), 10 ** 6)
+            exact = Fraction(10) ** k * (1 - f * Fraction(10) ** -j)
+            value = mpmath.mpf(exact.numerator) / exact.denominator
+        value *= sign
+        top = mpmath.mag(value) - draw(st.integers(-8, 420))
+        if draw(st.booleans()):
+            estimate = mpmath.mpf(2) ** top
+        else:
+            man = draw(st.integers(1, 2 ** 64))
+            estimate = mpmath.mpf(man) * mpmath.mpf(2) ** (top - man.bit_length())
+    return value, estimate, draw(st.integers(1, 130))
 
 
 def test_printed_digit_count_matches_the_one_at_a_time_search():
@@ -285,13 +331,41 @@ def test_printed_digit_count_matches_the_one_at_a_time_search():
         for estimate in estimates:
             estimate = estimate * abs(value) if estimate else estimate
             for digits in (1, 20, 60, 500):
-                expected = _supported_text(value, estimate, digits)
-                if expected is None:
-                    with pytest.raises(CapabilityError, match="supports no digit"):
-                        _printed(value, estimate, digits)
-                else:
-                    assert _printed(value, estimate, digits)[0] == expected, (
-                        value, estimate, digits)
+                _check_printed(value, estimate, digits)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_printed_cases())
+def test_printed_matches_the_walk_down_from_digits(case):
+    _check_printed(*case)
+
+
+def test_printed_guess_needs_no_walk_up():
+    # the numbers _printed's docstring cites for why no count above its
+    # first guess is ever supported
+    with mpmath.workdps(60):
+        ln2, ln10 = mpmath.log(2), mpmath.log(10)
+        # nstr's half-up rounding from digits truncated to within 10^-(n+5)
+        # lets E exceed log10|v| by t < 2.2 10^-(n+1) for n >= 2 (t falls
+        # with n), and at most 0.03 at n = 1
+        def t(n):
+            return -mpmath.log10((1 - mpmath.mpf(10) ** -n / 2) * (1 - mpmath.mpf(10) ** -(n + 5)))
+        assert t(1) < 0.03 and t(2) * 10 ** 3 < 2.2 and 2.2 / mpmath.log10(2) < 7.4
+        # no 1 <= N < 2519 has N log2 10 within 7.4 10^-(N+2) above an integer
+        beta = ln10 / ln2
+        assert min(mpmath.frac(N * beta) * mpmath.mpf(10) ** (N + 2)
+                   for N in range(1, 2519)) > 7.4
+
+        # for N >= 2519, Laurent's lower bound on log(N ln 10 - k ln 2), with
+        # b' < (1 + log2(10) / ln 10) N < 2.45 N, lies above the log of
+        # 7.4 10^-(N+2) ln 2; the gap falls at rate ln 10 or more, since
+        # 50.4 (ln(2.45 N) + 0.38) / N, falling in N, is below 1 at 2519
+        def gap(N):
+            laurent = -25.2 * ln10 * max(mpmath.log(2.45 * N) + 0.38, 10) ** 2
+            return mpmath.log(7.4 * ln2) - (N + 2) * ln10 - laurent
+        assert 1 + beta / ln10 < 2.45
+        assert gap(2518) > 0 > gap(2519)
+        assert 50.4 * (mpmath.log(2.45 * 2519) + 0.38) / 2519 < 1
 
 
 def test_eval_deterministic_output(capsys):
@@ -324,6 +398,19 @@ def test_verify_t5a_expected_constant(capsys):
     payload = json.loads(out)
     assert payload["all_pass"] is True
     assert payload["rows"][0]["expected"].startswith("0.92044178783559098")
+
+
+def test_verify_tolerance_replaces_the_pass_rule(capsys, monkeypatch):
+    # at 60 digits WR is off by 9.06e-72: within 1e-50, not within 1e-80
+    code, out, _ = run(capsys, "verify", "WR", "--tolerance", "1e-50")
+    assert code == 0 and "PASS" in out and "abs_error 9.06e-72" in out
+    code, out, _ = run(capsys, "verify", "WR", "--tolerance", "1e-80")
+    assert code == 3 and "FAIL" in out and "symbolic exact" in out
+    # the exact reduction still gates a pm-t entry under any tolerance
+    monkeypatch.setattr(symbolic, "reduce", lambda expr, depth=6: symbolic.ReduceResult(
+        "irreducible", depth))
+    code, out, _ = run(capsys, "verify", "WR", "--tolerance", "1")
+    assert code == 3 and "FAIL" in out and "symbolic mismatch" in out
 
 
 def test_verify_unknown_name(capsys):
@@ -520,6 +607,19 @@ def test_reduce_depth_above_cap_exits_three(capsys):
     code, out, err = run(capsys, "reduce", "(n+1/5)/(n+2/5)", "--depth",
                          str(MAX_REDUCE_DEPTH + 1))
     assert code == 3 and out == "" and "depth" in err
+
+
+def test_reduce_depth_zero_and_negative(capsys):
+    # depth 0 searches only the expression's own points, where WR is
+    # irreducible; it reduces at depth 1; a negative depth exits 3 with the
+    # message of a depth above the cap
+    wr = ("reduce", "(2n+1)/(2n+2)", "--start", "0", "--depth")
+    assert run(capsys, *wr, "0")[:2] == (0, "irreducible at depth 0")
+    assert run(capsys, *wr, "1")[:2] == (0, "(1/2)*2^(1/2)")
+    for depth in (-1, MAX_REDUCE_DEPTH + 1):
+        code, out, err = run(capsys, *wr, str(depth))
+        assert (code, out) == (3, "")
+        assert err == f"error: reduce depth must be in 0..{MAX_REDUCE_DEPTH}, got {depth}\n"
 
 
 def test_reduce_universe_above_cap_exits_three(capsys, monkeypatch):

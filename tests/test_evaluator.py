@@ -220,7 +220,6 @@ def test_public_results_are_plain_mpf():
                report.tolerance, report.error_estimate]
     values += [gamma(F(1, 3), 30), numerics.gamma_error(F(1, 3), 30),
                log_term(WR_SPEC.rational, 3, 30), log_fraction(F(3, 7), 30),
-               numerics.mpf_from_fraction(F(3, 7), 30),
                eval_closed_form(catalog_entry("T5a").closed_form, 30)]
     values += [constant(name, 30) for name in ("pi", "gamma_quarter", "euler_gamma")]
     assert [type(x) for x in values if type(x) is not mpmath.mpf] == []
@@ -810,6 +809,18 @@ def test_f_g_rejects_excluded_points():
         g_value(F(-2))
     with pytest.raises(InputError):
         g_value(F(-1, 2))
+
+
+def test_f_at_a_negative_integer_is_refused_by_validation():
+    # a zero factor or a pole at n = -a >= 1, on the engine route, on the
+    # oracle route, and where the two factors are the same and cancel
+    for opts in (EvalOptions(), LIGHT):
+        for a, b in ((F(-1), F(1)), (F(1, 3), F(-2))):
+            with pytest.raises(InputError, match=f"factor vanishes at n = {-min(a, b)} "):
+                f_value(a, b, opts)
+    with pytest.raises(InputError, match="factor vanishes at n = 3 "):
+        f_value(F(-3), F(-3))
+    assert f_value(F(-1, 2), F(-1, 2)).value == 1
 
 
 # ---------------------------------------------------------------------------

@@ -5,12 +5,12 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from digitprod import (ConvergenceTag, DigitprodError, EvaluationError,
-                       FactoredRational, InputError, ParseError, classify,
-                       dyadic_split, log_term, pole_check, rs_split,
-                       thue_morse)
+                       ExponentKind, FactoredRational, InputError, ParseError,
+                       ProductSpec, classify, dyadic_split, log_term, pole_check,
+                       rs_split, thue_morse)
 from digitprod.evaluator import _head
-from digitprod.factored_rational import (positivity_check, rs_split_power_sums,
-                                         rs_split_rational)
+from digitprod.factored_rational import (rs_split_power_sums, rs_split_rational,
+                                         sign_check)
 
 WR = FactoredRational.parse("(2n+1)/(2n+2)")
 ONE = FactoredRational.from_offsets({})
@@ -258,10 +258,16 @@ def test_pole_check_examples():
     assert pole_check(FactoredRational.parse("(4n+1)/(4n)"), 1) is None
 
 
+def validate(r, start):
+    ProductSpec(r, ExponentKind.PM_THUE, start).validate()
+
+
 def test_positivity_check():
-    positivity_check(FactoredRational.parse("(2n-1)/(2n+1)"), 1)
-    with pytest.raises(EvaluationError):
-        positivity_check(FactoredRational.parse("(n-3/2)/(n+1)"), 1)
+    # sign_check, and ProductSpec.validate, which runs it after pole_check
+    for check in (sign_check, validate):
+        check(FactoredRational.parse("(2n-1)/(2n+1)"), 1)
+        with pytest.raises(EvaluationError):
+            check(FactoredRational.parse("(n-3/2)/(n+1)"), 1)
 
 
 def positivity_walk(r, start):
@@ -269,7 +275,8 @@ def positivity_walk(r, start):
     largest root, past which every factor is positive."""
     pole = pole_check(r, start)
     if pole is not None:
-        raise EvaluationError(f"factor vanishes at n = {pole} (n >= {start})")
+        raise InputError(f"factor vanishes at n = {pole} within the "
+                         f"product range n >= {start}")
     bound = max([start] + [-(u // r.denominator) + 1 for u, _ in r.numerators])
     for n, value in zip(range(start, bound + 1), r.values_at(range(start, bound + 1))):
         if value <= 0:
@@ -280,8 +287,8 @@ def positivity_walk(r, start):
 def _outcome(check, r, start):
     try:
         check(r, start)
-    except EvaluationError as exc:
-        return str(exc)
+    except (InputError, EvaluationError) as exc:
+        return type(exc), str(exc)
     return None
 
 
@@ -290,9 +297,16 @@ def _outcome(check, r, start):
                        st.integers(-3, 3).filter(bool), max_size=6),
        st.sampled_from([F(1), F(3, 2)]), st.integers(0, 3))
 def test_positivity_check_matches_the_walk(offsets, scale, start):
-    # the same first failing n and the same message, or both pass
+    # the same first failing n, error and message, or both pass: validate
+    # (start 0 or 1) on R balanced by (n+5)^-deg, which is positive for
+    # n >= 0 and keeps the poles and signs, and sign_check on R, scale and
+    # all, with no pole
+    if start <= 1:
+        balanced = FactoredRational.from_offsets({**offsets, 5: -sum(offsets.values())})
+        assert _outcome(validate, balanced, start) == _outcome(positivity_walk, balanced, start)
     r = FactoredRational.from_offsets(offsets, scale)
-    assert _outcome(positivity_check, r, start) == _outcome(positivity_walk, r, start)
+    if pole_check(r, start) is None:
+        assert _outcome(sign_check, r, start) == _outcome(positivity_walk, r, start)
 
 
 def test_positivity_check_evaluates_one_point_per_sign_run(monkeypatch):
@@ -306,12 +320,12 @@ def test_positivity_check_evaluates_one_point_per_sign_run(monkeypatch):
         seen.append(len(points))
         return values_at(self, points)
     monkeypatch.setattr(FactoredRational, "values_at", record)
-    positivity_check(r, 0)
+    validate(r, 0)
     assert len(seen) == 1 and seen[0] <= len(r.numerators) + 1
     seen.clear()
     # R < 0 only between the roots 1000000.5 and 1000002.5
     with pytest.raises(EvaluationError, match=r"R\(1000001\)"):
-        positivity_check(FactoredRational.parse("(n-2000001/2)(n-2000005/2)/(n+1)^2"), 0)
+        validate(FactoredRational.parse("(n-2000001/2)(n-2000005/2)/(n+1)^2"), 0)
     assert len(seen) == 1 and seen[0] <= 4
 
 

@@ -88,11 +88,11 @@ def test_prefix_signed_sum_thue():
         assert prefix_signed_sum(ExponentKind.PM_THUE, 2 ** k) == 0
 
 
-def test_prefix_signed_sum_matches_exponent():
+def test_prefix_signed_sum_matches_block_parity():
     for count in (1, 2, 3, 100, 257):
-        for kind in (ExponentKind.PM_THUE, ExponentKind.PM_RS):
+        for kind, word in ((ExponentKind.PM_THUE, "1"), (ExponentKind.PM_RS, "11")):
             assert prefix_signed_sum(kind, count) == sum(
-                exponent(kind, n) for n in range(count))
+                1 - 2 * block_parity(word, 2, n) for n in range(count))
 
 
 def test_prefix_signed_sum_rejects_other_kinds():

@@ -576,6 +576,21 @@ def test_verify_detects_wrong_constant():
     assert report.symbolic_match is False
 
 
+def test_verify_tolerance_replaces_the_pass_rule(monkeypatch):
+    # |computed - expected| <= tolerance decides, whatever the estimate;
+    # WR at 60 digits is off by 9.06e-72
+    wr, opts = catalog_entry("WR"), EvalOptions(precision=60)
+    assert mpmath.nstr(verify(wr, opts).abs_error, 3) == "9.06e-72"
+    assert verify(wr, opts, tolerance=1e-50).passed
+    report = verify(wr, opts, tolerance=1e-80)
+    assert not report.passed and report.symbolic_match is True
+    # the exact reduction still gates a pm-t entry under any tolerance
+    monkeypatch.setattr(symbolic, "reduce", lambda expr, depth=6: symbolic.ReduceResult(
+        "irreducible", depth))
+    report = verify(wr, opts, tolerance=1)
+    assert not report.passed and report.symbolic_match is False
+
+
 def test_verify_all_passes():
     # on the engine at 30 digits; an oracle's bound supports fewer (LIGHT's
     # Rudin-Shapiro sums of 1024 terms about 4)
