@@ -478,8 +478,9 @@ class _Automaton(Record):
 # Each automaton's cap on its offsets, the bound on the engine's work: the
 # floor sums loop over 3M odd N (centred) or 2M values of n (folded), and
 # the solve over rows whose series grow with M, so past a few hundred the
-# table's cost doubles with M; both caps keep the cold 500-digit table
-# under about 0.4 s.  Up to both caps the pair divisors of ``_floor_sums``
+# table's cost doubles with M; both caps keep the cold 500-digit
+# evaluation under about 0.6 s (Rudin-Shapiro's below; Thue-Morse's at
+# M = 512 took 0.22 s on the same machine).  Up to both caps the pair divisors of ``_floor_sums``
 # fit in one 30-bit limb (16 N1 N2 < 2^28 at M = 512, 16 n1 n2 < 2^30 at
 # M = 2048); past them they take two, and the pairs save little.  Larger
 # offsets are refused (exit 3), and the kind's oracle runs only when its
@@ -505,17 +506,19 @@ class _Automaton(Record):
 # within 1/2 of -64 needs M = 512.
 THUE_MORSE = _Automaton("Thue-Morse", ((0, 0),), ((1, -1),), 2, 64, 32, True)
 # (r_n, u_n) = ((-1)^{v_n}, (-1)^n (-1)^{v_n}): r_2n = r_n, r_2n+1 = u_n,
-# u_2n = r_n and u_2n+1 = -u_n.  Engine on (n+M/4-1)/(n+M/4), the largest
-# offset at M, against the direct-sum oracle at its defaults on
-# (n+M/4)/(n+M/4+1), the smallest past M; the engine's times are medians
-# of three, the oracle's best of three with numpy loaded (its import adds
-# about 45 ms to a first call):
+# u_2n = r_n and u_2n+1 = -u_n, so u_n = (-1)^n r_n: the table solves
+# r's rows alone and reads u's off them (``_twisted``).  Engine on
+# (n+M/4-1)/(n+M/4), the largest offset at M, against the direct-sum
+# oracle at its defaults on (n+M/4)/(n+M/4+1), the smallest past M; the
+# engine's times are medians of five, the oracle's best of three with
+# numpy loaded (its import adds about 45 ms to a first call), on a
+# slower day of the same machine (``python -c pass`` 0.07 s):
 #
 #   M      engine cold (warm), 60 / 500 digits     oracle, 60 / 500 digits
-#   512    12 ms (0.4 ms) / 0.16 s (2.3 ms)        39 / 39 ms
-#   1024   14 ms (0.7 ms) / 0.24 s (2.8 ms)        39 / 39 ms
-#   2048   25 ms (1.7 ms) / 0.38 s (4.0 ms)        40 / 40 ms
-#   4096   59 ms (5.7 ms) / 0.82 s (8.1 ms)        43 / 42 ms
+#   512    12 ms (0.5 ms) / 0.21 s (3.6 ms)        82 / 83 ms
+#   1024   22 ms (1.0 ms) / 0.33 s (4.2 ms)        84 / 85 ms
+#   2048   43 ms (2.7 ms) / 0.60 s (6.0 ms)        88 / 87 ms
+#   4096   100 ms (9.0 ms) / 1.48 s (13 ms)        93 / 95 ms
 #
 # The engine gives every digit; the oracle gives 5.7 correct digits at
 # any precision, under a derived bound of about 6.5e-6.  The cap, offsets
@@ -585,14 +588,44 @@ def _moments(automaton: _Automaton,
     return c0, {key: column for key, column in moments.items() if any(column)}
 
 
+def _twisted(automaton: _Automaton) -> bool:
+    """True when state 1 is the twist of state 0, x_n[1] = (-1)^n x_n[0]
+    for every n, and False for a one-state automaton; any other automaton
+    raises ValueError.
+
+    The twist holds when there are two states, state 1's transitions equal
+    state 0's, and its sign is state 0's for digit 0 and the opposite for
+    digit 1: then x_n[1] = sign[1][d] x_n'[t] = +-sign[0][d] x_n'[t] =
+    +-x_n[0] for n = 2n' + d, with + for even n and - for odd n (and
+    x_0 = (1, 1)).  ``_scaled_table`` reads state 1's rows off state 0's
+    through the even n, N_2n = 2 N_n, which holds for an uncentred table
+    only.
+    """
+    if len(automaton.sign) == 1:
+        return False
+    (r0, r1), (t0, t1) = automaton.sign[0], automaton.sign[-1]
+    if (len(automaton.sign) != 2 or automaton.centred
+            or automaton.next_state[1] != automaton.next_state[0] or (t0, t1) != (r0, -r1)):
+        raise ValueError(f"{automaton.name}: state 1 is not the (-1)^n twist of "
+                         f"state 0 on an uncentred table")
+    return True
+
+
 def _block_sums(automaton: _Automaton, m: int, bits: int
-                ) -> Tuple[List[Tuple[int, ...]], List[int], List[List[int]]]:
-    """(values, ids, sums): x_n = values[ids[n]] for n < 2^K m
+                ) -> Tuple[List[Tuple[int, ...]], List[int], List[List[int]],
+                           Optional[List[List[int]]]]:
+    """(values, ids, sums, first): x_n = values[ids[n]] for n < 2^K m
     (``_Automaton.vectors``), and sums[g][s], the sum over m <= n < 2^K m
     with ids[n] = g of 2^bits (c / (2^K N_n))^s, rounded down, for
     1 <= s <= bits/K (sums[g][0] = 0): the class rows of ``_scaled_table``'s
     f_s, with N_n = 2n + 1 and c = 2m for a centred table, N_n = n and
-    c = m otherwise.
+    c = m otherwise.  first[g] is the same sum over octave 0 alone,
+    m <= n < 2m, for an uncentred table, and None for a centred one.  For
+    Rudin-Shapiro the classes split by parity (an even n has
+    x_n = A_0 x_n', whose entries are equal, an odd n opposite entries),
+    so the rows of first's classes with equal entries are the sums over
+    the even n of [m, 2m) that state 1's rows take (``_scaled_table``),
+    at no floor sum beyond the block's own.
 
     A centred table takes one ``_floor_sums`` over the (2^K - 1) m odd N
     in [2m, 2^(K+1) m), ratios c / (2^K N) < 2^-K: 96 members at K = 2 and
@@ -630,10 +663,10 @@ def _block_sums(automaton: _Automaton, m: int, bits: int
         odd = [0] * (m << fold + 1)  # odd[2n+1] = ids[n]
         odd[1::2] = ids
         members = range(2 * m + 1, m << fold + 1, 2)
-        return values, ids, _floor_sums(odd, groups, members, 2 * m, fold, bits, top)
+        return values, ids, _floor_sums(odd, groups, members, 2 * m, fold, bits, top), None
     double = dict(zip(ids[m:m << (fold - 1)], ids[2 * m::2]))
     shifts = range(top + 1)
-    octave = _floor_sums(ids, groups, range(m, 2 * m), m, fold, bits, top)
+    first = octave = _floor_sums(ids, groups, range(m, 2 * m), m, fold, bits, top)
     sums = octave
     for lo in (m << j for j in range(1, fold)):
         below = octave
@@ -641,7 +674,7 @@ def _block_sums(automaton: _Automaton, m: int, bits: int
         for g, h in double.items():
             octave[h] = list(map(add, octave[h], map(rshift, below[g], shifts)))
         sums = [list(map(add, a, b)) for a, b in zip(sums, octave)]
-    return values, ids, sums
+    return values, ids, sums, first
 
 
 def _last_solved_row(fold: int, c: int, c0: int, bits: int) -> int:
@@ -696,6 +729,20 @@ def _scaled_table(automaton: _Automaton, m: int,
     rather than the 7/m of the uncentred table at K = 3.  f_s comes from
     ``_block_sums``: one sum per value of x_n.
 
+    Only state 0 is solved.  A second state is the twist of state 0,
+    x_n[1] = (-1)^n x_n[0] (``_twisted``): for Rudin-Shapiro
+    u_n = (-1)^n r_n.  The even n >= 2m are 2n' with n' >= m, where
+    x_2n'[1] = x_2n'[0] = x_n'[0] and (m/2n')^s = 2^-s (m/n')^s, so
+
+        E_1(s) = 2 (B(s) + 2^-s E_0(s)) - E_0(s),
+
+    with B(s) = sum over the even n in [m, 2m) of x_n[0] (m/n)^s.  At
+    the row scale that is e_1[s] = (e_0[s] >> (s-1)) + 2 b_s - e_0[s],
+    b_s the sum of ``_block_sums``' octave-0 rows over the classes with
+    equal entries (those of the even n), and row s of state 1 is set so
+    as soon as row s of state 0 is solved.  The solve of a row reads the
+    later rows of both states, and its Horner chain is state 0's alone.
+
     Rows above s0 >= 1 (``_last_solved_row``) take no solve: e_s = f_s.
     For s >= 2, |E_t(s)| <= sum_{n>=m} (m/n)^s <= 1 + m/(s-1) <= c + 1,
     as c/N_n <= m/n; the largest row sum of |Q_k| is at most
@@ -712,7 +759,7 @@ def _scaled_table(automaton: _Automaton, m: int,
 
     The correction is a Horner sum over k = d, 2d, ..., k_max, with d = 2
     when every odd moment is 0 (centred Thue-Morse) and d = 1 otherwise.
-    With v_k = sum_t Q_k[q][t] e_t[s+k], g = 32 guard bits and
+    With v_k = sum_t Q_k[0][t] e_t[s+k], g = 32 guard bits and
     c_k / c_(k-d) = mu_k / nu_k, that is -(s+k-1) / (k c) for d = 1 and
     (s+k-2)(s+k-1) / ((k-1) k c^2) for d = 2,
 
@@ -733,21 +780,26 @@ def _scaled_table(automaton: _Automaton, m: int,
     """
     fold = automaton.fold
     top = bits // fold
-    states = len(automaton.sign)
+    twisted = _twisted(automaton)
     c = m << automaton.centred
-    values, ids, sums = _block_sums(automaton, m, bits)
-    # e[q][s]: row s of state q
-    e = [[0] * (top + 1) for _ in range(states)]
+    values, ids, sums, first = _block_sums(automaton, m, bits)
+    # e[q][s]: row s of state q; b[s]: b_s, the even n of octave 0
+    e = [[0] * (top + 1) for _ in automaton.sign]
     for x, row in zip(values, sums):
-        for q in range(states):
-            e[q] = list(map(add if x[q] > 0 else sub, e[q], row))
+        for q, x_q in enumerate(x):
+            e[q] = list(map(add if x_q > 0 else sub, e[q], row))
+    if twisted:
+        b = [0] * (top + 1)
+        for x, row in zip(values, first):
+            if x[1] == x[0]:
+                b = list(map(add if x[0] > 0 else sub, b, row))
     c0, moments = _moments(automaton, top)
     odd = any(column[k] for column in moments.values() for k in range(1, top + 1, 2))
     step = 1 if odd else 2
     guard = 32  # the Horner sums' bits below the row's unit
-    # column[j] = 2^g Q_k for k = step (j + 1)
-    columns = [(q, t, [p << guard for p in column[step::step]])
-               for (q, t), column in moments.items()]
+    # column[j] = 2^g Q_k[0][t] for k = step (j + 1)
+    columns = [(t, [p << guard for p in column[step::step]])
+               for (q, t), column in moments.items() if q == 0]
     # the Horner multipliers c_k / c_(k-step) = mu[s+k] / nu[k]
     if step == 1:
         mu = [1 - j for j in range(top + 1)]
@@ -771,19 +823,18 @@ def _scaled_table(automaton: _Automaton, m: int,
             k_max += step
         while k_max > step and not kept(s, k_max, scale):
             k_max -= step
-        # v[q][j] = 2^g sum_t Q_k[q][t] e_t[s+k] for k = k_max - step j
-        v: List[Optional[List[int]]] = [None] * states
-        for q, t, column in columns:
+        # v[j] = 2^g sum_t Q_k[0][t] e_t[s+k] for k = k_max - step j
+        v: Optional[List[int]] = None
+        for t, column in columns:
             terms = map(mul, column[k_max // step - 1::-1], e[t][s + k_max:s:-step])
-            v[q] = list(terms if v[q] is None else map(add, v[q], terms))
-        mus, nus = mu[s + k_max:s:-step], nu[k_max:0:-step]
-        den = (1 << fold * s) - c0
-        for q in range(states):
-            h = 0
-            for x, num, d in zip(v[q], mus, nus):
-                h = (x + h) * num // d
-            rhs = e[q][s] + (h >> (fold * s + guard))
-            e[q][s] = rhs + rhs * c0 // den
+            v = list(terms if v is None else map(add, v, terms))
+        h = 0
+        for x, num, d in zip(v, mu[s + k_max:s:-step], nu[k_max:0:-step]):
+            h = (x + h) * num // d
+        rhs = e[0][s] + (h >> (fold * s + guard))
+        e[0][s] = rhs + rhs * c0 // ((1 << fold * s) - c0)
+        if twisted:
+            e[1][s] = (e[0][s] >> s - 1) + 2 * b[s] - e[0][s]
     return (tuple(e[0]), _table_unit(automaton, m),
             tuple(values[v][0] for v in ids[:m]))
 
@@ -814,39 +865,51 @@ def _table_unit(automaton: _Automaton, m: int) -> int:
       |Q_k| < 2^K (2^K - 1)^k and |e_(s+k)| <= (c+1) 2^(bits - K(s+k)), so
       less than 2^(2K-40) (c+1) in all), the rows cut at the top and the
       errors of later rows carried by the moments k >= K add less than 8.
-      Those moments weigh 2^(-Ks) sum_(k>=K) C(s+k-1,k) c^-k |Q_k|, largest
-      at s = 1: below 2^-10 for the uncentred table at c = m >= 64, and for
+      Those moments weigh 2^(-Ks) sum_(k>=K) C(s+k-1,k) c^-k |Q_k[0]|
+      (row 0's sum of absolute values), largest at s = 1: below 2^-10 for the uncentred table at
+      c = m >= 64, which times U + gap_1 (below) is below 1, and for
       centred Thue-Morse, whose Q_k are 2 (3^k - 1) at even k, below
       (x^2 / 2) / (1 - x^2) with x = 3/c, which times U is below 1/8 for
       m >= 32.
 
     The solve multiplies by 1 / (1 - c_0 2^(-Ks)) <= inv = 2^K / (2^K - c_0),
-    and the low moments 1 <= k < K carry later rows' errors with weight
-    w_s = 2^(-Ks) sum_k C(s+k-1,k) c^-k |Q_k| (|.| the largest row sum of
-    absolute values), largest at s = 1.  If every later row is within U,
-    a row is within inv (f + 17/2 + w_1 U), so
-    U = inv (f + 17/2) / (1 - inv w_1) holds for all rows: 2^K m + 8 for
-    the uncentred table at c_0 = 0 with no low moment.  For Thue-Morse
-    c_0 = 0 and no low moment is left (Q_1 = 0), so U = f + 17/2:
-    8m/3 + 67/6, 97 units at m = 32.
+    and the low moments 1 <= k < K carry later rows of state t with weight
+    w_t,s = 2^(-Ks) sum_k C(s+k-1,k) c^-k |Q_k[0][t]|, largest at s = 1:
+    only state 0 is solved, so only row 0 of each Q_k enters.  If every
+    later row of state 0 is within U and of state t within U + gap_t, a
+    row of state 0 is within inv (f + 17/2 + sum_t w_t,1 (U + gap_t)), so
+
+        U = inv (f + 17/2 + sum_t w_t,1 gap_t) / (1 - inv sum_t w_t,1)
+
+    holds for all rows: 2^K m + 8 for the uncentred table at c_0 = 0 with
+    no low moment.  For Thue-Morse, one state, c_0 = 0 and no low moment
+    is left (Q_1 = 0), so U = f + 17/2: 8m/3 + 67/6, 97 units at m = 32.
+
+    State 0 has gap_0 = 0.  A twisted state 1 (``_scaled_table``) takes
+    e_1[s] = (e_0[s] >> (s-1)) + 2 b_s - e_0[s] on the solved rows: state
+    0's error reaches it times |2^(1-s) - 1| <= 1, the shift floors once
+    (below 1), and b_s sums the m/2 even n of octave 0, each off by less
+    than b (a pair by less than b^2 <= 2b), so twice b_s's error is below
+    m b: gap_1 = m b + 1.  Its rows above s0 keep f_s, within f + 1/2.
+    For Rudin-Shapiro (c_0 = 2, Q_1[0] = (1, -1)) that is 538 units at
+    m = 64, against 554 when both states were solved and each row's error
+    was bounded through the larger row of |Q_1| (5 + 1).
     """
     fold = automaton.fold
     width = 1 << fold
     c0, moments = _moments(automaton, fold - 1)
-    states = range(len(automaton.sign))
+    b = Fraction(width, width - 1)
     if automaton.centred:
-        b = Fraction(width, width - 1)
         f = (width - 1) * m * b * b / 2 + len(automaton.vectors(1)[0]) * b
     else:
         f = width * m - Fraction(1, 2)
     c = m << automaton.centred
-
-    def norm(k: int) -> int:  # |Q_k|
-        return max(sum(abs(moments.get((q, t), [0] * fold)[k]) for t in states)
-                   for q in states)
-    w = sum(Fraction(norm(k), c ** k) for k in range(1, fold)) / width
+    # w[t] = w_t,1, the weight of state t's later rows in state 0's row 1
+    w = [sum(Fraction(abs(moments.get((0, t), [0] * fold)[k]), c ** k)
+             for k in range(1, fold)) / width for t in range(len(automaton.sign))]
+    gap = m * b + 1 if _twisted(automaton) else 0  # gap_1 for state w[-1]
     inv = Fraction(width, width - c0)
-    return math.ceil(inv * (f + Fraction(17, 2)) / (1 - inv * w))
+    return math.ceil(inv * (f + Fraction(17, 2) + w[-1] * gap) / (1 - inv * sum(w)))
 
 
 def _engine(spec: ProductSpec, precision: int, automaton: _Automaton) -> EvalResult:

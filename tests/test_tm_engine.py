@@ -389,9 +389,46 @@ def test_rs_engine_second_fold_agrees():
                     <= default.error_estimate + other.error_estimate), name
 
 
+def test_rudin_shapiro_state_1_is_the_twist_of_state_0():
+    # state 1's transitions are state 0's and its sign for digit 1 is
+    # flipped, so x_n[1] = (-1)^n x_n[0]; one state has no twist
+    assert evaluator._twisted(evaluator.RUDIN_SHAPIRO) is True
+    assert evaluator._twisted(evaluator.THUE_MORSE) is False
+    values, ids = evaluator.RUDIN_SHAPIRO.vectors(4096)
+    assert [n for n in range(4096)
+            if values[ids[n]][1] != (-1) ** n * values[ids[n]][0]] == []
+
+
+@pytest.mark.parametrize("next_state, sign, centred", [
+    (((0, 1), (1, 0)), ((1, 1), (1, -1)), False),  # other transitions
+    (((0, 1), (0, 1)), ((1, 1), (-1, -1)), False),  # digit 0's sign flipped too
+    (((0, 1), (0, 1)), ((1, 1), (1, 1)), False),  # digit 1's sign kept
+    (((0, 1), (0, 1)), ((1, 1), (1, -1)), True),  # N_2n = 2 N_n fails centred
+])
+def test_a_two_state_automaton_without_the_twist_is_refused(next_state, sign, centred):
+    automaton = evaluator._Automaton("no twist", next_state, sign, 2, 512, 64, centred)
+    with pytest.raises(ValueError, match="twist"):
+        evaluator._scaled_table(automaton, 64, 100)
+
+
+@pytest.mark.parametrize("m", [64, 128, 2048])
+@pytest.mark.parametrize("bits", [0, 100, 232])
+def test_block_sums_even_rows_are_a_floor_sum_over_the_even_n(m, bits):
+    # the classes with equal entries hold the even n: their octave-0 rows
+    # are the plain floor sums over range(m, 2m, 2), and every other class
+    # has no even n
+    automaton = evaluator.RUDIN_SHAPIRO
+    fold = automaton.fold
+    values, ids, _, first = evaluator._block_sums(automaton, m, bits)
+    plain = evaluator._floor_sums(ids, len(values), range(m, 2 * m, 2), m, fold,
+                                  bits, bits // fold)
+    for x, row, even in zip(values, first, plain):
+        assert even == (row if x[1] == x[0] else [0] * len(row)), x
+
+
 def unsolved_rows(automaton, m, bits):
     """e[q][s] = f_s of state q, from ``_block_sums``' class rows."""
-    values, _, sums = evaluator._block_sums(automaton, m, bits)
+    values, _, sums, _ = evaluator._block_sums(automaton, m, bits)
     e = [[0] * (bits // automaton.fold + 1) for _ in automaton.sign]
     for x, row in zip(values, sums):
         for q, eq in enumerate(e):
@@ -545,7 +582,7 @@ def test_thue_morse_centred_moments_vanish_at_every_odd_k(digits):
 
 
 def exact_table_reference(automaton, m, bits, guard=64):
-    """The rows E(s) 2^(bits - K s) of state 0 for 1 <= s <= bits/K, at
+    """The rows E(s) 2^(bits - K s) of each state for 1 <= s <= bits/K, at
     2^guard units per row unit, built apart from the engine's code: f_s
     from the exact floor of each member's 2^(bits+guard) (w / (2^K N))^s,
     w the table's scale, and every row s solved, up to rows far past the
@@ -598,7 +635,7 @@ def exact_table_reference(automaton, m, bits, guard=64):
         for q in range(states):
             y[q][s] = (((f[q][s] << fold * s + shift) + acc[q])
                        // (((1 << fold * s) - c0) << shift))
-    return y[0][:bits // fold + 1], (1 << fold) * m + rows
+    return [row[:bits // fold + 1] for row in y], (1 << fold) * m + rows
 
 
 @pytest.mark.parametrize("automaton, m, digits", [
@@ -606,15 +643,60 @@ def exact_table_reference(automaton, m, bits, guard=64):
     (evaluator.THUE_MORSE, 32, 500),
     (evaluator.RUDIN_SHAPIRO, 64, 20),
     (evaluator.RUDIN_SHAPIRO, 64, 60),
+    (evaluator.RUDIN_SHAPIRO, 64, 200),
+    (evaluator.RUDIN_SHAPIRO, 2048, 20),
 ])
 def test_table_rows_within_their_unit_of_an_exact_solve(automaton, m, digits):
     bits = _table_bits(digits)
     guard = 64
     table, unit, _ = evaluator._scaled_table(automaton, m, bits)
-    exact, slack = exact_table_reference(automaton, m, bits, guard)
+    (exact, *_), slack = exact_table_reference(automaton, m, bits, guard)
     assert len(exact) == len(table)
     for s in range(1, len(table)):
         assert abs((table[s] << guard) - exact[s]) <= (unit << guard) + 4 * slack, s
+
+
+@pytest.mark.parametrize("m, digits", [(64, 20), (64, 60), (128, 20)])
+def test_exact_state_1_rows_are_the_twist_of_state_0(m, digits):
+    # E_1(s) = 2^(1-s) E_0(s) + 2 B(s) - E_0(s), B(s) the sum over the
+    # even n in [m, 2m) of x_n[0] (m/n)^s: ``_scaled_table`` sets state 1's
+    # rows so; here both states come from the exact solve, at 2^guard
+    # units per row unit, each row within a few units per member and row
+    automaton = evaluator.RUDIN_SHAPIRO
+    bits, guard = _table_bits(digits), 64
+    (exact0, exact1), slack = exact_table_reference(automaton, m, bits, guard)
+    values, ids = automaton.vectors(2 * m)
+    for s in range(1, len(exact0)):
+        b = sum(values[ids[n]][0] * F(m ** s << bits + guard, (4 * n) ** s)
+                for n in range(m, 2 * m, 2))
+        twist = exact0[s] * F(2) ** (1 - s) + 2 * b - exact0[s]
+        assert abs(exact1[s] - twist) <= 4 * slack, s
+
+
+@pytest.mark.parametrize("m", [64, 2048])
+def test_table_unit_covers_the_twisted_state_1_rows(m):
+    # in Fractions: state 1's solved rows are within U + gap, gap = m b + 1
+    # (the shift's floor, and twice b_s's floor sums over the m/2 even n
+    # of octave 0, b = 4/3 each); state 0's rows are within U when they
+    # carry them through Q_1[0][1] (low moment, weight 2^-K |Q_1[0][t]| / m
+    # at s = 1), and the moments k >= 2 carry them at below one unit, in
+    # the budget of 8
+    automaton = evaluator.RUDIN_SHAPIRO
+    unit = evaluator._table_unit(automaton, m)
+    top = 64
+    c0, moments = evaluator._moments(automaton, top)
+    assert (c0, moments[(0, 0)][1], moments[(0, 1)][1]) == (2, 1, -1)
+    b = F(4, 3)
+    within = (unit, unit + m * b + 1)  # states 0 and 1
+    inv = F(4, 4 - c0)
+    low = sum(F(abs(moments[(0, t)][1]), 4 * m) * within[t] for t in (0, 1))
+    assert inv * (4 * m - F(1, 2) + F(17, 2) + low) <= unit
+    # |Q_k[0][t]| <= 3^k, so the terms past k = top add less than
+    # (3/m)^(top+1) / (1 - 3/m) of a unit
+    high = sum(F(abs(moments[(0, t)][k]), 4 * m ** k) * within[t]
+               for k in range(2, top + 1) for t in (0, 1))
+    assert high + 2 * within[1] * F(3, m) ** (top + 1) / (1 - F(3, m)) < 1
+    assert unit == {64: 538, 2048: 16409}[m]
 
 
 @settings(max_examples=20, deadline=None)
@@ -625,7 +707,7 @@ def test_centred_class_rows_stay_below_the_exact_sums(m, bits):
     # less than b^2 per pair and b per member left alone, b = 4/3
     automaton = evaluator.THUE_MORSE
     m = automaton.max_tail_start if m == "cap" else int(m)
-    values, ids, sums = evaluator._block_sums(automaton, m, bits)
+    values, ids, sums, _ = evaluator._block_sums(automaton, m, bits)
     top = bits // automaton.fold
     b = F(4, 3)
     guard = 64
@@ -705,7 +787,7 @@ def test_folded_class_rows_stay_below_the_exact_sums(automaton, m, bits):
     m = automaton.max_tail_start if m == "cap" else int(m)
     fold = automaton.fold
     width = 1 << fold
-    values, ids, sums = evaluator._block_sums(automaton, m, bits)
+    values, ids, sums, _ = evaluator._block_sums(automaton, m, bits)
     top = bits // fold
     member = F(width, width - 1)
     floors_bound = 2 * (fold - 1) * len(values)
