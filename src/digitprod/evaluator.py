@@ -480,9 +480,10 @@ class _Automaton(Record):
 # the solve over rows whose series grow with M, so past a few hundred the
 # table's cost doubles with M; both caps keep the cold 500-digit
 # evaluation under about 0.6 s (Rudin-Shapiro's below; Thue-Morse's at
-# M = 512 took 0.22 s on the same machine).  Up to both caps the pair divisors of ``_floor_sums``
-# fit in one 30-bit limb (16 N1 N2 < 2^28 at M = 512, 16 n1 n2 < 2^30 at
-# M = 2048); past them they take two, and the pairs save little.  Larger
+# M = 512 took 0.22 s on the same machine).  Up to both caps the pair
+# divisors of ``_floor_sums`` fit in one 30-bit limb (16 N1 N2 < 2^28 at
+# M = 512, 16 n1 n2 < 2^30 at M = 2048); past them they take two, and
+# the pairs save little.  Larger
 # offsets are refused (exit 3), and the kind's oracle runs only when its
 # options are given.  Cold times are first calls in a fresh interpreter,
 # three runs each unless noted, 2-vCPU AMD EPYC, Python 3.11.
@@ -866,8 +867,9 @@ def _table_unit(automaton: _Automaton, m: int) -> int:
       less than 2^(2K-40) (c+1) in all), the rows cut at the top and the
       errors of later rows carried by the moments k >= K add less than 8.
       Those moments weigh 2^(-Ks) sum_(k>=K) C(s+k-1,k) c^-k |Q_k[0]|
-      (row 0's sum of absolute values), largest at s = 1: below 2^-10 for the uncentred table at
-      c = m >= 64, which times U + gap_1 (below) is below 1, and for
+      (row 0's sum of absolute values), largest at s = 1: below 2^-10
+      for the uncentred table at c = m >= 64, which times U + gap_1
+      (below) is below 1, and for
       centred Thue-Morse, whose Q_k are 2 (3^k - 1) at even k, below
       (x^2 / 2) / (1 - x^2) with x = 3/c, which times U is below 1/8 for
       m >= 32.
@@ -892,8 +894,7 @@ def _table_unit(automaton: _Automaton, m: int) -> int:
     than b (a pair by less than b^2 <= 2b), so twice b_s's error is below
     m b: gap_1 = m b + 1.  Its rows above s0 keep f_s, within f + 1/2.
     For Rudin-Shapiro (c_0 = 2, Q_1[0] = (1, -1)) that is 538 units at
-    m = 64, against 554 when both states were solved and each row's error
-    was bounded through the larger row of |Q_1| (5 + 1).
+    m = 64.
     """
     fold = automaton.fold
     width = 1 << fold
@@ -907,7 +908,7 @@ def _table_unit(automaton: _Automaton, m: int) -> int:
     # w[t] = w_t,1, the weight of state t's later rows in state 0's row 1
     w = [sum(Fraction(abs(moments.get((0, t), [0] * fold)[k]), c ** k)
              for k in range(1, fold)) / width for t in range(len(automaton.sign))]
-    gap = m * b + 1 if _twisted(automaton) else 0  # gap_1 for state w[-1]
+    gap = m * b + 1 if _twisted(automaton) else 0  # gap_1; w[-1] is state 1's
     inv = Fraction(width, width - c0)
     return math.ceil(inv * (f + Fraction(17, 2) + w[-1] * gap) / (1 - inv * sum(w)))
 
