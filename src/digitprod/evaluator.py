@@ -1,9 +1,10 @@
 """Numerical engines for the five exponent kinds and the analytic probes.
 
 Every default +-1 evaluation, Thue-Morse or Rudin-Shapiro, goes through
-one scaled tail engine.  The exponent x_n[0] comes from a signed binary
-automaton (``_Automaton``): one state for (-1)^{t_n}, and the pair
-(r_n, u_n) = ((-1)^{v_n}, (-1)^n (-1)^{v_n}) for Rudin-Shapiro.  With
+one scaled tail engine.  The exponent x_n[0] comes from one binary
+recursion (``_Automaton``): x_0 = 1, x_2n = x_n, and x_2n+1 = -x_n for
+(-1)^{t_n} or (-1)^n x_n for Rudin-Shapiro's r_n = (-1)^{v_n}, whose
+second state x_n[1] = (-1)^n x_n[0] is that twist.  With
 a centre h (1/2 for Thue-Morse, 0 for Rudin-Shapiro) and
 E(s) = M^s sum_{n>=M} x_n[0] (n+h)^-s,
 
@@ -49,8 +50,8 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
 from operator import add, mul, rshift, sub
-from typing import (TYPE_CHECKING, Dict, Iterable, Iterator, List, Optional,
-                    Sequence, Tuple)
+from typing import (TYPE_CHECKING, Iterable, Iterator, List, Optional, Sequence,
+                    Tuple)
 
 import mpmath
 from mpmath import libmp
@@ -389,19 +390,24 @@ def eval_pm_thue(spec: ProductSpec, opts: EvalOptions = EvalOptions()) -> EvalRe
 
 
 # ---------------------------------------------------------------------------
-# +-1 products: the scaled tail engine over a signed automaton
+# +-1 products: the scaled tail engine over a binary +-1 recursion
 # ---------------------------------------------------------------------------
 
 class _Automaton(Record):
-    """A signed binary automaton, and the shape of its engine's table.
+    """A binary +-1 recursion, and the shape of its engine's table.
 
-    Its sequence is a vector x_n with one entry per state: x_0 = 1 in
-    every state and x_{2n+d}[q] = sign[q][d] x_n[next_state[q][d]].  A
-    product's exponent is x_n[0].  Reading the K low digits of
-    n = 2^K n' + i, least significant first, gives x_n = A_i x_n', where
-    row q of A_i holds one sign, in the column of the state the digits of
-    i lead q to.  K is ``fold``.  A ``centred`` table expands about
-    n + 1/2 rather than n (``_scaled_table``).  The tail start M is
+    Its sequence has x_0 = 1, x_2n = x_n and x_2n+1 = ``sign`` x_n, times
+    (-1)^n when ``twisted``: -x_n for (-1)^{t_n}, and (-1)^n x_n for
+    Rudin-Shapiro's r_n.  A product's exponent is x_n[0] = x_n.  A twisted
+    sequence carries a second state, its twist x_n[1] = (-1)^n x_n, which
+    closes the recursion: x_2n+1[0] = sign x_n[1] and
+    x_2n+1[1] = -sign x_n[1], while x_2n[q] = x_n[0].  Reading the K low
+    digits of n = 2^K n' + i, least significant first, gives
+    x_n = A_i x_n', where row 0 of A_i holds one sign in one column
+    (``residue``) and, for K >= 1, row 1 is row 0 times (-1)^i.  K is
+    ``fold``.  A ``centred`` table expands about n + 1/2 rather than n
+    (``_scaled_table``); a twisted table is uncentred, as its second
+    state's rows come from N_2n = 2 N_n.  The tail start M is
     ``tail_start``, or the next power of two that keeps
     max|a_i - h| <= M / 2^K, h = 1/2 for a centred table and 0 otherwise,
     so that each term of the tail series is at least 2^K times smaller
@@ -409,15 +415,16 @@ class _Automaton(Record):
     |a_i| above ``max_offset`` are refused: that bounds the engine's work.
     """
 
-    __slots__ = ("name", "next_state", "sign", "fold", "max_offset",
-                 "tail_start", "centred")
+    __slots__ = ("name", "sign", "twisted", "fold", "max_offset", "tail_start",
+                 "centred")
     __eq__ = object.__eq__  # by identity: ``_scaled_table``'s memo is keyed on it
     __hash__ = object.__hash__
 
-    def __init__(self, name: str, next_state: Tuple[Tuple[int, int], ...],
-                 sign: Tuple[Tuple[int, int], ...], fold: int, max_offset: int,
-                 tail_start: int, centred: bool):
-        self._set(name, next_state, sign, fold, max_offset, tail_start, centred)
+    def __init__(self, name: str, sign: int, twisted: bool, fold: int,
+                 max_offset: int, tail_start: int, centred: bool):
+        if twisted and centred:
+            raise ValueError(f"{name}: the (-1)^n twist needs an uncentred table")
+        self._set(name, sign, twisted, fold, max_offset, tail_start, centred)
 
     def start(self, reach: Fraction) -> int:
         """M for offsets with max|a_i - h| = ``reach``."""
@@ -442,37 +449,33 @@ class _Automaton(Record):
     def vectors(self, hi: int) -> Tuple[List[Tuple[int, ...]], List[int]]:
         """(values, ids) with x_n = values[ids[n]] for n < hi.
 
-        x_n takes few values (two for Thue-Morse, four for Rudin-Shapiro),
-        so each n costs one lookup in the table of A_d on those values.
+        The class of n is ids[n] = (x_n < 0) + 2 (n mod 2) when twisted,
+        as x_n[1] = (-1)^n x_n[0], and (x_n < 0) otherwise: four values
+        for Rudin-Shapiro, two for Thue-Morse.
         """
-        values = [(1,) * len(self.sign)]
-        index = {values[0]: 0}
-        step = []  # step[v][d]: the id of A_d values[v]
-        for x in values:  # visits the values appended below too
-            row = []
-            for d in (0, 1):
-                y = tuple(s[d] * x[t[d]] for s, t in zip(self.sign, self.next_state))
-                if y not in index:
-                    index[y] = len(values)
-                    values.append(y)
-                row.append(index[y])
-            step.append(row)
-        ids = [0]
+        x = [1] * hi
         for n in range(1, hi):
-            ids.append(step[ids[n >> 1]][n & 1])
-        return values, ids[:hi]
+            x[n] = x[n >> 1]
+            if n & 1:
+                x[n] *= -self.sign if self.twisted and n & 2 else self.sign
+        values = [(1,), (-1,)]
+        if self.twisted:
+            values = [(1, 1), (-1, -1), (1, -1), (-1, 1)]
+        return values, [(v < 0) + 2 * (n & 1) * self.twisted for n, v in enumerate(x)]
 
-    def residue_map(self, i: int) -> List[Tuple[int, int]]:
-        """Row q of A_i as (column, sign), for the K-digit word i."""
-        rows = []
-        for q in range(len(self.sign)):
-            sign = 1
-            for j in range(self.fold):
-                d = i >> j & 1
-                sign *= self.sign[q][d]
-                q = self.next_state[q][d]
-            rows.append((q, sign))
-        return rows
+    def residue(self, i: int) -> Tuple[int, int]:
+        """(t, sign) with x_{2^K n + i}[0] = sign x_n[t] for the K-digit
+        word i: row 0 of A_i, read digit by digit through x_2n[q] = x_n[0]
+        and x_2n+1[q] = (-1)^q ``sign`` x_n[t], t = 1 when twisted and 0
+        otherwise."""
+        t, sign = 0, 1
+        for j in range(self.fold):
+            if i >> j & 1:
+                sign *= -self.sign if t else self.sign
+                t = int(self.twisted)
+            else:
+                t = 0
+        return t, sign
 
 
 # Each automaton's cap on its offsets, the bound on the engine's work: the
@@ -488,7 +491,7 @@ class _Automaton(Record):
 # options are given.  Cold times are first calls in a fresh interpreter,
 # three runs each unless noted, 2-vCPU AMD EPYC, Python 3.11.
 #
-# (-1)^{t_n}: one state, whose sign flips at every 1 digit; its table is
+# (-1)^{t_n}: x_2n+1 = -x_n, untwisted, one state; its table is
 # centred at n + 1/2, where the moments vanish at every odd k, at fold
 # K = 2 and tail start 32.  Cold g(x), engine (``_engine`` called
 # directly past the cap) against the split oracle at its defaults,
@@ -505,10 +508,11 @@ class _Automaton(Record):
 # oracle; it has not moved, though the centred engine is still cheaper at
 # x = 200 (offsets up to 100).  g(x) takes M = 256 at x = 127; an offset
 # within 1/2 of -64 needs M = 512.
-THUE_MORSE = _Automaton("Thue-Morse", ((0, 0),), ((1, -1),), 2, 64, 32, True)
-# (r_n, u_n) = ((-1)^{v_n}, (-1)^n (-1)^{v_n}): r_2n = r_n, r_2n+1 = u_n,
-# u_2n = r_n and u_2n+1 = -u_n, so u_n = (-1)^n r_n: the table solves
-# r's rows alone and reads u's off them (``_twisted``).  Engine on
+THUE_MORSE = _Automaton("Thue-Morse", -1, False, 2, 64, 32, True)
+# r_n = (-1)^{v_n}: r_2n = r_n and r_2n+1 = (-1)^n r_n, as the last digit
+# of 2n+1 ends an 11 block exactly when n is odd; so sign +1, twisted,
+# and the table solves r's rows alone and reads those of the twist
+# u_n = (-1)^n r_n off them (``_scaled_table``).  Engine on
 # (n+M/4-1)/(n+M/4), the largest offset at M, against the direct-sum
 # oracle at its defaults on (n+M/4)/(n+M/4+1), the smallest past M; the
 # engine's times are medians of five, the oracle's best of three with
@@ -526,8 +530,7 @@ THUE_MORSE = _Automaton("Thue-Morse", ((0, 0),), ((1, -1),), 2, 64, 32, True)
 # up to 512 (M = 2048), is the last M at which the engine's cold cost at
 # 60 digits is below the oracle's; there its 500-digit table is the
 # dearer of the two caps' tables.
-RUDIN_SHAPIRO = _Automaton("Rudin-Shapiro", ((0, 1), (0, 1)), ((1, 1), (1, -1)),
-                           2, 512, 64, False)
+RUDIN_SHAPIRO = _Automaton("Rudin-Shapiro", 1, True, 2, 512, 64, False)
 
 # Table bits beyond the working precision.
 TABLE_GUARD = 32
@@ -557,59 +560,33 @@ def _head(r: FactoredRational, lo: int, hi: int, signs: Sequence[int]) -> Fracti
     return Fraction(num, den)
 
 
-def _moments(automaton: _Automaton,
-             top: int) -> Tuple[int, Dict[Tuple[int, int], List[int]]]:
-    """(c_0, {(q, t): [Q_0[q][t], ..., Q_top[q][t]]}) with
-    Q_k = sum_{i<2^K} delta_i^k A_i and Q_0 = c_0 I, where delta_i = i for
-    an uncentred table and 2i + 1 - 2^K for a centred one
-    (``_scaled_table``); entries that are 0 for every k are left out.
+def _moments(automaton: _Automaton, top: int) -> Tuple[int, List[List[int]]]:
+    """(c_0, [column_0, ...]), column_t = [Q_0[0][t], ..., Q_top[0][t]]:
+    row 0 of the moments Q_k = sum_{i<2^K} delta_i^k A_i, one column per
+    state, with delta_i = i for an uncentred table and 2i + 1 - 2^K for a
+    centred one (``_scaled_table``), and c_0 = Q_0[0][0].
 
-    The table's solve needs Q_0 to be a multiple of I: Thue-Morse has
-    Q_0 = 0, and Rudin-Shapiro at even K has Q_0 = S^K = 2^(K/2) I with
-    S = A_0 + A_1 = [[1, 1], [1, -1]].  Centred at even K, Thue-Morse's
-    Q_k is 0 at every odd k: the complement 2^K - 1 - i of i has
-    K - t_i ones, so A_i and its A carry the same sign, while their
-    delta_i are opposite.
+    Only state 0 is solved, so the solve needs Q_0[0][1] = 0, which
+    raises ValueError otherwise.  A twisted automaton at odd K fails it:
+    Rudin-Shapiro's Q_0 is S^K with S = A_0 + A_1 = [[1, 1], [1, -1]] and
+    S^2 = 2 I, so S^K = 2^(K/2) I at even K and 2^((K-1)/2) S at odd K.
+    Thue-Morse has c_0 = 0, and centred at even K its Q_k is 0 at every
+    odd k: the complement 2^K - 1 - i of i has K - t_i ones, so A_i and
+    its A carry the same sign, while their delta_i are opposite.
     """
-    moments: Dict[Tuple[int, int], List[int]] = {}
     width = 1 << automaton.fold
+    moments = [[0] * (top + 1) for _ in range(1 + automaton.twisted)]
     for i in range(width):
         delta = 2 * i + 1 - width if automaton.centred else i
-        for q, (t, sign) in enumerate(automaton.residue_map(i)):
-            column = moments.setdefault((q, t), [0] * (top + 1))
-            power = sign
-            for k in range(top + 1):
-                column[k] += power
-                power *= delta
-    states = range(len(automaton.sign))
-    c0 = moments.get((0, 0), [0])[0]
-    if any(moments.get((q, t), [0])[0] != (c0 if q == t else 0)
-           for q in states for t in states):
-        raise ValueError(f"{automaton.name}: Q_0 is not a multiple of I")
-    return c0, {key: column for key, column in moments.items() if any(column)}
-
-
-def _twisted(automaton: _Automaton) -> bool:
-    """True when state 1 is the twist of state 0, x_n[1] = (-1)^n x_n[0]
-    for every n, and False for a one-state automaton; any other automaton
-    raises ValueError.
-
-    The twist holds when there are two states, state 1's transitions equal
-    state 0's, and its sign is state 0's for digit 0 and the opposite for
-    digit 1: then x_n[1] = sign[1][d] x_n'[t] = +-sign[0][d] x_n'[t] =
-    +-x_n[0] for n = 2n' + d, with + for even n and - for odd n (and
-    x_0 = (1, 1)).  ``_scaled_table`` reads state 1's rows off state 0's
-    through the even n, N_2n = 2 N_n, which holds for an uncentred table
-    only.
-    """
-    if len(automaton.sign) == 1:
-        return False
-    (r0, r1), (t0, t1) = automaton.sign[0], automaton.sign[-1]
-    if (len(automaton.sign) != 2 or automaton.centred
-            or automaton.next_state[1] != automaton.next_state[0] or (t0, t1) != (r0, -r1)):
-        raise ValueError(f"{automaton.name}: state 1 is not the (-1)^n twist of "
-                         f"state 0 on an uncentred table")
-    return True
+        t, power = automaton.residue(i)
+        column = moments[t]
+        for k in range(top + 1):
+            column[k] += power
+            power *= delta
+    if automaton.twisted and moments[1][0]:
+        raise ValueError(f"{automaton.name}: Q_0[0][1] = {moments[1][0]} at "
+                         f"K = {automaton.fold}, not 0: state 0 does not solve alone")
+    return moments[0][0], moments
 
 
 def _block_sums(automaton: _Automaton, m: int, bits: int
@@ -621,12 +598,11 @@ def _block_sums(automaton: _Automaton, m: int, bits: int
     1 <= s <= bits/K (sums[g][0] = 0): the class rows of ``_scaled_table``'s
     f_s, with N_n = 2n + 1 and c = 2m for a centred table, N_n = n and
     c = m otherwise.  first[g] is the same sum over octave 0 alone,
-    m <= n < 2m, for an uncentred table, and None for a centred one.  For
-    Rudin-Shapiro the classes split by parity (an even n has
-    x_n = A_0 x_n', whose entries are equal, an odd n opposite entries),
-    so the rows of first's classes with equal entries are the sums over
-    the even n of [m, 2m) that state 1's rows take (``_scaled_table``),
-    at no floor sum beyond the block's own.
+    m <= n < 2m, for an uncentred table, and None for a centred one.  A
+    twisted automaton's classes split by parity, x_n[1] = (-1)^n x_n[0],
+    so first's classes 0 and 1, x_n = (1, 1) and (-1, -1), hold the sums
+    over the even n of [m, 2m) that state 1's rows take
+    (``_scaled_table``), at no floor sum beyond the block's own.
 
     A centred table takes one ``_floor_sums`` over the (2^K - 1) m odd N
     in [2m, 2^(K+1) m), ratios c / (2^K N) < 2^-K: 96 members at K = 2 and
@@ -711,16 +687,17 @@ def _scaled_table(automaton: _Automaton, m: int,
     Writing n >= 2^K m as 2^K n' + i with i < 2^K gives x_n = A_i x_n' and
     N_n = 2^K N_n' + delta_i, with delta_i = i uncentred and 2i + 1 - 2^K
     centred (2n + 1 = 2^K (2n' + 1) + 2i + 1 - 2^K).  Expanding
-    (1 + delta_i / (2^K N_n'))^-s gives, for the vector E(s) over all
+    (1 + delta_i / (2^K N_n'))^-s gives, for the vector E(s) over the
     states,
 
         E(s) = F(s) + 2^(-Ks) sum_{k>=0} C(-s,k) c^-k (Q_k / 2^(Kk)) E(s+k),
 
     with F(s) = sum_{m<=n<2^K m} x_n (c/N_n)^s and the moments
-    Q_k = sum_{i<2^K} delta_i^k A_i (``_moments``).  At the row scales the
-    2^(Kk) cancels, and with Q_0 = c_0 I:
+    Q_k = sum_{i<2^K} delta_i^k A_i (``_moments``).  Only state 0 is
+    solved.  At the row scales the 2^(Kk) cancels, and with
+    Q_0[0] = (c_0, 0):
 
-        (1 - c_0 2^(-Ks)) e_s = f_s + 2^(-Ks) sum_{k>=1} c_k Q_k e_{s+k},
+        (1 - c_0 2^(-Ks)) e_s = f_s + 2^(-Ks) sum_{k>=1} c_k Q_k[0] e_{s+k},
         c_k = C(-s,k) c^-k,
 
     so each row carries K bits less than the one before, rows past bits/K
@@ -730,17 +707,17 @@ def _scaled_table(automaton: _Automaton, m: int,
     rather than the 7/m of the uncentred table at K = 3.  f_s comes from
     ``_block_sums``: one sum per value of x_n.
 
-    Only state 0 is solved.  A second state is the twist of state 0,
-    x_n[1] = (-1)^n x_n[0] (``_twisted``): for Rudin-Shapiro
-    u_n = (-1)^n r_n.  The even n >= 2m are 2n' with n' >= m, where
+    A twisted automaton's second state is x_n[1] = (-1)^n x_n[0]
+    (``_Automaton``): for Rudin-Shapiro u_n = (-1)^n r_n.  The even
+    n >= 2m are 2n' with n' >= m, where
     x_2n'[1] = x_2n'[0] = x_n'[0] and (m/2n')^s = 2^-s (m/n')^s, so
 
         E_1(s) = 2 (B(s) + 2^-s E_0(s)) - E_0(s),
 
     with B(s) = sum over the even n in [m, 2m) of x_n[0] (m/n)^s.  At
     the row scale that is e_1[s] = (e_0[s] >> (s-1)) + 2 b_s - e_0[s],
-    b_s the sum of ``_block_sums``' octave-0 rows over the classes with
-    equal entries (those of the even n), and row s of state 1 is set so
+    b_s the sum of ``_block_sums``' octave-0 rows over the classes of the
+    even n, x_n = (1, 1) and (-1, -1), and row s of state 1 is set so
     as soon as row s of state 0 is solved.  The solve of a row reads the
     later rows of both states, and its Horner chain is state 0's alone.
 
@@ -781,26 +758,21 @@ def _scaled_table(automaton: _Automaton, m: int,
     """
     fold = automaton.fold
     top = bits // fold
-    twisted = _twisted(automaton)
     c = m << automaton.centred
     values, ids, sums, first = _block_sums(automaton, m, bits)
     # e[q][s]: row s of state q; b[s]: b_s, the even n of octave 0
-    e = [[0] * (top + 1) for _ in automaton.sign]
+    e = [[0] * (top + 1) for _ in values[0]]
     for x, row in zip(values, sums):
         for q, x_q in enumerate(x):
             e[q] = list(map(add if x_q > 0 else sub, e[q], row))
-    if twisted:
-        b = [0] * (top + 1)
-        for x, row in zip(values, first):
-            if x[1] == x[0]:
-                b = list(map(add if x[0] > 0 else sub, b, row))
+    if automaton.twisted:
+        b = list(map(sub, first[0], first[1]))
     c0, moments = _moments(automaton, top)
-    odd = any(column[k] for column in moments.values() for k in range(1, top + 1, 2))
+    odd = any(column[k] for column in moments for k in range(1, top + 1, 2))
     step = 1 if odd else 2
     guard = 32  # the Horner sums' bits below the row's unit
-    # column[j] = 2^g Q_k[0][t] for k = step (j + 1)
-    columns = [(t, [p << guard for p in column[step::step]])
-               for (q, t), column in moments.items() if q == 0]
+    # columns[t][j] = 2^g Q_k[0][t] for k = step (j + 1)
+    columns = [[p << guard for p in column[step::step]] for column in moments]
     # the Horner multipliers c_k / c_(k-step) = mu[s+k] / nu[k]
     if step == 1:
         mu = [1 - j for j in range(top + 1)]
@@ -826,15 +798,15 @@ def _scaled_table(automaton: _Automaton, m: int,
             k_max -= step
         # v[j] = 2^g sum_t Q_k[0][t] e_t[s+k] for k = k_max - step j
         v: Optional[List[int]] = None
-        for t, column in columns:
-            terms = map(mul, column[k_max // step - 1::-1], e[t][s + k_max:s:-step])
+        for column, row in zip(columns, e):
+            terms = map(mul, column[k_max // step - 1::-1], row[s + k_max:s:-step])
             v = list(terms if v is None else map(add, v, terms))
         h = 0
         for x, num, d in zip(v, mu[s + k_max:s:-step], nu[k_max:0:-step]):
             h = (x + h) * num // d
         rhs = e[0][s] + (h >> (fold * s + guard))
         e[0][s] = rhs + rhs * c0 // ((1 << fold * s) - c0)
-        if twisted:
+        if automaton.twisted:
             e[1][s] = (e[0][s] >> s - 1) + 2 * b[s] - e[0][s]
     return (tuple(e[0]), _table_unit(automaton, m),
             tuple(values[v][0] for v in ids[:m]))
@@ -906,9 +878,9 @@ def _table_unit(automaton: _Automaton, m: int) -> int:
         f = width * m - Fraction(1, 2)
     c = m << automaton.centred
     # w[t] = w_t,1, the weight of state t's later rows in state 0's row 1
-    w = [sum(Fraction(abs(moments.get((0, t), [0] * fold)[k]), c ** k)
-             for k in range(1, fold)) / width for t in range(len(automaton.sign))]
-    gap = m * b + 1 if _twisted(automaton) else 0  # gap_1; w[-1] is state 1's
+    w = [sum(Fraction(abs(column[k]), c ** k) for k in range(1, fold)) / width
+         for column in moments]
+    gap = m * b + 1 if automaton.twisted else 0  # gap_1; w[-1] is state 1's
     inv = Fraction(width, width - c0)
     return math.ceil(inv * (f + Fraction(17, 2) + w[-1] * gap) / (1 - inv * sum(w)))
 

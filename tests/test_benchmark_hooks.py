@@ -1,9 +1,10 @@
 """The benchmark harness in ``perfbench/`` finds package functions by name.
 
 Its tracer wraps every ``(module, name)`` listed in ``perfbench/spans.py``
-``TRACED``, and every pass reads ``numerics.gamma.cache_info``.  These
-tests keep those names resolvable, so that removing or renaming one
-fails here rather than only when the benchmark runs.
+``TRACED``, also where ``evaluator._DISPATCH`` holds it, and every pass
+reads ``numerics.gamma.cache_info``.  These tests keep those names
+resolvable, so that removing or renaming one fails here rather than only
+when the benchmark runs.
 """
 
 import ast
@@ -32,3 +33,12 @@ def test_gamma_reports_cache_info():
     from digitprod import numerics
     info = numerics.gamma.cache_info()
     assert info.hits >= 0 and info.misses >= 0
+
+
+def test_dispatch_maps_every_kind_to_a_callable():
+    # ``spans.install`` rewrites this dict's values in place, so that
+    # ``eval_product`` reaches the wrapped evaluators
+    from digitprod import evaluator
+    from digitprod.sequences import ExponentKind
+    assert set(evaluator._DISPATCH) == set(ExponentKind)
+    assert all(callable(f) for f in evaluator._DISPATCH.values())

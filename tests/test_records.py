@@ -55,12 +55,12 @@ CASES = [
     (evaluator.EvalResult, {"value": mpf(0.5), "error_estimate": mpf(0),
                             "terms_used": 32, "split_levels": 0}, (),
      ("terms_used", 64), RESULT_REPR),
-    (evaluator._Automaton, {"name": "Thue-Morse", "next_state": ((0, 0),),
-                            "sign": ((1, -1),), "fold": 2, "max_offset": 64,
-                            "tail_start": 32, "centred": True}, (),
+    (evaluator._Automaton, {"name": "Thue-Morse", "sign": -1, "twisted": False,
+                            "fold": 2, "max_offset": 64, "tail_start": 32,
+                            "centred": True}, (),
      ("fold", 3),
-     "_Automaton(name='Thue-Morse', next_state=((0, 0),), sign=((1, -1),), "
-     "fold=2, max_offset=64, tail_start=32, centred=True)"),
+     "_Automaton(name='Thue-Morse', sign=-1, twisted=False, fold=2, "
+     "max_offset=64, tail_start=32, centred=True)"),
     (evaluator.FlajoletMartin, {"g0": RESULT, "ratio": RESULT, "phi": mpf(1),
                                 "phi_via_g0": mpf(1), "cross_check_error": mpf(0),
                                 "phi_error": mpf(0)}, (), ("phi", mpf(2)),

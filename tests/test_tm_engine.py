@@ -23,6 +23,7 @@ from digitprod import (CapabilityError, EvalOptions, EvaluationError,
 from digitprod import evaluator, numerics
 from digitprod.cli import main
 from digitprod.numerics import working_dps
+from digitprod.sequences import rudin_shapiro, thue_morse
 
 
 def _closed_forms():
@@ -98,7 +99,7 @@ def test_engine_second_tail_start(monkeypatch, digits):
     for name in ("THUE_MORSE", "RUDIN_SHAPIRO"):
         a = getattr(evaluator, name)
         monkeypatch.setattr(evaluator, name, evaluator._Automaton(
-            a.name, a.next_state, a.sign, a.fold, a.max_offset, 128, a.centred))
+            a.name, a.sign, a.twisted, a.fold, a.max_offset, 128, a.centred))
     refs = _references(digits)
     for name in ["WR", "C3k", "T5a", "GS", "T6a", "T6b"]:
         res = eval_product(catalog_entry(name).spec, EvalOptions(precision=digits))
@@ -378,7 +379,7 @@ def test_rs_automaton_gives_the_rudin_shapiro_signs():
 def test_rs_engine_second_fold_agrees():
     # K = 4 has P_0 = S^4 = 4 I: another scalar solve, another table
     rs = evaluator.RUDIN_SHAPIRO
-    fold4 = evaluator._Automaton("Rudin-Shapiro, K = 4", rs.next_state, rs.sign, 4,
+    fold4 = evaluator._Automaton("Rudin-Shapiro, K = 4", rs.sign, rs.twisted, 4,
                                  rs.max_offset, rs.tail_start, rs.centred)
     for name in ["GS", "T6a"]:
         spec = catalog_entry(name).spec
@@ -390,25 +391,55 @@ def test_rs_engine_second_fold_agrees():
 
 
 def test_rudin_shapiro_state_1_is_the_twist_of_state_0():
-    # state 1's transitions are state 0's and its sign for digit 1 is
-    # flipped, so x_n[1] = (-1)^n x_n[0]; one state has no twist
-    assert evaluator._twisted(evaluator.RUDIN_SHAPIRO) is True
-    assert evaluator._twisted(evaluator.THUE_MORSE) is False
+    # only a twisted automaton has a second state, x_n[1] = (-1)^n x_n[0]
+    assert evaluator.RUDIN_SHAPIRO.twisted and not evaluator.THUE_MORSE.twisted
     values, ids = evaluator.RUDIN_SHAPIRO.vectors(4096)
     assert [n for n in range(4096)
             if values[ids[n]][1] != (-1) ** n * values[ids[n]][0]] == []
+    values, _ = evaluator.THUE_MORSE.vectors(4096)
+    assert {len(x) for x in values} == {1}
 
 
-@pytest.mark.parametrize("next_state, sign, centred", [
-    (((0, 1), (1, 0)), ((1, 1), (1, -1)), False),  # other transitions
-    (((0, 1), (0, 1)), ((1, 1), (-1, -1)), False),  # digit 0's sign flipped too
-    (((0, 1), (0, 1)), ((1, 1), (1, 1)), False),  # digit 1's sign kept
-    (((0, 1), (0, 1)), ((1, 1), (1, -1)), True),  # N_2n = 2 N_n fails centred
-])
-def test_a_two_state_automaton_without_the_twist_is_refused(next_state, sign, centred):
-    automaton = evaluator._Automaton("no twist", next_state, sign, 2, 512, 64, centred)
-    with pytest.raises(ValueError, match="twist"):
-        evaluator._scaled_table(automaton, 64, 100)
+@pytest.mark.parametrize("automaton, sequence", [
+    (evaluator.THUE_MORSE, thue_morse), (evaluator.RUDIN_SHAPIRO, rudin_shapiro)])
+@pytest.mark.parametrize("fold", [1, 2, 3, 4])
+def test_vectors_and_residues_follow_the_bit_tricks(automaton, sequence, fold):
+    # against the digit counts of ``sequences``: x_n = values[ids[n]][0],
+    # and x_{2^K n + i} = sign_i (x_n, (-1)^n x_n)[t_i] for every K-digit
+    # word i, with (t_i, sign_i) = residue(i)
+    x = [1 - 2 * sequence(n) for n in range(4096 << fold)]
+    values, ids = automaton.vectors(4096)
+    assert [values[g][0] for g in ids] == x[:4096]
+    a = evaluator._Automaton(automaton.name, automaton.sign, automaton.twisted, fold,
+                             automaton.max_offset, automaton.tail_start, automaton.centred)
+    for i in range(1 << fold):
+        t, sign = a.residue(i)
+        assert t in (0, int(a.twisted)), i
+        assert [n for n in range(4096)
+                if x[(n << fold) + i] != sign * (x[n], (-1) ** n * x[n])[t]] == [], i
+
+
+@pytest.mark.parametrize("fold", [1, 2, 3, 4])
+def test_a_twisted_automaton_solves_at_even_folds_only(fold):
+    # Rudin-Shapiro's Q_0 is S^K, S = [[1, 1], [1, -1]] and S^2 = 2 I: at
+    # odd K, Q_0[0][1] = 2^((K-1)/2) ties state 0's rows to state 1's and
+    # the solve of state 0 alone is refused; at even K it is 0
+    rs = evaluator.RUDIN_SHAPIRO
+    automaton = evaluator._Automaton(f"Rudin-Shapiro, K = {fold}", rs.sign, rs.twisted,
+                                     fold, rs.max_offset, rs.tail_start, rs.centred)
+    if fold & 1:
+        refusal = rf"Q_0\[0\]\[1\] = {1 << fold // 2} at K = {fold}, not 0"
+        with pytest.raises(ValueError, match=refusal):
+            evaluator._scaled_table(automaton, 64, 100)
+    else:
+        table, unit, _ = evaluator._scaled_table(automaton, 64, 100)
+        assert len(table) == 100 // fold + 1 and unit > 0
+
+
+def test_a_twisted_centred_table_is_refused():
+    # state 1's rows come from the even n, N_2n = 2 N_n: uncentred only
+    with pytest.raises(ValueError, match="uncentred"):
+        evaluator._Automaton("twisted, centred", 1, True, 2, 512, 64, True)
 
 
 @pytest.mark.parametrize("m", [64, 128, 2048])
@@ -429,30 +460,70 @@ def test_block_sums_even_rows_are_a_floor_sum_over_the_even_n(m, bits):
 def unsolved_rows(automaton, m, bits):
     """e[q][s] = f_s of state q, from ``_block_sums``' class rows."""
     values, _, sums, _ = evaluator._block_sums(automaton, m, bits)
-    e = [[0] * (bits // automaton.fold + 1) for _ in automaton.sign]
+    e = [[0] * (bits // automaton.fold + 1) for _ in values[0]]
     for x, row in zip(values, sums):
         for q, eq in enumerate(e):
             e[q] = [a + b if x[q] > 0 else a - b for a, b in zip(eq, row)]
     return e
 
 
+# The engine's two recursions as general signed automata, x_0 = 1 in
+# every state and x_{2n+d}[q] = SIGN[q][d] x_n[NEXT[q][d]], as (NEXT, SIGN):
+# the references below solve every state from these, and share no
+# description of the sequences with the engine
+GENERAL = {"Thue-Morse": (((0, 0),), ((1, -1),)),
+           "Rudin-Shapiro": (((0, 1), (0, 1)), ((1, 1), (1, -1)))}
+
+
+def general_vectors(automaton, hi):
+    """[x_0, ..., x_{hi-1}], every state of ``GENERAL``'s automaton."""
+    next_state, sign = GENERAL[automaton.name]
+    x = [(1,) * len(sign)]
+    for n in range(1, hi):
+        d = n & 1
+        x.append(tuple(s[d] * x[n >> 1][t[d]] for s, t in zip(sign, next_state)))
+    return x
+
+
+def general_moments(automaton, top):
+    """{(q, t): [Q_0[q][t], ..., Q_top[q][t]]}, Q_k = sum_i delta_i^k A_i
+    for every state q, with row q of A_i read off ``GENERAL``'s automaton
+    digit by digit."""
+    next_state, sign = GENERAL[automaton.name]
+    width = 1 << automaton.fold
+    moments = {}
+    for i in range(width):
+        delta = 2 * i + 1 - width if automaton.centred else i
+        for q in range(len(sign)):
+            t, a = q, 1
+            for j in range(automaton.fold):
+                d = i >> j & 1
+                t, a = next_state[t][d], a * sign[t][d]
+            column = moments.setdefault((q, t), [0] * (top + 1))
+            for k in range(top + 1):
+                column[k] += a * delta ** k
+    return moments
+
+
 def chain_table_reference(automaton, m, bits, every_row=False):
-    """``_scaled_table``'s table from the same f_s (``_block_sums``),
-    moments and first solved row s0 (``_last_solved_row``), with the
-    solve's series summed term by term over every k: each row's
-    coefficients c_k = C(-s,k) w^-k, w the table's scale (m, or 2m
-    centred), follow c_k = c_{k-1} (-(s+k-1)) / (k w) by floor division
-    at 2^scale, the chain stops at the first c_k that is 0, and every term
-    costs two products, c_k Q_k and that by e_{s+k}.  The Horner sum of
-    the builder, which skips the k whose moments are all 0, must give the
-    same rows.  With ``every_row`` the solve runs over every row below the
-    top instead."""
+    """``_scaled_table``'s table from the same f_s (``_block_sums``) and
+    first solved row s0 (``_last_solved_row``), with every state solved
+    from ``general_moments`` and each series summed term by term over
+    every k: each row's coefficients c_k = C(-s,k) w^-k, w the table's
+    scale (m, or 2m centred), follow c_k = c_{k-1} (-(s+k-1)) / (k w) by
+    floor division at 2^scale, the chain stops at the first c_k that is
+    0, and every term costs two products, c_k Q_k and that by e_{s+k}.
+    The Horner sum of the builder, which skips the k whose moments are all
+    0 and reads state 1's rows off state 0's by the twist, must give the
+    same state 0 rows.  With ``every_row`` the solve runs over every row
+    below the top instead."""
     fold = automaton.fold
     top = bits // fold
-    states = len(automaton.sign)
     w = m << automaton.centred
     e = unsolved_rows(automaton, m, bits)
-    c0, moments = evaluator._moments(automaton, top)
+    states = len(e)
+    moments = general_moments(automaton, top)
+    c0 = moments[(0, 0)][0]
     first = top - 1
     if not every_row:
         first = min(first, evaluator._last_solved_row(fold, w, c0, bits))
@@ -574,8 +645,8 @@ def test_thue_morse_centred_moments_vanish_at_every_odd_k(digits):
     assert automaton.centred and automaton.fold == 2
     top = _table_bits(digits) // automaton.fold
     c0, moments = evaluator._moments(automaton, top)
-    assert c0 == 0 and list(moments) == [(0, 0)]
-    column = moments[(0, 0)]
+    assert c0 == 0 and len(moments) == 1
+    column = moments[0]
     assert len(column) == top + 1
     assert [k for k in range(1, top + 1, 2) if column[k]] == []
     assert [k for k in range(2, top + 1, 2) if column[k] != 2 * (3 ** k - 1)] == []
@@ -587,20 +658,22 @@ def exact_table_reference(automaton, m, bits, guard=64):
     from the exact floor of each member's 2^(bits+guard) (w / (2^K N))^s,
     w the table's scale, and every row s solved, up to rows far past the
     table's top, from the moments Q_k = sum_i delta_i^k A_i with exact
-    binomials and a single floor per row.  A term of the solve is dropped
-    only past its peak and once below 2^-40 units, so each row is within
-    a few units per member and row, all far below 2^guard."""
+    binomials and a single floor per row, every state and moment from
+    ``GENERAL``'s automaton (``general_vectors``, ``general_moments``).
+    A term of the solve is dropped only past its peak and once below
+    2^-40 units, so each row is within a few units per member and row,
+    all far below 2^guard."""
     fold, width = automaton.fold, 1 << automaton.fold
     w = m << automaton.centred
     log_w = w.bit_length() - 1
     assert w == 1 << log_w
     big = bits + guard
     rows = (big + 40 + (w + 1).bit_length()) // fold + 1
-    values, ids = automaton.vectors(m << fold)
-    states = len(automaton.sign)
+    vectors = general_vectors(automaton, m << fold)
+    states = len(vectors[0])
     f = [[0] * (rows + 1) for _ in range(states)]
     for n in range(m, m << fold):
-        x = values[ids[n]]
+        x = vectors[n]
         d = width * (2 * n + 1 if automaton.centred else n)
         for s in range(1, rows + 1):
             y = (w ** s << big) // d ** s
@@ -608,13 +681,7 @@ def exact_table_reference(automaton, m, bits, guard=64):
                 break
             for q in range(states):
                 f[q][s] += x[q] * y
-    moments = {}
-    for i in range(width):
-        delta = 2 * i + 1 - width if automaton.centred else i
-        for q, (t, sign) in enumerate(automaton.residue_map(i)):
-            column = moments.setdefault((q, t), [0] * (rows + 1))
-            for k in range(rows + 1):
-                column[k] += sign * delta ** k
+    moments = general_moments(automaton, rows)
     c0 = moments[(0, 0)][0]
     y = [[0] * (rows + 2) for _ in range(states)]
     for s in range(rows, 0, -1):
@@ -685,15 +752,15 @@ def test_table_unit_covers_the_twisted_state_1_rows(m):
     unit = evaluator._table_unit(automaton, m)
     top = 64
     c0, moments = evaluator._moments(automaton, top)
-    assert (c0, moments[(0, 0)][1], moments[(0, 1)][1]) == (2, 1, -1)
+    assert (c0, moments[0][1], moments[1][1]) == (2, 1, -1)
     b = F(4, 3)
     within = (unit, unit + m * b + 1)  # states 0 and 1
     inv = F(4, 4 - c0)
-    low = sum(F(abs(moments[(0, t)][1]), 4 * m) * within[t] for t in (0, 1))
+    low = sum(F(abs(moments[t][1]), 4 * m) * within[t] for t in (0, 1))
     assert inv * (4 * m - F(1, 2) + F(17, 2) + low) <= unit
     # |Q_k[0][t]| <= 3^k, so the terms past k = top add less than
     # (3/m)^(top+1) / (1 - 3/m) of a unit
-    high = sum(F(abs(moments[(0, t)][k]), 4 * m ** k) * within[t]
+    high = sum(F(abs(moments[t][k]), 4 * m ** k) * within[t]
                for k in range(2, top + 1) for t in (0, 1))
     assert high + 2 * within[1] * F(3, m) ** (top + 1) / (1 - F(3, m)) < 1
     assert unit == {64: 538, 2048: 16409}[m]
