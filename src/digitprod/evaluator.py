@@ -15,12 +15,12 @@ E(s) = M^s sum_{n>=M} x_n[0] (n+h)^-s,
 where p_j are the exact power sums of R's offsets less h.  The head is
 one exact rational taken through one logarithm.  The table E(1..) does
 not depend on R: it is built once per automaton and precision in
-integers from the 2^K-fold recursion of the automaton (Allouche & Cohen,
-"Dirichlet series and curious infinite products", Bull. LMS 1985) and
-shared by every evaluation (a bounded memo of a pure function, like
-``gamma``).  The
-engine sums the whole tail, so its digits are real and its error estimate
-is a derived bound.  M grows with the largest offset and the table's cost
+integers from the recursion read K = 2 binary digits at a time, n =
+4n' + i (``FOLD``; Allouche & Cohen, "Dirichlet series and curious
+infinite products", Bull. LMS 1985) and shared by every evaluation (a
+bounded memo of a pure function, like ``gamma``).  The engine sums the
+whole tail, so its digits are real and its error estimate is a derived
+bound.  M grows with the largest offset and the table's cost
 with M, so the engine refuses valid input whose offsets lie past the
 automaton's ``max_offset`` (``CapabilityError``) before any head, table
 or oracle work.
@@ -82,12 +82,23 @@ MAX_TM_TERMS = 1 << 20
 MAX_RS_TERMS = 1 << 22
 DEFAULT_SPLIT_LEVELS = 8
 DEFAULT_RS_SPLIT_LEVELS = 10
-# The split oracle's head multiplies one Fraction per point n < n0, where
-# n0 grows with max|a_i|, so its cost is quadratic in the offsets:
-# f_value(x/2, (x+1)/2) at 60 digits took 1.02 s at x = 10^5 and 1.88 s at
-# x = 131070, just under this cap (one run each, 2 vCPU); the 4.6 s and
-# 16.9 s at x = 2*10^5 and 4*10^5 are above it.
-MAX_TM_OFFSET = 1 << 16
+# Both oracles' heads grow with the offsets, so both refuse offsets |a_i|
+# above this cap before any work.  The split oracle's head multiplies the
+# integer factors of every point n < n0, n0 growing with max|a_i|, into
+# one numerator and one denominator and builds one Fraction at the end
+# (``_head``), so its cost is quadratic in the offsets: ``g --x X
+# --split-levels 8`` at 60 digits took 7.3 s at X = 100000 and 14.9 s at
+# X = 131070, just under the cap; in process, cProfile puts 3.0 s of the
+# first case's 6.5 s in the products and 3.3 s in the final Fraction, one
+# gcd of multi-megabit integers.  The direct-sum oracle takes one float
+# log per factor and point n < n0 = 2 max|a_i| + 1 of its split rational:
+# at the cap, ``eval "(n+65535)/(n+65536)" --kind pm-v --terms 16`` took
+# 1.5 s at its default 10 split levels and 2.4 s at 12, and the fully
+# convergent (n+a)(n+a+3)/((n+a+1)(n+a+2)) at a = 65533 0.65 s; past it,
+# (n+4000000)/(n+4000001) took 56 s and the fully convergent one at
+# a = 10^7 54 s.  Fresh processes, one run each, 2-vCPU Intel Xeon,
+# Python 3.11, ``python -c pass`` 0.08 s.
+MAX_ORACLE_OFFSET = 1 << 16
 # Split work grows geometrically with the levels; these caps keep one
 # request within about a minute.
 MAX_SPLIT_LEVELS = 16
@@ -136,11 +147,12 @@ class EvalOptions(Record):
     scaled tail engine, which raises ``CapabilityError`` for an offset
     above the automaton's ``max_offset``.  Fixing either selects the
     kind's oracle.  ``eval_pm_thue`` reads None as
-    ``DEFAULT_SPLIT_LEVELS`` levels and 4096 terms and refuses offsets
-    above ``MAX_TM_OFFSET``; ``eval_pm_rs`` reads
+    ``DEFAULT_SPLIT_LEVELS`` levels and 4096 terms; ``eval_pm_rs`` reads
     ``terms`` None as 10^6, and ``rs_split_levels`` None as 0 for fully
-    convergent rationals and 10 otherwise.  ``tm_terms`` and ``rs_terms``
-    reject counts above ``MAX_TM_TERMS`` and ``MAX_RS_TERMS``.
+    convergent rationals and 10 otherwise.  Both oracles refuse offsets
+    above ``MAX_ORACLE_OFFSET`` (2^16) with ``InputError`` before any
+    work, as their heads grow with the offsets.  ``tm_terms`` and
+    ``rs_terms`` reject counts above ``MAX_TM_TERMS`` and ``MAX_RS_TERMS``.
     """
 
     __slots__ = ("precision", "split_levels", "terms", "rs_split_levels")
@@ -373,8 +385,8 @@ def eval_pm_thue(spec: ProductSpec, opts: EvalOptions = EvalOptions()) -> EvalRe
     if spec.kind is not ExponentKind.PM_THUE:
         raise InputError(f"eval_pm_thue expects kind pm-t, got {spec.kind.value}")
     terms = opts.tm_terms()
-    if spec.rational.max_abs_offset() > MAX_TM_OFFSET:
-        raise InputError(f"offsets |a_i| must be <= {MAX_TM_OFFSET} for the split oracle")
+    if spec.rational.max_abs_offset() > MAX_ORACLE_OFFSET:
+        raise InputError(f"offsets |a_i| must be <= {MAX_ORACLE_OFFSET} for the split oracle")
     spec.validate()
     levels = DEFAULT_SPLIT_LEVELS if opts.split_levels is None else opts.split_levels
     precision = opts.precision
@@ -393,6 +405,11 @@ def eval_pm_thue(spec: ProductSpec, opts: EvalOptions = EvalOptions()) -> EvalRe
 # +-1 products: the scaled tail engine over a binary +-1 recursion
 # ---------------------------------------------------------------------------
 
+# K, the binary digits of n that one step of the engine's table reads:
+# n = 2^K n' + i with i < 2^K
+FOLD = 2
+
+
 class _Automaton(Record):
     """A binary +-1 recursion, and the shape of its engine's table.
 
@@ -401,35 +418,36 @@ class _Automaton(Record):
     Rudin-Shapiro's r_n.  A product's exponent is x_n[0] = x_n.  A twisted
     sequence carries a second state, its twist x_n[1] = (-1)^n x_n, which
     closes the recursion: x_2n+1[0] = sign x_n[1] and
-    x_2n+1[1] = -sign x_n[1], while x_2n[q] = x_n[0].  Reading the K low
-    digits of n = 2^K n' + i, least significant first, gives
-    x_n = A_i x_n', where row 0 of A_i holds one sign in one column
-    (``residue``) and, for K >= 1, row 1 is row 0 times (-1)^i.  K is
-    ``fold``.  A ``centred`` table expands about n + 1/2 rather than n
-    (``_scaled_table``); a twisted table is uncentred, as its second
-    state's rows come from N_2n = 2 N_n.  The tail start M is
+    x_2n+1[1] = -sign x_n[1], while x_2n[q] = x_n[0].  Reading the K = 2
+    low digits of n = 4n' + i (``FOLD``) gives x_n = A_i x_n', where row 0
+    of A_i holds one sign in one column and row 1 is row 0 times (-1)^i
+    (``_moments``).  An untwisted table is ``centred``: it expands about
+    n + 1/2 rather than n (``_scaled_table``).  A twisted table is not, as
+    its second state's rows come from N_2n = 2 N_n.  The tail start M is
     ``tail_start``, or the next power of two that keeps
-    max|a_i - h| <= M / 2^K, h = 1/2 for a centred table and 0 otherwise,
-    so that each term of the tail series is at least 2^K times smaller
-    than the one before; every larger M has its own table.  Offsets
-    |a_i| above ``max_offset`` are refused: that bounds the engine's work.
+    max|a_i - h| <= M / 4, h = 1/2 for a centred table and 0 otherwise,
+    so that each term of the tail series is at least 4 times smaller than
+    the one before; every larger M has its own table.  Offsets |a_i| above
+    ``max_offset`` are refused: that bounds the engine's work.
     """
 
-    __slots__ = ("name", "sign", "twisted", "fold", "max_offset", "tail_start",
-                 "centred")
+    __slots__ = ("name", "sign", "twisted", "max_offset", "tail_start")
     __eq__ = object.__eq__  # by identity: ``_scaled_table``'s memo is keyed on it
     __hash__ = object.__hash__
 
-    def __init__(self, name: str, sign: int, twisted: bool, fold: int,
-                 max_offset: int, tail_start: int, centred: bool):
-        if twisted and centred:
-            raise ValueError(f"{name}: the (-1)^n twist needs an uncentred table")
-        self._set(name, sign, twisted, fold, max_offset, tail_start, centred)
+    def __init__(self, name: str, sign: int, twisted: bool, max_offset: int,
+                 tail_start: int):
+        self._set(name, sign, twisted, max_offset, tail_start)
+
+    @property
+    def centred(self) -> bool:
+        """Whether the table expands about n + 1/2: it does when untwisted."""
+        return not self.twisted
 
     def start(self, reach: Fraction) -> int:
         """M for offsets with max|a_i - h| = ``reach``."""
         m = self.tail_start
-        while reach * (1 << self.fold) > m:
+        while reach * (1 << FOLD) > m:
             m <<= 1
         return m
 
@@ -463,20 +481,6 @@ class _Automaton(Record):
             values = [(1, 1), (-1, -1), (1, -1), (-1, 1)]
         return values, [(v < 0) + 2 * (n & 1) * self.twisted for n, v in enumerate(x)]
 
-    def residue(self, i: int) -> Tuple[int, int]:
-        """(t, sign) with x_{2^K n + i}[0] = sign x_n[t] for the K-digit
-        word i: row 0 of A_i, read digit by digit through x_2n[q] = x_n[0]
-        and x_2n+1[q] = (-1)^q ``sign`` x_n[t], t = 1 when twisted and 0
-        otherwise."""
-        t, sign = 0, 1
-        for j in range(self.fold):
-            if i >> j & 1:
-                sign *= -self.sign if t else self.sign
-                t = int(self.twisted)
-            else:
-                t = 0
-        return t, sign
-
 
 # Each automaton's cap on its offsets, the bound on the engine's work: the
 # floor sums loop over 3M odd N (centred) or 2M values of n (folded), and
@@ -492,10 +496,9 @@ class _Automaton(Record):
 # three runs each unless noted, 2-vCPU AMD EPYC, Python 3.11.
 #
 # (-1)^{t_n}: x_2n+1 = -x_n, untwisted, one state; its table is
-# centred at n + 1/2, where the moments vanish at every odd k, at fold
-# K = 2 and tail start 32.  Cold g(x), engine (``_engine`` called
-# directly past the cap) against the split oracle at its defaults,
-# 60 / 500 digits:
+# centred at n + 1/2, where the moments vanish at every odd k, with tail
+# start 32.  Cold g(x), engine (``_engine`` called directly past the cap)
+# against the split oracle at its defaults, 60 / 500 digits:
 #
 #   M                  engine                       split oracle
 #   32 (x = 10)        0.002-0.003 / 0.062-0.065 s  0.034-0.047 / 0.56-0.70 s
@@ -508,7 +511,7 @@ class _Automaton(Record):
 # oracle; it has not moved, though the centred engine is still cheaper at
 # x = 200 (offsets up to 100).  g(x) takes M = 256 at x = 127; an offset
 # within 1/2 of -64 needs M = 512.
-THUE_MORSE = _Automaton("Thue-Morse", -1, False, 2, 64, 32, True)
+THUE_MORSE = _Automaton("Thue-Morse", -1, False, 64, 32)
 # r_n = (-1)^{v_n}: r_2n = r_n and r_2n+1 = (-1)^n r_n, as the last digit
 # of 2n+1 ends an 11 block exactly when n is odd; so sign +1, twisted,
 # and the table solves r's rows alone and reads those of the twist
@@ -530,7 +533,7 @@ THUE_MORSE = _Automaton("Thue-Morse", -1, False, 2, 64, 32, True)
 # up to 512 (M = 2048), is the last M at which the engine's cold cost at
 # 60 digits is below the oracle's; there its 500-digit table is the
 # dearer of the two caps' tables.
-RUDIN_SHAPIRO = _Automaton("Rudin-Shapiro", 1, True, 2, 512, 64, False)
+RUDIN_SHAPIRO = _Automaton("Rudin-Shapiro", 1, True, 512, 64)
 
 # Table bits beyond the working precision.
 TABLE_GUARD = 32
@@ -562,40 +565,40 @@ def _head(r: FactoredRational, lo: int, hi: int, signs: Sequence[int]) -> Fracti
 
 def _moments(automaton: _Automaton, top: int) -> Tuple[int, List[List[int]]]:
     """(c_0, [column_0, ...]), column_t = [Q_0[0][t], ..., Q_top[0][t]]:
-    row 0 of the moments Q_k = sum_{i<2^K} delta_i^k A_i, one column per
-    state, with delta_i = i for an uncentred table and 2i + 1 - 2^K for a
+    row 0 of the moments Q_k = sum_{i<4} delta_i^k A_i, one column per
+    state, with delta_i = i for an uncentred table and 2i - 3 for a
     centred one (``_scaled_table``), and c_0 = Q_0[0][0].
 
-    Only state 0 is solved, so the solve needs Q_0[0][1] = 0, which
-    raises ValueError otherwise.  A twisted automaton at odd K fails it:
-    Rudin-Shapiro's Q_0 is S^K with S = A_0 + A_1 = [[1, 1], [1, -1]] and
-    S^2 = 2 I, so S^K = 2^(K/2) I at even K and 2^((K-1)/2) S at odd K.
-    Thue-Morse has c_0 = 0, and centred at even K its Q_k is 0 at every
-    odd k: the complement 2^K - 1 - i of i has K - t_i ones, so A_i and
-    its A carry the same sign, while their delta_i are opposite.
+    Row 0 of A_i is read off the sequence: x_{4n+i} = sign_i x_n[t_i],
+    x_n[1] = (-1)^n x_n, gives sign_i = x_i at n = 0 and
+    t_i = [x_{4+i} != x_i x_1] at n = 1.  Only state 0 is solved, which
+    needs Q_0[0][1] = 0: Q_0 is S^2 with S = A_0 + A_1, and Rudin-Shapiro's
+    S = [[1, 1], [1, -1]] has S^2 = 2 I, so c_0 = 2.  Thue-Morse has
+    c_0 = 0, and centred its Q_k is 0 at every odd k: the complement 3 - i
+    of i has 2 - t_i ones, so A_i and A_(3-i) carry the same sign, while
+    their delta_i are opposite.
     """
-    width = 1 << automaton.fold
-    moments = [[0] * (top + 1) for _ in range(1 + automaton.twisted)]
+    width = 1 << FOLD
+    values, ids = automaton.vectors(2 * width)
+    x = [values[g][0] for g in ids]
+    moments = [[0] * (top + 1) for _ in values[0]]
     for i in range(width):
         delta = 2 * i + 1 - width if automaton.centred else i
-        t, power = automaton.residue(i)
-        column = moments[t]
+        column = moments[x[width + i] != x[i] * x[1]]
+        power = x[i]
         for k in range(top + 1):
             column[k] += power
             power *= delta
-    if automaton.twisted and moments[1][0]:
-        raise ValueError(f"{automaton.name}: Q_0[0][1] = {moments[1][0]} at "
-                         f"K = {automaton.fold}, not 0: state 0 does not solve alone")
     return moments[0][0], moments
 
 
 def _block_sums(automaton: _Automaton, m: int, bits: int
                 ) -> Tuple[List[Tuple[int, ...]], List[int], List[List[int]],
                            Optional[List[List[int]]]]:
-    """(values, ids, sums, first): x_n = values[ids[n]] for n < 2^K m
-    (``_Automaton.vectors``), and sums[g][s], the sum over m <= n < 2^K m
-    with ids[n] = g of 2^bits (c / (2^K N_n))^s, rounded down, for
-    1 <= s <= bits/K (sums[g][0] = 0): the class rows of ``_scaled_table``'s
+    """(values, ids, sums, first): x_n = values[ids[n]] for n < 4m
+    (``_Automaton.vectors``), and sums[g][s], the sum over m <= n < 4m
+    with ids[n] = g of 2^bits (c / (4 N_n))^s, rounded down, for
+    1 <= s <= bits/2 (sums[g][0] = 0): the class rows of ``_scaled_table``'s
     f_s, with N_n = 2n + 1 and c = 2m for a centred table, N_n = n and
     c = m otherwise.  first[g] is the same sum over octave 0 alone,
     m <= n < 2m, for an uncentred table, and None for a centred one.  A
@@ -604,69 +607,60 @@ def _block_sums(automaton: _Automaton, m: int, bits: int
     over the even n of [m, 2m) that state 1's rows take
     (``_scaled_table``), at no floor sum beyond the block's own.
 
-    A centred table takes one ``_floor_sums`` over the (2^K - 1) m odd N
-    in [2m, 2^(K+1) m), ratios c / (2^K N) < 2^-K: 96 members at K = 2 and
-    m = 32.  Every floor drops, so each class row is at most its exact
-    sum, and below it by less than b = 2^K / (2^K - 1) for each member
-    summed alone and b^2 for each pair.
+    A centred table takes one ``_floor_sums`` over the 3m odd N in
+    [2m, 8m), ratios c / (4 N) < 1/4: 96 members at m = 32.  Every floor
+    drops, so each class row is at most its exact sum, and below it by
+    less than b = 4/3 for each member summed alone and b^2 for each pair.
 
-    An uncentred block [m, 2^K m) is K octaves [2^j m, 2^(j+1) m).  An
-    even n = 2n' of octave j >= 1 has x_n = A_0 x_n' and (m / (2^K n))^s =
-    2^-s (m / (2^K n'))^s, so octave j's class sums are ``_floor_sums``
-    over its odd n plus octave j-1's class sums shifted right by s bits
-    and relabelled through double[ids[n']] = ids[2n'].  The floor sums
-    take the m n of octave 0 and the 2^(j-1) m odd n of each later octave,
-    2^(K-1) m in all: 2m in place of 3m for Rudin-Shapiro (K = 2).
+    An uncentred block [m, 4m) is two octaves, [m, 2m) and [2m, 4m).  An
+    even n = 2n' of octave 1 has x_n = A_0 x_n' and (m / (4n))^s =
+    2^-s (m / (4n'))^s, so octave 1's class sums are ``_floor_sums`` over
+    its odd n plus octave 0's class sums shifted right by s bits and
+    relabelled through double[ids[n']] = ids[2n'].  The floor sums take
+    the m n of octave 0 and the m odd n of octave 1: 2m in place of 3m.
 
     Every floor drops, so each class row is at most its exact sum.  An n
     that ``_floor_sums`` takes is off by less than b (a pair by less than
-    b^2 <= 2b), and its error reaches the class of 2^i n shifted right by
-    at least i bits; each shift floors once more, less than 1 unit, once
-    per class and octave j >= 1, and that floor reaches the later octaves
-    halved at least, weight below 2.  So class g's row is below its exact
-    sum by less than
+    b^2 <= 2b), and an n of octave 0 reaches the class of 2n shifted right
+    by at least 1 bit; each class g's shift floors once more, less than 1
+    unit, into class double[g].  So class g's row is below its exact sum
+    by less than
 
-        b sum_{ids[n] = g} 2^-i(n) + 2 (K - 1) G,
+        b sum_{ids[n] = g} 2^-i(n) + G,
 
-    with i(n) the octaves n was folded through (the number of times 2
-    divides n, at most n's octave) and G = len(values); summed over the
-    classes the floors count once, 2 (K - 1) G in all.
+    with i(n) = 1 for the even n of octave 1, folded once from n/2, and 0
+    for the rest, and G = len(values); summed over the classes the shift
+    floors count once, G in all.
     """
-    fold = automaton.fold
-    top = bits // fold
-    values, ids = automaton.vectors(m << fold)
+    top = bits // FOLD
+    values, ids = automaton.vectors(m << FOLD)
     groups = len(values)
     if automaton.centred:
-        odd = [0] * (m << fold + 1)  # odd[2n+1] = ids[n]
+        odd = [0] * (m << FOLD + 1)  # odd[2n+1] = ids[n]
         odd[1::2] = ids
-        members = range(2 * m + 1, m << fold + 1, 2)
-        return values, ids, _floor_sums(odd, groups, members, 2 * m, fold, bits, top), None
-    double = dict(zip(ids[m:m << (fold - 1)], ids[2 * m::2]))
+        members = range(2 * m + 1, m << FOLD + 1, 2)
+        return values, ids, _floor_sums(odd, groups, members, 2 * m, FOLD, bits, top), None
+    first = _floor_sums(ids, groups, range(m, 2 * m), m, FOLD, bits, top)
+    second = _floor_sums(ids, groups, range(2 * m + 1, m << FOLD, 2), m, FOLD, bits, top)
     shifts = range(top + 1)
-    first = octave = _floor_sums(ids, groups, range(m, 2 * m), m, fold, bits, top)
-    sums = octave
-    for lo in (m << j for j in range(1, fold)):
-        below = octave
-        octave = _floor_sums(ids, groups, range(lo + 1, 2 * lo, 2), m, fold, bits, top)
-        for g, h in double.items():
-            octave[h] = list(map(add, octave[h], map(rshift, below[g], shifts)))
-        sums = [list(map(add, a, b)) for a, b in zip(sums, octave)]
-    return values, ids, sums, first
+    for g, h in dict(zip(ids[m:2 * m], ids[2 * m::2])).items():
+        second[h] = list(map(add, second[h], map(rshift, first[g], shifts)))
+    return values, ids, [list(map(add, a, b)) for a, b in zip(first, second)], first
 
 
-def _last_solved_row(fold: int, c: int, c0: int, bits: int) -> int:
+def _last_solved_row(c: int, c0: int, bits: int) -> int:
     """s0 of ``_scaled_table``: the last row s with B(s) >= 1/2, where
     B(s) = (c+1) 2^(bits - 2Ks) (2^K ((1 - (2^K-1)/(2^K c))^-s - 1) + |c_0|)
-    falls with s and c is the table's scale.  The walk starts at
+    falls with s, K = 2 and c the table's scale.  The walk starts at
     s = max(1, bits/(2K)), where B(s) >= 1/2 (see ``_scaled_table``), and
     takes a few rows."""
-    width = 1 << fold
+    width = 1 << FOLD
     num, den = width * c, width * c - width + 1  # (1 - (2^K-1)/(2^K c))^-1
-    s = max(1, bits // (2 * fold))
+    s = max(1, bits // (2 * FOLD))
     p, q = num ** (s + 1), den ** (s + 1)
     while True:
         # B(s+1) < 1/2 <=> 2 (c+1) (2^K (p - q) + |c_0| q) 2^(bits - 2K(s+1)) < q
-        shift = bits - 2 * fold * (s + 1)
+        shift = bits - 2 * FOLD * (s + 1)
         lhs = 2 * (c + 1) * (width * (p - q) + abs(c0) * q)
         if lhs << max(shift, 0) < q << max(-shift, 0):
             return s
@@ -684,28 +678,27 @@ def _scaled_table(automaton: _Automaton, m: int,
     c = 2m for a table centred at n + 1/2, whose E(s) is
     sum_{n>=m} x_n[0] (m/(n+1/2))^s.
 
-    Writing n >= 2^K m as 2^K n' + i with i < 2^K gives x_n = A_i x_n' and
-    N_n = 2^K N_n' + delta_i, with delta_i = i uncentred and 2i + 1 - 2^K
-    centred (2n + 1 = 2^K (2n' + 1) + 2i + 1 - 2^K).  Expanding
-    (1 + delta_i / (2^K N_n'))^-s gives, for the vector E(s) over the
-    states,
+    Writing n >= 4m as 4n' + i with i < 4, its K = 2 low digits
+    (``FOLD``), gives x_n = A_i x_n' and N_n = 4 N_n' + delta_i, with
+    delta_i = i uncentred and 2i - 3 centred (2n + 1 = 4 (2n' + 1) + 2i - 3).
+    Expanding (1 + delta_i / (4 N_n'))^-s gives, for the vector E(s) over
+    the states,
 
         E(s) = F(s) + 2^(-Ks) sum_{k>=0} C(-s,k) c^-k (Q_k / 2^(Kk)) E(s+k),
 
-    with F(s) = sum_{m<=n<2^K m} x_n (c/N_n)^s and the moments
-    Q_k = sum_{i<2^K} delta_i^k A_i (``_moments``).  Only state 0 is
+    with F(s) = sum_{m<=n<4m} x_n (c/N_n)^s and the moments
+    Q_k = sum_{i<4} delta_i^k A_i (``_moments``).  Only state 0 is
     solved.  At the row scales the 2^(Kk) cancels, and with
     Q_0[0] = (c_0, 0):
 
         (1 - c_0 2^(-Ks)) e_s = f_s + 2^(-Ks) sum_{k>=1} c_k Q_k[0] e_{s+k},
         c_k = C(-s,k) c^-k,
 
-    so each row carries K bits less than the one before, rows past bits/K
-    are 0, and the rows are filled from the top down.  For Thue-Morse the
-    Prouhet moments Q_k vanish for k < K and c_0 = 0; centred at K = 2 its
-    Q_k vanish at every odd k too, and |delta_i| / c is at most 3/(2m)
-    rather than the 7/m of the uncentred table at K = 3.  f_s comes from
-    ``_block_sums``: one sum per value of x_n.
+    so each row carries K = 2 bits less than the one before, rows past
+    bits/2 are 0, and the rows are filled from the top down.  For
+    Thue-Morse c_0 = 0, and centred its Q_k vanish at every odd k, and
+    |delta_i| / c is at most 3/(2m).  f_s comes from ``_block_sums``: one
+    sum per value of x_n.
 
     A twisted automaton's second state is x_n[1] = (-1)^n x_n[0]
     (``_Automaton``): for Rudin-Shapiro u_n = (-1)^n r_n.  The even
@@ -756,8 +749,7 @@ def _scaled_table(automaton: _Automaton, m: int,
     does not depend on the rational, so every evaluation of the automaton
     at one precision shares this one memo entry, unit and signs included.
     """
-    fold = automaton.fold
-    top = bits // fold
+    top = bits // FOLD
     c = m << automaton.centred
     values, ids, sums, first = _block_sums(automaton, m, bits)
     # e[q][s]: row s of state q; b[s]: b_s, the even n of octave 0
@@ -787,10 +779,10 @@ def _scaled_table(automaton: _Automaton, m: int,
         return scale + log_fact[s + k - 1] - log_fact[s - 1] - log_fact[k] >= k * log_c
 
     k_max = step
-    for s in range(min(top - step, _last_solved_row(fold, c, c0, bits)), 0, -1):
+    for s in range(min(top - step, _last_solved_row(c, c0, bits)), 0, -1):
         # 40 guard bits, plus one per 32 rows for the growth of
         # C(s+k-1, k) c^-k <= (1-1/c)^-s; k = step is always kept
-        scale = max(0, bits - 2 * fold * s) + 40 + s // 32
+        scale = max(0, bits - 2 * FOLD * s) + 40 + s // 32
         k_max = min(k_max, top - s - (top - s) % step)
         while k_max + step <= top - s and kept(s, k_max + step, scale):
             k_max += step
@@ -804,8 +796,8 @@ def _scaled_table(automaton: _Automaton, m: int,
         h = 0
         for x, num, d in zip(v, mu[s + k_max:s:-step], nu[k_max:0:-step]):
             h = (x + h) * num // d
-        rhs = e[0][s] + (h >> (fold * s + guard))
-        e[0][s] = rhs + rhs * c0 // ((1 << fold * s) - c0)
+        rhs = e[0][s] + (h >> (FOLD * s + guard))
+        e[0][s] = rhs + rhs * c0 // ((1 << FOLD * s) - c0)
         if automaton.twisted:
             e[1][s] = (e[0][s] >> s - 1) + 2 * b[s] - e[0][s]
     return (tuple(e[0]), _table_unit(automaton, m),
@@ -816,48 +808,45 @@ def _table_unit(automaton: _Automaton, m: int) -> int:
     """U: every row of ``_scaled_table(automaton, m, ·)``'s table is off
     by at most U units.
 
-    Before the low moments and the c_0 division, a row is off by less than
+    Before the low moment and the c_0 division, a row is off by less than
     f + 1/2 + 8 units:
 
-    * f bounds the floors of f_s, from ``_block_sums``, with
-      b = 2^K / (2^K - 1).  Centred, each of the (2^K - 1) m members is
-      off by less than b alone and a pair by less than b^2, so
-      f = (2^K - 1) m b^2 / 2 + G b, with G = len(values) classes that may
-      each leave one member alone: 8m/3 + 8/3 for Thue-Morse (K = 2,
-      G = 2); no octave is folded, so no weight or shift floor enters.
-      Uncentred, an n is off by less than b with weight 2^-i for the i
-      octaves it is folded through; for Rudin-Shapiro the m n of octave 0
-      weigh 1 + 1/2 and the m odd n of octave 1 1, so (5/2) m b =
-      (10/3) m, and the K - 1 shift floors per class add less than
-      2 (K - 1) G = 8 (G = 4 at K = 2): below f = 2^K m - 1/2 for m >= 64.
+    * f bounds the floors of f_s, from ``_block_sums``, with b = 4/3.
+      Centred, each of the 3m members is off by less than b alone and a
+      pair by less than b^2, so f = 3m b^2 / 2 + G b, with G = len(values)
+      classes that may each leave one member alone: 8m/3 + 8/3 for
+      Thue-Morse (G = 2); no octave is folded, so no weight or shift floor
+      enters.  Uncentred, an n is off by less than b, with weight 1/2 where
+      it is folded once into octave 1; for Rudin-Shapiro the m n of octave
+      0 weigh 1 + 1/2 and the m odd n of octave 1 1, so (5/2) m b =
+      (10/3) m, and the shift floors add less than G = 4: below
+      f = 4m - 1/2 for m >= 64.
     * Rows above s0 take no solve, which moves them by less than 1/2
       (``_scaled_table``).
     * Rows up to s0: the floors of the correction and of the solve, the
       Horner floors (less than 2^-g, g = 32; see ``_scaled_table``), the
-      terms past the cut (2^scale |c_k| < 1 with scale >= bits - 2Ks + 40,
-      |Q_k| < 2^K (2^K - 1)^k and |e_(s+k)| <= (c+1) 2^(bits - K(s+k)), so
-      less than 2^(2K-40) (c+1) in all), the rows cut at the top and the
-      errors of later rows carried by the moments k >= K add less than 8.
-      Those moments weigh 2^(-Ks) sum_(k>=K) C(s+k-1,k) c^-k |Q_k[0]|
-      (row 0's sum of absolute values), largest at s = 1: below 2^-10
-      for the uncentred table at c = m >= 64, which times U + gap_1
-      (below) is below 1, and for
-      centred Thue-Morse, whose Q_k are 2 (3^k - 1) at even k, below
-      (x^2 / 2) / (1 - x^2) with x = 3/c, which times U is below 1/8 for
-      m >= 32.
+      terms past the cut (2^scale |c_k| < 1 with scale >= bits - 4s + 40,
+      |Q_k| < 4 * 3^k and |e_(s+k)| <= (c+1) 2^(bits - 2(s+k)), so less
+      than 2^-36 (c+1) in all), the rows cut at the top and the errors of
+      later rows carried by the moments k >= 2 add less than 8.  Those
+      moments weigh 2^(-2s) sum_(k>=2) C(s+k-1,k) c^-k |Q_k[0]| (row 0's
+      sum of absolute values), largest at s = 1: below 2^-10 for the
+      uncentred table at c = m >= 64, which times U + gap_1 (below) is
+      below 1, and for centred Thue-Morse, whose Q_k are 2 (3^k - 1) at
+      even k, below (x^2 / 2) / (1 - x^2) with x = 3/c, which times U is
+      below 1/8 for m >= 32.
 
-    The solve multiplies by 1 / (1 - c_0 2^(-Ks)) <= inv = 2^K / (2^K - c_0),
-    and the low moments 1 <= k < K carry later rows of state t with weight
-    w_t,s = 2^(-Ks) sum_k C(s+k-1,k) c^-k |Q_k[0][t]|, largest at s = 1:
-    only state 0 is solved, so only row 0 of each Q_k enters.  If every
-    later row of state 0 is within U and of state t within U + gap_t, a
-    row of state 0 is within inv (f + 17/2 + sum_t w_t,1 (U + gap_t)), so
+    The solve multiplies by 1 / (1 - c_0 2^(-2s)) <= inv = 4 / (4 - c_0),
+    and the low moment k = 1 carries later rows of state t with weight
+    w_t,s = 2^(-2s) s |Q_1[0][t]| / c, largest at s = 1: only state 0 is
+    solved, so only row 0 of Q_1 enters.  If every later row of state 0 is
+    within U and of state t within U + gap_t, a row of state 0 is within
+    inv (f + 17/2 + sum_t w_t,1 (U + gap_t)), so
 
         U = inv (f + 17/2 + sum_t w_t,1 gap_t) / (1 - inv sum_t w_t,1)
 
-    holds for all rows: 2^K m + 8 for the uncentred table at c_0 = 0 with
-    no low moment.  For Thue-Morse, one state, c_0 = 0 and no low moment
-    is left (Q_1 = 0), so U = f + 17/2: 8m/3 + 67/6, 97 units at m = 32.
+    holds for all rows.  For Thue-Morse, one state, c_0 = 0 and Q_1 = 0,
+    so U = f + 17/2: 8m/3 + 67/6, 97 units at m = 32.
 
     State 0 has gap_0 = 0.  A twisted state 1 (``_scaled_table``) takes
     e_1[s] = (e_0[s] >> (s-1)) + 2 b_s - e_0[s] on the solved rows: state
@@ -868,9 +857,8 @@ def _table_unit(automaton: _Automaton, m: int) -> int:
     For Rudin-Shapiro (c_0 = 2, Q_1[0] = (1, -1)) that is 538 units at
     m = 64.
     """
-    fold = automaton.fold
-    width = 1 << fold
-    c0, moments = _moments(automaton, fold - 1)
+    width = 1 << FOLD
+    c0, moments = _moments(automaton, 1)
     b = Fraction(width, width - 1)
     if automaton.centred:
         f = (width - 1) * m * b * b / 2 + len(automaton.vectors(1)[0]) * b
@@ -878,8 +866,7 @@ def _table_unit(automaton: _Automaton, m: int) -> int:
         f = width * m - Fraction(1, 2)
     c = m << automaton.centred
     # w[t] = w_t,1, the weight of state t's later rows in state 0's row 1
-    w = [sum(Fraction(abs(column[k]), c ** k) for k in range(1, fold)) / width
-         for column in moments]
+    w = [Fraction(abs(column[1]), width * c) for column in moments]
     gap = m * b + 1 if automaton.twisted else 0  # gap_1; w[-1] is state 1's
     inv = Fraction(width, width - c0)
     return math.ceil(inv * (f + Fraction(17, 2) + w[-1] * gap) / (1 - inv * sum(w)))
@@ -921,7 +908,6 @@ def _engine(spec: ProductSpec, precision: int, automaton: _Automaton) -> EvalRes
     r = spec.rational
     if r.is_one:
         return EvalResult(mpmath.mpf(1), mpmath.mpf(0), 0, 0)
-    fold = automaton.fold
     reach = automaton.reach(r)
     m = automaton.start(reach)
     prec = ball_prec(precision)
@@ -931,12 +917,12 @@ def _engine(spec: ProductSpec, precision: int, automaton: _Automaton) -> EvalRes
 
     mass = sum(abs(mult) for _, mult in r.numerators)
     rho = reach / m
-    width = 1 << fold
+    width = 1 << FOLD
     need = (bits + math.log2(mass * (m + 1) * width / (width - 1))) / -math.log2(rho)
     j_max = min(len(table) - 1, max(1, math.ceil(need)))
     sums = r.power_sum_numerators(j_max, automaton.centred)
     # p_j 2^(Kj) / (j M^j) = S_j / (j D^j 2^(step j)) for M = 2^(K + step - 2h)
-    step = m.bit_length() - 1 - fold + automaton.centred
+    step = m.bit_length() - 1 - FOLD + automaton.centred
     d, d_j = r.denominator, 1
     acc = 0
     for j in range(1, j_max + 1):
@@ -962,11 +948,11 @@ def _engine_automaton(spec: ProductSpec, opts: EvalOptions) -> Optional[_Automat
     if spec.kind is ExponentKind.PM_THUE:
         automaton, levels = THUE_MORSE, opts.split_levels
         oracle = ("--split-levels or --terms (EvalOptions split_levels or terms) "
-                  f"selects the split oracle (offsets up to {MAX_TM_OFFSET})")
+                  f"selects the split oracle (offsets up to {MAX_ORACLE_OFFSET})")
     else:
         automaton, levels = RUDIN_SHAPIRO, opts.rs_split_levels
         oracle = ("--rs-split-levels or --terms (EvalOptions rs_split_levels or "
-                  "terms) selects the direct-sum oracle")
+                  f"terms) selects the direct-sum oracle (offsets up to {MAX_ORACLE_OFFSET})")
     if levels is not None or opts.terms is not None:
         return None
     spec.validate()
@@ -1176,6 +1162,9 @@ def eval_pm_rs(spec: ProductSpec, opts: EvalOptions = EvalOptions()) -> EvalResu
     if spec.kind is not ExponentKind.PM_RS:
         raise InputError(f"eval_pm_rs expects kind pm-v, got {spec.kind.value}")
     terms = opts.rs_terms()
+    if spec.rational.max_abs_offset() > MAX_ORACLE_OFFSET:
+        raise InputError(f"offsets |a_i| must be <= {MAX_ORACLE_OFFSET} "
+                         "for the direct-sum oracle")
     spec.validate()
     r = spec.rational
     levels = opts.rs_split_levels

@@ -180,15 +180,26 @@ def test_large_offsets_take_the_split_oracle(capsys, monkeypatch, argv):
 
 
 def test_offsets_above_the_split_oracle_cap_exit_three(capsys, monkeypatch):
-    # g(10^6) has max|a| = (10^6 + 1)/2 > 2^16: refused before the head,
-    # by default past the engine's cap and with a flag by the oracle itself
+    # offsets above 2^16 are refused before any split, head or tail work:
+    # g(10^6), max|a| = (10^6 + 1)/2, by default past the engine's cap and
+    # with a flag by the split oracle itself; (n+65537)/(n+65538) the same
+    # way on Rudin-Shapiro, with a flag by the direct-sum oracle
     def no_work(*args):
-        raise AssertionError("started the split oracle")
-    monkeypatch.setattr(evaluator, "_tm_log_sum", no_work)
-    code, out, err = run(capsys, "g", "--x", "1000000")
-    assert code == 3 and out == "" and str(evaluator.MAX_TM_OFFSET) in err
-    code, out, err = run(capsys, "g", "--x", "1000000", "--split-levels", "8")
-    assert code == 3 and out == "" and str(evaluator.MAX_TM_OFFSET) in err
+        raise AssertionError("started an oracle")
+    for name in ("dyadic_split", "_tm_log_sum", "rs_split_rational", "_rs_level_log_terms"):
+        monkeypatch.setattr(evaluator, name, no_work)
+    rs = ("eval", "(n+65537)/(n+65538)", "--kind", "pm-v")
+    for argv in [("g", "--x", "1000000"), ("g", "--x", "1000000", "--split-levels", "8"),
+                 rs, (*rs, "--terms", "16"), (*rs, "--rs-split-levels", "0")]:
+        code, out, err = run(capsys, *argv)
+        assert code == 3 and out == "" and str(evaluator.MAX_ORACLE_OFFSET) in err, argv
+    monkeypatch.undo()
+    # an offset at the cap is taken
+    spec = evaluator.ProductSpec(digitprod.FactoredRational.parse("(n+65535)/(n+65536)"),
+                                 digitprod.ExponentKind.PM_RS, 1)
+    res = evaluator.eval_pm_rs(spec, evaluator.EvalOptions(precision=5, terms=16,
+                                                           rs_split_levels=0))
+    assert res.terms_used == 16
 
 
 NEGATIVE = "(n-3/2)^2/((n-5/4)(n-7/4))"

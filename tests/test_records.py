@@ -56,11 +56,10 @@ CASES = [
                             "terms_used": 32, "split_levels": 0}, (),
      ("terms_used", 64), RESULT_REPR),
     (evaluator._Automaton, {"name": "Thue-Morse", "sign": -1, "twisted": False,
-                            "fold": 2, "max_offset": 64, "tail_start": 32,
-                            "centred": True}, (),
-     ("fold", 3),
-     "_Automaton(name='Thue-Morse', sign=-1, twisted=False, fold=2, "
-     "max_offset=64, tail_start=32, centred=True)"),
+                            "max_offset": 64, "tail_start": 32}, (),
+     ("tail_start", 64),
+     "_Automaton(name='Thue-Morse', sign=-1, twisted=False, max_offset=64, "
+     "tail_start=32)"),
     (evaluator.FlajoletMartin, {"g0": RESULT, "ratio": RESULT, "phi": mpf(1),
                                 "phi_via_g0": mpf(1), "cross_check_error": mpf(0),
                                 "phi_error": mpf(0)}, (), ("phi", mpf(2)),

@@ -99,7 +99,7 @@ def test_engine_second_tail_start(monkeypatch, digits):
     for name in ("THUE_MORSE", "RUDIN_SHAPIRO"):
         a = getattr(evaluator, name)
         monkeypatch.setattr(evaluator, name, evaluator._Automaton(
-            a.name, a.sign, a.twisted, a.fold, a.max_offset, 128, a.centred))
+            a.name, a.sign, a.twisted, a.max_offset, 128))
     refs = _references(digits)
     for name in ["WR", "C3k", "T5a", "GS", "T6a", "T6b"]:
         res = eval_product(catalog_entry(name).spec, EvalOptions(precision=digits))
@@ -376,20 +376,6 @@ def test_rs_automaton_gives_the_rudin_shapiro_signs():
     assert signs == tuple(-1 if n.bit_count() & 1 else 1 for n in range(1 << 12))
 
 
-def test_rs_engine_second_fold_agrees():
-    # K = 4 has P_0 = S^4 = 4 I: another scalar solve, another table
-    rs = evaluator.RUDIN_SHAPIRO
-    fold4 = evaluator._Automaton("Rudin-Shapiro, K = 4", rs.sign, rs.twisted, 4,
-                                 rs.max_offset, rs.tail_start, rs.centred)
-    for name in ["GS", "T6a"]:
-        spec = catalog_entry(name).spec
-        default = eval_product(spec, EvalOptions(precision=60))
-        other = evaluator._engine(spec, 60, fold4)
-        with mpmath.workdps(90):
-            assert (abs(default.value - other.value)
-                    <= default.error_estimate + other.error_estimate), name
-
-
 def test_rudin_shapiro_state_1_is_the_twist_of_state_0():
     # only a twisted automaton has a second state, x_n[1] = (-1)^n x_n[0]
     assert evaluator.RUDIN_SHAPIRO.twisted and not evaluator.THUE_MORSE.twisted
@@ -400,48 +386,6 @@ def test_rudin_shapiro_state_1_is_the_twist_of_state_0():
     assert {len(x) for x in values} == {1}
 
 
-@pytest.mark.parametrize("automaton, sequence", [
-    (evaluator.THUE_MORSE, thue_morse), (evaluator.RUDIN_SHAPIRO, rudin_shapiro)])
-@pytest.mark.parametrize("fold", [1, 2, 3, 4])
-def test_vectors_and_residues_follow_the_bit_tricks(automaton, sequence, fold):
-    # against the digit counts of ``sequences``: x_n = values[ids[n]][0],
-    # and x_{2^K n + i} = sign_i (x_n, (-1)^n x_n)[t_i] for every K-digit
-    # word i, with (t_i, sign_i) = residue(i)
-    x = [1 - 2 * sequence(n) for n in range(4096 << fold)]
-    values, ids = automaton.vectors(4096)
-    assert [values[g][0] for g in ids] == x[:4096]
-    a = evaluator._Automaton(automaton.name, automaton.sign, automaton.twisted, fold,
-                             automaton.max_offset, automaton.tail_start, automaton.centred)
-    for i in range(1 << fold):
-        t, sign = a.residue(i)
-        assert t in (0, int(a.twisted)), i
-        assert [n for n in range(4096)
-                if x[(n << fold) + i] != sign * (x[n], (-1) ** n * x[n])[t]] == [], i
-
-
-@pytest.mark.parametrize("fold", [1, 2, 3, 4])
-def test_a_twisted_automaton_solves_at_even_folds_only(fold):
-    # Rudin-Shapiro's Q_0 is S^K, S = [[1, 1], [1, -1]] and S^2 = 2 I: at
-    # odd K, Q_0[0][1] = 2^((K-1)/2) ties state 0's rows to state 1's and
-    # the solve of state 0 alone is refused; at even K it is 0
-    rs = evaluator.RUDIN_SHAPIRO
-    automaton = evaluator._Automaton(f"Rudin-Shapiro, K = {fold}", rs.sign, rs.twisted,
-                                     fold, rs.max_offset, rs.tail_start, rs.centred)
-    if fold & 1:
-        refusal = rf"Q_0\[0\]\[1\] = {1 << fold // 2} at K = {fold}, not 0"
-        with pytest.raises(ValueError, match=refusal):
-            evaluator._scaled_table(automaton, 64, 100)
-    else:
-        table, unit, _ = evaluator._scaled_table(automaton, 64, 100)
-        assert len(table) == 100 // fold + 1 and unit > 0
-
-
-def test_a_twisted_centred_table_is_refused():
-    # state 1's rows come from the even n, N_2n = 2 N_n: uncentred only
-    with pytest.raises(ValueError, match="uncentred"):
-        evaluator._Automaton("twisted, centred", 1, True, 2, 512, 64, True)
-
-
 @pytest.mark.parametrize("m", [64, 128, 2048])
 @pytest.mark.parametrize("bits", [0, 100, 232])
 def test_block_sums_even_rows_are_a_floor_sum_over_the_even_n(m, bits):
@@ -449,7 +393,7 @@ def test_block_sums_even_rows_are_a_floor_sum_over_the_even_n(m, bits):
     # are the plain floor sums over range(m, 2m, 2), and every other class
     # has no even n
     automaton = evaluator.RUDIN_SHAPIRO
-    fold = automaton.fold
+    fold = evaluator.FOLD
     values, ids, _, first = evaluator._block_sums(automaton, m, bits)
     plain = evaluator._floor_sums(ids, len(values), range(m, 2 * m, 2), m, fold,
                                   bits, bits // fold)
@@ -460,7 +404,7 @@ def test_block_sums_even_rows_are_a_floor_sum_over_the_even_n(m, bits):
 def unsolved_rows(automaton, m, bits):
     """e[q][s] = f_s of state q, from ``_block_sums``' class rows."""
     values, _, sums, _ = evaluator._block_sums(automaton, m, bits)
-    e = [[0] * (bits // automaton.fold + 1) for _ in values[0]]
+    e = [[0] * (bits // evaluator.FOLD + 1) for _ in values[0]]
     for x, row in zip(values, sums):
         for q, eq in enumerate(e):
             e[q] = [a + b if x[q] > 0 else a - b for a, b in zip(eq, row)]
@@ -490,19 +434,35 @@ def general_moments(automaton, top):
     for every state q, with row q of A_i read off ``GENERAL``'s automaton
     digit by digit."""
     next_state, sign = GENERAL[automaton.name]
-    width = 1 << automaton.fold
+    width = 1 << evaluator.FOLD
     moments = {}
     for i in range(width):
         delta = 2 * i + 1 - width if automaton.centred else i
         for q in range(len(sign)):
             t, a = q, 1
-            for j in range(automaton.fold):
+            for j in range(evaluator.FOLD):
                 d = i >> j & 1
                 t, a = next_state[t][d], a * sign[t][d]
             column = moments.setdefault((q, t), [0] * (top + 1))
             for k in range(top + 1):
                 column[k] += a * delta ** k
     return moments
+
+
+@pytest.mark.parametrize("automaton, sequence", [
+    (evaluator.THUE_MORSE, thue_morse), (evaluator.RUDIN_SHAPIRO, rudin_shapiro)])
+def test_vectors_and_moments_follow_the_sequences(automaton, sequence):
+    # x_n = values[ids[n]][0] against the digit counts of ``sequences``,
+    # and ``_moments``, which reads row 0 of each A_i off the sequence's
+    # first 8 terms, against row 0 of ``general_moments``, which reads it
+    # digit by digit off ``GENERAL``'s automaton
+    values, ids = automaton.vectors(4096)
+    assert [values[g][0] for g in ids] == [1 - 2 * sequence(n) for n in range(4096)]
+    top = 40
+    c0, moments = evaluator._moments(automaton, top)
+    general = general_moments(automaton, top)
+    assert c0 == general[(0, 0)][0]
+    assert moments == [general.get((0, t), [0] * (top + 1)) for t in range(len(values[0]))]
 
 
 def chain_table_reference(automaton, m, bits, every_row=False):
@@ -517,7 +477,7 @@ def chain_table_reference(automaton, m, bits, every_row=False):
     0 and reads state 1's rows off state 0's by the twist, must give the
     same state 0 rows.  With ``every_row`` the solve runs over every row
     below the top instead."""
-    fold = automaton.fold
+    fold = evaluator.FOLD
     top = bits // fold
     w = m << automaton.centred
     e = unsolved_rows(automaton, m, bits)
@@ -526,7 +486,7 @@ def chain_table_reference(automaton, m, bits, every_row=False):
     c0 = moments[(0, 0)][0]
     first = top - 1
     if not every_row:
-        first = min(first, evaluator._last_solved_row(fold, w, c0, bits))
+        first = min(first, evaluator._last_solved_row(w, c0, bits))
     for s in range(first, 0, -1):
         scale = max(0, bits - 2 * fold * s) + 40 + s // 32
         c = 1 << scale
@@ -576,8 +536,8 @@ def test_rows_above_the_last_solved_row_take_no_solve(automaton, m, digits):
     bits = _table_bits(digits)
     table, _, _ = evaluator._scaled_table(automaton, m, bits)
     c0, _ = evaluator._moments(automaton, 1)
-    s0 = evaluator._last_solved_row(automaton.fold, m << automaton.centred, c0, bits)
-    assert bits // (2 * automaton.fold) <= s0 < len(table) - 1
+    s0 = evaluator._last_solved_row(m << automaton.centred, c0, bits)
+    assert bits // (2 * evaluator.FOLD) <= s0 < len(table) - 1
     solved = chain_table_reference(automaton, m, bits, every_row=True)
     f = unsolved_rows(automaton, m, bits)[0]
     for s in range(s0 + 1, len(table)):
@@ -592,14 +552,14 @@ def test_last_solved_row_is_where_the_skip_bound_falls_below_half(automaton, m, 
     # B(s) = (m+1) 2^(bits-2Ks) (2^K ((1 - (2^K-1)/(2^K m))^-s - 1) + |c_0|)
     # in Fractions: B(s0 + 1) < 1/2, and s0 is the start of the walk or
     # has B(s0) >= 1/2
-    fold, width = automaton.fold, 1 << automaton.fold
+    fold, width = evaluator.FOLD, 1 << evaluator.FOLD
     bits = _table_bits(digits)
     c0, _ = evaluator._moments(automaton, 1)
 
     def skip_bound(s):
         growth = (1 - F(width - 1, width * m)) ** -s - 1
         return (m + 1) * F(2) ** (bits - 2 * fold * s) * (width * growth + abs(c0))
-    s0 = evaluator._last_solved_row(fold, m, c0, bits)
+    s0 = evaluator._last_solved_row(m, c0, bits)
     assert skip_bound(s0 + 1) < F(1, 2)
     assert s0 == bits // (2 * fold) or skip_bound(s0) >= F(1, 2)
 
@@ -642,8 +602,8 @@ def test_thue_morse_centred_moments_vanish_at_every_odd_k(digits):
     # k and 0 at odd k; if an odd moment stopped vanishing, the builder
     # would have to visit every k
     automaton = evaluator.THUE_MORSE
-    assert automaton.centred and automaton.fold == 2
-    top = _table_bits(digits) // automaton.fold
+    assert automaton.centred and evaluator.FOLD == 2
+    top = _table_bits(digits) // evaluator.FOLD
     c0, moments = evaluator._moments(automaton, top)
     assert c0 == 0 and len(moments) == 1
     column = moments[0]
@@ -663,7 +623,7 @@ def exact_table_reference(automaton, m, bits, guard=64):
     A term of the solve is dropped only past its peak and once below
     2^-40 units, so each row is within a few units per member and row,
     all far below 2^guard."""
-    fold, width = automaton.fold, 1 << automaton.fold
+    fold, width = evaluator.FOLD, 1 << evaluator.FOLD
     w = m << automaton.centred
     log_w = w.bit_length() - 1
     assert w == 1 << log_w
@@ -775,7 +735,7 @@ def test_centred_class_rows_stay_below_the_exact_sums(m, bits):
     automaton = evaluator.THUE_MORSE
     m = automaton.max_tail_start if m == "cap" else int(m)
     values, ids, sums, _ = evaluator._block_sums(automaton, m, bits)
-    top = bits // automaton.fold
+    top = bits // evaluator.FOLD
     b = F(4, 3)
     guard = 64
     assert len(sums) == len(values) == 2
@@ -838,10 +798,9 @@ def test_floor_sums_pairs_stay_below_the_exact_sums(bits, m, fold, groups, seed)
 
 
 def _fold_depth(n, m):
-    """i(n) of ``_block_sums``: the octaves n is folded through, the times
-    2 divides n, at most the octave of n in [m, 2^K m)."""
-    octave = (n // m).bit_length() - 1
-    return min((n & -n).bit_length() - 1, octave)
+    """i(n) of ``_block_sums``: 1 for an even n of octave 1, [2m, 4m),
+    folded once from n/2, and 0 for every other n of [m, 4m)."""
+    return int(n >= 2 * m and n % 2 == 0)
 
 
 @settings(max_examples=20, deadline=None)
@@ -849,15 +808,15 @@ def _fold_depth(n, m):
        st.sampled_from(["64", "128", "cap"]), st.integers(0, 200))
 def test_folded_class_rows_stay_below_the_exact_sums(automaton, m, bits):
     # each class row of the folded (uncentred) sums is at most the exact
-    # sum over its n in [m, 2^K m) and below it by less than
-    # b sum 2^-i(n) + 2 (K - 1) G, b = 2^K / (2^K - 1)
+    # sum over its n in [m, 4m) and below it by less than b sum 2^-i(n) + G,
+    # b = 4/3: G bounds the shift floors that reach one class
     m = automaton.max_tail_start if m == "cap" else int(m)
-    fold = automaton.fold
+    fold = evaluator.FOLD
     width = 1 << fold
     values, ids, sums, _ = evaluator._block_sums(automaton, m, bits)
     top = bits // fold
     member = F(width, width - 1)
-    floors_bound = 2 * (fold - 1) * len(values)
+    floors_bound = len(values)
     guard = 64
     for g, row in enumerate(sums):
         members = [n for n in range(m, width * m) if ids[n] == g]
@@ -891,7 +850,7 @@ def fraction_series_engine_reference(spec, precision, automaton):
     same rational once, so they must give the same bits."""
     r = spec.rational
     wp = working_dps(precision)
-    fold = automaton.fold
+    fold = evaluator.FOLD
     centre = F(automaton.centred, 2)
     reach = max(abs(f.offset - centre) for f in r.factors)
     m = automaton.start(reach)
