@@ -379,7 +379,6 @@ def _seq_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--count", type=_positive_int, default=16)
     p.add_argument("--word", default=None, help="digit word for kind block")
     p.add_argument("--base", type=_positive_int, default=2)
-    p.set_defaults(func=cmd_seq)
 
 
 def _eval_arguments(p: argparse.ArgumentParser) -> None:
@@ -387,7 +386,6 @@ def _eval_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--kind", choices=[k.value for k in ExponentKind],
                    default="pm-t")
     p.add_argument("--start", type=int, choices=(0, 1), default=0)
-    p.set_defaults(func=cmd_eval)
 
 
 def _verify_arguments(p: argparse.ArgumentParser) -> None:
@@ -399,21 +397,14 @@ def _verify_arguments(p: argparse.ArgumentParser) -> None:
                         "within the error estimate plus the expected value's "
                         "rounding bound, and the estimate within "
                         "|expected| 10^-digits)")
-    p.set_defaults(func=cmd_verify)
-
-
-def _catalog_arguments(p: argparse.ArgumentParser) -> None:
-    p.set_defaults(func=cmd_catalog)
 
 
 def _g_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--x", type=_fraction, required=True)
-    p.set_defaults(func=cmd_g)
 
 
 def _constants_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("name", choices=("g0", "fm-R", "fm-phi"))
-    p.set_defaults(func=cmd_constants)
 
 
 def _probe_arguments(p: argparse.ArgumentParser) -> None:
@@ -424,14 +415,12 @@ def _probe_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--tail", type=_positive_int, default=2 ** 20,
                    help="sum each remainder to the largest 2^p - 1 <= TAIL, "
                         "a whole Thue-Morse block (default 2^20)")
-    p.set_defaults(func=cmd_probe)
 
 
 def _scan_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--lo", type=_fraction, default=Fraction(0))
     p.add_argument("--hi", type=_fraction, default=Fraction(10))
     p.add_argument("--steps", type=_positive_int, default=41)
-    p.set_defaults(func=cmd_scan)
 
 
 def _reduce_arguments(p: argparse.ArgumentParser) -> None:
@@ -441,22 +430,21 @@ def _reduce_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--b", type=_fraction, default=None)
     p.add_argument("--start", type=int, choices=(0, 1), default=1)
     p.add_argument("--depth", type=int, default=symbolic.DEFAULT_REDUCE_DEPTH)
-    p.set_defaults(func=cmd_reduce)
 
 
-# name -> (help, adds the subcommand's own arguments and its func), in the
+# name -> (help, adds the subcommand's own arguments, runs it), in the
 # order the top-level help lists them
 _SUBCOMMANDS = {
-    "seq": ("print sequence values", _seq_arguments),
-    "eval": ("evaluate one infinite product", _eval_arguments),
-    "verify": ("verify catalog identities", _verify_arguments),
-    "catalog": ("dump the identity catalog", _catalog_arguments),
-    "g": ("evaluate the function g", _g_arguments),
-    "constants": ("Flajolet-Martin constants", _constants_arguments),
+    "seq": ("print sequence values", _seq_arguments, cmd_seq),
+    "eval": ("evaluate one infinite product", _eval_arguments, cmd_eval),
+    "verify": ("verify catalog identities", _verify_arguments, cmd_verify),
+    "catalog": ("dump the identity catalog", lambda p: None, cmd_catalog),
+    "g": ("evaluate the function g", _g_arguments, cmd_g),
+    "constants": ("Flajolet-Martin constants", _constants_arguments, cmd_constants),
     "probe": ("remainder sign probe for the difference operator",
-              _probe_arguments),
-    "scan": ("monotonicity scan of f(x/2, (x+1)/2)", _scan_arguments),
-    "reduce": ("reduce a product to an exact constant", _reduce_arguments),
+              _probe_arguments, cmd_probe),
+    "scan": ("monotonicity scan of f(x/2, (x+1)/2)", _scan_arguments, cmd_scan),
+    "reduce": ("reduce a product to an exact constant", _reduce_arguments, cmd_reduce),
 }
 
 
@@ -471,7 +459,7 @@ def _parser(command: Optional[str]) -> argparse.ArgumentParser:
         description="Evaluate and verify infinite products with Thue-Morse "
                     "and Rudin-Shapiro digit-sequence exponents.")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_text, add_arguments) in _SUBCOMMANDS.items():
+    for name, (help_text, add_arguments, _) in _SUBCOMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         if command is None or command == name:
             add_arguments(p)
@@ -507,7 +495,7 @@ def main(argv: Optional[list] = None) -> int:
         return EXIT_USAGE
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        return _SUBCOMMANDS[args.command][2](args)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -4,7 +4,9 @@ Every default +-1 evaluation, Thue-Morse or Rudin-Shapiro, goes through
 one scaled tail engine.  The exponent x_n[0] comes from one binary
 recursion (``_Automaton``): x_0 = 1, x_2n = x_n, and x_2n+1 = -x_n for
 (-1)^{t_n} or (-1)^n x_n for Rudin-Shapiro's r_n = (-1)^{v_n}, whose
-second state x_n[1] = (-1)^n x_n[0] is that twist.  With
+second state x_n[1] = (-1)^n x_n[0] is that twist.  The table sums and
+solves state 0 alone; every row of a twisted second state is read off
+state 0's.  With
 a centre h (1/2 for Thue-Morse, 0 for Rudin-Shapiro) and
 E(s) = M^s sum_{n>=M} x_n[0] (n+h)^-s,
 
@@ -406,7 +408,10 @@ def eval_pm_thue(spec: ProductSpec, opts: EvalOptions = EvalOptions()) -> EvalRe
 # ---------------------------------------------------------------------------
 
 # K, the binary digits of n that one step of the engine's table reads:
-# n = 2^K n' + i with i < 2^K
+# n = 2^K n' + i with i < 2^K.  K = 2 is fixed: ``_block_sums``' two
+# octaves and ``_table_unit``'s f = 4m - 1/2, 17/2 and b = 4/3 are all
+# derived at K = 2, and a larger K (K = 4 saves about a sixth of a cold
+# 500-digit Rudin-Shapiro table) would have to re-derive each of them.
 FOLD = 2
 
 
@@ -415,10 +420,11 @@ class _Automaton(Record):
 
     Its sequence has x_0 = 1, x_2n = x_n and x_2n+1 = ``sign`` x_n, times
     (-1)^n when ``twisted``: -x_n for (-1)^{t_n}, and (-1)^n x_n for
-    Rudin-Shapiro's r_n.  A product's exponent is x_n[0] = x_n.  A twisted
-    sequence carries a second state, its twist x_n[1] = (-1)^n x_n, which
-    closes the recursion: x_2n+1[0] = sign x_n[1] and
-    x_2n+1[1] = -sign x_n[1], while x_2n[q] = x_n[0].  Reading the K = 2
+    Rudin-Shapiro's r_n.  A product's exponent is x_n[0] = x_n, the only
+    state that ``vectors`` builds.  A twisted sequence carries a second
+    state, its twist x_n[1] = (-1)^n x_n, which closes the recursion:
+    x_2n+1[0] = sign x_n[1] and x_2n+1[1] = -sign x_n[1], while
+    x_2n[q] = x_n[0]; the table reads its rows off state 0's.  Reading the K = 2
     low digits of n = 4n' + i (``FOLD``) gives x_n = A_i x_n', where row 0
     of A_i holds one sign in one column and row 1 is row 0 times (-1)^i
     (``_moments``).  An untwisted table is ``centred``: it expands about
@@ -464,22 +470,15 @@ class _Automaton(Record):
         """The largest M of an accepted input: that of the offset -max_offset."""
         return self.start(self.max_offset + Fraction(self.centred, 2))
 
-    def vectors(self, hi: int) -> Tuple[List[Tuple[int, ...]], List[int]]:
-        """(values, ids) with x_n = values[ids[n]] for n < hi.
-
-        The class of n is ids[n] = (x_n < 0) + 2 (n mod 2) when twisted,
-        as x_n[1] = (-1)^n x_n[0], and (x_n < 0) otherwise: four values
-        for Rudin-Shapiro, two for Thue-Morse.
-        """
+    def vectors(self, hi: int) -> List[int]:
+        """[x_0, ..., x_{hi-1}], the sequence x_n = x_n[0]; a twisted
+        second state is (-1)^n x_n and is never stored."""
         x = [1] * hi
         for n in range(1, hi):
             x[n] = x[n >> 1]
             if n & 1:
                 x[n] *= -self.sign if self.twisted and n & 2 else self.sign
-        values = [(1,), (-1,)]
-        if self.twisted:
-            values = [(1, 1), (-1, -1), (1, -1), (-1, 1)]
-        return values, [(v < 0) + 2 * (n & 1) * self.twisted for n, v in enumerate(x)]
+        return x
 
 
 # Each automaton's cap on its offsets, the bound on the engine's work: the
@@ -579,9 +578,8 @@ def _moments(automaton: _Automaton, top: int) -> Tuple[int, List[List[int]]]:
     their delta_i are opposite.
     """
     width = 1 << FOLD
-    values, ids = automaton.vectors(2 * width)
-    x = [values[g][0] for g in ids]
-    moments = [[0] * (top + 1) for _ in values[0]]
+    x = automaton.vectors(2 * width)
+    moments = [[0] * (top + 1) for _ in range(1 + automaton.twisted)]
     for i in range(width):
         delta = 2 * i + 1 - width if automaton.centred else i
         column = moments[x[width + i] != x[i] * x[1]]
@@ -593,19 +591,18 @@ def _moments(automaton: _Automaton, top: int) -> Tuple[int, List[List[int]]]:
 
 
 def _block_sums(automaton: _Automaton, m: int, bits: int
-                ) -> Tuple[List[Tuple[int, ...]], List[int], List[List[int]],
-                           Optional[List[List[int]]]]:
-    """(values, ids, sums, first): x_n = values[ids[n]] for n < 4m
-    (``_Automaton.vectors``), and sums[g][s], the sum over m <= n < 4m
-    with ids[n] = g of 2^bits (c / (4 N_n))^s, rounded down, for
-    1 <= s <= bits/2 (sums[g][0] = 0): the class rows of ``_scaled_table``'s
-    f_s, with N_n = 2n + 1 and c = 2m for a centred table, N_n = n and
-    c = m otherwise.  first[g] is the same sum over octave 0 alone,
-    m <= n < 2m, for an uncentred table, and None for a centred one.  A
-    twisted automaton's classes split by parity, x_n[1] = (-1)^n x_n[0],
-    so first's classes 0 and 1, x_n = (1, 1) and (-1, -1), hold the sums
-    over the even n of [m, 2m) that state 1's rows take
-    (``_scaled_table``), at no floor sum beyond the block's own.
+                ) -> Tuple[List[int], List[List[int]], Optional[List[int]]]:
+    """(x, sums, b): x = [x_0, ..., x_{4m-1}] (``_Automaton.vectors``),
+    sums[g][s] the class rows of ``_scaled_table``'s f_s and, for a
+    twisted automaton (None otherwise), b[s] = b_s, the sum over the even
+    n of octave 0, [m, 2m), of x_n 2^bits (m / (4n))^s; all for
+    1 <= s <= bits/2 and rounded down (row 0 is 0).
+
+    The class of n is g = (x_n < 0) + 2 (n mod 2) when twisted and
+    (x_n < 0) otherwise, and class g's row sums 2^bits (c / (4 N_n))^s
+    over its n in [m, 4m), with N_n = 2n + 1 and c = 2m for a centred
+    table, N_n = n and c = m otherwise.  State 0's f_s is the sum of the
+    rows of the classes with x_n = 1 less those with x_n = -1.
 
     A centred table takes one ``_floor_sums`` over the 3m odd N in
     [2m, 8m), ratios c / (4 N) < 1/4: 96 members at m = 32.  Every floor
@@ -613,39 +610,40 @@ def _block_sums(automaton: _Automaton, m: int, bits: int
     less than b = 4/3 for each member summed alone and b^2 for each pair.
 
     An uncentred block [m, 4m) is two octaves, [m, 2m) and [2m, 4m).  An
-    even n = 2n' of octave 1 has x_n = A_0 x_n' and (m / (4n))^s =
-    2^-s (m / (4n'))^s, so octave 1's class sums are ``_floor_sums`` over
-    its odd n plus octave 0's class sums shifted right by s bits and
-    relabelled through double[ids[n']] = ids[2n'].  The floor sums take
+    even n = 2n' of octave 1 has x_n = x_n' and (m / (4n))^s =
+    2^-s (m / (4n'))^s, so octave 0's class rows, shifted right by s
+    bits, go into the same classes as octave 1's odd n.  Class g then
+    holds its n of octave 0, their doubles and its odd n of octave 1, and
+    a double keeps the sign x_n' that state 0 reads.  The floor sums take
     the m n of octave 0 and the m odd n of octave 1: 2m in place of 3m.
+    b_s is octave 0's class 0 less class 1, at no extra floor sum.
 
     Every floor drops, so each class row is at most its exact sum.  An n
     that ``_floor_sums`` takes is off by less than b (a pair by less than
-    b^2 <= 2b), and an n of octave 0 reaches the class of 2n shifted right
-    by at least 1 bit; each class g's shift floors once more, less than 1
-    unit, into class double[g].  So class g's row is below its exact sum
-    by less than
+    b^2 <= 2b), an n of octave 0 reaches its double shifted right by at
+    least 1 bit, and each class's shift floors once more, less than 1
+    unit.  So class g's row is below its exact sum by less than
 
-        b sum_{ids[n] = g} 2^-i(n) + G,
+        b sum_{n in g} 2^-i(n) + 1,
 
     with i(n) = 1 for the even n of octave 1, folded once from n/2, and 0
-    for the rest, and G = len(values); summed over the classes the shift
-    floors count once, G in all.
+    for the rest.
     """
     top = bits // FOLD
-    values, ids = automaton.vectors(m << FOLD)
-    groups = len(values)
+    x = automaton.vectors(m << FOLD)
+    ids = [(v < 0) + 2 * (n & 1) * automaton.twisted for n, v in enumerate(x)]
+    groups = 2 << automaton.twisted
     if automaton.centred:
         odd = [0] * (m << FOLD + 1)  # odd[2n+1] = ids[n]
         odd[1::2] = ids
         members = range(2 * m + 1, m << FOLD + 1, 2)
-        return values, ids, _floor_sums(odd, groups, members, 2 * m, FOLD, bits, top), None
+        return x, _floor_sums(odd, groups, members, 2 * m, FOLD, bits, top), None
     first = _floor_sums(ids, groups, range(m, 2 * m), m, FOLD, bits, top)
     second = _floor_sums(ids, groups, range(2 * m + 1, m << FOLD, 2), m, FOLD, bits, top)
     shifts = range(top + 1)
-    for g, h in dict(zip(ids[m:2 * m], ids[2 * m::2])).items():
-        second[h] = list(map(add, second[h], map(rshift, first[g], shifts)))
-    return values, ids, [list(map(add, a, b)) for a, b in zip(first, second)], first
+    sums = [list(map(add, map(add, a, b), map(rshift, a, shifts)))
+            for a, b in zip(first, second)]
+    return x, sums, list(map(sub, first[0], first[1]))
 
 
 def _last_solved_row(c: int, c0: int, bits: int) -> int:
@@ -697,8 +695,8 @@ def _scaled_table(automaton: _Automaton, m: int,
     so each row carries K = 2 bits less than the one before, rows past
     bits/2 are 0, and the rows are filled from the top down.  For
     Thue-Morse c_0 = 0, and centred its Q_k vanish at every odd k, and
-    |delta_i| / c is at most 3/(2m).  f_s comes from ``_block_sums``: one
-    sum per value of x_n.
+    |delta_i| / c is at most 3/(2m).  f_s is the sum of ``_block_sums``'
+    class rows with x_n = 1 less those with x_n = -1: state 0's alone.
 
     A twisted automaton's second state is x_n[1] = (-1)^n x_n[0]
     (``_Automaton``): for Rudin-Shapiro u_n = (-1)^n r_n.  The even
@@ -709,10 +707,10 @@ def _scaled_table(automaton: _Automaton, m: int,
 
     with B(s) = sum over the even n in [m, 2m) of x_n[0] (m/n)^s.  At
     the row scale that is e_1[s] = (e_0[s] >> (s-1)) + 2 b_s - e_0[s],
-    b_s the sum of ``_block_sums``' octave-0 rows over the classes of the
-    even n, x_n = (1, 1) and (-1, -1), and row s of state 1 is set so
-    as soon as row s of state 0 is solved.  The solve of a row reads the
-    later rows of both states, and its Horner chain is state 0's alone.
+    with b_s from ``_block_sums``, and every row of state 1 is set so:
+    the rows above s0 from state 0's f_s, and each solved row as soon as
+    row s of state 0 is solved.  The solve of a row reads the later rows
+    of both states, and its Horner chain is state 0's alone.
 
     Rows above s0 >= 1 (``_last_solved_row``) take no solve: e_s = f_s.
     For s >= 2, |E_t(s)| <= sum_{n>=m} (m/n)^s <= 1 + m/(s-1) <= c + 1,
@@ -751,14 +749,16 @@ def _scaled_table(automaton: _Automaton, m: int,
     """
     top = bits // FOLD
     c = m << automaton.centred
-    values, ids, sums, first = _block_sums(automaton, m, bits)
-    # e[q][s]: row s of state q; b[s]: b_s, the even n of octave 0
-    e = [[0] * (top + 1) for _ in values[0]]
-    for x, row in zip(values, sums):
-        for q, x_q in enumerate(x):
-            e[q] = list(map(add if x_q > 0 else sub, e[q], row))
+    signs, sums, b = _block_sums(automaton, m, bits)
+    # e[q][s]: row s of state q; state 0's start at f_s, class g's x_n being (-1)^g
+    e = [[0] * (top + 1)]
+    for g, row in enumerate(sums):
+        e[0] = list(map(sub if g & 1 else add, e[0], row))
+
+    def twist(s: int) -> int:  # state 1's row s from state 0's
+        return (e[0][s] >> s - 1) + 2 * b[s] - e[0][s]
     if automaton.twisted:
-        b = list(map(sub, first[0], first[1]))
+        e.append([0] + [twist(s) for s in range(1, top + 1)])
     c0, moments = _moments(automaton, top)
     odd = any(column[k] for column in moments for k in range(1, top + 1, 2))
     step = 1 if odd else 2
@@ -799,9 +799,8 @@ def _scaled_table(automaton: _Automaton, m: int,
         rhs = e[0][s] + (h >> (FOLD * s + guard))
         e[0][s] = rhs + rhs * c0 // ((1 << FOLD * s) - c0)
         if automaton.twisted:
-            e[1][s] = (e[0][s] >> s - 1) + 2 * b[s] - e[0][s]
-    return (tuple(e[0]), _table_unit(automaton, m),
-            tuple(values[v][0] for v in ids[:m]))
+            e[1][s] = twist(s)
+    return tuple(e[0]), _table_unit(automaton, m), tuple(signs[:m])
 
 
 def _table_unit(automaton: _Automaton, m: int) -> int:
@@ -813,13 +812,14 @@ def _table_unit(automaton: _Automaton, m: int) -> int:
 
     * f bounds the floors of f_s, from ``_block_sums``, with b = 4/3.
       Centred, each of the 3m members is off by less than b alone and a
-      pair by less than b^2, so f = 3m b^2 / 2 + G b, with G = len(values)
-      classes that may each leave one member alone: 8m/3 + 8/3 for
-      Thue-Morse (G = 2); no octave is folded, so no weight or shift floor
+      pair by less than b^2, so f = 3m b^2 / 2 + G b, with G = 2 classes
+      (x_n = 1 and -1) that may each leave one member alone: 8m/3 + 8/3
+      for Thue-Morse; no octave is folded, so no weight or shift floor
       enters.  Uncentred, an n is off by less than b, with weight 1/2 where
       it is folded once into octave 1; for Rudin-Shapiro the m n of octave
       0 weigh 1 + 1/2 and the m odd n of octave 1 1, so (5/2) m b =
-      (10/3) m, and the shift floors add less than G = 4: below
+      (10/3) m, and the shift floors add less than 1 in each of the 4
+      classes: below
       f = 4m - 1/2 for m >= 64.
     * Rows above s0 take no solve, which moves them by less than 1/2
       (``_scaled_table``).
@@ -849,11 +849,12 @@ def _table_unit(automaton: _Automaton, m: int) -> int:
     so U = f + 17/2: 8m/3 + 67/6, 97 units at m = 32.
 
     State 0 has gap_0 = 0.  A twisted state 1 (``_scaled_table``) takes
-    e_1[s] = (e_0[s] >> (s-1)) + 2 b_s - e_0[s] on the solved rows: state
-    0's error reaches it times |2^(1-s) - 1| <= 1, the shift floors once
+    e_1[s] = (e_0[s] >> (s-1)) + 2 b_s - e_0[s] on every row: state 0's
+    error reaches it times |2^(1-s) - 1| <= 1, the shift floors once
     (below 1), and b_s sums the m/2 even n of octave 0, each off by less
     than b (a pair by less than b^2 <= 2b), so twice b_s's error is below
-    m b: gap_1 = m b + 1.  Its rows above s0 keep f_s, within f + 1/2.
+    m b: gap_1 = m b + 1.  Above s0 state 0's rows are f_s, within
+    f + 1/2 <= U, so the same U + gap_1 covers state 1's rows there.
     For Rudin-Shapiro (c_0 = 2, Q_1[0] = (1, -1)) that is 538 units at
     m = 64.
     """
@@ -861,7 +862,7 @@ def _table_unit(automaton: _Automaton, m: int) -> int:
     c0, moments = _moments(automaton, 1)
     b = Fraction(width, width - 1)
     if automaton.centred:
-        f = (width - 1) * m * b * b / 2 + len(automaton.vectors(1)[0]) * b
+        f = (width - 1) * m * b * b / 2 + 2 * b
     else:
         f = width * m - Fraction(1, 2)
     c = m << automaton.centred

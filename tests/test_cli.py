@@ -770,11 +770,11 @@ def test_routed_help_and_usage_errors_match_the_full_parser(capsys, argv):
 
 def test_eval_builds_no_other_subcommands_arguments(capsys, monkeypatch):
     built = []
-    for name, (help_text, add_arguments) in cli._SUBCOMMANDS.items():
+    for name, (help_text, add_arguments, handler) in cli._SUBCOMMANDS.items():
         def recorded(p, name=name, add_arguments=add_arguments):
             built.append(name)
             add_arguments(p)
-        monkeypatch.setitem(cli._SUBCOMMANDS, name, (help_text, recorded))
+        monkeypatch.setitem(cli._SUBCOMMANDS, name, (help_text, recorded, handler))
     code, out, _ = run(capsys, "eval", "(2n+1)/(2n+2)", "--digits", "20")
     assert code == 0 and out.startswith("0.70710678118654752440")
     assert built == ["eval"]

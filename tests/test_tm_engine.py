@@ -377,38 +377,43 @@ def test_rs_automaton_gives_the_rudin_shapiro_signs():
 
 
 def test_rudin_shapiro_state_1_is_the_twist_of_state_0():
-    # only a twisted automaton has a second state, x_n[1] = (-1)^n x_n[0]
+    # only a twisted automaton has a second state, x_n[1] = (-1)^n x_n[0]:
+    # against ``GENERAL``'s two-state automaton, which never uses the twist
     assert evaluator.RUDIN_SHAPIRO.twisted and not evaluator.THUE_MORSE.twisted
-    values, ids = evaluator.RUDIN_SHAPIRO.vectors(4096)
-    assert [n for n in range(4096)
-            if values[ids[n]][1] != (-1) ** n * values[ids[n]][0]] == []
-    values, _ = evaluator.THUE_MORSE.vectors(4096)
-    assert {len(x) for x in values} == {1}
+    x = evaluator.RUDIN_SHAPIRO.vectors(4096)
+    general = general_vectors(evaluator.RUDIN_SHAPIRO, 4096)
+    assert [n for n in range(4096) if general[n] != (x[n], (-1) ** n * x[n])] == []
+    general = general_vectors(evaluator.THUE_MORSE, 4096)
+    assert general == [(v,) for v in evaluator.THUE_MORSE.vectors(4096)]
 
 
 @pytest.mark.parametrize("m", [64, 128, 2048])
 @pytest.mark.parametrize("bits", [0, 100, 232])
 def test_block_sums_even_rows_are_a_floor_sum_over_the_even_n(m, bits):
-    # the classes with equal entries hold the even n: their octave-0 rows
-    # are the plain floor sums over range(m, 2m, 2), and every other class
-    # has no even n
+    # b_s is the plain floor sum over the even n of range(m, 2m) with
+    # x_n = 1 less that over those with x_n = -1
     automaton = evaluator.RUDIN_SHAPIRO
     fold = evaluator.FOLD
-    values, ids, _, first = evaluator._block_sums(automaton, m, bits)
-    plain = evaluator._floor_sums(ids, len(values), range(m, 2 * m, 2), m, fold,
-                                  bits, bits // fold)
-    for x, row, even in zip(values, first, plain):
-        assert even == (row if x[1] == x[0] else [0] * len(row)), x
+    x, _, b = evaluator._block_sums(automaton, m, bits)
+    plus, minus = evaluator._floor_sums([v < 0 for v in x], 2, range(m, 2 * m, 2), m,
+                                        fold, bits, bits // fold)
+    assert b == [p - q for p, q in zip(plus, minus)]
+
+
+def twist(f, b):
+    """State 1's rows (f[s] >> (s-1)) + 2 b[s] - f[s] from state 0's f."""
+    return [0] + [(f[s] >> s - 1) + 2 * b[s] - f[s] for s in range(1, len(f))]
 
 
 def unsolved_rows(automaton, m, bits):
-    """e[q][s] = f_s of state q, from ``_block_sums``' class rows."""
-    values, _, sums, _ = evaluator._block_sums(automaton, m, bits)
-    e = [[0] * (bits // evaluator.FOLD + 1) for _ in values[0]]
-    for x, row in zip(values, sums):
-        for q, eq in enumerate(e):
-            e[q] = [a + b if x[q] > 0 else a - b for a, b in zip(eq, row)]
-    return e
+    """[f], or [f, twist(f, b)] when twisted: state 0's f_s, the sum of
+    ``_block_sums``' class rows with x_n = 1 less those with x_n = -1,
+    and state 1's rows read off it by the twist."""
+    x, sums, b = evaluator._block_sums(automaton, m, bits)
+    ids = [(v < 0) + 2 * (n & 1) * automaton.twisted for n, v in enumerate(x)]
+    sign = {ids[n]: x[n] for n in range(m, 2 * m)}  # each class's x_n
+    f = [sum(sign[g] * row[s] for g, row in enumerate(sums)) for s in range(len(sums[0]))]
+    return [f, twist(f, b)] if automaton.twisted else [f]
 
 
 # The engine's two recursions as general signed automata, x_0 = 1 in
@@ -452,31 +457,34 @@ def general_moments(automaton, top):
 @pytest.mark.parametrize("automaton, sequence", [
     (evaluator.THUE_MORSE, thue_morse), (evaluator.RUDIN_SHAPIRO, rudin_shapiro)])
 def test_vectors_and_moments_follow_the_sequences(automaton, sequence):
-    # x_n = values[ids[n]][0] against the digit counts of ``sequences``,
-    # and ``_moments``, which reads row 0 of each A_i off the sequence's
-    # first 8 terms, against row 0 of ``general_moments``, which reads it
-    # digit by digit off ``GENERAL``'s automaton
-    values, ids = automaton.vectors(4096)
-    assert [values[g][0] for g in ids] == [1 - 2 * sequence(n) for n in range(4096)]
+    # x_n against the digit counts of ``sequences``, and ``_moments``,
+    # which reads row 0 of each A_i off the sequence's first 8 terms,
+    # against row 0 of ``general_moments``, which reads it digit by digit
+    # off ``GENERAL``'s automaton
+    assert automaton.vectors(4096) == [1 - 2 * sequence(n) for n in range(4096)]
     top = 40
     c0, moments = evaluator._moments(automaton, top)
     general = general_moments(automaton, top)
+    states = len(GENERAL[automaton.name][1])
     assert c0 == general[(0, 0)][0]
-    assert moments == [general.get((0, t), [0] * (top + 1)) for t in range(len(values[0]))]
+    assert moments == [general.get((0, t), [0] * (top + 1)) for t in range(states)]
 
 
 def chain_table_reference(automaton, m, bits, every_row=False):
-    """``_scaled_table``'s table from the same f_s (``_block_sums``) and
-    first solved row s0 (``_last_solved_row``), with every state solved
-    from ``general_moments`` and each series summed term by term over
-    every k: each row's coefficients c_k = C(-s,k) w^-k, w the table's
-    scale (m, or 2m centred), follow c_k = c_{k-1} (-(s+k-1)) / (k w) by
-    floor division at 2^scale, the chain stops at the first c_k that is
-    0, and every term costs two products, c_k Q_k and that by e_{s+k}.
-    The Horner sum of the builder, which skips the k whose moments are all
-    0 and reads state 1's rows off state 0's by the twist, must give the
-    same state 0 rows.  With ``every_row`` the solve runs over every row
-    below the top instead."""
+    """``_scaled_table``'s table from the same f_s (``_block_sums``),
+    first solved row s0 (``_last_solved_row``) and rows above it
+    (``unsolved_rows``), with every state solved from ``general_moments``
+    and each series summed term by term over every k: each row's
+    coefficients c_k = C(-s,k) w^-k, w the table's scale (m, or 2m
+    centred), follow c_k = c_{k-1} (-(s+k-1)) / (k w) by floor division
+    at 2^scale, the chain stops at the first c_k that is 0, and every
+    term costs two products, c_k Q_k and that by e_{s+k}.  A twisted
+    state 1 is solved by this chain too, from its own block sums: the
+    floor sums over every n of [m, 4m), one class per vector of
+    ``general_vectors``, with no fold.  The Horner sum of the builder,
+    which skips the k whose moments are all 0 and reads state 1's rows
+    off state 0's by the twist, must give the same state 0 rows.  With
+    ``every_row`` the solve runs over every row below the top instead."""
     fold = evaluator.FOLD
     top = bits // fold
     w = m << automaton.centred
@@ -487,6 +495,14 @@ def chain_table_reference(automaton, m, bits, every_row=False):
     first = top - 1
     if not every_row:
         first = min(first, evaluator._last_solved_row(w, c0, bits))
+    if automaton.twisted:
+        vectors = general_vectors(automaton, m << fold)
+        values = sorted(set(vectors))
+        ids = [values.index(v) for v in vectors]
+        sums = evaluator._floor_sums(ids, len(values), range(m, m << fold), m, fold,
+                                     bits, top)
+        e[1][:first + 1] = [sum(v[1] * row[s] for v, row in zip(values, sums))
+                            for s in range(first + 1)]
     for s in range(first, 0, -1):
         scale = max(0, bits - 2 * fold * s) + 40 + s // 32
         c = 1 << scale
@@ -692,12 +708,31 @@ def test_exact_state_1_rows_are_the_twist_of_state_0(m, digits):
     automaton = evaluator.RUDIN_SHAPIRO
     bits, guard = _table_bits(digits), 64
     (exact0, exact1), slack = exact_table_reference(automaton, m, bits, guard)
-    values, ids = automaton.vectors(2 * m)
+    x = automaton.vectors(2 * m)
     for s in range(1, len(exact0)):
-        b = sum(values[ids[n]][0] * F(m ** s << bits + guard, (4 * n) ** s)
+        b = sum(x[n] * F(m ** s << bits + guard, (4 * n) ** s)
                 for n in range(m, 2 * m, 2))
         twist = exact0[s] * F(2) ** (1 - s) + 2 * b - exact0[s]
         assert abs(exact1[s] - twist) <= 4 * slack, s
+
+
+@pytest.mark.parametrize("m, digits", [(64, 20), (64, 60), (128, 20)])
+def test_state_1_rows_above_the_last_solved_row_are_within_their_bound(m, digits):
+    # above s0 ``_scaled_table`` takes no solve and reads state 1's rows
+    # off state 0's f_s (its table rows there) by the twist: each within
+    # U + m b + 1, b = 4/3, of the exact solve's state 1 (``_table_unit``)
+    automaton = evaluator.RUDIN_SHAPIRO
+    bits, guard = _table_bits(digits), 64
+    table, unit, _ = evaluator._scaled_table(automaton, m, bits)
+    _, _, b = evaluator._block_sums(automaton, m, bits)
+    (_, exact1), slack = exact_table_reference(automaton, m, bits, guard)
+    c0, _ = evaluator._moments(automaton, 1)
+    s0 = evaluator._last_solved_row(m, c0, bits)
+    rows = twist(list(table), b)
+    within = (unit + m * F(4, 3) + 1) * (1 << guard) + 4 * slack
+    assert s0 < len(table) - 1
+    for s in range(s0 + 1, len(table)):
+        assert abs((rows[s] << guard) - exact1[s]) <= within, s
 
 
 @pytest.mark.parametrize("m", [64, 2048])
@@ -734,13 +769,14 @@ def test_centred_class_rows_stay_below_the_exact_sums(m, bits):
     # less than b^2 per pair and b per member left alone, b = 4/3
     automaton = evaluator.THUE_MORSE
     m = automaton.max_tail_start if m == "cap" else int(m)
-    values, ids, sums, _ = evaluator._block_sums(automaton, m, bits)
+    x, sums, _ = evaluator._block_sums(automaton, m, bits)
     top = bits // evaluator.FOLD
     b = F(4, 3)
     guard = 64
-    assert len(sums) == len(values) == 2
+    assert len(sums) == 2
     for g, row in enumerate(sums):
-        members = [2 * n + 1 for n in range(m, 4 * m) if ids[n] == g]
+        # class g holds the n with (x_n < 0) = g
+        members = [2 * n + 1 for n in range(m, 4 * m) if (x[n] < 0) == g]
         bound = len(members) // 2 * b ** 2 + len(members) % 2 * b
         assert row[0] == 0
         for s in range(1, top + 1):
@@ -808,19 +844,23 @@ def _fold_depth(n, m):
        st.sampled_from(["64", "128", "cap"]), st.integers(0, 200))
 def test_folded_class_rows_stay_below_the_exact_sums(automaton, m, bits):
     # each class row of the folded (uncentred) sums is at most the exact
-    # sum over its n in [m, 4m) and below it by less than b sum 2^-i(n) + G,
-    # b = 4/3: G bounds the shift floors that reach one class
+    # sum over its members and below it by less than b sum 2^-i(n) + 1,
+    # b = 4/3, the 1 for the class's one shift floor; class g's members
+    # are its n of octave 0, [m, 2m), with (x_n < 0) + 2 (n mod 2) = g,
+    # their doubles and its odd n of octave 1, [2m, 4m)
     m = automaton.max_tail_start if m == "cap" else int(m)
     fold = evaluator.FOLD
     width = 1 << fold
-    values, ids, sums, _ = evaluator._block_sums(automaton, m, bits)
+    x, sums, _ = evaluator._block_sums(automaton, m, bits)
     top = bits // fold
     member = F(width, width - 1)
-    floors_bound = len(values)
     guard = 64
+    assert len(sums) == 4
     for g, row in enumerate(sums):
-        members = [n for n in range(m, width * m) if ids[n] == g]
-        bound = member * sum(F(1, 1 << _fold_depth(n, m)) for n in members) + floors_bound
+        own = [n for n in range(m, width * m)
+               if (n < 2 * m or n & 1) and (x[n] < 0) + 2 * (n & 1) == g]
+        members = own + [2 * n for n in own if n < 2 * m]
+        bound = member * sum(F(1, 1 << _fold_depth(n, m)) for n in members) + 1
         # iterated floors at 2^guard: 2^guard times the exact sum is in
         # [floors[s], floors[s] + 2 len(members)), so the asserts check
         # row <= exact sum and exact sum - row < bound to within
