@@ -712,8 +712,8 @@ def test_exact_state_1_rows_are_the_twist_of_state_0(m, digits):
     for s in range(1, len(exact0)):
         b = sum(x[n] * F(m ** s << bits + guard, (4 * n) ** s)
                 for n in range(m, 2 * m, 2))
-        twist = exact0[s] * F(2) ** (1 - s) + 2 * b - exact0[s]
-        assert abs(exact1[s] - twist) <= 4 * slack, s
+        expected = exact0[s] * F(2) ** (1 - s) + 2 * b - exact0[s]
+        assert abs(exact1[s] - expected) <= 4 * slack, s
 
 
 @pytest.mark.parametrize("m, digits", [(64, 20), (64, 60), (128, 20)])
