@@ -64,8 +64,8 @@ from .factored_rational import (FactoredRational, classify, dyadic_split,
                                 pole_check, rs_split_power_sums,
                                 rs_split_rational, sign_check)
 from .numerics import (DEFAULT_PRECISION, ball, ball_prec, exp_ball, export,
-                       gamma_ball, midpoint_radius, rational_ball, upper,
-                       workdps, working_dps)
+                       gamma_product_ball, midpoint_radius, rational_ball,
+                       upper, workdps, working_dps)
 from .sequences import ExponentKind
 
 if TYPE_CHECKING:
@@ -988,23 +988,27 @@ def eval_plain(spec: ProductSpec, opts: EvalOptions = EvalOptions()) -> EvalResu
     """prod_{n>=s} prod_i (n+a_i)^{m_i} = prod_i Gamma(a_i + s)^{-m_i}.
 
     Exact telescoping; the only error is Gamma's own, so no truncation
-    parameters apply.  Each Gamma value is a ball of relative radius
-    ``gamma_error``, and the powers and products compose the balls.
+    parameters apply.  ``gamma_product_ball`` takes the arguments
+    a_i + s = (u_i + s D) / D from the integer offsets.  At denominator 1,
+    2 or 4 each is a ball of relative radius ``gamma_error``.  Any other
+    argument within the shift cap moves into (0, 1], where f pairs with
+    1 - f by reflection, so that T5c's eighths take two sines; what is
+    left takes Stirling's series.
     """
     if spec.kind is not ExponentKind.PLAIN:
         raise InputError(f"eval_plain expects kind plain, got {spec.kind.value}")
     spec.validate()
-    precision = opts.precision
-    prec = ball_prec(precision)
-    value = (libmp.fone, libmp.fone)
-    for f in spec.rational.factors:
-        arg = f.offset + spec.start
+    d = spec.rational.denominator
+    pairs = []
+    for u, m in spec.rational.numerators:
+        arg = Fraction(u + spec.start * d, d)
         if arg <= 0:
             raise InputError(
                 f"Gamma telescoping needs offset + start > 0; "
-                f"factor offset {f.offset} with start {spec.start}")
-        power = libmp.mpi_pow_int(gamma_ball(arg, precision, prec), -f.multiplicity, prec)
-        value = libmp.mpi_mul(value, power, prec)
+                f"factor offset {Fraction(u, d)} with start {spec.start}")
+        pairs.append((arg, -m))
+    prec = ball_prec(opts.precision)
+    value = gamma_product_ball(pairs, opts.precision, prec)
     return EvalResult(*midpoint_radius(value, prec), 0, 0)
 
 

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from decimal import Decimal
 from fractions import Fraction
 
@@ -14,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import fm_phi_reference, forbid_engine_and_oracles, record_oracle_calls
 
 import digitprod
-from digitprod import CapabilityError, cli, evaluator, symbolic
+from digitprod import CapabilityError, cli, evaluator, numerics, symbolic
 from digitprod.cli import _printed, build_parser, main
 from digitprod.evaluator import MAX_RS_TERMS, MAX_TM_TERMS
 from digitprod.symbolic import MAX_REDUCE_DEPTH
@@ -427,6 +428,52 @@ def test_verify_tolerance_replaces_the_pass_rule(capsys, monkeypatch):
 def test_verify_unknown_name(capsys):
     code, _, err = run(capsys, "verify", "nope")
     assert code == 3 and "unknown catalog entry" in err
+
+
+@pytest.fixture
+def cleared_gamma_memos():
+    numerics.gamma.cache_clear()
+    numerics._bounded_gamma.cache_clear()
+    yield
+    numerics.gamma.cache_clear()
+    numerics._bounded_gamma.cache_clear()
+
+
+@pytest.mark.parametrize("argv", [("verify", "T5c"), ("verify", "T5c", "--digits", "500"),
+                                  ("eval", "(8n+1)(8n+7)/((8n+3)(8n+5))", "--kind", "t")])
+def test_t5c_reflects_its_eighths_and_takes_no_stirling_series(
+        capsys, monkeypatch, cleared_gamma_memos, argv):
+    # Gamma(3/8) Gamma(5/8) / (Gamma(1/8) Gamma(7/8)) = sin(pi/8) / sin(3 pi/8)
+    def refuse(*args):
+        raise AssertionError("Stirling series taken")
+
+    monkeypatch.setattr(numerics, "_stirling_gamma", refuse)
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert argv[0] == "eval" or "PASS" in out
+
+
+def test_plain_eighths_past_the_cap_take_stirling_unshifted(capsys, monkeypatch,
+                                                            cleared_gamma_memos):
+    # offsets near 10^6 + 1/8 are far past the shift cap: each Gamma takes
+    # Stirling's series with no shift, and no million-factor rising product
+    taken = []
+    stirling = numerics._stirling_gamma
+    monkeypatch.setattr(numerics, "_stirling_gamma", lambda x, shift, precision: (
+        taken.append((x, shift)) or stirling(x, shift, precision)))
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "eval", "(8n+8000001)(8n+8000007)/((8n+8000003)(8n+8000005))",
+                       "--kind", "plain", "--format", "json")
+    assert time.perf_counter() - start < 1
+    assert code == 0
+    assert sorted(taken) == [(10 ** 6 + Fraction(k, 8), 0) for k in (1, 3, 5, 7)]
+    value = json.loads(out)["value"]
+    assert len(value) == len("0.") + 60
+    with mpmath.workdps(90):
+        a = mpmath.mpf(10 ** 6)
+        exact = mpmath.exp(sum(s * mpmath.loggamma(a + mpmath.mpf(k) / 8)
+                               for k, s in ((3, 1), (5, 1), (1, -1), (7, -1))))
+        assert abs(mpmath.mpf(value) - exact) <= mpmath.mpf(10) ** -60
 
 
 def test_catalog_json_schema(capsys):

@@ -44,6 +44,10 @@ CASES = {
     # integer arguments near 10^6: Stirling with no shift
     "eval-plain-big-offset": ["eval", "(n+1000000)(n+1000003)/((n+1000001)(n+1000002))",
                               "--kind", "plain"],
+    # eighths: Gamma(1/8) Gamma(7/8) / (Gamma(3/8) Gamma(5/8)), two
+    # reflection sines and no Stirling series; the value is sqrt(2) + 1
+    "eval-plain-eighths-500": ["eval", "(8n+3)(8n+5)/((8n+1)(8n+7))", "--kind", "plain",
+                               "--digits", "500"],
     "g-3-4": ["g", "--x", "3/4"],
     # max|a| = 64: Thue-Morse at its offset cap, M = 256
     "g-127-500": ["g", "--x", "127", "--digits", "500"],
@@ -121,6 +125,14 @@ def test_fm_phi_300_against_independent_references():
     assert len(value) == len("0.") + 300
     with mpmath.workdps(330):
         assert abs(mpmath.mpf(value) - fm_phi_reference()) <= mpmath.mpf(10) ** -300 / 2
+
+
+def test_plain_eighths_500_against_sqrt_2_plus_1():
+    # each printed digit is within half a unit of sqrt(2) + 1 from mpmath
+    value = json.loads((GOLDEN / "eval-plain-eighths-500.json").read_text())["value"]
+    assert len(value) == len("2.") + 499
+    with mpmath.workdps(530):
+        assert abs(mpmath.mpf(value) - (mpmath.sqrt(2) + 1)) <= mpmath.mpf(10) ** -499 / 2
 
 
 @pytest.mark.parametrize("name", sorted(CASES) + sorted(UNSTORED))

@@ -197,6 +197,69 @@ def test_gamma_precision_monotonicity():
         assert mpmath.nstr(low, 25) == mpmath.nstr(high, 25)
 
 
+def gamma_products(precision, rng, count=12):
+    # products of f + k and 1 - f + l at denominators that no exact route
+    # reduces alone: the pair's exponents equal, unequal or opposite in
+    # sign, or f unpaired; shifts from 0 to the cap, and now and then an
+    # argument past the cap
+    cap = shift_cap(precision)
+    for i in range(count):
+        pairs = []
+        for j in range(3):
+            q = rng.choice((3, 5, 6, 8, 10, 12))
+            f = F(rng.choice([p for p in range(1, q) if math.gcd(p, q) == 1 and 2 * p < q]), q)
+            e = rng.choice((-3, -2, -1, 1, 2, 3))
+            pairs.append((f + rng.choice((0, 1, rng.randint(2, cap), cap)), e))
+            kind = (i + j) % 4
+            if kind < 3:
+                mirror = (e, e + (1 if e > 0 else -1), -e)[kind]
+                pairs.append((1 - f + rng.choice((0, rng.randint(1, cap), cap)), mirror))
+        if i % 3 == 0:
+            pairs.append((F(rng.randint(1, 11), 12) + cap + rng.randint(1, 9),
+                          rng.choice((-1, 1))))
+        yield pairs
+
+
+@pytest.mark.parametrize("precision", [30, 60, 200])
+def test_gamma_product_ball_encloses_the_product(precision):
+    # against mpmath.gamma at 20 more digits: every ball holds the product
+    # and its radius is at most 10^-precision of it
+    prec = numerics.ball_prec(precision)
+    for pairs in gamma_products(precision, random.Random(precision)):
+        lo, hi = numerics.gamma_product_ball(pairs, precision, prec)
+        with mpmath.workdps(precision + 20):
+            ref = mpmath.fprod(mpmath.gamma(mpmath.mpf(x.numerator) / x.denominator) ** e
+                               for x, e in pairs)
+            lo, hi = mpmath.mp.make_mpf(lo), mpmath.mp.make_mpf(hi)
+            assert lo <= ref <= hi, pairs
+            assert (hi - lo) / 2 <= mpmath.mpf(10) ** -precision * ref, pairs
+
+
+def test_gamma_product_ball_reflects_pairs_and_keeps_quarters(monkeypatch):
+    # a pair f, 1 - f of the same sign takes one sine and no Stirling
+    # series, the rest of the larger exponent takes Stirling, and a pair of
+    # opposite signs takes Stirling on both sides; quarters take
+    # gamma_ball one at a time, bit for bit
+    taken = []
+    stirling = numerics._stirling_gamma
+    monkeypatch.setattr(numerics, "_stirling_gamma",
+                        lambda x, shift, precision: taken.append(x) or stirling(x, shift, precision))
+    numerics.gamma.cache_clear()
+    numerics._bounded_gamma.cache_clear()
+    prec = numerics.ball_prec(60)
+    numerics.gamma_product_ball([(F(3, 8), 2), (F(13, 8), 1), (F(7, 8), -1),
+                                 (F(17, 8), -1), (F(2, 3), -1), (F(4, 3), -2),
+                                 (F(1, 5), 1), (F(9, 5), -1)], 60, prec)
+    assert taken == [F(1, 5), F(1, 3), F(3, 8), F(4, 5)]
+    quarters = [(F(5, 4), -2), (F(3), 1), (F(7, 2), 3)]
+    value = (mpmath.libmp.fone, mpmath.libmp.fone)
+    for x, e in quarters:
+        power = mpmath.libmp.mpi_pow_int(numerics.gamma_ball(x, 60, prec), e, prec)
+        value = mpmath.libmp.mpi_mul(value, power, prec)
+    assert numerics.gamma_product_ball(quarters, 60, prec) == value
+    assert len(taken) == 4
+
+
 # ---------------------------------------------------------------------------
 # Constants
 # ---------------------------------------------------------------------------
