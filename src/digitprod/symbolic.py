@@ -13,16 +13,20 @@ linear system on a universe of candidate relation points, one row with a
 single unknown at a time (``_solve_relations`` proves one always exists),
 and returns the combination as a certificate; constants come out as
 products of positive rationals with rational exponents.
-Inside ``reduce`` a point x is the integer x * one, where one is the lcm
-of the expression's denominators times 2^(depth+1): the search halves a
-point at most depth + 1 times, so every halving is exact, and the keys
-hash and compare as plain integers in the same order as the rationals.
+The relation is written once, as ``_RELATION``: a term (d, b, c) puts
+coefficient c on G((x + b)/d).  Inside ``reduce`` a point x is the
+integer x * one, where one = lcm * d^(depth+1), the lcm of the
+expression's denominators times the largest divisor d of a term to the
+power depth + 1: the search divides a point by a term's divisor at most
+depth + 1 times, so every division is exact, and the keys hash and
+compare as plain integers in the same order as the rationals.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
+from bisect import bisect_right
 from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -30,7 +34,7 @@ import mpmath
 
 from ._record import Record
 from .errors import CapabilityError, ConsistencyError, InputError
-from .evaluator import EvalOptions, ProductSpec, eval_product
+from .evaluator import THUE_MORSE, EvalOptions, ProductSpec, eval_product
 from .factored_rational import FactoredRational
 from .numerics import (ClosedForm, Rat, Sub, cf_mul, cf_pow, cf_rat,
                        CF_PI, CF_GAMMA_QUARTER, ball_prec, export,
@@ -44,6 +48,10 @@ DEFAULT_REDUCE_DEPTH = 6
 # an 8-point one already exceeds UNIVERSE_CAP.
 MAX_REDUCE_DEPTH = 9
 UNIVERSE_CAP = 20000  # relation points searched per depth
+# r_x as terms (d, b, c), each putting coefficient c on G((x + b)/d): the
+# recursion x_2n = x_n, x_2n+1 = sign x_n gives G(x) - G(x/2) -
+# sign G((x+1)/2) = sign log(1+x), as G(1/2) = 0; r_x is that times sign
+_RELATION = ((2, 0, -THUE_MORSE.sign), (2, 1, -1), (1, 0, THUE_MORSE.sign))
 
 
 # ---------------------------------------------------------------------------
@@ -128,15 +136,19 @@ class ReduceResult(Record):
 
 
 def _universe(points: List[int], depth: int, one: int) -> List[int]:
-    """Points reachable by x -> 2x, 2x-1, x/2, (x+1)/2, up to ``depth``,
-    each kept as the integer x * one.  Raises CapabilityError when there
-    are more than UNIVERSE_CAP of them."""
+    """Points reachable up to ``depth`` steps by x -> (x + b)/d and its
+    inverse x -> d x - b, for each term (d, b, c) of ``_RELATION``, each
+    kept as the integer x * one.  Raises CapabilityError when there are
+    more than UNIVERSE_CAP of them."""
     seen = set(points)
     frontier = list(points)
     for _ in range(depth):
         nxt = []
-        for k in frontier:
-            for q in (2 * k, 2 * k - one, k // 2, (k + one) // 2):
+        for d, b, _ in _RELATION:
+            if (d, b) == (1, 0):
+                continue  # the term on G(x) itself takes no step
+            s = b * one
+            for q in [(k + s) // d for k in frontier] + [d * k - s for k in frontier]:
                 if q not in seen:
                     seen.add(q)
                     nxt.append(q)
@@ -155,8 +167,9 @@ def _solve_relations(universe: List[int], target: Dict[int, Fraction],
     log(1+x) is real.  Returns the lambda coefficients, or None when the
     target is not in the span of the available relations.
 
-    Row p holds the coefficients of G(p): the relation points p, 2p and
-    2p-1 (at p = 1, 2p-1 = p with -2; at p = 0, 2p = p and they cancel).
+    Row p holds the coefficients of G(p): for ``_RELATION``, the relation
+    points p, 2p and 2p-1 (at p = 1, 2p-1 = p with -2; at p = 0, 2p = p
+    and they cancel).
     Peeling never stalls.  A row is retired only once all its variables
     are solved, so while a nonempty set W of variables is unsolved, it is
     enough that some row holds exactly one member of W (when W is empty,
@@ -174,18 +187,18 @@ def _solve_relations(universe: List[int], target: Dict[int, Fraction],
     the pivots, hence the certificate's key order, are those of a general
     elimination that pivots on the least (length, point).
     """
+    sites = universe[bisect_right(universe, -one):]  # the sorted x > -1
+    points = [[(x + b * one) // d for x in sites] for d, b, _ in _RELATION]
     rows: Dict[int, Dict[int, int]] = {p: {} for p in target}
-    for x in universe:
-        if x > -one:
-            for p, c in ((x // 2, 1), ((x + one) // 2, -1), (x, -1)):
-                row = rows.setdefault(p, {})
-                c += row.get(x, 0)
-                if c:
-                    row[x] = c
-                else:
-                    del row[x]
-    rhs = {p: Fraction(c) for p, c in target.items()}
-    return _peel(rows, rhs, lambda x: (x // 2, (x + one) // 2, x))
+    for (_, _, coef), term_points in zip(_RELATION, points):
+        for p, x in zip(term_points, sites):
+            row = rows.setdefault(p, {})
+            c = coef + row.get(x, 0)
+            if c:
+                row[x] = c
+            else:
+                del row[x]
+    return _peel(rows, dict(target), dict(zip(sites, zip(*points))).__getitem__)
 
 
 def _peel(rows: Dict[int, Dict[int, int]], rhs: Dict[int, Fraction],
@@ -230,7 +243,7 @@ def reduce(expr: GExpression, depth: int = DEFAULT_REDUCE_DEPTH) -> ReduceResult
     """Reduce a GExpression to an exact constant, if possible.
 
     Searches relation universes of increasing depth (each one built from
-    the expression's points by the four maps) and solves exactly for a
+    the expression's points by ``_universe``) and solves exactly for a
     combination of relation vectors matching the G-part.  On success the
     constant exp(sum lambda_x log(1+x) + log-const part) is returned as a
     canonical product of primes with rational exponents.  ``depth`` must
@@ -240,8 +253,8 @@ def reduce(expr: GExpression, depth: int = DEFAULT_REDUCE_DEPTH) -> ReduceResult
     if not 0 <= depth <= MAX_REDUCE_DEPTH:
         raise InputError(f"reduce depth must be in 0..{MAX_REDUCE_DEPTH}, got {depth}")
     terms = expr.terms_dict()
-    one = math.lcm(*(x.denominator for x in terms)) << (depth + 1)
-    target = {x.numerator * (one // x.denominator): c for x, c in terms.items()}
+    one = math.lcm(*(x.denominator for x in terms)) * max(_RELATION)[0] ** (depth + 1)
+    target = {x.numerator * (one // x.denominator): Fraction(c) for x, c in terms.items()}
     points = list(target) or [one]
     for used_depth in range(depth + 1):
         solution = _solve_relations(_universe(points, used_depth, one), target, one)

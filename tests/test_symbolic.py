@@ -24,6 +24,24 @@ def g_expr(*pairs):
     return GExpression.build({F(x): F(c) for x, c in pairs})
 
 
+def relation_reference(x):
+    """r_x as {point: coefficient}, written out by hand:
+    G(x/2) - G((x+1)/2) - G(x) = log(1+x)."""
+    r = {}
+    for point, coef in ((x / 2, F(1)), ((x + 1) / 2, F(-1)), (x, F(-1))):
+        r[point] = r.get(point, F(0)) + coef
+    return {k: v for k, v in r.items() if v}
+
+
+def replay(certificate):
+    """The G-part sum_x lambda_x r_x of a certificate {x: lambda_x}."""
+    rebuilt = {}
+    for x, lam in certificate.items():
+        for point, coef in relation_reference(x).items():
+            rebuilt[point] = rebuilt.get(point, F(0)) + lam * coef
+    return {k: v for k, v in rebuilt.items() if v}
+
+
 def plus(left, right):
     # the term-by-term sum of two expressions
     terms, log_const = dict(left.terms), dict(left.log_const)
@@ -125,19 +143,14 @@ def test_reduce_certificate_is_a_proof():
     expr = expr_from_spec(family("i", F(3, 4), F(1, 4)).spec)
     out = reduce(expr)
     assert out.reduced
-    rebuilt = {}
-    for x, lam in out.certificate.items():
-        for point, coef in ((x / 2, lam), ((x + 1) / 2, -lam), (x, -lam)):
-            rebuilt[point] = rebuilt.get(point, F(0)) + coef
-    assert {k: v for k, v in rebuilt.items() if v} == expr.terms_dict()
+    assert replay(out.certificate) == expr.terms_dict()
 
 
 def test_reduce_relation_invariance():
     # adding a relation vector must not change the reduced constant
     expr = g_expr((1, 2))
     x = F(1, 2)
-    relation = GExpression.build({x / 2: F(1), (x + 1) / 2: F(-1), x: F(-1)},
-                                 {1 + x: F(-1)})
+    relation = GExpression.build(relation_reference(x), {1 + x: F(-1)})
     out1, out2 = reduce(expr), reduce(plus(expr, relation))
     assert out1.reduced and out2.reduced
     assert out1.exponents == out2.exponents
@@ -224,14 +237,23 @@ def test_reduce_soundness_against_evaluator(rng):
 # Reduction against the Fraction-keyed reference solver
 # ---------------------------------------------------------------------------
 
+def relation_maps():
+    """The maps x -> s x + t, as (s, t), that give the points of r_x, read
+    off ``relation_reference`` at x = 1/3 and 1/5, where no two meet."""
+    return [((p - q) * F(15, 2), p - (p - q) * F(5, 2))
+            for p, q in zip(relation_reference(F(1, 3)), relation_reference(F(1, 5)))]
+
+
 def universe_reference(points, depth):
-    """Points reachable by x -> 2x, 2x-1, x/2, (x+1)/2, keyed by Fraction."""
+    """Points reachable by the maps of ``relation_maps`` and their
+    inverses (x -> 2x, 2x-1, x/2, (x+1)/2), keyed by Fraction."""
+    maps = relation_maps()
     seen = set(points)
     frontier = list(points)
     for _ in range(depth):
         nxt = []
         for p in frontier:
-            for q in (2 * p, 2 * p - 1, p / 2, (p + 1) / 2):
+            for q in [s * p + t for s, t in maps] + [(p - t) / s for s, t in maps]:
                 if q not in seen:
                     seen.add(q)
                     nxt.append(q)
@@ -252,10 +274,7 @@ def solve_reference(universe, target):
     for x in universe:
         if x <= -1:
             continue
-        vec = {}
-        for point, coef in ((x / 2, F(1)), ((x + 1) / 2, F(-1)), (x, F(-1))):
-            vec[point] = vec.get(point, F(0)) + coef
-        relations[x] = {k: v for k, v in vec.items() if v}
+        relations[x] = relation_reference(x)
     rows, rhs = {}, {}
     for x, vec in relations.items():
         for p, coef in vec.items():
@@ -329,6 +348,15 @@ def prime_exponents_reference(q):
     return out
 
 
+def certificate_exponents(certificate, log_const):
+    """{p: e} of prod (1+x)^lambda_x times the log-constants q^c."""
+    exponents = {}
+    for q, coef in [(1 + x, lam) for x, lam in certificate.items()] + list(log_const):
+        for p, e in prime_exponents_reference(q).items():
+            exponents[p] = exponents.get(p, F(0)) + e * coef
+    return {p: e for p, e in exponents.items() if e}
+
+
 def reduce_reference(expr, depth):
     """(status, depth, certificate, exponents) of the reference solver."""
     target = expr.terms_dict()
@@ -339,11 +367,7 @@ def reduce_reference(expr, depth):
             break
     else:
         return "irreducible", depth, {}, None
-    exponents = {}
-    for q, coef in [(1 + x, lam) for x, lam in solution.items()] + list(expr.log_const):
-        for p, e in prime_exponents_reference(q).items():
-            exponents[p] = exponents.get(p, F(0)) + e * coef
-    return "reduced", d, solution, {p: e for p, e in exponents.items() if e}
+    return "reduced", d, solution, certificate_exponents(solution, expr.log_const)
 
 
 def assert_matches_reference(expr, depth):
@@ -351,6 +375,7 @@ def assert_matches_reference(expr, depth):
     expected = reduce_reference(expr, depth)
     assert (out.status, out.depth, out.certificate, out.exponents) == expected
     assert list(out.certificate) == list(expected[2])  # same pivot order
+    return out
 
 
 @st.composite
@@ -366,7 +391,7 @@ def _targets(draw):
         pairs.append((pairs[0][0], draw(coefs)))
     for x in draw(st.lists(points, max_size=3)):
         lam = draw(coefs)
-        pairs += [(x / 2, lam), ((x + 1) / 2, -lam), (x, -lam)]
+        pairs += [(point, lam * coef) for point, coef in relation_reference(x).items()]
     terms = {}
     for x, c in pairs:
         terms[x] = terms.get(x, F(0)) + c
@@ -379,11 +404,30 @@ def _targets(draw):
 @settings(max_examples=150, deadline=None)
 @given(_targets(), st.integers(0, 4))
 def test_reduce_matches_fraction_reference(expr, depth):
-    assert_matches_reference(expr, depth)
+    out = assert_matches_reference(expr, depth)
+    if out.reduced:  # the certificate alone proves the constant
+        assert replay(out.certificate) == expr.terms_dict()
+        assert certificate_exponents(out.certificate, expr.log_const) == out.exponents
     points = list(expr.terms_dict()) or [F(1)]
     one = math.lcm(*(x.denominator for x in points)) << (depth + 1)
     universe = _universe([int(x * one) for x in points], depth, one)
     assert [F(k, one) for k in universe] == universe_reference(points, depth)
+
+
+def test_relation_terms_match_the_reference(rng):
+    # each term (d, b, c) of symbolic._RELATION puts c on G((x + b)/d); on
+    # integer points x * one every division is exact; at x = 0 and 1 two
+    # points meet
+    for x in [F(0), F(1)] + [F(rng.randint(-40, 80), rng.randint(1, 30))
+                             for _ in range(200)]:
+        one = x.denominator * 2 ** rng.randint(1, 6)
+        scaled = {}
+        for d, b, c in symbolic._RELATION:
+            numerator = int(x * one) + b * one
+            assert numerator % d == 0
+            point = F(numerator // d, one)
+            scaled[point] = scaled.get(point, 0) + c
+        assert {k: v for k, v in scaled.items() if v} == relation_reference(x)
 
 
 @pytest.mark.parametrize("expr,depth", [
