@@ -52,6 +52,9 @@ UNIVERSE_CAP = 20000  # relation points searched per depth
 # recursion x_2n = x_n, x_2n+1 = sign x_n gives G(x) - G(x/2) -
 # sign G((x+1)/2) = sign log(1+x), as G(1/2) = 0; r_x is that times sign
 _RELATION = ((2, 0, -THUE_MORSE.sign), (2, 1, -1), (1, 0, THUE_MORSE.sign))
+# the (d, b) of each step x -> (x + b)/d of the universe: the term on G(x)
+# itself takes no step
+_STEPS = tuple((d, b) for d, b, _ in _RELATION if (d, b) != (1, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -66,7 +69,9 @@ class GExpression(Record):
     """Rational combination of symbols G(x) plus a formal log-constant part.
 
     ``terms`` maps points x to coefficients; ``log_const`` maps positive
-    rationals q to coefficients, denoting sum c_q log q.
+    rationals q to coefficients, denoting sum c_q log q.  Points and
+    coefficients are Fractions; ``reduce`` solves with the coefficients as
+    they are, and an int one would not keep its arithmetic exact.
     """
 
     __slots__ = ("terms", "log_const")
@@ -137,24 +142,23 @@ class ReduceResult(Record):
 
 def _universe(points: List[int], depth: int, one: int) -> List[int]:
     """Points reachable up to ``depth`` steps by x -> (x + b)/d and its
-    inverse x -> d x - b, for each term (d, b, c) of ``_RELATION``, each
-    kept as the integer x * one.  Raises CapabilityError when there are
-    more than UNIVERSE_CAP of them."""
+    inverse x -> d x - b, for each (d, b) of ``_STEPS``, each kept as the
+    integer x * one.  Raises CapabilityError when there are more than
+    UNIVERSE_CAP of them."""
     seen = set(points)
     frontier = list(points)
     for _ in range(depth):
         nxt = []
-        for d, b, _ in _RELATION:
-            if (d, b) == (1, 0):
-                continue  # the term on G(x) itself takes no step
+        for d, b in _STEPS:
             s = b * one
-            for q in [(k + s) // d for k in frontier] + [d * k - s for k in frontier]:
-                if q not in seen:
-                    seen.add(q)
-                    nxt.append(q)
-            if len(seen) > UNIVERSE_CAP:
-                raise CapabilityError(f"the depth-{depth} relation universe "
-                                      f"exceeds {UNIVERSE_CAP} points")
+            for k in frontier:
+                for q in (k + s) // d, d * k - s:
+                    if q not in seen:
+                        seen.add(q)
+                        nxt.append(q)
+        if len(seen) > UNIVERSE_CAP:
+            raise CapabilityError(f"the depth-{depth} relation universe "
+                                  f"exceeds {UNIVERSE_CAP} points")
         frontier = nxt
     return sorted(seen)
 
@@ -187,18 +191,23 @@ def _solve_relations(universe: List[int], target: Dict[int, Fraction],
     the pivots, hence the certificate's key order, are those of a general
     elimination that pivots on the least (length, point).
     """
+    steps = [(d, b * one, c) for d, b, c in _RELATION]
     sites = universe[bisect_right(universe, -one):]  # the sorted x > -1
-    points = [[(x + b * one) // d for x in sites] for d, b, _ in _RELATION]
+    n = len(sites)
+    # term t's point at the i-th site is points[t n + i], so the column of
+    # site x is points[index[x]::n]: one flat list of ints, not a container
+    # per site, whose allocations would set off extra cyclic garbage
+    # collections on big universes
+    points = [(x + s) // d for d, s, _ in steps for x in sites]
+    index = dict(zip(sites, range(n)))
     rows: Dict[int, Dict[int, int]] = {p: {} for p in target}
-    for (_, _, coef), term_points in zip(_RELATION, points):
-        for p, x in zip(term_points, sites):
+    for t, (_, _, coef) in enumerate(steps):
+        for p, x in zip(points[t * n:t * n + n], sites):
             row = rows.setdefault(p, {})
-            c = coef + row.get(x, 0)
+            c = coef + row.pop(x, 0)
             if c:
                 row[x] = c
-            else:
-                del row[x]
-    return _peel(rows, dict(target), dict(zip(sites, zip(*points))).__getitem__)
+    return _peel(rows, dict(target), lambda x: points[index[x]::n])
 
 
 def _peel(rows: Dict[int, Dict[int, int]], rhs: Dict[int, Fraction],
@@ -254,7 +263,7 @@ def reduce(expr: GExpression, depth: int = DEFAULT_REDUCE_DEPTH) -> ReduceResult
         raise InputError(f"reduce depth must be in 0..{MAX_REDUCE_DEPTH}, got {depth}")
     terms = expr.terms_dict()
     one = math.lcm(*(x.denominator for x in terms)) * max(_RELATION)[0] ** (depth + 1)
-    target = {x.numerator * (one // x.denominator): Fraction(c) for x, c in terms.items()}
+    target = {x.numerator * (one // x.denominator): c for x, c in terms.items()}
     points = list(target) or [one]
     for used_depth in range(depth + 1):
         solution = _solve_relations(_universe(points, used_depth, one), target, one)

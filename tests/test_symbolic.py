@@ -33,6 +33,12 @@ def relation_reference(x):
     return {k: v for k, v in r.items() if v}
 
 
+def relation_steps(x):
+    """The points one step from x, written out by hand: the other points
+    x/2 and (x+1)/2 of r_x, and the y whose r_y holds x, 2x and 2x-1."""
+    return [x / 2, (x + 1) / 2, 2 * x, 2 * x - 1]
+
+
 def replay(certificate):
     """The G-part sum_x lambda_x r_x of a certificate {x: lambda_x}."""
     rebuilt = {}
@@ -237,23 +243,14 @@ def test_reduce_soundness_against_evaluator(rng):
 # Reduction against the Fraction-keyed reference solver
 # ---------------------------------------------------------------------------
 
-def relation_maps():
-    """The maps x -> s x + t, as (s, t), that give the points of r_x, read
-    off ``relation_reference`` at x = 1/3 and 1/5, where no two meet."""
-    return [((p - q) * F(15, 2), p - (p - q) * F(5, 2))
-            for p, q in zip(relation_reference(F(1, 3)), relation_reference(F(1, 5)))]
-
-
 def universe_reference(points, depth):
-    """Points reachable by the maps of ``relation_maps`` and their
-    inverses (x -> 2x, 2x-1, x/2, (x+1)/2), keyed by Fraction."""
-    maps = relation_maps()
+    """Points reachable by ``relation_steps``, keyed by Fraction."""
     seen = set(points)
     frontier = list(points)
     for _ in range(depth):
         nxt = []
         for p in frontier:
-            for q in [s * p + t for s, t in maps] + [(p - t) / s for s, t in maps]:
+            for q in relation_steps(p):
                 if q not in seen:
                     seen.add(q)
                     nxt.append(q)

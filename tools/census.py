@@ -1,35 +1,31 @@
 """A census of reducible +-1 Thue-Morse products over a grid of offsets.
 
-Usage (from anywhere; the package is imported from this checkout's ``src``):
+Usage (from the repository root, with ``digitprod`` installed):
 
     python3 tools/census.py
-    python3 tools/census.py --q 4 --depth 4 --digits 200
+    PYTHONPATH=src python3 tools/census.py    # this checkout, uninstalled
 
 Enumerates every balanced product (n+a)(n+b)/((n+c)(n+d)) over n >= 1
 whose four offsets are distinct multiples of 1/q in (-1, 2], each product
 once up to its inverse (a is the least offset), and reduces its G-part
-G(a) + G(b) - G(c) - G(d) with ``symbolic.reduce`` at ``--depth``.  Every
-reduced constant is checked against the engine by ``symbolic.verify`` at
-``--digits``: the closed form's ball must lie within the engine's error
-estimate of its value.  Prints one line per reduction and then the
-counts and the seconds spent in ``reduce`` and in the engine.  Exits 1 if
-a check fails.
+G(a) + G(b) - G(c) - G(d) with ``symbolic.reduce``.  Every reduced
+constant is checked against the engine by ``symbolic.verify``: the closed
+form's ball must lie within the engine's error estimate of its value.
+``main`` runs q = 8 at depth 6 and checks at 200 digits; it prints one
+line per reduction and then the counts and the seconds spent in
+``reduce`` and in the engine, and exits 1 if a check fails.
 """
 
 from __future__ import annotations
 
-import argparse
 import itertools
 import sys
 import time
 from fractions import Fraction
-from pathlib import Path
 from typing import Iterator, List, Tuple
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
-
-from digitprod import EvalOptions, ExponentKind, FactoredRational, ProductSpec  # noqa: E402
-from digitprod.symbolic import Identity, ReduceResult, expr_from_spec, reduce, verify  # noqa: E402
+from digitprod import EvalOptions, ExponentKind, FactoredRational, ProductSpec
+from digitprod.symbolic import Identity, ReduceResult, expr_from_spec, reduce, verify
 
 Offsets = Tuple[Fraction, Fraction, Fraction, Fraction]
 
@@ -72,25 +68,20 @@ def check(offsets: Offsets, out: ReduceResult, digits: int) -> bool:
     return verify(identity, EvalOptions(precision=digits)).passed
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--q", type=int, default=8, help="grid denominator (default 8)")
-    parser.add_argument("--depth", type=int, default=6, help="reduce depth (default 6)")
-    parser.add_argument("--digits", type=int, default=200,
-                        help="digits of the engine check (default 200)")
-    args = parser.parse_args(argv)
+def main() -> int:
+    q, depth, digits = 8, 6, 200
     start = time.perf_counter()
-    count, reduced = census(args.q, args.depth)
+    count, reduced = census(q, depth)
     middle = time.perf_counter()
     failed = 0
     for offsets, out in reduced:
-        passed = check(offsets, out, args.digits)
+        passed = check(offsets, out, digits)
         failed += not passed
         print(f"{text(offsets)} depth {out.depth} {out.closed_form.render()} "
               f"{'ok' if passed else 'FAIL'}")
     end = time.perf_counter()
-    print(f"q {args.q} depth {args.depth}: {len(reduced)} of {count} reduce, "
-          f"{failed} fail at {args.digits} digits; reduce {middle - start:.1f} s, "
+    print(f"q {q} depth {depth}: {len(reduced)} of {count} reduce, "
+          f"{failed} fail at {digits} digits; reduce {middle - start:.1f} s, "
           f"engine {end - middle:.2f} s")
     return 1 if failed else 0
 
